@@ -1,10 +1,11 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The Monte Carlo path-sum kernel, with a numba fast path and a pure-numpy
+fallback.
 
 Backend selection: the ``GBMSUM_BACKEND`` environment variable may be set to
 ``numba``, ``numpy`` or ``auto`` (default).  ``auto`` uses numba when it is
 importable.  Both backends consume identical inputs in identical order and
-agree to floating-point roundoff; ``benchmarks/bench_kernels.py`` compares
-their throughput.
+agree to floating-point roundoff.  The grid operator does not go through
+this switch: it is a ``scipy.sparse`` matrix (``solver.GaussianStepOperator``).
 """
 
 from __future__ import annotations
@@ -36,29 +37,10 @@ def backend_name() -> str:
     return "numba" if USE_NUMBA else "numpy"
 
 
-# -- banded kernel-matrix application ---------------------------------------
-
-
-def _banded_matvec_np(band: np.ndarray, k0: np.ndarray, values: np.ndarray,
-                      cols: np.ndarray | None = None) -> np.ndarray:
-    if cols is None:
-        cols = k0[:, None] + np.arange(band.shape[1])[None, :]
-    return np.einsum("jb,jb->j", band, values[cols])
+# -- cumulative-product path sums -------------------------------------------
 
 
 if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _banded_matvec_nb(band, k0, values):  # pragma: no cover - thin loop
-        n, bw = band.shape
-        out = np.zeros(n)
-        for j in range(n):
-            base = k0[j]
-            acc = 0.0
-            for c in range(bw):
-                acc += band[j, c] * values[base + c]
-            out[j] = acc
-        return out
 
     @njit(cache=True)
     def _path_sums_nb(z, offsets, scale, drift):  # pragma: no cover - thin loop
@@ -72,17 +54,6 @@ if NUMBA_AVAILABLE:
                 acc += np.exp(logw)
             out[p] = acc
         return out
-
-
-def banded_matvec(band: np.ndarray, k0: np.ndarray, values: np.ndarray,
-                  cols: np.ndarray | None = None) -> np.ndarray:
-    """out[j] = sum_c band[j, c] * values[k0[j] + c]."""
-    if USE_NUMBA:
-        return _banded_matvec_nb(band, k0, values)
-    return _banded_matvec_np(band, k0, values, cols)
-
-
-# -- cumulative-product path sums -------------------------------------------
 
 
 def _path_sums_np(z: np.ndarray, offsets: np.ndarray, scale: np.ndarray,

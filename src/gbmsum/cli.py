@@ -200,8 +200,8 @@ def cmd_asian(args, out: _Outputs) -> int:
     return _EXIT_OK
 
 
-def _annuity_rows(rp: ReducedParams, q_list, var_level, args):
-    density, report = _solve(rp, args)
+def _annuity_rows(rp: ReducedParams, density: solver.GridDensity,
+                  report: solver.SolveReport, q_list, var_level):
     mean = math.exp(rp.rho) / (1.0 - (1.0 - rp.p) * math.exp(rp.rho))
     rows = []
     for q in q_list:
@@ -232,7 +232,7 @@ _ANNUITY_HEADER = ["beta", "rho", "p", "mean", "q", "threshold",
 def cmd_annuity(args, out: _Outputs) -> int:
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
     q_list = [float(v) for v in args.q_list.split(",") if v != ""]
-    rows, record = _annuity_rows(rp, q_list, args.var_level, args)
+    rows, record = _annuity_rows(rp, *_solve(rp, args), q_list, args.var_level)
     out.write_csv("annuity.csv", _ANNUITY_HEADER, rows)
     out.write_json("annuity_report.json", record)
     out.manifest("annuity", _args_dict(args))
@@ -334,11 +334,11 @@ def cmd_batch(args, out: _Outputs) -> int:
             rp = ReducedParams(beta=sc["beta"], rho=sc["rho"], p=sc["p"])
             key = (rp.beta, rp.rho, rp.p)
             if key not in solve_cache:
-                solve_cache[key] = _annuity_rows(
-                    rp, [float(q) for q in sc.get("q_list", [0.0])],
-                    sc.get("var_level", 0.01), ns,
-                )
-            rows, record = solve_cache[key]
+                solve_cache[key] = _solve(rp, ns)
+            rows, record = _annuity_rows(
+                rp, *solve_cache[key], [float(q) for q in sc.get("q_list", [0.0])],
+                sc.get("var_level", 0.01),
+            )
             annuity_rows.extend(rows)
             envelope.append({"index": i, "type": "annuity", **{
                 k: v for k, v in record.items() if k != "report"}})

@@ -14,9 +14,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad
 
-from . import _kernels, distributions
+from . import distributions
 from .errors import (
     AccuracyWarning,
     CoarseGridWarning,
@@ -81,6 +82,8 @@ class GridDensity:
             raise ParameterError(
                 f"values shape {vals.shape} does not match grid ({self.grid.n_points},)"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("density values must be finite")
         if vals[0] != 0.0:
             raise ParameterError("density must vanish at x = 0 (values[0] == 0)")
         if vals.min() < _NEG_CLIP:
@@ -105,7 +108,8 @@ class SolveReport:
 
 
 class GaussianStepOperator:
-    """Banded trapezoidal discretization of the one-step transform.
+    """Banded trapezoidal discretization of the one-step transform, stored
+    as a sparse CSR matrix.
 
     Row j integrates the input density against a Gaussian kernel of variance
     beta centered at w0(u_j) = log(e^{u_j} - 1) + 3 beta/2 - rho; the kernel
@@ -131,8 +135,8 @@ class GaussianStepOperator:
         w0 = np.empty(grid.n_points)
         w0[0] = 0.0  # row 0 is zeroed below; kernel center sits at -inf
         w0[1:] = np.log(np.expm1(u[1:])) + 1.5 * rp.beta - rp.rho
-        band, k0, cols = self._build_band(w0)
-        band[0, :] = 0.0
+        mat = self._kernel_rows(w0)
+        mat.data[: self._bw] = 0.0  # row 0
         # Conservative correction: scale each input column so the discrete
         # transform preserves trapezoidal mass exactly (the continuous kernel
         # satisfies int e^u K(u, w) du = e^w).  The factors are 1 + O(h^3),
@@ -142,17 +146,16 @@ class GaussianStepOperator:
         mass_w = grid.h * np.exp(u)
         mass_w[0] *= 0.5
         mass_w[-1] *= 0.5
-        col_mass = np.zeros(grid.n_points)
-        np.add.at(col_mass, cols, band * mass_w[:, None])
+        col_mass = mass_w @ mat
         with np.errstate(divide="ignore", invalid="ignore"):
             col_scale = np.where(col_mass > 0.0, mass_w / col_mass, 1.0)
-        band *= col_scale[cols]
+        mat.data *= col_scale[mat.indices]
         self._col_scale = col_scale
-        self._band = band
-        self._k0 = k0
-        self._cols = cols if not _kernels.USE_NUMBA else None
+        self._mat = mat
 
-    def _build_band(self, w0: np.ndarray):
+    def _kernel_rows(self, w0: np.ndarray) -> sparse.csr_array:
+        """Unscaled kernel rows centred at w0, each a run of bw contiguous
+        columns, as a len(w0) x n CSR matrix."""
         grid, rp = self.grid, self.rp
         n, bw, h = grid.n_points, self._bw, grid.h
         kc = np.rint(w0 / h).astype(np.int64)
@@ -161,10 +164,11 @@ class GaussianStepOperator:
         w = cols * h
         band = np.exp(-((w - w0[:, None]) ** 2) / (2.0 * rp.beta)) * (self._pref * h)
         band[(cols == 0) | (cols == n - 1)] *= 0.5
-        return band, k0, cols
+        indptr = np.arange(0, w0.size * bw + 1, bw, dtype=np.int32)
+        return sparse.csr_array((band.ravel(), cols.ravel(), indptr), shape=(w0.size, n))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return _kernels.banded_matvec(self._band, self._k0, values, self._cols)
+        return self._mat @ values
 
     def apply_at(self, u_points: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Evaluate the transform of `values` at arbitrary points u > 0.
@@ -176,9 +180,9 @@ class GaussianStepOperator:
         if np.any(u_points <= 0.0):
             raise ParameterError("off-grid evaluation requires u > 0")
         w0 = np.log(np.expm1(u_points)) + 1.5 * self.rp.beta - self.rp.rho
-        band, k0, cols = self._build_band(w0)
-        band *= self._col_scale[cols]
-        return _kernels.banded_matvec(band, k0, values, cols)
+        mat = self._kernel_rows(w0)
+        mat.data *= self._col_scale[mat.indices]
+        return mat @ values
 
 
 def apply_operator(F: GridDensity, params) -> GridDensity:
@@ -348,6 +352,15 @@ def expectation(F: GridDensity, payoff) -> float:
 # -- off-grid refinement --------------------------------------------------------
 
 
+def _refined(op: GaussianStepOperator, F: GridDensity, rp: ReducedParams,
+             x_points: np.ndarray, p: float) -> np.ndarray:
+    """One operator row per point, plus the stopping source when p > 0."""
+    vals = op.apply_at(np.log1p(x_points), F.values)
+    if p > 0.0:
+        vals = p * np.asarray(distributions.multiplier_pdf(x_points, rp)) + (1.0 - p) * vals
+    return vals
+
+
 def density_at(F: GridDensity, params, x_points, p: float | None = None) -> np.ndarray:
     """Refine a converged solution at arbitrary points x > 0.
 
@@ -360,11 +373,7 @@ def density_at(F: GridDensity, params, x_points, p: float | None = None) -> np.n
     if p is None:
         p = rp.p
     x_points = np.asarray(x_points, dtype=float)
-    op = GaussianStepOperator(F.grid, rp)
-    vals = op.apply_at(np.log1p(x_points), F.values)
-    if p > 0.0:
-        vals = p * np.asarray(distributions.multiplier_pdf(x_points, rp)) + (1.0 - p) * vals
-    return vals
+    return _refined(GaussianStepOperator(F.grid, rp), F, rp, x_points, p)
 
 
 def left_tail_cdf(F: GridDensity, params, eps_values, p: float | None = None,
@@ -375,13 +384,18 @@ def left_tail_cdf(F: GridDensity, params, eps_values, p: float | None = None,
     integrand decays super-exponentially so a fixed window suffices.
     """
     rp = as_reduced(params)
+    if p is None:
+        p = rp.p
+    op = GaussianStepOperator(F.grid, rp)
     eps_values = np.asarray(eps_values, dtype=float)
     width = 14.0 * math.sqrt(rp.beta) + 3.0 * rp.beta + 2.0 * abs(rp.rho) + 2.0
     out = np.empty(eps_values.shape)
+    # One eps at a time: stacking every window's rows would hold
+    # eps_values.size * n_nodes kernel rows at once.
     for i, eps in enumerate(eps_values.reshape(-1)):
         v = np.linspace(math.log(eps) - width, math.log(eps), n_nodes)
         xv = np.exp(v)
-        fv = density_at(F, rp, xv, p=p)
+        fv = _refined(op, F, rp, xv, p)
         out.reshape(-1)[i] = np.trapezoid(fv * xv, v)
     return out
 
@@ -493,6 +507,11 @@ def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
             f_new = f_new + source
         delta = float(np.max(np.abs(f_new - f)))
         deltas.append(delta)
+        if not math.isfinite(delta):
+            raise ConvergenceError(
+                f"fixed-point iteration produced non-finite values at iteration {it}",
+                delta_trace=deltas,
+            )
         masses.append(_grid_mass(grid_int, f_new))
         f = f_new
         if delta <= tol:

@@ -159,6 +159,26 @@ class TestBatchCommand:
         assert [s["type"] for s in envelope["scenarios"]] == ["asian", "annuity",
                                                               "asian"]
 
+    def test_shared_solve_keeps_scenario_rows(self, tmp_path):
+        # both scenarios reuse one solve; each keeps its own q and VaR level
+        law = {"type": "annuity", "beta": 0.1, "rho": 0.0, "p": 0.1}
+        config = tmp_path / "scenarios.json"
+        config.write_text(json.dumps([
+            {**law, "q_list": [0]},
+            {**law, "q_list": [0.5], "var_level": 0.05},
+        ]))
+        out = str(tmp_path / "out")
+        assert main(["batch", "--config", str(config), "--out", out]) == 0
+        annuity = read_csv(os.path.join(out, "annuity.csv"))
+        assert [float(r[4]) for r in annuity[1:]] == [0.0, 0.5]
+        # discrete shortfalls of the source study at (0.1, 0, 0.1)
+        assert float(annuity[1][6]) == pytest.approx(0.26821, abs=2e-3)
+        assert float(annuity[2][6]) == pytest.approx(0.15846, abs=2e-3)
+        first, second = json.load(open(os.path.join(out, "batch_report.json")))["scenarios"]
+        assert first["shortfall"] == pytest.approx(float(annuity[1][6]), rel=1e-9)
+        assert second["shortfall"] == pytest.approx(float(annuity[2][6]), rel=1e-9)
+        assert first["var_threshold"] > second["var_threshold"]
+
     def test_unknown_type_exit_2(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps([{"type": "swap"}]))

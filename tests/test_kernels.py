@@ -1,4 +1,4 @@
-"""Backend parity and environment-flag selection for the hot kernels."""
+"""Backend parity and environment-flag selection for the path-sum kernel."""
 
 import os
 import subprocess
@@ -12,13 +12,6 @@ import gbmsum
 from gbmsum import _kernels
 
 
-def make_band(rng, n=400, bw=41):
-    band = rng.uniform(0.0, 1.0, (n, bw))
-    k0 = rng.integers(0, n - bw, n).astype(np.int64)
-    values = rng.uniform(0.0, 2.0, n)
-    return band, k0, values
-
-
 def make_paths(rng, n_paths=5000):
     lengths = rng.integers(1, 40, n_paths).astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
@@ -30,13 +23,6 @@ def make_paths(rng, n_paths=5000):
 
 @pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
 class TestBackendParity:
-    def test_banded_matvec(self):
-        rng = np.random.default_rng(0)
-        band, k0, values = make_band(rng)
-        a = _kernels._banded_matvec_np(band, k0, values)
-        b = _kernels._banded_matvec_nb(band, k0, values)
-        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-
     def test_path_sums(self):
         rng = np.random.default_rng(1)
         z, offsets, scale, drift = make_paths(rng)
@@ -52,13 +38,6 @@ class TestNumpyFallback:
         out = _kernels._path_sums_np(z, offsets, np.ones(2), np.zeros(2))
         assert out[0] == 0.0
         assert out[1] == pytest.approx(3.0)
-
-    def test_dispatch_matches_active_backend(self):
-        rng = np.random.default_rng(2)
-        band, k0, values = make_band(rng, n=100, bw=11)
-        out = _kernels.banded_matvec(band, k0, values)
-        ref = _kernels._banded_matvec_np(band, k0, values)
-        assert np.allclose(out, ref, rtol=1e-12)
 
 
 class TestEnvironmentFlag:

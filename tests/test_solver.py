@@ -12,7 +12,7 @@ from gbmsum import (
     DivergentExpectationError,
     ParameterError,
 )
-from gbmsum.solver import Grid, GridDensity, _grid_mass
+from gbmsum.solver import Grid, GridDensity, _grid_mass, _iterate
 
 
 class TestGridTypes:
@@ -40,6 +40,14 @@ class TestGridTypes:
         vals = np.zeros(100)
         vals[5] = -5e-15
         assert GridDensity(grid, vals).values[5] == 0.0
+
+    def test_density_rejects_non_finite(self):
+        grid = Grid(0.01, 100)
+        for bad in (np.nan, np.inf):
+            vals = np.zeros(100)
+            vals[5] = bad
+            with pytest.raises(ParameterError):
+                GridDensity(grid, vals)
 
     def test_values_are_immutable(self):
         grid = Grid(0.01, 100)
@@ -75,6 +83,60 @@ class TestOperator:
             g.GaussianStepOperator(Grid(0.01, 200), rp)
 
 
+def reference_band(grid, rp, band_sigmas=8.0):
+    """The operator as a dense n x bw band and its column indices, built
+    from the kernel formula with np.add.at column masses."""
+    n, h = grid.n_points, grid.h
+    half = math.ceil(band_sigmas * math.sqrt(rp.beta) / h)
+    bw = min(n, 2 * half + 1)
+    u = grid.u()
+    w0 = np.zeros(n)
+    w0[1:] = np.log(np.expm1(u[1:])) + 1.5 * rp.beta - rp.rho
+    k0 = np.clip(np.rint(w0 / h).astype(np.int64) - (bw - 1) // 2, 0, n - bw)
+    cols = k0[:, None] + np.arange(bw)[None, :]
+    pref = math.exp(rp.beta - rp.rho) / math.sqrt(2.0 * math.pi * rp.beta)
+    band = np.exp(-((cols * h - w0[:, None]) ** 2) / (2.0 * rp.beta)) * (pref * h)
+    band[(cols == 0) | (cols == n - 1)] *= 0.5
+    band[0, :] = 0.0
+    mass_w = h * np.exp(u)
+    mass_w[[0, -1]] *= 0.5
+    col_mass = np.zeros(n)
+    np.add.at(col_mass, cols, band * mass_w[:, None])
+    scale = np.ones(n)
+    np.divide(mass_w, col_mass, out=scale, where=col_mass > 0.0)
+    return band * scale[cols], cols
+
+
+class TestOperatorReference:
+    def test_apply_matches_gather(self, solved):
+        rp = g.ReducedParams(beta=0.1, rho=-0.1)
+        F, _ = solved(0.1, -0.1, tol=1e-9, max_iter=2000)
+        positive = F.values[F.values > 0.0]
+        assert positive.min() < 1e-50  # far left tail
+        band, cols = reference_band(F.grid, rp)
+        op = g.GaussianStepOperator(F.grid, rp)
+        for values in (F.values, np.linspace(0.0, 1.0, F.grid.n_points)):
+            ref = np.einsum("jb,jb->j", band, values[cols])
+            out = op.apply(values)
+            assert np.all(out[ref == 0.0] == 0.0)
+            pos = ref > 0.0
+            assert np.max(np.abs(out[pos] - ref[pos]) / ref[pos]) <= 1e-12
+
+    @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1)])
+    def test_left_tail_cdf_matches_density_at(self, solved, beta, rho, p):
+        rp = g.ReducedParams(beta=beta, rho=rho, p=p)
+        F, _ = solved(beta, rho, p, tol=1e-9)
+        eps = np.geomspace(1e-4, 1e-2, 5)
+        width = 14.0 * math.sqrt(beta) + 3.0 * beta + 2.0 * abs(rho) + 2.0
+        ref = []
+        for e in eps:
+            v = np.linspace(math.log(e) - width, math.log(e), 240)
+            ref.append(np.trapezoid(g.density_at(F, rp, np.exp(v)) * np.exp(v), v))
+        ref = np.array(ref)
+        probs = g.left_tail_cdf(F, rp, eps)
+        assert np.max(np.abs(probs - ref) / ref) <= 1e-13
+
+
 class TestSolveInfinite:
     def test_convergence_speed_and_moment(self, solved):
         F, report = solved(1.0, -0.1, tol=1e-8)
@@ -98,6 +160,15 @@ class TestSolveInfinite:
         with pytest.raises(ConvergenceError) as err:
             g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1), tol=1e-12, max_iter=3)
         assert len(err.value.delta_trace) == 3
+
+    def test_non_finite_iterate_stops_at_once(self):
+        grid = Grid(0.05, 200)
+        op = g.GaussianStepOperator(grid, g.ReducedParams(beta=1.0, rho=-0.1))
+        f0 = np.zeros(200)
+        f0[50] = np.nan
+        with pytest.raises(ConvergenceError) as err:
+            _iterate(op, grid, f0, None, 1.0, 1e-8, 100)
+        assert len(err.value.delta_trace) == 1
 
     def test_positivity_and_origin(self, solved):
         F, _ = solved(1.0, -0.1, tol=1e-8)
