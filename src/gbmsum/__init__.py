@@ -1,6 +1,6 @@
 """Distributions, moments, tails and pricing for discrete sums of GBM."""
 
-from ._kernels import NUMBA_AVAILABLE, backend_name
+from ._kernels import backend_name
 from .distributions import (
     YorParams,
     inv_gamma_cdf,

@@ -1,85 +1,70 @@
-"""The Monte Carlo path-sum kernel, with a numba fast path and a pure-numpy
-fallback.
+"""The Monte Carlo path-sum kernel, in numpy.
 
-Backend selection: the ``GBMSUM_BACKEND`` environment variable may be set to
-``numba``, ``numpy`` or ``auto`` (default).  ``auto`` uses numba when it is
-importable.  Both backends consume identical inputs in identical order and
-agree to floating-point roundoff.  The grid operator does not go through
-this switch: it is a ``scipy.sparse`` matrix (``solver.GaussianStepOperator``).
+Paths are grouped by length and summed in row tiles of at most
+``_TILE_ELEMENTS`` normals, so every temporary stays in a core's L2 cache.
+The grid operator is not here: it is a ``scipy.sparse`` matrix
+(``solver.GaussianStepOperator``).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_BACKEND_ENV = os.environ.get("GBMSUM_BACKEND", "auto").lower()
-if _BACKEND_ENV not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"GBMSUM_BACKEND must be auto, numba or numpy, got {_BACKEND_ENV!r}"
-    )
-
-NUMBA_AVAILABLE = False
-if _BACKEND_ENV != "numpy":
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        if _BACKEND_ENV == "numba":
-            raise RuntimeError("GBMSUM_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = NUMBA_AVAILABLE and _BACKEND_ENV != "numpy"
+_TILE_ELEMENTS = 1 << 16
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-# -- cumulative-product path sums -------------------------------------------
+def path_partial_product_sums(z: np.ndarray, offsets: np.ndarray,
+                              scale: np.ndarray, drift: np.ndarray,
+                              antithetic: bool = False):
+    """Per-path sums of running products of log-normal factors.
 
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _path_sums_nb(z, offsets, scale, drift):  # pragma: no cover - thin loop
-        n_paths = offsets.shape[0] - 1
-        out = np.empty(n_paths)
-        for p in range(n_paths):
-            acc = 0.0
-            logw = 0.0
-            for k in range(offsets[p], offsets[p + 1]):
-                logw += scale[p] * z[k] + drift[p]
-                acc += np.exp(logw)
-            out[p] = acc
-        return out
-
-
-def _path_sums_np(z: np.ndarray, offsets: np.ndarray, scale: np.ndarray,
-                  drift: np.ndarray) -> np.ndarray:
+    Path p owns z[offsets[p]:offsets[p+1]]; its result is
+    sum_i exp(sum_{k<=i} (scale[p] * z_k + drift[p])), computed as
+    exp(C_i + i * drift[p]) with C the running sum of scale[p] * z.  With
+    ``antithetic=True`` the sums of the flipped normals -z, that is of
+    exp(i * drift[p] - C_i), are returned too, as a second array.
+    """
     lengths = np.diff(offsets)
     out = np.zeros(lengths.size)
+    out_anti = np.zeros(lengths.size) if antithetic else None
+    longest = int(lengths.max(initial=0))
+    steps = np.arange(1, longest + 1, dtype=float)
+    cols = np.arange(longest)
+    size = max(_TILE_ELEMENTS, longest)
+    # scratch for one tile: the running sums C, k * drift, and exponentials
+    c_buf, kd_buf, e_buf = np.empty(size), np.empty(size), np.empty(size)
     order = np.argsort(lengths, kind="stable")
-    sorted_len = lengths[order]
-    bounds = np.flatnonzero(np.diff(sorted_len)) + 1
+    bounds = np.flatnonzero(np.diff(lengths[order])) + 1
     for group in np.split(order, bounds):
         length = int(lengths[group[0]])
         if length == 0:
             continue
-        idx = offsets[group][:, None] + np.arange(length)[None, :]
-        w = scale[group][:, None] * z[idx] + drift[group][:, None]
-        out[group] = np.exp(np.cumsum(w, axis=1)).sum(axis=1)
-    return out
-
-
-def path_partial_product_sums(z: np.ndarray, offsets: np.ndarray,
-                              scale: np.ndarray, drift: np.ndarray) -> np.ndarray:
-    """Per-path sums of running products of log-normal factors.
-
-    Path p owns z[offsets[p]:offsets[p+1]]; its result is
-    sum_i exp(sum_{k<=i} (scale[p] * z_k + drift[p])).
-    """
-    if USE_NUMBA:
-        return _path_sums_nb(z, offsets, scale, drift)
-    return _path_sums_np(z, offsets, scale, drift)
+        # A stable sort keeps a group ascending, so a run of adjacent paths
+        # spans exactly group.size consecutive indices.
+        first = int(offsets[group[0]])
+        adjacent = int(group[-1] - group[0]) == group.size - 1
+        rows = max(1, _TILE_ELEMENTS // length)
+        for start in range(0, group.size, rows):
+            tile = group[start:start + rows]
+            shape = (tile.size, length)
+            c = c_buf[:tile.size * length].reshape(shape)
+            if adjacent:
+                lo = first + start * length
+                np.multiply(z[lo:lo + c.size].reshape(shape), scale[tile][:, None], out=c)
+            else:
+                np.take(z, offsets[tile][:, None] + cols[:length], out=c)
+                c *= scale[tile][:, None]
+            kd = kd_buf[:c.size].reshape(shape)
+            e = e_buf[:c.size].reshape(shape)
+            np.cumsum(c, axis=1, out=c)
+            np.multiply.outer(drift[tile], steps[:length], out=kd)
+            np.add(c, kd, out=e)
+            out[tile] = np.exp(e, out=e).sum(axis=1)
+            if antithetic:
+                np.subtract(kd, c, out=e)
+                out_anti[tile] = np.exp(e, out=e).sum(axis=1)
+    return (out, out_anti) if antithetic else out

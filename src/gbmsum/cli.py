@@ -1,9 +1,10 @@
 """Command-line interface: reproducible batch runs emitting CSV and JSON.
 
 Every command writes its data files plus a manifest (command, parameters,
-version, seeds, timestamps, sha256 digests).  Data files are deterministic
-given the full flag set; exit codes: 0 ok, 2 infeasible parameters,
-3 non-convergence, 4 accuracy problem under --strict.
+version, seeds, timestamps, sha256 digests, and the warnings raised before
+it was written).  Data files are deterministic given the full flag set;
+exit codes: 0 ok, 2 infeasible parameters, 3 non-convergence, 4 accuracy
+problem under --strict.
 """
 
 from __future__ import annotations
@@ -38,12 +39,17 @@ _EXIT_ACCURACY = 4
 
 
 class _Outputs:
-    """Collects written files and emits one manifest per command run."""
+    """Collects written files and emits one manifest per command run.
+
+    ``warnings`` is the live list that ``main`` records the command's
+    warnings into, so each manifest carries every warning raised before it.
+    """
 
     def __init__(self, out_dir: str, prefix: str):
         self.out_dir = out_dir
         self.prefix = prefix
         self.files: list[str] = []
+        self.warnings: list[warnings.WarningMessage] = []
         self.started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         os.makedirs(out_dir, exist_ok=True)
 
@@ -81,6 +87,8 @@ class _Outputs:
             "started": self.started,
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "outputs": digests,
+            "warnings": [{"category": w.category.__name__, "message": str(w.message)}
+                         for w in self.warnings],
         }
         path = self.path(command + ".manifest.json")
         with open(path, "w") as fh:
@@ -456,6 +464,7 @@ def main(argv=None) -> int:
     out = _Outputs(out_dir, args.prefix)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        out.warnings = caught
         try:
             code = args.func(args, out)
         except ParameterError as exc:

@@ -4,13 +4,18 @@ Ground truth for means, moments, survival probabilities and option payoffs,
 with standard errors.  A single counter-based Philox stream and a fixed,
 platform-independent draw layout (horizons first, then one flat normal
 block per chunk) make every estimate bit-for-bit reproducible for a given
-(seed, n_paths, horizon); the accumulation is serial, so results cannot
-depend on scheduling.
+(seed, n_paths, horizon).  The draws run one chunk ahead on a worker
+thread, which alone owns the stream and draws in that layout, while the
+calling thread sums the paths of the chunk before; the statistic and the
+accumulation stay serial on the calling thread, in chunk order, so results
+cannot depend on scheduling.  The normals go into two buffers that take
+turns, so neither can the memory a run holds.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +25,7 @@ from .errors import ParameterError
 from .params import as_reduced
 
 _MAX_CHUNK_ELEMENTS = 4_000_000
+_BUFFER_BLOCK = 1 << 18  # normals (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -100,28 +106,85 @@ def _draw_horizons(rng: np.random.Generator, horizon, count: int) -> np.ndarray:
 
 
 class _Accumulator:
-    """Streaming mean / standard error over (possibly multi-column) samples."""
+    """Streaming mean / standard error over (possibly multi-column) samples.
+
+    Each chunk's count, mean and sum of squared deviations are merged into
+    the running ones with the update of Chan, Golub and LeVeque (1983), so
+    the variance never comes from the difference E[x^2] - mean^2, which
+    cancels for statistics whose spread is small against their mean.
+    """
 
     def __init__(self):
         self.n = 0
-        self.total = None
-        self.total_sq = None
+        self.mean = None
+        self.m2 = None
 
     def add(self, samples: np.ndarray):
         samples = np.atleast_2d(np.asarray(samples, dtype=float).T).T
-        if self.total is None:
-            self.total = samples.sum(axis=0)
-            self.total_sq = (samples**2).sum(axis=0)
-        else:
-            self.total += samples.sum(axis=0)
-            self.total_sq += (samples**2).sum(axis=0)
-        self.n += samples.shape[0]
+        n_b = samples.shape[0]
+        mean_b = samples.mean(axis=0)
+        m2_b = ((samples - mean_b) ** 2).sum(axis=0)
+        if self.mean is None:
+            self.n, self.mean, self.m2 = n_b, mean_b, m2_b
+            return
+        n = self.n + n_b
+        delta = mean_b - self.mean
+        self.mean = self.mean + delta * (n_b / n)
+        self.m2 = self.m2 + m2_b + delta**2 * (self.n * n_b / n)
+        self.n = n
 
     def estimates(self, n_paths: int) -> list[McEstimate]:
-        mean = self.total / self.n
-        var = np.maximum(self.total_sq / self.n - mean**2, 0.0) * self.n / max(self.n - 1, 1)
-        se = np.sqrt(var / self.n)
-        return [McEstimate(float(m), float(s), n_paths) for m, s in zip(mean, se)]
+        se = np.sqrt(self.m2 / max(self.n - 1, 1) / self.n)
+        return [McEstimate(float(m), float(s), n_paths) for m, s in zip(self.mean, se)]
+
+
+def _chunk_counts(primaries: int, chunk: int) -> list[int]:
+    return [min(chunk, primaries - done) for done in range(0, primaries, chunk)]
+
+
+class _Buffer:
+    """Float scratch that is reused from chunk to chunk and only grows.
+
+    It grows in whole blocks of ``_BUFFER_BLOCK`` elements, so ragged chunks
+    of one run, whose sizes scatter far less than a block, share one size
+    whatever the seed.
+    """
+
+    def __init__(self):
+        self._data = np.empty(0)
+
+    def take(self, n: int) -> np.ndarray:
+        if n > self._data.size:
+            self._data = np.empty(-(-n // _BUFFER_BLOCK) * _BUFFER_BLOCK)
+        return self._data[:n]
+
+
+def _drawn_ahead(draw, counts, consume):
+    """Call consume(*draw(count, buffer)) for each count in order, one chunk ahead.
+
+    draw runs on one worker thread, so the chunk after the one being
+    consumed is drawn meanwhile; the draws follow each other in order on
+    that thread, and consume sees them in the same order on the calling
+    thread.  draw writes its normals into buffer, one of two that take
+    turns: a chunk's buffer is handed to a new draw only after consume has
+    returned from that chunk.  The normals thus live in the same two
+    buffers all run long, and the memory a run holds does not depend on
+    how the threads are scheduled.
+    """
+    buffers = (_Buffer(), _Buffer())
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, counts[0], buffers[0])
+        for i, count in enumerate(counts[1:], start=1):
+            ready = pending.result()
+            pending = pool.submit(draw, count, buffers[i % 2])
+            consume(*ready)
+        consume(*pending.result())
+
+
+def _samples(statistic, sums) -> np.ndarray:
+    """The statistic of each path, averaged with its antithetic twin's if any."""
+    values = [np.asarray(statistic(x), dtype=float) for x in sums]
+    return values[0] if len(values) == 1 else 0.5 * (values[0] + values[1])
 
 
 def _finish(acc: _Accumulator, cfg: McConfig):
@@ -143,26 +206,21 @@ def simulate_sum(params, cfg: McConfig, statistic):
     drift = rp.rho - 0.5 * rp.beta
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     primaries = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    chunk = _chunk_size(cfg.horizon)
-    acc = _Accumulator()
-    done = 0
-    while done < primaries:
-        count = min(chunk, primaries - done)
+
+    def draw(count, buffer):
         horizons = _draw_horizons(rng, cfg.horizon, count)
         offsets = np.concatenate([[0], np.cumsum(horizons)])
-        z = rng.standard_normal(offsets[-1])
-        s_arr = np.full(count, scale)
-        d_arr = np.full(count, drift)
-        x = path_partial_product_sums(z, offsets, s_arr, d_arr)
-        if cfg.antithetic:
-            x_anti = path_partial_product_sums(-z, offsets, s_arr, d_arr)
-            samples = 0.5 * (
-                np.asarray(statistic(x), dtype=float) + np.asarray(statistic(x_anti), dtype=float)
-            )
-        else:
-            samples = np.asarray(statistic(x), dtype=float)
-        acc.add(samples)
-        done += count
+        return offsets, rng.standard_normal(out=buffer.take(offsets[-1]))
+
+    acc = _Accumulator()
+
+    def add(offsets, z):
+        count = offsets.size - 1
+        sums = path_partial_product_sums(z, offsets, np.full(count, scale),
+                                         np.full(count, drift), cfg.antithetic)
+        acc.add(_samples(statistic, sums if cfg.antithetic else (sums,)))
+
+    _drawn_ahead(draw, _chunk_counts(primaries, _chunk_size(cfg.horizon)), add)
     return _finish(acc, cfg)
 
 
@@ -188,34 +246,24 @@ def simulate_time_integral(sigma: float, m: float, substeps: int, cfg: McConfig,
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     primaries = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     chunk = max(1024, min(1 << 16, _MAX_CHUNK_ELEMENTS // substeps))
-    acc = _Accumulator()
-    done = 0
     n_inner = substeps - 1  # the t = 0 term of the Riemann sum is exp(0) = 1
-    offsets_template = None
-    while done < primaries:
-        count = min(chunk, primaries - done)
+
+    def draw(count, buffer):
         if lam is not None:
             maturities = rng.exponential(1.0 / lam, size=count)
         else:
             maturities = np.full(count, float(T))
+        return maturities, rng.standard_normal(out=buffer.take(count * n_inner))
+
+    acc = _Accumulator()
+
+    def add(maturities, z):
+        offsets = np.arange(maturities.size + 1, dtype=np.int64) * n_inner
         dt = maturities / substeps
-        z = rng.standard_normal(count * n_inner)
-        if offsets_template is None or offsets_template.size != count + 1:
-            offsets_template = np.arange(count + 1, dtype=np.int64) * n_inner
-        s_arr = sigma * np.sqrt(dt)
-        d_arr = (m - 0.5 * sigma**2) * dt
+        partial = path_partial_product_sums(z, offsets, sigma * np.sqrt(dt),
+                                            (m - 0.5 * sigma**2) * dt, cfg.antithetic)
+        acc.add(_samples(statistic, [dt * (1.0 + p)
+                                     for p in (partial if cfg.antithetic else (partial,))]))
 
-        def integrals(zz):
-            partial = path_partial_product_sums(zz, offsets_template, s_arr, d_arr)
-            return dt * (1.0 + partial)
-
-        if cfg.antithetic:
-            samples = 0.5 * (
-                np.asarray(statistic(integrals(z)), dtype=float)
-                + np.asarray(statistic(integrals(-z)), dtype=float)
-            )
-        else:
-            samples = np.asarray(statistic(integrals(z)), dtype=float)
-        acc.add(samples)
-        done += count
+    _drawn_ahead(draw, _chunk_counts(primaries, chunk), add)
     return _finish(acc, cfg)

@@ -71,14 +71,11 @@ class AsianSpec:
 
 @dataclass(frozen=True)
 class MortalityModel:
-    """Stopping-time model: geometric(p), general weights, or Makeham hazard."""
+    """Stopping-time model: geometric(p) or general weights."""
 
     variant: str
     p: float | None = None
     weights: tuple | None = None
-    makeham_a: float | None = None
-    makeham_b: float | None = None
-    makeham_beta: float | None = None
 
     @classmethod
     def geometric(cls, p: float) -> "MortalityModel":
@@ -96,13 +93,6 @@ class MortalityModel:
                 f"weights sum to {w.sum():.12g}; must be 1 within 1e-10 after capping"
             )
         return cls(variant="general", weights=tuple(float(v) for v in w / w.sum()))
-
-    @classmethod
-    def makeham(cls, a: float = 0.0007, b: float = 5e-5,
-                beta: float = 0.0921) -> "MortalityModel":
-        if a <= 0.0 or b <= 0.0:
-            raise ParameterError("Makeham parameters A, B must be positive")
-        return cls(variant="makeham", makeham_a=a, makeham_b=b, makeham_beta=beta)
 
 
 # -- finite-sum densities ------------------------------------------------------

@@ -1,6 +1,6 @@
 """Self-contained scalar special functions.
 
-Normal CDF, log-gamma, upper incomplete gamma, Beta, Kummer's confluent
+Normal CDF, upper incomplete gamma, Beta, Kummer's confluent
 hypergeometric function and the Riemann zeta at small integer arguments,
 built on stdlib ``math`` only.  Accuracy targets sit well below the density
 solver tolerance (1e-9 .. 1e-12) so special-function error never dominates.
@@ -19,13 +19,6 @@ _LOG_DBL_MAX = 709.0
 def norm_cdf(x: float) -> float:
     """Standard normal cumulative distribution function."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ParameterError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _gamma_q_series(a: float, x: float, tol: float = 1e-15) -> float:

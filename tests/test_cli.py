@@ -179,6 +179,19 @@ class TestBatchCommand:
         assert second["shortfall"] == pytest.approx(float(annuity[2][6]), rel=1e-9)
         assert first["var_threshold"] > second["var_threshold"]
 
+    def test_manifest_records_warnings(self, tmp_path):
+        config = tmp_path / "scenarios.json"
+        config.write_text(json.dumps([{"type": "annuity", "beta": 0.1, "rho": 0.0,
+                                       "p": 0.1, "var_level": 0.05}]))
+        out = str(tmp_path / "out")
+        assert main(["batch", "--config", str(config), "--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "batch.manifest.json")))
+        assert manifest["warnings"]
+        assert all(set(w) == {"category", "message"} for w in manifest["warnings"])
+        assert any(w["message"].startswith("VaR threshold")
+                   and "falls inside the grid body" in w["message"]
+                   for w in manifest["warnings"])
+
     def test_unknown_type_exit_2(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps([{"type": "swap"}]))

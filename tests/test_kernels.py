@@ -1,66 +1,107 @@
-"""Backend parity and environment-flag selection for the path-sum kernel."""
+"""The path-sum kernel against a sequential reference, and the MC draw layout."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import math
 
 import numpy as np
 import pytest
 
-import gbmsum
-from gbmsum import _kernels
+import gbmsum as g
+from gbmsum import _kernels, mc
 
 
-def make_paths(rng, n_paths=5000):
-    lengths = rng.integers(1, 40, n_paths).astype(np.int64)
+def reference_sums(z, offsets, scale, drift):
+    """One path at a time, one exp per step: sum_i exp(sum_{k<=i} (s z_k + d))."""
+    out = np.zeros(offsets.size - 1)
+    for p in range(offsets.size - 1):
+        acc = logw = 0.0
+        for k in range(offsets[p], offsets[p + 1]):
+            logw += scale[p] * z[k] + drift[p]
+            acc += math.exp(logw)
+        out[p] = acc
+    return out
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300))
+
+
+@pytest.fixture
+def ragged():
+    """Ragged paths: empty ones, a path longer than a tile, adjacent runs of
+    one length spanning several tiles, and scattered lengths in between."""
+    rng = np.random.default_rng(1)
+    tile = _kernels._TILE_ELEMENTS
+    scattered = rng.integers(0, 40, 3000)
+    scattered[scattered == 20] = 21  # so the run below stays its length's only group
+    lengths = np.concatenate([
+        [0, 3],
+        np.full(3 * tile // 20 + 7, 20),  # one adjacent run over 4 tiles
+        scattered,  # gathered
+        [tile + 123],  # longer than a tile
+        [0],
+    ]).astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     z = rng.standard_normal(offsets[-1])
-    scale = rng.uniform(0.05, 0.4, n_paths)
-    drift = rng.uniform(-0.1, 0.05, n_paths)
+    scale = rng.uniform(0.05, 0.4, lengths.size)
+    drift = rng.uniform(-0.1, 0.02, lengths.size)
+    scale[-2], drift[-2] = 0.2, -0.05  # keep the long path's products finite
     return z, offsets, scale, drift
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-class TestBackendParity:
-    def test_path_sums(self):
-        rng = np.random.default_rng(1)
-        z, offsets, scale, drift = make_paths(rng)
-        a = _kernels._path_sums_np(z, offsets, scale, drift)
-        b = _kernels._path_sums_nb(z, offsets, scale, drift)
-        assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)) <= 1e-12
+class TestPathSums:
+    def test_matches_sequential_reference(self, ragged):
+        z, offsets, scale, drift = ragged
+        out = _kernels.path_partial_product_sums(z, offsets, scale, drift)
+        ref = reference_sums(z, offsets, scale, drift)
+        lengths = np.diff(offsets)
+        assert np.all(out[lengths == 0] == 0.0)
+        assert max_rel(out, ref) <= 1e-12
+
+    def test_antithetic_equals_flipped_normals(self, ragged):
+        z, offsets, scale, drift = ragged
+        out, out_anti = _kernels.path_partial_product_sums(z, offsets, scale, drift,
+                                                           antithetic=True)
+        assert np.array_equal(out, _kernels.path_partial_product_sums(z, offsets, scale, drift))
+        flipped = _kernels.path_partial_product_sums(-z, offsets, scale, drift)
+        assert max_rel(out_anti, flipped) <= 1e-12
+
+    def test_small_tiles_give_the_same_sums(self, ragged, monkeypatch):
+        z, offsets, scale, drift = ragged
+        ref = _kernels.path_partial_product_sums(z, offsets, scale, drift)
+        monkeypatch.setattr(_kernels, "_TILE_ELEMENTS", 64)
+        assert max_rel(_kernels.path_partial_product_sums(z, offsets, scale, drift),
+                       ref) <= 1e-12
+
+    def test_backend_name(self):
+        assert g.backend_name() == "numpy"
 
 
-class TestNumpyFallback:
-    def test_zero_length_paths(self):
-        offsets = np.array([0, 0, 3], dtype=np.int64)
-        z = np.zeros(3)
-        out = _kernels._path_sums_np(z, offsets, np.ones(2), np.zeros(2))
-        assert out[0] == 0.0
-        assert out[1] == pytest.approx(3.0)
+class TestDrawLayout:
+    def test_multi_chunk_run_matches_serial_recomputation(self):
+        # horizons first, then one flat normal block, chunk after chunk
+        weights = np.zeros(3000)
+        weights[:3] = (0.5, 0.3, 0.2)
+        horizon = g.GeneralHorizon(tuple(weights))
+        cfg = g.McConfig(n_paths=5000, seed=7, horizon=horizon)
+        rp = g.ReducedParams(beta=0.04, rho=-0.01)
+        seen = []
+        est = g.simulate_sum(rp, cfg, lambda x: seen.append(x.copy()) or x)
 
-
-class TestEnvironmentFlag:
-    def _probe(self, env_value):
-        # The child must import the same gbmsum as this process, however it
-        # got onto the path (PYTHONPATH=src, an install, pytest's pythonpath)
-        # and from whatever working directory pytest was started in.
-        package_root = str(Path(gbmsum.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, GBMSUM_BACKEND=env_value,
-                   PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
-        code = ("import gbmsum._kernels as k; print(k.backend_name())")
-        return subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env,
-        )
-
-    def test_numpy_forced(self):
-        res = self._probe("numpy")
-        assert res.returncode == 0
-        assert res.stdout.strip() == "numpy"
-
-    def test_invalid_value_rejected(self):
-        res = self._probe("cuda")
-        assert res.returncode != 0
-        assert "GBMSUM_BACKEND must be auto, numba or numpy" in res.stderr
+        rng = np.random.Generator(np.random.Philox(7))
+        chunk = mc._chunk_size(horizon)
+        assert chunk < cfg.n_paths
+        expected = []
+        for done in range(0, cfg.n_paths, chunk):
+            count = min(chunk, cfg.n_paths - done)
+            lengths = rng.choice(weights.size, size=count, p=np.asarray(horizon.weights)) + 1
+            offsets = np.concatenate([[0], np.cumsum(lengths)])
+            z = rng.standard_normal(offsets[-1])
+            expected.append(reference_sums(z, offsets, np.full(count, 0.2),
+                                           np.full(count, -0.01 - 0.02)))
+        assert [x.size for x in seen] == [x.size for x in expected]
+        for got, ref in zip(seen, expected):
+            assert max_rel(got, ref) <= 1e-12
+        samples = np.concatenate(seen)
+        assert est.value == pytest.approx(samples.mean(), rel=1e-14)
+        assert est.std_error == pytest.approx(
+            np.std(samples, ddof=1) / math.sqrt(samples.size), rel=1e-10)

@@ -1,12 +1,14 @@
 """Monte Carlo oracle: determinism, variance reduction, cross-checks."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
 import gbmsum as g
-from gbmsum import ParameterError
+from gbmsum import ParameterError, mc
 
 
 class TestConfig:
@@ -36,6 +38,22 @@ class TestDeterminism:
         b = g.simulate_sum(rp, cfg, lambda x: x)
         assert a == b
 
+    def test_identical_under_frequent_thread_switches(self):
+        # eight chunks drawn one ahead on the worker thread while this one sums
+        weights = (0.5, 0.3, 0.2) + (0.0,) * 3997
+        rp = g.ReducedParams(beta=0.5, rho=-0.1)
+        cfg = g.McConfig(n_paths=8000, seed=3, antithetic=True,
+                         horizon=g.GeneralHorizon(weights))
+        reference = g.simulate_sum(rp, cfg, lambda x: np.stack([x, x**2], axis=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [g.simulate_sum(rp, cfg, lambda x: np.stack([x, x**2], axis=1))
+                    for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == reference for run in runs)
+
     def test_seed_changes_result(self):
         rp = g.ReducedParams(beta=0.5, rho=-0.1)
         a = g.simulate_sum(rp, g.McConfig(n_paths=20_000, seed=1,
@@ -49,6 +67,39 @@ class TestDeterminism:
         cfg = g.McConfig(n_paths=70_000, seed=5, horizon=g.FixedHorizon(120))
         est = g.simulate_sum(rp, cfg, lambda x: x)
         assert est.n_paths == 70_000
+
+
+class TestDrawAhead:
+    @staticmethod
+    def _run(counts):
+        """Chunks tagged with their index; each is checked after the next is drawn."""
+        bases, seen = [], []
+
+        def draw(count, buffer):
+            z = buffer.take(count)
+            z.fill(len(bases))
+            bases.append(z.base)
+            return len(bases) - 1, z
+
+        def consume(index, z):
+            deadline = time.monotonic() + 10.0
+            while len(bases) < min(index + 2, len(counts)) and time.monotonic() < deadline:
+                time.sleep(1e-4)
+            assert (z == index).all()
+            seen.append(index)
+
+        mc._drawn_ahead(draw, counts, consume)
+        return bases, seen
+
+    def test_chunk_is_not_overwritten_while_consumed(self):
+        counts = [1000] * 20 + [300_000] * 20  # each buffer regrows once
+        _, seen = self._run(counts)
+        assert seen == list(range(len(counts)))
+
+    def test_equal_chunks_share_two_buffers(self):
+        # the normals of a whole run live in two arrays, whatever the scheduling
+        bases, _ = self._run([1000] * 50)
+        assert len({id(base) for base in bases}) == 2
 
 
 class TestAgainstClosedForms:
@@ -104,6 +155,23 @@ class TestAntithetic:
         anti = g.simulate_sum(rp, g.McConfig(n_paths=100_000, seed=4, antithetic=True,
                                              horizon=g.FixedHorizon(10)), lambda x: x)
         assert anti.std_error <= plain.std_error
+
+
+class TestStandardError:
+    @pytest.mark.parametrize("n_paths, n", [(20_000, 10), (100_000, 100)])
+    def test_low_variance_statistic_does_not_cancel(self, n_paths, n):
+        # antithetic pairs of a nearly deterministic sum spread over ~100 ulps,
+        # where E[x^2] - mean^2 cancels to zero; the second case spans 2 chunks
+        rp = g.ReducedParams(beta=1e-14, rho=-0.1)
+        cfg = g.McConfig(n_paths, seed=1, antithetic=True, horizon=g.FixedHorizon(n))
+        seen = []
+        est = g.simulate_sum(rp, cfg, lambda x: seen.append(x.copy()) or x)
+        # each chunk's paths reach the statistic first, then their twins
+        pairs = 0.5 * (np.concatenate(seen[0::2]) + np.concatenate(seen[1::2]))
+        two_pass = np.std(pairs, ddof=1) / math.sqrt(pairs.size)
+        assert two_pass > 0.0
+        assert est.std_error == pytest.approx(two_pass, rel=1e-4)
+        assert est.value == pytest.approx(pairs.mean(), rel=1e-15)
 
 
 class TestTimeIntegral:

@@ -230,8 +230,6 @@ class TestMortalityModel:
             g.MortalityModel.general([0.5, 0.4])  # sums to 0.9
         with pytest.raises(ParameterError):
             g.MortalityModel.geometric(0.0)
-        with pytest.raises(ParameterError):
-            g.MortalityModel.makeham(a=0.0)
 
     def test_weights_renormalized_exactly(self):
         m = g.MortalityModel.general([0.25, 0.25, 0.25, 0.25 + 1e-12])
