@@ -3,8 +3,8 @@
 Every command writes its data files plus a manifest (command, parameters,
 version, seeds, timestamps, sha256 digests, and the warnings raised before
 it was written).  Data files are deterministic given the full flag set;
-exit codes: 0 ok, 2 infeasible parameters, 3 non-convergence, 4 accuracy
-problem under --strict.
+exit codes: 0 ok, 2 infeasible or malformed input, 3 non-convergence, 4
+accuracy problem under --strict.
 """
 
 from __future__ import annotations
@@ -183,9 +183,7 @@ def cmd_asian(args, out: _Outputs) -> int:
         "spec": _args_dict(args),
         "call": prices["call"],
         "put": prices["put"],
-        "parity_gap_discrete": (prices["call"] - prices["put"])
-        - math.exp(-spec.rate * spec.maturity)
-        * (spec.s0 * prices["exact_mean"] / spec.n_fixings - spec.strike),
+        "parity_gap_discrete": pricing.put_call_parity_gap(spec),
         "parity_gap_continuous_average": pricing.put_call_parity_gap(
             spec, convention="continuous_average"
         ),
@@ -239,7 +237,7 @@ _ANNUITY_HEADER = ["beta", "rho", "p", "mean", "q", "threshold",
 
 def cmd_annuity(args, out: _Outputs) -> int:
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
-    q_list = [float(v) for v in args.q_list.split(",") if v != ""]
+    q_list = [_number(v, "--q-list entry") for v in args.q_list.split(",") if v != ""]
     rows, record = _annuity_rows(rp, *_solve(rp, args), q_list, args.var_level)
     out.write_csv("annuity.csv", _ANNUITY_HEADER, rows)
     out.write_json("annuity_report.json", record)
@@ -277,15 +275,36 @@ def cmd_moments(args, out: _Outputs) -> int:
     return _EXIT_OK
 
 
+def _number(value, what: str, kind=float):
+    """CLI text or a JSON value as a `kind`, or a ParameterError naming `what`."""
+    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ParameterError(f"{what} must be {noun}, got {value!r}")
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read {what} {path!r}: {exc}") from None
+
+
 def _parse_horizon(text: str):
     kind, _, arg = text.partition(":")
     if kind == "fixed":
-        return FixedHorizon(int(arg))
+        return FixedHorizon(_number(arg, "fixed horizon N", int))
     if kind == "geometric":
-        return GeometricHorizon(float(arg))
+        return GeometricHorizon(_number(arg, "geometric horizon P"))
     if kind == "general":
-        with open(arg) as fh:
-            return GeneralHorizon(tuple(json.load(fh)))
+        weights = _read_json(arg, "horizon file")
+        if not isinstance(weights, list):
+            raise ParameterError(f"horizon file {arg!r} must hold a JSON array of weights")
+        return GeneralHorizon(tuple(_number(w, f"weight in {arg!r}") for w in weights))
     raise ParameterError(f"horizon must be fixed:N, geometric:P or general:FILE, got {text!r}")
 
 
@@ -294,10 +313,10 @@ def _parse_statistic(text: str):
     if kind == "mean":
         return lambda x: x
     if kind == "moment":
-        k = int(arg)
+        k = _number(arg, "moment order K", int)
         return lambda x: x**k
     if kind == "survival":
-        level = float(arg)
+        level = _number(arg, "survival level X")
         return lambda x: (x > level).astype(float)
     raise ParameterError(f"statistic must be mean, moment:K or survival:X, got {text!r}")
 
@@ -319,33 +338,40 @@ def cmd_mc(args, out: _Outputs) -> int:
 
 
 def cmd_batch(args, out: _Outputs) -> int:
-    with open(args.config) as fh:
-        scenarios = json.load(fh)
-    if not isinstance(scenarios, list):
+    scenarios = _read_json(args.config, "batch config")
+    if not isinstance(scenarios, list) or not all(isinstance(sc, dict) for sc in scenarios):
         raise ParameterError("batch config must be a JSON array of scenario objects")
     asian_rows, annuity_rows, envelope = [], [], []
     solve_cache: dict = {}
     ns = argparse.Namespace(tol=args.tol, max_iter=args.max_iter, h=None, umax=None)
     for i, sc in enumerate(scenarios):
         kind = sc.get("type")
+
+        def field(name, default=None, number=float):
+            value = sc.get(name, default)
+            if value is None:
+                raise ParameterError(f"{kind} scenario {i} has no field {name!r}")
+            return _number(value, f"{kind} scenario {i} field {name!r}", number)
+
         if kind == "asian":
             spec = pricing.AsianSpec(
-                s0=sc["s0"], strike=sc["strike"], rate=sc["rate"],
-                dividend=sc.get("div", 0.0), sigma=sc["sigma"],
-                maturity=sc["maturity"], n_fixings=sc["fixings"],
+                s0=field("s0"), strike=field("strike"), rate=field("rate"),
+                dividend=field("div", 0.0), sigma=field("sigma"),
+                maturity=field("maturity"), n_fixings=field("fixings", number=int),
             )
             prices = pricing.asian_prices(spec)
             asian_rows.append([spec.n_fixings, spec.s0, prices["call"]])
             envelope.append({"index": i, "type": "asian", "call": prices["call"],
                              "put": prices["put"], "mean_rel_err": prices["mean_rel_err"]})
         elif kind == "annuity":
-            rp = ReducedParams(beta=sc["beta"], rho=sc["rho"], p=sc["p"])
+            rp = ReducedParams(beta=field("beta"), rho=field("rho"), p=field("p"))
             key = (rp.beta, rp.rho, rp.p)
             if key not in solve_cache:
                 solve_cache[key] = _solve(rp, ns)
             rows, record = _annuity_rows(
-                rp, *solve_cache[key], [float(q) for q in sc.get("q_list", [0.0])],
-                sc.get("var_level", 0.01),
+                rp, *solve_cache[key],
+                [_number(q, f"{kind} scenario {i} q_list entry") for q in sc.get("q_list", [0.0])],
+                field("var_level", 0.01),
             )
             annuity_rows.extend(rows)
             envelope.append({"index": i, "type": "annuity", **{

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
-from . import specfun
 from .errors import ParameterError
 from .params import ModelParams, ReducedParams, as_reduced, reduce  # noqa: F401
 
@@ -65,11 +65,9 @@ def inv_gamma_cdf(x, sigma: float, m: float) -> np.ndarray | float:
     a, s = _inv_gamma_shape_scale(sigma, m)
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr)
-    flat = out.reshape(-1)
+    pos = x_arr > 0.0
     # P(Y < x) = P(Gamma(a) > s/x): regularized upper gamma of the reciprocal
-    for i, xv in enumerate(x_arr.reshape(-1)):
-        if xv > 0.0:
-            flat[i] = specfun.gamma_upper_regularized(a, s / xv)
+    out[pos] = special.gammaincc(a, s / x_arr[pos])
     return out if out.ndim else float(out)
 
 
@@ -134,15 +132,14 @@ def _ratio_pdf(y, yp: YorParams) -> np.ndarray | float:
     log_pref = math.log(a) + math.log(b) + math.lgamma(a) - math.lgamma(a + b + 1.0)
     y_arr = np.asarray(y, dtype=float)
     out = np.zeros_like(y_arr)
-    flat = out.reshape(-1)
-    for i, yv in enumerate(y_arr.reshape(-1)):
-        if yv <= 0.0:
-            continue
-        if yv < 0.02:
-            flat[i] = _ratio_pdf_small_y(yv, a, b)
-        else:
-            f1 = specfun.hyp1f1(b + 1.0, a + b + 1.0, -1.0 / yv)
-            flat[i] = math.exp(log_pref - (b + 1.0) * math.log(yv)) * f1
+    small = (y_arr > 0.0) & (y_arr < 0.02)
+    out[small] = [_ratio_pdf_small_y(yv, a, b) for yv in y_arr[small]]
+    body = y_arr >= 0.02
+    yb = y_arr[body]
+    # Kummer form of 1F1(b+1, a+b+1, -1/y): a series of positive terms
+    out[body] = np.exp(log_pref - (b + 1.0) * np.log(yb) - 1.0 / yb) * special.hyp1f1(
+        a, a + b + 1.0, 1.0 / yb
+    )
     return out if out.ndim else float(out)
 
 
@@ -210,12 +207,12 @@ def yor_moment_residual(theta: float, mu: float, lam: float) -> float:
         )
     e_theta = (
         alpha / 2.0**theta
-        * specfun.beta_fn(theta + 1.0, alpha)
+        * special.beta(theta + 1.0, alpha)
         * math.exp(math.lgamma(beta_g - theta) - math.lgamma(beta_g))
     )
     e_theta_m1 = (
         alpha / 2.0 ** (theta - 1.0)
-        * specfun.beta_fn(theta, alpha)
+        * special.beta(theta, alpha)
         * math.exp(math.lgamma(beta_g - theta + 1.0) - math.lgamma(beta_g))
     )
     return (2.0 * theta**2 + 2.0 * theta * mu - lam) * e_theta + theta * e_theta_m1

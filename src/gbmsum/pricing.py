@@ -214,9 +214,7 @@ def mixture_density(mortality: MortalityModel, params, h: float | None = None,
     if u_max is None:
         means = np.array([mean_finite_sum(k, rp.rho, 1.0, 1.0) for k in range(1, cap + 1)])
         u_max = math.log1p(1000.0 * max(float(weights @ means), 1.0))
-    if h is None:
-        h = min(0.01, math.sqrt(rp.beta) / 4.0)
-    grid = Grid(h, max(16, int(round(u_max / h)) + 1))
+    grid = _finite_sum_grid(cap, rp, h, u_max)
     op = GaussianStepOperator(grid, rp)
     running = _multiplier_values(grid, rp)
     acc = weights[0] * running
@@ -227,12 +225,6 @@ def mixture_density(mortality: MortalityModel, params, h: float | None = None,
 
 
 # -- Asian options --------------------------------------------------------------
-
-
-def _asian_u_max(spec: AsianSpec, kappa: float) -> float:
-    mean = mean_finite_sum(spec.n_fixings, spec.drift, spec.tau, 1.0)
-    margin = math.sqrt(2.0 * spec.sigma**2 * spec.maturity * 46.0) + 1.0
-    return math.log1p(max(mean, kappa, 1.0) * math.exp(margin))
 
 
 def _edge_decay_mass(grid: Grid, integrand: np.ndarray) -> float:
@@ -258,7 +250,7 @@ def asian_prices(spec: AsianSpec, h: float | None = None,
     n = spec.n_fixings
     kappa = n * spec.strike / spec.s0
     disc = math.exp(-spec.rate * spec.maturity)
-    u_target = _asian_u_max(spec, kappa) if u_max is None else u_max
+    u_target = _finite_sum_u_max(n, rp) if u_max is None else u_max
     diag: dict = {}
     for _ in range(4):
         grid = _finite_sum_grid(n, rp, h, u_target)

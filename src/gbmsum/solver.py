@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy import sparse, special
 from scipy.integrate import quad
 
 from . import distributions
@@ -32,7 +32,6 @@ from .params import (
     geometric_tail_exponent,
     infinite_tail_exponent,
 )
-from .specfun import zeta_int
 
 TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
 _BAND_SIGMAS = 8.0
@@ -437,7 +436,8 @@ def quadrature_error_bound(F: GridDensity, k: int = 1) -> float:
             AccuracyWarning,
             stacklevel=2,
         )
-    return h ** (2 * k + 1) * m_est * zeta_int(2 * k + 1) / (4.0**k * math.pi ** (2 * k + 1))
+    zeta = float(special.zeta(2 * k + 1))
+    return h ** (2 * k + 1) * m_est * zeta / (4.0**k * math.pi ** (2 * k + 1))
 
 
 # -- initial iterates -----------------------------------------------------------

@@ -199,6 +199,56 @@ class TestBatchCommand:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+class TestMalformedInput:
+    MC = ["mc", "--paths", "1000", "--seed", "1", "--beta", "1", "--rho", "0"]
+    ASIAN = {"type": "asian", "s0": 100, "rate": 0.1, "sigma": 0.4,
+             "maturity": 1.0, "fixings": 10}
+
+    @pytest.mark.parametrize("argv,files,message", [
+        pytest.param(MC + ["--horizon", "fixed:abc"], {},
+                     "fixed horizon N must be an integer, got 'abc'", id="fixed-horizon"),
+        pytest.param(MC + ["--horizon", "geometric:half"], {},
+                     "geometric horizon P must be a number, got 'half'", id="geometric-horizon"),
+        pytest.param(MC + ["--horizon", "general:{dir}/missing.json"], {},
+                     "cannot read horizon file", id="horizon-file-missing"),
+        pytest.param(MC + ["--horizon", "general:{dir}/w.json"], {"w.json": "[0.5,"},
+                     "cannot read horizon file", id="horizon-file-not-json"),
+        pytest.param(MC + ["--horizon", "general:{dir}/w.json"], {"w.json": '{"p": 1}'},
+                     "must hold a JSON array of weights", id="horizon-file-not-array"),
+        pytest.param(MC + ["--horizon", "general:{dir}/w.json"], {"w.json": '[0.5, "x"]'},
+                     "must be a number, got 'x'", id="horizon-weight"),
+        pytest.param(MC + ["--horizon", "fixed:5", "--statistic", "moment:two"], {},
+                     "moment order K must be an integer, got 'two'", id="moment-order"),
+        pytest.param(MC + ["--horizon", "fixed:5", "--statistic", "survival:far"], {},
+                     "survival level X must be a number, got 'far'", id="survival-level"),
+        pytest.param(["annuity", "--beta", "1", "--rho", "0", "--p", "0.1", "--q-list", "0,x"],
+                     {}, "--q-list entry must be a number, got 'x'", id="q-list"),
+        pytest.param(["batch", "--config", "{dir}/b.json"], {"b.json": json.dumps([ASIAN])},
+                     "asian scenario 0 has no field 'strike'", id="batch-missing-field"),
+        pytest.param(["batch", "--config", "{dir}/b.json"],
+                     {"b.json": json.dumps([{"type": "annuity", "beta": 1.0, "rho": 0.0,
+                                             "p": 0.1, "q_list": ["x"]}])},
+                     "annuity scenario 0 q_list entry must be a number, got 'x'",
+                     id="batch-q-list"),
+        pytest.param(["batch", "--config", "{dir}/b.json"],
+                     {"b.json": json.dumps([{**ASIAN, "strike": 100, "fixings": 10.5}])},
+                     "asian scenario 0 field 'fixings' must be an integer, got 10.5",
+                     id="batch-fractional-fixings"),
+        pytest.param(["batch", "--config", "{dir}/b.json"],
+                     {"b.json": json.dumps([{**ASIAN, "strike": "ATM"}])},
+                     "asian scenario 0 field 'strike' must be a number, got 'ATM'",
+                     id="batch-text-strike"),
+        pytest.param(["batch", "--config", "{dir}/missing.json"], {},
+                     "cannot read batch config", id="batch-config-missing"),
+    ])
+    def test_exit_2_names_the_value(self, tmp_path, capsys, argv, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.format(dir=tmp_path) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestEnvironmentDefaults:
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GBMSUM_OUT", str(tmp_path))

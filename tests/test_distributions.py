@@ -140,6 +140,45 @@ class TestYorPdf:
         assert sup[2] < 1e-5
 
 
+class TestOracle:
+    """Pointwise agreement with mpmath at 40 digits, at the floats the
+    library evaluates (its shape parameters and reduced arguments)."""
+
+    @pytest.fixture
+    def mp(self):
+        return pytest.importorskip("mpmath")
+
+    @pytest.mark.parametrize("shape", [0.05, 0.1, 0.3, 0.7, 1.0, 2.5, 6.0, 12.0, 20.0])
+    def test_inv_gamma_cdf(self, mp, shape):
+        # sigma = 1: P(Y < x) = Q(1 - 2m, 2/x)
+        m = (1.0 - shape) / 2.0
+        xs = 2.0 / np.geomspace(1e-3, 600.0, 40)
+        got = g.inv_gamma_cdf(xs, 1.0, m)
+        with mp.workdps(40):
+            ref = [float(mp.gammainc(1.0 - 2.0 * m, 2.0 / x, mp.inf, regularized=True))
+                   for x in xs]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sigma,m,lam", [
+        (1.0, -0.1, 1e-8), (2.0, -0.3, 1e-8), (0.3, 0.2, 1e-8), (1.0, -0.1, 0.1),
+        (0.3, 0.0, 0.05), (1.0, 0.4, 1.0), (2.0, 1.0, 3.0),
+    ])
+    def test_yor_pdf(self, mp, sigma, m, lam):
+        half_s2 = 0.5 * sigma**2
+        zs = np.geomspace(0.02, 200.0, 41) / half_s2
+        got = g.yor_pdf(zs, sigma, m, lam)
+        yp = g.yor_params(sigma, m, lam)
+        with mp.workdps(40):
+            a, b = mp.mpf(yp.alpha), mp.mpf(yp.beta_g)
+            pref = a * b * mp.gamma(a) / mp.gamma(a + b + 1)
+            ref = []
+            for z in zs:
+                y = mp.mpf(z * half_s2)
+                ref.append(float(half_s2 * pref * y ** (-b - 1)
+                                 * mp.hyp1f1(b + 1, a + b + 1, -1 / y)))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
 class TestYorSurvival:
     def test_full_mass_at_origin(self):
         assert g.yor_survival(1e-12, 1.0, 0.0, 0.1) == pytest.approx(1.0, abs=1e-9)

@@ -132,6 +132,12 @@ class TestAsianPricing:
                                           n_fixings=10))
         assert hi_vol > lo_vol
 
+    def test_grid_depends_on_law_not_strike(self):
+        spec = table2_spec(500, 100.0)
+        law_grid = g.finite_sum_density(500, spec.reduced()).grid
+        for s0 in (95.0, 100.0, 105.0):
+            assert g.asian_prices(table2_spec(500, s0))["n_points"] == law_grid.n_points
+
     def test_dividend_yield_enters_drift(self):
         spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.03,
                            sigma=0.4, maturity=1.0, n_fixings=10)
