@@ -46,10 +46,10 @@ from .params import (
     TailAsymptote,
     as_reduced,
     reduce,
+    tail_exponent,
 )
 from .pricing import (
     AsianSpec,
-    MortalityModel,
     asian_call,
     asian_prices,
     asian_put,
@@ -79,16 +79,13 @@ from .solver import (
 )
 from .tails import (
     VarEstimate,
-    exponent_geometric,
-    exponent_infinite,
     finite_sum_right_tail_coefficient,
     fit_left_tail_coefficient,
     fit_survival_powerlaw,
     left_tail_coefficient,
     shortfall_continuous,
     shortfall_probability,
-    tail_constant_geometric,
-    tail_constant_infinite,
+    tail_constant,
     value_at_risk,
 )
 

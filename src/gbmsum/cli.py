@@ -214,12 +214,8 @@ def _annuity_rows(rp: ReducedParams, density: solver.GridDensity,
         disc = tails.shortfall_probability(density, mean, q)
         cont = tails.shortfall_continuous(math.sqrt(rp.beta), rp.rho, rp.p, mean, q)
         rows.append([rp.beta, rp.rho, rp.p, mean, q, (1.0 + q) * mean, disc, cont])
-    exponent = tails.exponent_geometric(rp) if 0.0 < rp.p < 1.0 else tails.exponent_infinite(rp)
-    constant = (
-        tails.tail_constant_geometric(density, rp)
-        if 0.0 < rp.p < 1.0
-        else tails.tail_constant_infinite(density, rp)
-    )
+    exponent = tails.tail_exponent(rp)
+    constant = tails.tail_constant(density, rp)
     var = tails.value_at_risk(
         tails.TailAsymptote(exponent, constant,
                             "geometric_sum" if rp.p > 0 else "infinite_sum"),

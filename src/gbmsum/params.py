@@ -84,26 +84,28 @@ def as_reduced(params) -> ReducedParams:
     raise ParameterError(f"expected ModelParams or ReducedParams, got {type(params)!r}")
 
 
-def infinite_tail_exponent(rp: ReducedParams) -> float:
-    """Power-law decay exponent of the infinite-sum survival function."""
-    if not rp.perpetuity_feasible:
+def front_speed(rp: ReducedParams) -> float:
+    """sqrt((rho - beta/2)^2 - 2 beta log(1 - p)), or beta/2 - rho at p = 0:
+    the speed in u of the power-law tail front per transform application."""
+    return math.sqrt((rp.rho - 0.5 * rp.beta) ** 2 - 2.0 * rp.beta * math.log1p(-rp.p))
+
+
+def tail_exponent(params) -> float:
+    """Power-law decay exponent of the survival function of the sum stopped
+    at a geometric(p) time, 0 <= p < 1; p = 0 is the infinite sum.
+
+    The positive root mu of (1 - p) E[M^mu] = 1 for the one-period
+    multiplier M: 1 - 2 rho / beta at p = 0, where rho < beta/2 is needed,
+    and strictly positive for any drift when 0 < p < 1.
+    """
+    rp = as_reduced(params)
+    if rp.p >= 1.0:
+        raise ParameterError("p = 1 has a log-normal law with no power tail")
+    if rp.p == 0.0 and not rp.perpetuity_feasible:
         raise ParameterError(
             f"infinite sum does not exist: rho = {rp.rho} >= beta/2 = {0.5 * rp.beta}"
         )
-    return 1.0 - 2.0 * rp.rho / rp.beta
-
-
-def geometric_tail_exponent(rp: ReducedParams) -> float:
-    """Power-law decay exponent of the geometrically stopped sum.
-
-    Strictly positive for any drift when 0 < p < 1; the perpetuity drift
-    condition is not required.
-    """
-    if not (0.0 < rp.p < 1.0):
-        raise ParameterError(f"geometric tail exponent needs 0 < p < 1, got p = {rp.p}")
-    half = 0.5 * rp.beta
-    disc = (rp.rho - half) ** 2 - 2.0 * rp.beta * math.log1p(-rp.p)
-    return (-rp.rho + half + math.sqrt(disc)) / rp.beta
+    return (-rp.rho + 0.5 * rp.beta + front_speed(rp)) / rp.beta
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ from .errors import (
     NoRootError,
     ParameterError,
 )
+from .mc import GeneralHorizon
 from .moments import mean_finite_sum
-from .params import ReducedParams, as_reduced, geometric_tail_exponent
+from .params import ReducedParams, as_reduced, tail_exponent
 from .solver import GaussianStepOperator, Grid, GridDensity
 
 _PAYOFF_TRUNCATION_TOL = 1e-6
@@ -67,32 +68,6 @@ class AsianSpec:
 
     def reduced(self) -> ReducedParams:
         return ReducedParams(beta=self.sigma**2 * self.tau, rho=self.drift * self.tau)
-
-
-@dataclass(frozen=True)
-class MortalityModel:
-    """Stopping-time model: geometric(p) or general weights."""
-
-    variant: str
-    p: float | None = None
-    weights: tuple | None = None
-
-    @classmethod
-    def geometric(cls, p: float) -> "MortalityModel":
-        if not (0.0 < p <= 1.0):
-            raise ParameterError(f"geometric mortality needs 0 < p <= 1, got {p}")
-        return cls(variant="geometric", p=p)
-
-    @classmethod
-    def general(cls, weights) -> "MortalityModel":
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0 or np.any(w < 0.0):
-            raise ParameterError("weights must be a non-empty 1-d array >= 0")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ParameterError(
-                f"weights sum to {w.sum():.12g}; must be 1 within 1e-10 after capping"
-            )
-        return cls(variant="general", weights=tuple(float(v) for v in w / w.sum()))
 
 
 # -- finite-sum densities ------------------------------------------------------
@@ -147,8 +122,7 @@ def finite_sum_density(n: int, params, h: float | None = None,
 
 
 def finite_sum_density_derivative_form(n: int, params, h: float | None = None,
-                                       u_max: float | None = None,
-                                       k_terms: int | None = None) -> GridDensity:
+                                       u_max: float | None = None) -> GridDensity:
     """The same n-term density from the alternating derivative expansion of
     the geometric-stopping law around p = 1.
 
@@ -163,8 +137,6 @@ def finite_sum_density_derivative_form(n: int, params, h: float | None = None,
             f"expansion order {n} exceeds double-precision factorial range; "
             f"use finite_sum_density for large horizons"
         )
-    if k_terms is not None and k_terms != n:
-        raise ParameterError("partial expansions are not supported; k_terms must equal n")
     rp = as_reduced(params)
     grid = _finite_sum_grid(n, rp, h, u_max)
     op = GaussianStepOperator(grid, rp)
@@ -201,15 +173,15 @@ def finite_sum_density_derivative_form(n: int, params, h: float | None = None,
     return GridDensity(grid, total)
 
 
-def mixture_density(mortality: MortalityModel, params, h: float | None = None,
+def mixture_density(horizon: GeneralHorizon, params, h: float | None = None,
                     u_max: float | None = None) -> GridDensity:
     """Density of the sum stopped at a general random horizon: the weighted
     combination of finite-sum densities, built with one running transform
     pass."""
-    if mortality.variant != "general":
-        raise ParameterError("mixture_density needs a general mortality model")
+    if not isinstance(horizon, GeneralHorizon):
+        raise ParameterError(f"mixture_density needs a GeneralHorizon, got {horizon!r}")
     rp = as_reduced(params)
-    weights = np.asarray(mortality.weights)
+    weights = np.asarray(horizon.weights)
     cap = weights.size
     if u_max is None:
         means = np.array([mean_finite_sum(k, rp.rho, 1.0, 1.0) for k in range(1, cap + 1)])
@@ -341,7 +313,7 @@ def geometric_maturity_option(params, kappa: float, tol: float = 1e-9,
         raise ParameterError(f"needs 0 < p < 1, got p = {rp.p}")
     if kappa < 0.0:
         raise ParameterError(f"kappa must be non-negative, got {kappa}")
-    mu = geometric_tail_exponent(rp)
+    mu = tail_exponent(rp)
     if mu <= 1.0:
         raise DivergentExpectationError(
             f"tail exponent mu = {mu:.4g} <= 1: E[(X_N - kappa)+] is infinite"

@@ -25,18 +25,13 @@ from .errors import (
     DivergentExpectationError,
     ParameterError,
 )
-from .params import (
-    ReducedParams,
-    TailAsymptote,
-    as_reduced,
-    geometric_tail_exponent,
-    infinite_tail_exponent,
-)
+from .params import ReducedParams, TailAsymptote, as_reduced, front_speed, tail_exponent
 
 TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
 _BAND_SIGMAS = 8.0
 _NEG_CLIP = -1e-14
 _U_MAX_CAP = 60.0
+_LEFT_TAIL_RTOL = 3e-5  # bias of the left_tail_cdf rule, relative
 
 
 @dataclass(frozen=True)
@@ -352,15 +347,15 @@ def expectation(F: GridDensity, payoff) -> float:
 
 
 def _refined(op: GaussianStepOperator, F: GridDensity, rp: ReducedParams,
-             x_points: np.ndarray, p: float) -> np.ndarray:
+             x_points: np.ndarray) -> np.ndarray:
     """One operator row per point, plus the stopping source when p > 0."""
     vals = op.apply_at(np.log1p(x_points), F.values)
-    if p > 0.0:
-        vals = p * np.asarray(distributions.multiplier_pdf(x_points, rp)) + (1.0 - p) * vals
+    if rp.p > 0.0:
+        vals = rp.p * np.asarray(distributions.multiplier_pdf(x_points, rp)) + (1.0 - rp.p) * vals
     return vals
 
 
-def density_at(F: GridDensity, params, x_points, p: float | None = None) -> np.ndarray:
+def density_at(F: GridDensity, params, x_points) -> np.ndarray:
     """Refine a converged solution at arbitrary points x > 0.
 
     Evaluates one operator row per point (plus the stopping source when
@@ -369,34 +364,37 @@ def density_at(F: GridDensity, params, x_points, p: float | None = None) -> np.n
     are truncated.
     """
     rp = as_reduced(params)
-    if p is None:
-        p = rp.p
     x_points = np.asarray(x_points, dtype=float)
-    return _refined(GaussianStepOperator(F.grid, rp), F, rp, x_points, p)
+    return _refined(GaussianStepOperator(F.grid, rp), F, rp, x_points)
 
 
-def left_tail_cdf(F: GridDensity, params, eps_values, p: float | None = None,
-                  n_nodes: int = 240) -> np.ndarray:
+def left_tail_cdf(F: GridDensity, params, eps_values) -> np.ndarray:
     """P(X <= eps) for eps far below the grid step, via off-grid refinement.
 
-    Integrates the refined density in v = log x down from each eps; the
-    integrand decays super-exponentially so a fixed window suffices.
+    Integrates f(e^v) e^v over one window in v = log x shared by every eps,
+    each log eps a node, exactly for the log-linear interpolant on each cell
+    (the trapezoid where a value is 0).  Near a Gaussian of variance beta in
+    v, the rule is low by about dv^2 / (12 beta), which the step sets to
+    _LEFT_TAIL_RTOL; the integrand decays super-exponentially to the left,
+    so a fixed window suffices.
     """
     rp = as_reduced(params)
-    if p is None:
-        p = rp.p
-    op = GaussianStepOperator(F.grid, rp)
     eps_values = np.asarray(eps_values, dtype=float)
+    if np.any(eps_values <= 0.0):
+        raise ParameterError("left-tail levels eps must be positive")
+    log_eps = np.log(eps_values).reshape(-1)
     width = 14.0 * math.sqrt(rp.beta) + 3.0 * rp.beta + 2.0 * abs(rp.rho) + 2.0
-    out = np.empty(eps_values.shape)
-    # One eps at a time: stacking every window's rows would hold
-    # eps_values.size * n_nodes kernel rows at once.
-    for i, eps in enumerate(eps_values.reshape(-1)):
-        v = np.linspace(math.log(eps) - width, math.log(eps), n_nodes)
-        xv = np.exp(v)
-        fv = _refined(op, F, rp, xv, p)
-        out.reshape(-1)[i] = np.trapezoid(fv * xv, v)
-    return out
+    lo, hi = float(log_eps.min()) - width, float(log_eps.max())
+    n_cells = int(math.ceil((hi - lo) / math.sqrt(12.0 * rp.beta * _LEFT_TAIL_RTOL)))
+    v = np.union1d(np.linspace(lo, hi, n_cells + 1), log_eps)
+    xv = np.exp(v)
+    gv = _refined(GaussianStepOperator(F.grid, rp), F, rp, xv) * xv
+    g0, g1, dv = gv[:-1], gv[1:], np.diff(v)
+    cells = 0.5 * (g0 + g1) * dv
+    loglin = (g0 > 0.0) & (g1 > 0.0) & (g0 != g1)
+    cells[loglin] = ((g1 - g0) * dv)[loglin] / np.log(g1[loglin] / g0[loglin])
+    cum = np.concatenate([[0.0], np.cumsum(cells)])
+    return cum[np.searchsorted(v, log_eps)].reshape(eps_values.shape)
 
 
 # -- quadrature error bound -----------------------------------------------------
@@ -542,7 +540,7 @@ def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
 
 
 def _finalize(rp: ReducedParams, grid_ret: Grid, f_int: np.ndarray, exponent: float,
-              regime: str, deltas: list, masses: list) -> tuple[GridDensity, SolveReport]:
+              deltas: list, masses: list) -> tuple[GridDensity, SolveReport]:
     vals = np.array(f_int[: grid_ret.n_points])
     c = _fit_tail_constant(grid_ret, vals, exponent)
     tail = None
@@ -554,6 +552,7 @@ def _finalize(rp: ReducedParams, grid_ret: Grid, f_int: np.ndarray, exponent: fl
     drift = abs(total - 1.0)
     vals /= total
     if c is not None:
+        regime = "geometric_sum" if rp.p > 0.0 else "infinite_sum"
         tail = TailAsymptote(exponent=exponent, constant=c / total, regime=regime)
     density = GridDensity(grid_ret, vals, tail=tail)
     report = SolveReport(
@@ -567,26 +566,36 @@ def _finalize(rp: ReducedParams, grid_ret: Grid, f_int: np.ndarray, exponent: fl
     return density, report
 
 
+def _solve(rp: ReducedParams, tol: float, max_iter: int, init: str, h: float | None,
+           u_max: float | None) -> tuple[GridDensity, SolveReport]:
+    """Fixed point of F = p f1 + (1-p) T F for 0 <= p < 1, where f1 is the
+    one-period multiplier density (no source term at p = 0)."""
+    exponent = tail_exponent(rp)
+    grid_ret, grid_int = _grid_pair(rp, exponent, h, u_max)
+    op = GaussianStepOperator(grid_int, rp)
+    source = rp.p * _initial_values("lognormal", grid_int, rp) if rp.p > 0.0 else None
+    f0 = _initial_values(init, grid_int, rp)
+    probe = lambda f: _fit_tail_constant(grid_ret, f[: grid_ret.n_points], exponent)  # noqa: E731
+    min_settle = int(math.ceil(grid_int.u_max / front_speed(rp))) + 20
+    f, deltas, masses = _iterate(op, grid_int, f0, source, 1.0 - rp.p, tol, max_iter,
+                                 tail_probe=probe, min_settle=min_settle)
+    return _finalize(rp, grid_ret, f, exponent, deltas, masses)
+
+
 def solve_infinite(params, tol: float = 1e-8, max_iter: int = 500,
                    init: str = "inverse_gamma", h: float | None = None,
                    u_max: float | None = None) -> tuple[GridDensity, SolveReport]:
     """Stationary density of the infinite sum by fixed-point iteration.
 
-    Requires rho < beta/2.  Iterates the one-step transform from the chosen
-    initial law until the sup-norm difference of successive iterates falls
-    below `tol`, then renormalizes once and fits the power-law tail closure.
+    Requires p = 0 and rho < beta/2.  Iterates the one-step transform from
+    the chosen initial law until the sup-norm difference of successive
+    iterates falls below `tol`, then renormalizes once and fits the
+    power-law tail closure.
     """
     rp = as_reduced(params)
-    exponent = infinite_tail_exponent(rp)
-    grid_ret, grid_int = _grid_pair(rp, exponent, h, u_max)
-    op = GaussianStepOperator(grid_int, rp)
-    f0 = _initial_values(init, grid_int, rp)
-    probe = lambda f: _fit_tail_constant(grid_ret, f[: grid_ret.n_points], exponent)  # noqa: E731
-    front_speed = 0.5 * rp.beta - rp.rho
-    min_settle = int(math.ceil(grid_int.u_max / front_speed)) + 20
-    f, deltas, masses = _iterate(op, grid_int, f0, None, 1.0, tol, max_iter,
-                                 tail_probe=probe, min_settle=min_settle)
-    return _finalize(rp, grid_ret, f, exponent, "infinite_sum", deltas, masses)
+    if rp.p != 0.0:
+        raise ParameterError(f"solve_infinite needs p = 0, got p = {rp.p}")
+    return _solve(rp, tol, max_iter, init, h, u_max)
 
 
 def solve_geometric(params, tol: float = 1e-8, max_iter: int = 500,
@@ -600,8 +609,7 @@ def solve_geometric(params, tol: float = 1e-8, max_iter: int = 500,
     rp = as_reduced(params)
     if not (0.0 < rp.p <= 1.0):
         raise ParameterError(f"solve_geometric needs 0 < p <= 1, got p = {rp.p}")
-    exponent = geometric_tail_exponent(rp) if rp.p < 1.0 else None
-    if exponent is None:
+    if rp.p == 1.0:
         # N = 1 almost surely: the law is exactly the multiplier law
         grid_ret, _ = _grid_pair(rp, 2.0, h, u_max if u_max is not None else 6.0)
         vals = _initial_values("lognormal", grid_ret, rp)
@@ -610,14 +618,4 @@ def solve_geometric(params, tol: float = 1e-8, max_iter: int = 500,
         report = SolveReport(0, 0.0, abs(total - 1.0),
                              quadrature_error_bound(density, k=1))
         return density, report
-    grid_ret, grid_int = _grid_pair(rp, exponent, h, u_max)
-    op = GaussianStepOperator(grid_int, rp)
-    source = rp.p * _initial_values("lognormal", grid_int, rp)
-    f0 = _initial_values(init, grid_int, rp)
-    probe = lambda f: _fit_tail_constant(grid_ret, f[: grid_ret.n_points], exponent)  # noqa: E731
-    half = 0.5 * rp.beta
-    front_speed = math.sqrt((rp.rho - half) ** 2 - 2.0 * rp.beta * math.log1p(-rp.p))
-    min_settle = int(math.ceil(grid_int.u_max / front_speed)) + 20
-    f, deltas, masses = _iterate(op, grid_int, f0, source, 1.0 - rp.p, tol, max_iter,
-                                 tail_probe=probe, min_settle=min_settle)
-    return _finalize(rp, grid_ret, f, exponent, "geometric_sum", deltas, masses)
+    return _solve(rp, tol, max_iter, init, h, u_max)

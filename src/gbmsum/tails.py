@@ -1,9 +1,9 @@
 """Tail exponents, tail constants, shortfall probabilities and Value-at-Risk.
 
-Right tails of the infinite and geometrically stopped sums are power laws;
-the prefactors come from renewal-theoretic expectation formulas evaluated on
-the solved densities.  Left tails scale like log-normal left tails:
-log P(X <= eps) / (log eps)^2 approaches a constant.
+Right tails of the geometrically stopped sums are power laws, the infinite
+sum being the p = 0 case; the prefactor comes from one renewal-theoretic
+expectation formula evaluated on the solved density.  Left tails scale like
+log-normal left tails: log P(X <= eps) / (log eps)^2 approaches a constant.
 """
 
 from __future__ import annotations
@@ -17,22 +17,7 @@ import numpy as np
 from . import solver
 from .distributions import yor_survival
 from .errors import ParameterError, RegimeWarning
-from .params import (
-    TailAsymptote,
-    as_reduced,
-    geometric_tail_exponent,
-    infinite_tail_exponent,
-)
-
-
-def exponent_infinite(params) -> float:
-    """Survival exponent 1 - 2 rho / beta of the infinite sum."""
-    return infinite_tail_exponent(as_reduced(params))
-
-
-def exponent_geometric(params) -> float:
-    """Survival exponent of the geometrically stopped sum."""
-    return geometric_tail_exponent(as_reduced(params))
+from .params import TailAsymptote, as_reduced, front_speed, tail_exponent
 
 
 def _stable_power_gap(x: np.ndarray, mu: float) -> np.ndarray:
@@ -45,46 +30,24 @@ def _stable_power_gap(x: np.ndarray, mu: float) -> np.ndarray:
     return out
 
 
-def tail_constant_infinite(F: solver.GridDensity, params) -> float:
-    """Renewal-formula prefactor of P(X_inf > x) ~ c x^(-alpha).
+def tail_constant(F: solver.GridDensity, params) -> float:
+    """Renewal-formula prefactor of P(X > x) ~ c x^(-mu) for 0 <= p < 1:
+    c = (p + (1-p) E[(1+X)^mu - X^mu]) / (mu (1-p) front_speed).
 
-    c = E[(1+X)^alpha - X^alpha] / (alpha (beta/2 - rho)); the expectation
-    runs over the solved stationary density (tail-closed: the integrand
-    grows like x^(alpha-1) so it always converges).
+    The expectation runs over the solved density as one combined payoff,
+    which grows like x^(mu-1) and so converges; the two terms taken
+    separately each diverge at the exponent boundary.
     """
     rp = as_reduced(params)
-    alpha = infinite_tail_exponent(rp)
-    numer = solver.expectation(F, lambda x: _stable_power_gap(x, alpha))
-    return numer / (alpha * (0.5 * rp.beta - rp.rho))
-
-
-def tail_constant_geometric(F: solver.GridDensity, params) -> float:
-    """Prefactor of P(X_N > x) ~ c+ x^(-mu) for geometric stopping.
-
-    The mu-power expectation is evaluated as the single combined payoff
-    (1+x)^mu - x^mu; integrating the two terms separately is forbidden
-    because each diverges at the exponent boundary.
-    """
-    rp = as_reduced(params)
-    if rp.p >= 1.0:
-        raise ParameterError(
-            "p = 1 has a log-normal law with no power tail; tail constant undefined"
-        )
-    mu = geometric_tail_exponent(rp)
+    mu = tail_exponent(rp)
     gap = solver.expectation(F, lambda x: _stable_power_gap(x, mu))
-    half = 0.5 * rp.beta
-    root = math.sqrt((rp.rho - half) ** 2 - 2.0 * rp.beta * math.log1p(-rp.p))
-    return (rp.p + (1.0 - rp.p) * gap) / (mu * (1.0 - rp.p) * root)
+    return (rp.p + (1.0 - rp.p) * gap) / (mu * (1.0 - rp.p) * front_speed(rp))
 
 
-def left_tail_coefficient(kind: str, params, n: int | None = None) -> float:
-    """Limit of log P(X <= eps) / (log eps)^2: -1/(2 beta) for every variant."""
-    rp = as_reduced(params)
-    if kind not in ("infinite", "geometric", "finite"):
-        raise ParameterError(f"kind must be infinite, geometric or finite, got {kind!r}")
-    if kind == "finite" and (n is None or n < 1):
-        raise ParameterError("kind='finite' requires a horizon n >= 1")
-    return -1.0 / (2.0 * rp.beta)
+def left_tail_coefficient(params) -> float:
+    """Limit of log P(X <= eps) / (log eps)^2: -1/(2 beta) for the infinite,
+    the geometrically stopped and every finite sum."""
+    return -1.0 / (2.0 * as_reduced(params).beta)
 
 
 def finite_sum_right_tail_coefficient(params, n: int) -> float:
@@ -186,7 +149,7 @@ def fit_left_tail_coefficient(F: solver.GridDensity, params,
     """
     rp = as_reduced(params)
     eps = np.geomspace(eps_range[0], eps_range[1], n_points)
-    probs = solver.left_tail_cdf(F, rp, eps, p=rp.p)
+    probs = solver.left_tail_cdf(F, rp, eps)
     if np.any(probs <= 0.0):
         raise ParameterError("left-tail probabilities vanished; grid too coarse")
     coeffs = np.polyfit(np.log(eps), np.log(probs), 2)

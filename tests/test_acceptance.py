@@ -93,7 +93,7 @@ def test_criterion_06_tail_exponents(solved):
     for beta, rho, p in ((1.0, -0.1, 0.0), (1.0, 0.0, 0.1), (0.1, 0.0, 0.01)):
         rp = g.ReducedParams(beta=beta, rho=rho, p=p)
         F, _ = solved(beta, rho, p, tol=1e-9, max_iter=2000)
-        exact = g.exponent_geometric(rp) if p > 0 else g.exponent_infinite(rp)
+        exact = g.tail_exponent(rp)
         fitted, _, variation = g.fit_survival_powerlaw(F)
         good = abs(fitted - exact) / exact <= 0.05 and variation <= 0.05
         ok = ok and good

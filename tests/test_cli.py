@@ -102,6 +102,11 @@ class TestAnnuityCommand:
         assert record["var_threshold"] > 0.0
         assert record["method_flags"]["var"] in ("tail_inversion", "grid_inversion")
 
+    def test_certain_stopping_has_no_power_tail_exit_2(self, tmp_path):
+        # p = 1 is the one-period log-normal law: no tail exponent or constant
+        assert main(["annuity", "--beta", "0.5", "--rho", "0.1", "--p", "1.0",
+                     "--q-list", "0", "--out", str(tmp_path)]) == 2
+
 
 class TestCalibrateCommand:
     @pytest.mark.parametrize("method,expected", [("life-expectancy", 0.06443),

@@ -167,16 +167,47 @@ class TestOracle:
         half_s2 = 0.5 * sigma**2
         zs = np.geomspace(0.02, 200.0, 41) / half_s2
         got = g.yor_pdf(zs, sigma, m, lam)
+        np.testing.assert_allclose(got, yor_pdf_mp(mp, zs, sigma, m, lam), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sigma,m,lam", [
+        (1.0, -0.1, 1e-8), (2.0, -0.3, 1e-8), (0.3, 0.2, 1e-8), (1.0, 0.4, 1.0),
+    ])
+    def test_yor_pdf_small_y(self, mp, sigma, m, lam):
+        # either side of the switch to the small-y series, down to where the
+        # Kummer form would overflow
+        ys = np.array([0.0199, 0.01, 0.005, 0.0021, 0.002, 0.0019, 0.001, 1e-4])
+        zs = ys / (0.5 * sigma**2)
+        got = g.yor_pdf(zs, sigma, m, lam)
+        np.testing.assert_allclose(got, yor_pdf_mp(mp, zs, sigma, m, lam), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sigma,m,lam", [
+        (1.0, -0.1, 1e-8), (2.0, -0.3, 1e-8), (2.0, -0.3, 1e-9), (0.3, 0.2, 1e-8),
+        (1.0, 0.0, 0.1), (1.0, 0.4, 1.0),
+    ])
+    def test_yor_params(self, mp, sigma, m, lam):
+        # at small lam one of the shapes is a difference of nearly equal terms
         yp = g.yor_params(sigma, m, lam)
         with mp.workdps(40):
-            a, b = mp.mpf(yp.alpha), mp.mpf(yp.beta_g)
-            pref = a * b * mp.gamma(a) / mp.gamma(a + b + 1)
-            ref = []
-            for z in zs:
-                y = mp.mpf(z * half_s2)
-                ref.append(float(half_s2 * pref * y ** (-b - 1)
-                                 * mp.hyp1f1(b + 1, a + b + 1, -1 / y)))
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+            s2 = mp.mpf(sigma) ** 2
+            d = 2 * mp.mpf(m) - s2
+            root = mp.sqrt(d**2 + 8 * mp.mpf(lam) * s2)
+            alpha, beta_g = float((d + root) / (2 * s2)), float((-d + root) / (2 * s2))
+        assert yp.alpha == pytest.approx(alpha, rel=1e-15, abs=0.0)
+        assert yp.beta_g == pytest.approx(beta_g, rel=1e-15, abs=0.0)
+
+
+def yor_pdf_mp(mp, zs, sigma, m, lam):
+    """yor_pdf at 40 digits, at the library's own shape parameters."""
+    half_s2 = 0.5 * sigma**2
+    yp = g.yor_params(sigma, m, lam)
+    with mp.workdps(40):
+        a, b = mp.mpf(yp.alpha), mp.mpf(yp.beta_g)
+        pref = a * b * mp.gamma(a) / mp.gamma(a + b + 1)
+        ref = []
+        for z in zs:
+            y = mp.mpf(z * half_s2)
+            ref.append(float(half_s2 * pref * y ** (-b - 1) * mp.hyp1f1(b + 1, a + b + 1, -1 / y)))
+    return ref
 
 
 class TestYorSurvival:

@@ -76,11 +76,6 @@ class TestDerivativeForm:
         rhs = op.apply(op.apply(f1 - op.apply(f1))) * math.factorial(3)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
-    def test_partial_expansion_rejected(self):
-        with pytest.raises(ParameterError):
-            g.finite_sum_density_derivative_form(4, g.ReducedParams(beta=0.1, rho=0.0),
-                                                 k_terms=2)
-
 
 class TestAsianPricing:
     @pytest.mark.parametrize("n,s0", [(10, 100), (250, 95)])
@@ -200,13 +195,13 @@ class TestMixture:
         rp = g.ReducedParams(beta=0.1, rho=0.0)
         weights = np.zeros(4)
         weights[3] = 1.0
-        mix = g.mixture_density(g.MortalityModel.general(weights), rp, u_max=8.0)
+        mix = g.mixture_density(g.GeneralHorizon(weights), rp, u_max=8.0)
         ref = g.finite_sum_density(4, rp, u_max=8.0)
         assert np.max(np.abs(mix.values - ref.values)) < 1e-14
 
     def test_two_point_mean_linearity(self):
         rp = g.ReducedParams(beta=0.1, rho=0.01)
-        mix = g.mixture_density(g.MortalityModel.general([0.3, 0.0, 0.7]), rp, u_max=8.0)
+        mix = g.mixture_density(g.GeneralHorizon([0.3, 0.0, 0.7]), rp, u_max=8.0)
         mean = g.expectation(mix, lambda x: x)
         exact = 0.3 * g.mean_finite_sum(1, 0.01, 1.0, 1.0) + 0.7 * g.mean_finite_sum(
             3, 0.01, 1.0, 1.0
@@ -219,26 +214,25 @@ class TestMixture:
         w = p * (1.0 - p) ** np.arange(2000)
         w /= w.sum()
         mix = g.mixture_density(
-            g.MortalityModel.general(w), g.ReducedParams(beta=1.0, rho=0.0), u_max=16.0
+            g.GeneralHorizon(w), g.ReducedParams(beta=1.0, rho=0.0), u_max=16.0
         )
         K = 10.0
         assert g.survival(mix, K) == pytest.approx(g.survival(Fg, K), abs=5e-4)
 
     def test_requires_general_model(self):
         with pytest.raises(ParameterError):
-            g.mixture_density(g.MortalityModel.geometric(0.1),
-                              g.ReducedParams(beta=0.1, rho=0.0))
+            g.mixture_density(g.GeometricHorizon(0.1), g.ReducedParams(beta=0.1, rho=0.0))
 
 
 class TestMortalityModel:
+    """The general mortality model of mixture_density is a GeneralHorizon."""
+
     def test_weight_validation(self):
         with pytest.raises(ParameterError):
-            g.MortalityModel.general([0.5, 0.4])  # sums to 0.9
-        with pytest.raises(ParameterError):
-            g.MortalityModel.geometric(0.0)
+            g.GeneralHorizon([0.5, 0.4])  # sums to 0.9
 
     def test_weights_renormalized_exactly(self):
-        m = g.MortalityModel.general([0.25, 0.25, 0.25, 0.25 + 1e-12])
+        m = g.GeneralHorizon([0.25, 0.25, 0.25, 0.25 + 1e-12])
         assert sum(m.weights) == pytest.approx(1.0, abs=1e-15)
 
 

@@ -107,6 +107,23 @@ def reference_band(grid, rp, band_sigmas=8.0):
     return band * scale[cols], cols
 
 
+def converged_left_tail(F, rp, eps):
+    """P(X <= eps) from the refined density by 16-point Gauss-Legendre on
+    panels of width sqrt(beta)/4, converged far below 1e-8 relative: an
+    independent check of the rule in left_tail_cdf, over the same window."""
+    width = 14.0 * math.sqrt(rp.beta) + 3.0 * rp.beta + 2.0 * abs(rp.rho) + 2.0
+    log_eps = np.log(eps)
+    edges = np.union1d(
+        np.arange(log_eps.min() - width, log_eps.max(), math.sqrt(rp.beta) / 4.0), log_eps
+    )
+    t, w = np.polynomial.legendre.leggauss(16)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    v = (mid[:, None] + half[:, None] * t).ravel()
+    gv = (g.density_at(F, rp, np.exp(v)) * np.exp(v)).reshape(-1, t.size)
+    cum = np.concatenate([[0.0], np.cumsum(half * (gv @ w))])
+    return cum[np.searchsorted(edges, log_eps)]
+
+
 class TestOperatorReference:
     def test_apply_matches_gather(self, solved):
         rp = g.ReducedParams(beta=0.1, rho=-0.1)
@@ -127,14 +144,20 @@ class TestOperatorReference:
         rp = g.ReducedParams(beta=beta, rho=rho, p=p)
         F, _ = solved(beta, rho, p, tol=1e-9)
         eps = np.geomspace(1e-4, 1e-2, 5)
-        width = 14.0 * math.sqrt(beta) + 3.0 * beta + 2.0 * abs(rho) + 2.0
-        ref = []
-        for e in eps:
-            v = np.linspace(math.log(e) - width, math.log(e), 240)
-            ref.append(np.trapezoid(g.density_at(F, rp, np.exp(v)) * np.exp(v), v))
-        ref = np.array(ref)
+        ref = converged_left_tail(F, rp, eps)
         probs = g.left_tail_cdf(F, rp, eps)
-        assert np.max(np.abs(probs - ref) / ref) <= 1e-13
+        assert np.max(np.abs(probs - ref) / ref) <= 1e-4
+
+    @pytest.mark.parametrize("beta, rho", [(0.5, -0.1), (0.1, -0.1)])
+    def test_left_tail_cdf_converged_at_small_beta(self, solved, beta, rho):
+        # the integrand's log-slope near eps is about |log eps| / beta, so a
+        # rule with a fixed node count is biased high most at small beta
+        rp = g.ReducedParams(beta=beta, rho=rho)
+        F, _ = solved(beta, rho, tol=1e-9, max_iter=2000)
+        eps = np.geomspace(1e-4, 1e-2, 12)
+        ref = converged_left_tail(F, rp, eps)
+        probs = g.left_tail_cdf(F, rp, eps)
+        assert np.max(np.abs(probs - ref) / ref) <= 1e-4
 
 
 class TestSolveInfinite:
@@ -155,6 +178,10 @@ class TestSolveInfinite:
     def test_infeasible_parameters(self):
         with pytest.raises(ParameterError):
             g.solve_infinite(g.ReducedParams(beta=1.0, rho=0.6))
+
+    def test_rejects_positive_p(self):
+        with pytest.raises(ParameterError):
+            g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1, p=0.1))
 
     def test_non_convergence_carries_trace(self):
         with pytest.raises(ConvergenceError) as err:

@@ -10,38 +10,47 @@ from gbmsum import ParameterError, RegimeWarning
 
 class TestExponents:
     def test_infinite_zero_drift(self):
-        assert g.exponent_infinite(g.ReducedParams(beta=0.7, rho=0.0)) == 1.0
+        assert g.tail_exponent(g.ReducedParams(beta=0.7, rho=0.0)) == 1.0
 
     def test_infinite_substitution(self):
-        assert g.exponent_infinite(g.ReducedParams(beta=1.0, rho=-0.1)) == pytest.approx(1.2)
+        assert g.tail_exponent(g.ReducedParams(beta=1.0, rho=-0.1)) == pytest.approx(1.2)
 
     def test_infinite_infeasible(self):
         with pytest.raises(ParameterError):
-            g.exponent_infinite(g.ReducedParams(beta=1.0, rho=0.5))
+            g.tail_exponent(g.ReducedParams(beta=1.0, rho=0.5))
 
     def test_geometric_frozen(self):
-        mu = g.exponent_geometric(g.ReducedParams(beta=1.0, rho=0.0, p=0.1))
+        mu = g.tail_exponent(g.ReducedParams(beta=1.0, rho=0.0, p=0.1))
         assert mu == pytest.approx(1.1787643415174758, rel=1e-12)
 
     def test_geometric_reduces_to_infinite(self):
         rp0 = g.ReducedParams(beta=1.0, rho=-0.1)
-        mu = g.exponent_geometric(g.ReducedParams(beta=1.0, rho=-0.1, p=1e-12))
-        assert mu == pytest.approx(g.exponent_infinite(rp0), abs=1e-7)
+        mu = g.tail_exponent(g.ReducedParams(beta=1.0, rho=-0.1, p=1e-12))
+        assert mu == pytest.approx(g.tail_exponent(rp0), abs=1e-7)
 
     def test_geometric_monotonicity(self):
-        base = g.exponent_geometric(g.ReducedParams(beta=1.0, rho=0.0, p=0.1))
-        assert g.exponent_geometric(g.ReducedParams(beta=1.0, rho=0.1, p=0.1)) < base
-        assert g.exponent_geometric(g.ReducedParams(beta=1.0, rho=0.0, p=0.2)) > base
+        base = g.tail_exponent(g.ReducedParams(beta=1.0, rho=0.0, p=0.1))
+        assert g.tail_exponent(g.ReducedParams(beta=1.0, rho=0.1, p=0.1)) < base
+        assert g.tail_exponent(g.ReducedParams(beta=1.0, rho=0.0, p=0.2)) > base
 
     def test_geometric_exceeds_infinite_bound(self):
         rp = g.ReducedParams(beta=1.0, rho=-0.1, p=0.05)
-        assert g.exponent_geometric(rp) > g.exponent_infinite(g.ReducedParams(1.0, -0.1))
+        assert g.tail_exponent(rp) > g.tail_exponent(g.ReducedParams(1.0, -0.1))
+
+    def test_p_zero_is_infinite_sum_formula(self):
+        for beta, rho in ((1.0, -0.1), (0.5, -0.1), (0.1, -0.1), (0.3, 0.1)):
+            mu = g.tail_exponent(g.ReducedParams(beta=beta, rho=rho))
+            assert mu == pytest.approx(1.0 - 2.0 * rho / beta, rel=1e-14)
+
+    def test_p_one_has_no_power_tail(self):
+        with pytest.raises(ParameterError):
+            g.tail_exponent(g.ReducedParams(beta=1.0, rho=0.0, p=1.0))
 
     def test_matches_exponential_time_shape_as_step_vanishes(self):
         sigma, m, lam = 1.0, -0.3, 0.5
         beta_g = g.yor_params(sigma, m, lam).beta_g
         tau = 1e-3
-        mu = g.exponent_geometric(
+        mu = g.tail_exponent(
             g.ReducedParams(beta=sigma**2 * tau, rho=m * tau, p=lam * tau)
         )
         assert mu == pytest.approx(beta_g, abs=1e-3)
@@ -52,7 +61,7 @@ class TestTailConstants:
         rp = g.ReducedParams(beta=1.0, rho=0.0)
         F, _ = solved(1.0, 0.0, tol=1e-9)
         # numerator expectation is the total mass, so c = 2/beta exactly
-        assert g.tail_constant_infinite(F, rp) == pytest.approx(2.0, rel=1e-9)
+        assert g.tail_constant(F, rp) == pytest.approx(2.0, rel=1e-9)
 
     def test_zero_drift_density_tail(self, solved):
         # x-space density tail ~ c / x^2 with c = 2/beta
@@ -66,7 +75,7 @@ class TestTailConstants:
     def test_plateau_matches_renewal_formula(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=-0.1)
         F, _ = solved(1.0, -0.1, tol=1e-9)
-        c = g.tail_constant_infinite(F, rp)
+        c = g.tail_constant(F, rp)
         fitted_exp, plateau_c, variation = g.fit_survival_powerlaw(F)
         assert plateau_c == pytest.approx(c, rel=0.05)
         assert variation < 0.05
@@ -74,7 +83,7 @@ class TestTailConstants:
     def test_geometric_plateau(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
-        c = g.tail_constant_geometric(F, rp)
+        c = g.tail_constant(F, rp)
         _, plateau_c, variation = g.fit_survival_powerlaw(F)
         assert plateau_c == pytest.approx(c, rel=0.05)
         assert variation < 0.05
@@ -82,27 +91,21 @@ class TestTailConstants:
     def test_geometric_rejects_p_one(self, solved):
         F, _ = solved(0.5, 0.1, 1.0)
         with pytest.raises(ParameterError):
-            g.tail_constant_geometric(F, g.ReducedParams(beta=0.5, rho=0.1, p=1.0))
+            g.tail_constant(F, g.ReducedParams(beta=0.5, rho=0.1, p=1.0))
 
     def test_continuity_to_infinite_constant(self, solved):
         Fi, _ = solved(1.0, -0.1, tol=1e-9, u_max=16.0)
-        ci = g.tail_constant_infinite(Fi, g.ReducedParams(1.0, -0.1))
+        ci = g.tail_constant(Fi, g.ReducedParams(1.0, -0.1))
         rp = g.ReducedParams(beta=1.0, rho=-0.1, p=1e-4)
         Fg, _ = g.solve_geometric(rp, tol=1e-9, u_max=16.0)
-        cg = g.tail_constant_geometric(Fg, rp)
+        cg = g.tail_constant(Fg, rp)
         assert cg == pytest.approx(ci, rel=0.02)
 
 
 class TestLeftTailCoefficients:
     def test_values(self):
-        rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
-        assert g.left_tail_coefficient("infinite", rp) == -0.5
-        assert g.left_tail_coefficient("geometric", rp) == -0.5
-        assert g.left_tail_coefficient("finite", rp, n=7) == -0.5
-
-    def test_finite_needs_horizon(self):
-        with pytest.raises(ParameterError):
-            g.left_tail_coefficient("finite", g.ReducedParams(beta=1.0, rho=0.0))
+        assert g.left_tail_coefficient(g.ReducedParams(beta=1.0, rho=0.0, p=0.1)) == -0.5
+        assert g.left_tail_coefficient(g.ReducedParams(beta=0.25, rho=-0.1)) == -2.0
 
     def test_right_tail_finite(self):
         rp = g.ReducedParams(beta=0.25, rho=0.0)
@@ -150,7 +153,7 @@ class TestValueAtRisk:
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
         ta = g.TailAsymptote(
-            g.exponent_geometric(rp), g.tail_constant_geometric(F, rp), "geometric_sum"
+            g.tail_exponent(rp), g.tail_constant(F, rp), "geometric_sum"
         )
         var = g.value_at_risk(ta, 0.01, density=F)
         assert var.method == "tail_inversion"
@@ -160,7 +163,7 @@ class TestValueAtRisk:
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
         ta = g.TailAsymptote(
-            g.exponent_geometric(rp), g.tail_constant_geometric(F, rp), "geometric_sum"
+            g.tail_exponent(rp), g.tail_constant(F, rp), "geometric_sum"
         )
         with pytest.warns(RegimeWarning):
             var = g.value_at_risk(ta, 0.5, density=F)
