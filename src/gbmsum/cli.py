@@ -125,11 +125,8 @@ def _report_dict(report: solver.SolveReport) -> dict:
 
 
 def _solve(rp: ReducedParams, args) -> tuple[solver.GridDensity, solver.SolveReport]:
-    kwargs = dict(tol=args.tol, max_iter=args.max_iter, h=args.h, u_max=args.umax)
-    if rp.p > 0.0:
-        return solver.solve_geometric(rp, **kwargs)
-    init = getattr(args, "init", "inverse-gamma").replace("-", "_")
-    return solver.solve_infinite(rp, init=init, **kwargs)
+    solve = solver.solve_geometric if rp.p > 0.0 else solver.solve_infinite
+    return solve(rp, tol=args.tol, max_iter=args.max_iter, h=args.h, u_max=args.umax)
 
 
 # -- commands --------------------------------------------------------------------
@@ -158,7 +155,7 @@ def cmd_density(args, out: _Outputs) -> int:
         "tail": None if density.tail is None else {
             "exponent": density.tail.exponent,
             "constant": density.tail.constant,
-            "regime": density.tail.regime,
+            "regime": "geometric_sum" if rp.p > 0.0 else "infinite_sum",
         },
         "report": _report_dict(report),
     }
@@ -206,9 +203,16 @@ def cmd_asian(args, out: _Outputs) -> int:
     return _EXIT_OK
 
 
-def _annuity_rows(rp: ReducedParams, density: solver.GridDensity,
+def _annuity_mean(rp: ReducedParams) -> float:
+    """E[X], the shortfall capital K; infinite unless (1-p) e^rho < 1."""
+    ratio = (1.0 - rp.p) * math.exp(rp.rho)
+    if not ratio < 1.0:
+        raise ParameterError(f"the capital K = E[X] is infinite: (1 - p) e^rho = {ratio:.6g} >= 1")
+    return math.exp(rp.rho) / (1.0 - ratio)
+
+
+def _annuity_rows(rp: ReducedParams, mean: float, density: solver.GridDensity,
                   report: solver.SolveReport, q_list, var_level):
-    mean = math.exp(rp.rho) / (1.0 - (1.0 - rp.p) * math.exp(rp.rho))
     rows = []
     for q in q_list:
         disc = tails.shortfall_probability(density, mean, q)
@@ -216,11 +220,8 @@ def _annuity_rows(rp: ReducedParams, density: solver.GridDensity,
         rows.append([rp.beta, rp.rho, rp.p, mean, q, (1.0 + q) * mean, disc, cont])
     exponent = tails.tail_exponent(rp)
     constant = tails.tail_constant(density, rp)
-    var = tails.value_at_risk(
-        tails.TailAsymptote(exponent, constant,
-                            "geometric_sum" if rp.p > 0 else "infinite_sum"),
-        var_level, density=density,
-    )
+    var = tails.value_at_risk(tails.TailAsymptote(exponent, constant), var_level,
+                              density=density)
     record = tails.risk_record(exponent, constant, rows[0][6], var)
     record["report"] = _report_dict(report)
     record["mean"] = mean
@@ -234,7 +235,8 @@ _ANNUITY_HEADER = ["beta", "rho", "p", "mean", "q", "threshold",
 def cmd_annuity(args, out: _Outputs) -> int:
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
     q_list = [_number(v, "--q-list entry") for v in args.q_list.split(",") if v != ""]
-    rows, record = _annuity_rows(rp, *_solve(rp, args), q_list, args.var_level)
+    mean = _annuity_mean(rp)
+    rows, record = _annuity_rows(rp, mean, *_solve(rp, args), q_list, args.var_level)
     out.write_csv("annuity.csv", _ANNUITY_HEADER, rows)
     out.write_json("annuity_report.json", record)
     out.manifest("annuity", _args_dict(args))
@@ -272,12 +274,16 @@ def cmd_moments(args, out: _Outputs) -> int:
 
 
 def _number(value, what: str, kind=float):
-    """CLI text or a JSON value as a `kind`, or a ParameterError naming `what`."""
+    """CLI text or a JSON value as a finite `kind`, or a ParameterError naming `what`."""
     if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
         try:
-            return kind(value)
+            number = kind(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if not math.isfinite(number):
+                raise ParameterError(f"{what} must be finite, got {value!r}")
+            return number
     noun = "an integer" if kind is int else "a number"
     raise ParameterError(f"{what} must be {noun}, got {value!r}")
 
@@ -361,11 +367,11 @@ def cmd_batch(args, out: _Outputs) -> int:
                              "put": prices["put"], "mean_rel_err": prices["mean_rel_err"]})
         elif kind == "annuity":
             rp = ReducedParams(beta=field("beta"), rho=field("rho"), p=field("p"))
-            key = (rp.beta, rp.rho, rp.p)
-            if key not in solve_cache:
-                solve_cache[key] = _solve(rp, ns)
+            mean = _annuity_mean(rp)
+            if rp not in solve_cache:
+                solve_cache[rp] = _solve(rp, ns)
             rows, record = _annuity_rows(
-                rp, *solve_cache[key],
+                rp, mean, *solve_cache[rp],
                 [_number(q, f"{kind} scenario {i} q_list entry") for q in sc.get("q_list", [0.0])],
                 field("var_level", 0.01),
             )
@@ -411,8 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--init", choices=["inverse-gamma", "lognormal"],
-                   default="inverse-gamma")
     add_solver(p)
     add_common(p)
     p.set_defaults(func=cmd_density)

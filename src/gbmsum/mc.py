@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels import path_partial_product_sums
 from .errors import ParameterError
-from .params import as_reduced
+from .params import as_reduced, require_finite
 
 _MAX_CHUNK_ELEMENTS = 4_000_000
 _BUFFER_BLOCK = 1 << 18  # normals (2 MiB)
@@ -54,8 +54,8 @@ class GeneralHorizon:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size == 0 or np.any(w < 0.0):
-            raise ParameterError("horizon weights must be a non-empty 1-d array >= 0")
+        if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)) or np.any(w < 0.0):
+            raise ParameterError("horizon weights must be finite, >= 0 and a non-empty 1-d array")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ParameterError(f"horizon weights sum to {w.sum()}, not 1")
         object.__setattr__(self, "weights", tuple(float(v) for v in w / w.sum()))
@@ -237,10 +237,11 @@ def simulate_time_integral(sigma: float, m: float, substeps: int, cfg: McConfig,
         raise ParameterError(f"substeps must be >= 100, got {substeps}")
     if (T is None) == (lam is None):
         raise ParameterError("give exactly one of T and lam")
-    if T is not None and T <= 0.0:
-        raise ParameterError(f"T must be positive, got {T}")
-    if lam is not None and lam <= 0.0:
-        raise ParameterError(f"lam must be positive, got {lam}")
+    require_finite(sigma=sigma, m=m)
+    if T is not None and not (0.0 < T < math.inf):
+        raise ParameterError(f"T must be positive and finite, got {T}")
+    if lam is not None and not (0.0 < lam < math.inf):
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
     if statistic is None:
         statistic = lambda y: y  # noqa: E731 - identity default
     rng = np.random.Generator(np.random.Philox(cfg.seed))

@@ -15,6 +15,13 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 
+def require_finite(**values) -> None:
+    """Raise ParameterError naming the first of `values` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the sampled geometric Brownian motion.
@@ -31,6 +38,7 @@ class ModelParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        require_finite(sigma=self.sigma, m=self.m, tau=self.tau, lam=self.lam)
         if not (self.sigma > 0.0):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if not (self.tau > 0.0):
@@ -52,6 +60,7 @@ class ReducedParams:
     p: float = 0.0
 
     def __post_init__(self):
+        require_finite(beta=self.beta, rho=self.rho)
         if not (self.beta > 0.0):
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if not (0.0 <= self.p <= 1.0):
@@ -114,15 +123,12 @@ class TailAsymptote:
 
     exponent: float
     constant: float
-    regime: str = "infinite_sum"  # infinite_sum | geometric_sum | continuous_limit
 
     def __post_init__(self):
         if not (self.exponent > 0.0):
             raise ParameterError(f"tail exponent must be positive, got {self.exponent}")
         if not (self.constant > 0.0):
             raise ParameterError(f"tail constant must be positive, got {self.constant}")
-        if self.regime not in ("infinite_sum", "geometric_sum", "continuous_limit"):
-            raise ParameterError(f"unknown tail regime {self.regime!r}")
 
     def survival(self, x: float) -> float:
         return self.constant * x ** (-self.exponent)

@@ -9,6 +9,7 @@ serves as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from . import distributions, solver
+from . import solver
 from .errors import (
     AccuracyWarning,
     CancellationWarning,
@@ -26,12 +27,10 @@ from .errors import (
 )
 from .mc import GeneralHorizon
 from .moments import mean_finite_sum
-from .params import ReducedParams, as_reduced, tail_exponent
-from .solver import GaussianStepOperator, Grid, GridDensity
+from .params import ReducedParams, as_reduced, require_finite, tail_exponent
+from .solver import GaussianStepOperator, Grid, GridDensity, _multiplier_values
 
 _PAYOFF_TRUNCATION_TOL = 1e-6
-_DENSITY_CACHE: dict = {}
-_DENSITY_CACHE_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,8 @@ class AsianSpec:
     n_fixings: int
 
     def __post_init__(self):
+        require_finite(s0=self.s0, strike=self.strike, rate=self.rate,
+                       dividend=self.dividend, sigma=self.sigma, maturity=self.maturity)
         if self.s0 <= 0.0:
             raise ParameterError(f"spot must be positive, got {self.s0}")
         if self.strike < 0.0:
@@ -73,39 +74,25 @@ class AsianSpec:
 # -- finite-sum densities ------------------------------------------------------
 
 
-def _finite_sum_u_max(n: int, rp: ReducedParams) -> float:
-    mean = mean_finite_sum(n, rp.rho, 1.0, 1.0)
-    margin = math.sqrt(2.0 * rp.beta * n * 46.0) + 1.0
-    return math.log1p(max(mean, 1.0) * math.exp(margin))
-
-
-def _finite_sum_grid(n: int, rp: ReducedParams, h: float | None,
-                     u_max: float | None) -> Grid:
+def _finite_sum_grid(n: int, rp: ReducedParams, h: float | None = None,
+                     u_max: float | None = None) -> Grid:
     if h is None:
         h = min(0.01, math.sqrt(rp.beta) / 4.0)
     if u_max is None:
-        u_max = _finite_sum_u_max(n, rp)
+        mean = mean_finite_sum(n, rp.rho, 1.0, 1.0)
+        margin = math.sqrt(2.0 * rp.beta * n * 46.0) + 1.0
+        u_max = math.log1p(max(mean, 1.0) * math.exp(margin))
     return Grid(h, max(16, int(round(u_max / h)) + 1))
 
 
-def _multiplier_values(grid: Grid, rp: ReducedParams) -> np.ndarray:
-    vals = np.asarray(distributions.multiplier_pdf(grid.x(), rp), dtype=float)
-    vals[0] = 0.0
-    return vals
-
-
+@functools.lru_cache(maxsize=8)
 def _finite_sum_values(n: int, rp: ReducedParams, grid: Grid) -> np.ndarray:
-    key = (n, rp.beta, rp.rho, grid.h, grid.n_points)
-    cached = _DENSITY_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Grid values of the n-term density, cached read-only per (n, law, grid)."""
     op = GaussianStepOperator(grid, rp)
     vals = _multiplier_values(grid, rp)
     for _ in range(n - 1):
         vals = op.apply(vals)
-    if len(_DENSITY_CACHE) >= _DENSITY_CACHE_MAX:
-        _DENSITY_CACHE.pop(next(iter(_DENSITY_CACHE)))
-    _DENSITY_CACHE[key] = vals
+    vals.setflags(write=False)
     return vals
 
 
@@ -210,36 +197,30 @@ def _edge_decay_mass(grid: Grid, integrand: np.ndarray) -> float:
     return float(integrand[-1] / (-slope))
 
 
-def asian_prices(spec: AsianSpec, h: float | None = None,
-                 u_max: float | None = None) -> dict:
+def asian_prices(spec: AsianSpec) -> dict:
     """Discounted call and put prices plus integration diagnostics.
 
-    The grid span is enlarged until the estimated truncated call-payoff mass
-    is below 1e-6 of the price; a truncation-dominated result raises an
-    AccuracyWarning (escalated to an error by the CLI's --strict).
+    The prices integrate over the law's own finite-sum grid.  An estimated
+    call-payoff mass beyond the grid above 1e-6 of the integral (a strike
+    beyond the grid top prices the call at 0) and a truncation-dominated
+    result each raise an AccuracyWarning (escalated to an error by the
+    CLI's --strict).
     """
     rp = spec.reduced()
     n = spec.n_fixings
     kappa = n * spec.strike / spec.s0
     disc = math.exp(-spec.rate * spec.maturity)
-    u_target = _finite_sum_u_max(n, rp) if u_max is None else u_max
-    diag: dict = {}
-    for _ in range(4):
-        grid = _finite_sum_grid(n, rp, h, u_target)
-        density = GridDensity(grid, _finite_sum_values(n, rp, grid))
-        u = grid.u()
-        x = grid.x()
-        mass_integrand = density.values * np.exp(u)
-        call_integrand = mass_integrand * np.maximum(x - kappa, 0.0)
-        call_exp = float(np.trapezoid(call_integrand, dx=grid.h))
-        beyond = _edge_decay_mass(grid, call_integrand)
-        if call_exp > 0.0 and beyond <= _PAYOFF_TRUNCATION_TOL * call_exp:
-            break
-        u_target += 2.0
-    else:
+    grid = _finite_sum_grid(n, rp)
+    x = grid.x()
+    mass_integrand = GridDensity(grid, _finite_sum_values(n, rp, grid)).values * np.exp(grid.u())
+    call_integrand = mass_integrand * np.maximum(x - kappa, 0.0)
+    call_exp = float(np.trapezoid(call_integrand, dx=grid.h))
+    beyond = _edge_decay_mass(grid, call_integrand)
+    if not (call_exp > 0.0 and beyond <= _PAYOFF_TRUNCATION_TOL * call_exp):
         warnings.warn(
-            f"truncated call-payoff mass ~{beyond:.3g} still exceeds "
-            f"{_PAYOFF_TRUNCATION_TOL} of the integral after enlarging the grid",
+            f"call price unresolved on the law's grid (x_max = {float(x[-1]):.4g}, strike "
+            f"level x = {kappa:.4g}): truncated call-payoff mass ~{beyond:.3g} is not "
+            f"below {_PAYOFF_TRUNCATION_TOL} of the integral {call_exp:.3g}",
             AccuracyWarning,
             stacklevel=2,
         )
@@ -254,7 +235,7 @@ def asian_prices(spec: AsianSpec, h: float | None = None,
     put_exp = float(np.trapezoid(mass_integrand * np.maximum(kappa - x, 0.0), dx=grid.h))
     grid_mean = float(np.trapezoid(mass_integrand * x, dx=grid.h))
     exact_mean = mean_finite_sum(n, spec.drift, spec.tau, 1.0)
-    diag.update(
+    return dict(
         call=disc * spec.s0 / n * call_exp,
         put=disc * spec.s0 / n * put_exp,
         grid_mean=grid_mean,
@@ -265,19 +246,16 @@ def asian_prices(spec: AsianSpec, h: float | None = None,
         n_points=grid.n_points,
         truncated_payoff_mass=beyond if math.isfinite(beyond) else None,
     )
-    return diag
 
 
-def asian_call(spec: AsianSpec, h: float | None = None,
-               u_max: float | None = None) -> float:
+def asian_call(spec: AsianSpec) -> float:
     """Discounted arithmetic-average call price by density integration."""
-    return asian_prices(spec, h, u_max)["call"]
+    return asian_prices(spec)["call"]
 
 
-def asian_put(spec: AsianSpec, h: float | None = None,
-              u_max: float | None = None) -> float:
+def asian_put(spec: AsianSpec) -> float:
     """Discounted arithmetic-average put price (bounded payoff, no closure)."""
-    return asian_prices(spec, h, u_max)["put"]
+    return asian_prices(spec)["put"]
 
 
 def put_call_parity_gap(spec: AsianSpec, convention: str = "discrete") -> float:

@@ -32,6 +32,8 @@ _BAND_SIGMAS = 8.0
 _NEG_CLIP = -1e-14
 _U_MAX_CAP = 60.0
 _LEFT_TAIL_RTOL = 3e-5  # bias of the left_tail_cdf rule, relative
+_SETTLE_RTOL = 1e-6  # tail-constant drift accepted as settled, relative
+_SETTLE_STRIDE = 10  # applications between tail-constant probes
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,11 @@ class GaussianStepOperator:
 
     Row j integrates the input density against a Gaussian kernel of variance
     beta centered at w0(u_j) = log(e^{u_j} - 1) + 3 beta/2 - rho; the kernel
-    is truncated at `band_sigmas` standard deviations (relative mass beyond
-    8 sigma is ~1e-15).
+    is truncated at _BAND_SIGMAS = 8 standard deviations (relative mass
+    beyond 8 sigma is ~1e-15).
     """
 
-    def __init__(self, grid: Grid, params, band_sigmas: float = _BAND_SIGMAS):
+    def __init__(self, grid: Grid, params):
         rp = as_reduced(params)
         self.grid = grid
         self.rp = rp
@@ -122,7 +124,7 @@ class GaussianStepOperator:
                 CoarseGridWarning,
                 stacklevel=2,
             )
-        half = int(math.ceil(band_sigmas * math.sqrt(rp.beta) / grid.h))
+        half = int(math.ceil(_BAND_SIGMAS * math.sqrt(rp.beta) / grid.h))
         self._bw = min(grid.n_points, 2 * half + 1)
         self._pref = math.exp(rp.beta - rp.rho) / math.sqrt(2.0 * math.pi * rp.beta)
         u = grid.u()
@@ -188,13 +190,6 @@ def apply_operator(F: GridDensity, params) -> GridDensity:
 # -- default grid construction ------------------------------------------------
 
 
-def default_step(params, h: float | None = None) -> float:
-    rp = as_reduced(params)
-    if h is not None:
-        return h
-    return min(0.01, math.sqrt(rp.beta) / 3.0)
-
-
 def _default_u_max(rp: ReducedParams, exponent: float) -> float:
     c_est = 10.0 * max(2.0 / rp.beta, 1.0)
     x_tail = (c_est / TRUNCATION_TOL) ** (1.0 / exponent)
@@ -222,7 +217,8 @@ def _grid_pair(rp: ReducedParams, exponent: float, h: float | None,
     3 beta/2 - rho above the output point), so the solve runs on a padded
     grid and the result is cropped to the clean span.
     """
-    h = default_step(rp, h)
+    if h is None:
+        h = min(0.01, math.sqrt(rp.beta) / 3.0)
     if u_max is None:
         u_max = _default_u_max(rp, exponent)
     n_ret = max(16, int(round(u_max / h)) + 1)
@@ -441,22 +437,15 @@ def quadrature_error_bound(F: GridDensity, k: int = 1) -> float:
 # -- initial iterates -----------------------------------------------------------
 
 
-def _initial_values(init: str, grid: Grid, rp: ReducedParams) -> np.ndarray:
-    x = grid.x()
-    if init == "inverse_gamma":
-        if not rp.perpetuity_feasible:
-            raise ParameterError(
-                "inverse-Gamma initialization needs rho < beta/2; use init='lognormal'"
-            )
-        vals = np.asarray(
-            distributions.inv_gamma_pdf(x, math.sqrt(rp.beta), rp.rho), dtype=float
-        )
-    elif init == "lognormal":
-        vals = np.asarray(distributions.multiplier_pdf(x, rp), dtype=float)
-    else:
-        raise ParameterError(f"unknown init {init!r}; use 'inverse_gamma' or 'lognormal'")
-    vals[0] = 0.0
-    return vals
+def _multiplier_values(grid: Grid, rp: ReducedParams) -> np.ndarray:
+    """The one-period multiplier law on the grid (0 at x = 0): the start and
+    source at p > 0, the p = 1 law and the first term of every finite sum."""
+    return distributions.multiplier_pdf(grid.x(), rp)
+
+
+def _inv_gamma_values(grid: Grid, rp: ReducedParams) -> np.ndarray:
+    """The inverse-Gamma limit law on the grid (0 at x = 0): the start at p = 0."""
+    return distributions.inv_gamma_pdf(grid.x(), math.sqrt(rp.beta), rp.rho)
 
 
 def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float | None:
@@ -480,8 +469,7 @@ def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float
 
 def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
              source: np.ndarray | None, damp: float, tol: float, max_iter: int,
-             tail_probe=None, min_settle: int = 0, settle_rel: float = 1e-6,
-             settle_stride: int = 10):
+             tail_probe, min_settle: int):
     """Iterate to the fixed point, then let the far tail settle.
 
     The sup-norm delta criterion converges once the body is stationary, but
@@ -489,7 +477,7 @@ def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
     constant propagates up-grid at a fixed speed per application, so
     settlement is not accepted before `min_settle` iterations (the front
     crossing time) nor before the tail-window constant reported by
-    `tail_probe` is stable to `settle_rel` across `settle_stride`
+    `tail_probe` is stable to _SETTLE_RTOL across _SETTLE_STRIDE
     applications.
     """
     f = f0
@@ -514,13 +502,11 @@ def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
         f = f_new
         if delta <= tol:
             delta_ok = True
-            if tail_probe is None:
-                return f, deltas, masses
-            if it % settle_stride == 0 and it >= min_settle:
+            if it % _SETTLE_STRIDE == 0 and it >= min_settle:
                 probe = tail_probe(f)
                 if probe is None:
                     return f, deltas, masses
-                if last_probe is not None and abs(probe - last_probe) <= settle_rel * abs(probe):
+                if last_probe is not None and abs(probe - last_probe) <= _SETTLE_RTOL * abs(probe):
                     return f, deltas, masses
                 last_probe = probe
     if delta_ok:
@@ -539,25 +525,19 @@ def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
     )
 
 
-def _finalize(rp: ReducedParams, grid_ret: Grid, f_int: np.ndarray, exponent: float,
+def _finalize(grid_ret: Grid, f_int: np.ndarray, exponent: float,
               deltas: list, masses: list) -> tuple[GridDensity, SolveReport]:
     vals = np.array(f_int[: grid_ret.n_points])
     c = _fit_tail_constant(grid_ret, vals, exponent)
-    tail = None
-    tail_mass = 0.0
-    if c is not None:
-        x_max = float(np.expm1(grid_ret.u_max))
-        tail_mass = c * x_max ** (-exponent)
+    tail_mass = 0.0 if c is None else c * float(np.expm1(grid_ret.u_max)) ** (-exponent)
     total = _grid_mass(grid_ret, vals) + tail_mass
     drift = abs(total - 1.0)
     vals /= total
-    if c is not None:
-        regime = "geometric_sum" if rp.p > 0.0 else "infinite_sum"
-        tail = TailAsymptote(exponent=exponent, constant=c / total, regime=regime)
+    tail = None if c is None else TailAsymptote(exponent=exponent, constant=c / total)
     density = GridDensity(grid_ret, vals, tail=tail)
     report = SolveReport(
         iterations=len(deltas),
-        final_delta=deltas[-1] if deltas else 0.0,
+        final_delta=deltas[-1],
         normalization_drift=drift,
         quadrature_bound=quadrature_error_bound(density, k=1),
         delta_trace=deltas,
@@ -566,56 +546,54 @@ def _finalize(rp: ReducedParams, grid_ret: Grid, f_int: np.ndarray, exponent: fl
     return density, report
 
 
-def _solve(rp: ReducedParams, tol: float, max_iter: int, init: str, h: float | None,
+def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
            u_max: float | None) -> tuple[GridDensity, SolveReport]:
-    """Fixed point of F = p f1 + (1-p) T F for 0 <= p < 1, where f1 is the
-    one-period multiplier density (no source term at p = 0)."""
+    """Fixed point of F = p f1 + (1-p) T F for 0 <= p <= 1, where f1 is the
+    one-period multiplier density (no source term at p = 0, F = f1 at p = 1)."""
+    if not (tol > 0.0 and max_iter >= 1):
+        raise ParameterError(f"need tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
+    if rp.p == 1.0:
+        # N = 1 almost surely: the law is exactly the multiplier law
+        grid_ret, _ = _grid_pair(rp, 2.0, h, u_max if u_max is not None else 6.0)
+        vals = _multiplier_values(grid_ret, rp)
+        total = _grid_mass(grid_ret, vals)
+        density = GridDensity(grid_ret, vals / total)
+        return density, SolveReport(0, 0.0, abs(total - 1.0), quadrature_error_bound(density))
     exponent = tail_exponent(rp)
     grid_ret, grid_int = _grid_pair(rp, exponent, h, u_max)
     op = GaussianStepOperator(grid_int, rp)
-    source = rp.p * _initial_values("lognormal", grid_int, rp) if rp.p > 0.0 else None
-    f0 = _initial_values(init, grid_int, rp)
+    f0 = _multiplier_values(grid_int, rp) if rp.p > 0.0 else _inv_gamma_values(grid_int, rp)
+    source = rp.p * f0 if rp.p > 0.0 else None
     probe = lambda f: _fit_tail_constant(grid_ret, f[: grid_ret.n_points], exponent)  # noqa: E731
     min_settle = int(math.ceil(grid_int.u_max / front_speed(rp))) + 20
     f, deltas, masses = _iterate(op, grid_int, f0, source, 1.0 - rp.p, tol, max_iter,
                                  tail_probe=probe, min_settle=min_settle)
-    return _finalize(rp, grid_ret, f, exponent, deltas, masses)
+    return _finalize(grid_ret, f, exponent, deltas, masses)
 
 
-def solve_infinite(params, tol: float = 1e-8, max_iter: int = 500,
-                   init: str = "inverse_gamma", h: float | None = None,
+def solve_infinite(params, tol: float = 1e-8, max_iter: int = 500, h: float | None = None,
                    u_max: float | None = None) -> tuple[GridDensity, SolveReport]:
     """Stationary density of the infinite sum by fixed-point iteration.
 
     Requires p = 0 and rho < beta/2.  Iterates the one-step transform from
-    the chosen initial law until the sup-norm difference of successive
+    the inverse-Gamma limit law until the sup-norm difference of successive
     iterates falls below `tol`, then renormalizes once and fits the
     power-law tail closure.
     """
     rp = as_reduced(params)
     if rp.p != 0.0:
         raise ParameterError(f"solve_infinite needs p = 0, got p = {rp.p}")
-    return _solve(rp, tol, max_iter, init, h, u_max)
+    return _solve(rp, tol, max_iter, h, u_max)
 
 
-def solve_geometric(params, tol: float = 1e-8, max_iter: int = 500,
-                    init: str = "lognormal", h: float | None = None,
+def solve_geometric(params, tol: float = 1e-8, max_iter: int = 500, h: float | None = None,
                     u_max: float | None = None) -> tuple[GridDensity, SolveReport]:
     """Stationary density of the geometrically stopped sum.
 
-    Iterates F <- source + (1-p) T F where the source is p times the
-    one-period multiplier density; no drift condition is needed for p > 0.
+    Iterates F <- source + (1-p) T F from the multiplier law, where the
+    source is p times that law; no drift condition is needed for p > 0.
     """
     rp = as_reduced(params)
     if not (0.0 < rp.p <= 1.0):
         raise ParameterError(f"solve_geometric needs 0 < p <= 1, got p = {rp.p}")
-    if rp.p == 1.0:
-        # N = 1 almost surely: the law is exactly the multiplier law
-        grid_ret, _ = _grid_pair(rp, 2.0, h, u_max if u_max is not None else 6.0)
-        vals = _initial_values("lognormal", grid_ret, rp)
-        total = _grid_mass(grid_ret, vals)
-        density = GridDensity(grid_ret, vals / total)
-        report = SolveReport(0, 0.0, abs(total - 1.0),
-                             quadrature_error_bound(density, k=1))
-        return density, report
-    return _solve(rp, tol, max_iter, init, h, u_max)
+    return _solve(rp, tol, max_iter, h, u_max)

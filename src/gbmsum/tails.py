@@ -17,7 +17,7 @@ import numpy as np
 from . import solver
 from .distributions import yor_survival
 from .errors import ParameterError, RegimeWarning
-from .params import TailAsymptote, as_reduced, front_speed, tail_exponent
+from .params import TailAsymptote, as_reduced, front_speed, require_finite, tail_exponent
 
 
 def _stable_power_gap(x: np.ndarray, mu: float) -> np.ndarray:
@@ -58,24 +58,26 @@ def finite_sum_right_tail_coefficient(params, n: int) -> float:
     return -1.0 / (2.0 * rp.beta * n)
 
 
-def shortfall_probability(F: solver.GridDensity, K: float, q: float = 0.0) -> float:
-    """P(X > (1+q) K) on the solved discrete-time density."""
+def _threshold(K: float, q: float) -> float:
+    """The shortfall level (1+q) K, for finite K > 0 and q >= 0."""
+    require_finite(K=K, q=q)
     if K <= 0.0:
         raise ParameterError(f"capital K must be positive, got {K}")
     if q < 0.0:
         raise ParameterError(f"buffer q must be non-negative, got {q}")
-    return solver.survival(F, (1.0 + q) * K)
+    return (1.0 + q) * K
+
+
+def shortfall_probability(F: solver.GridDensity, K: float, q: float = 0.0) -> float:
+    """P(X > (1+q) K) on the solved discrete-time density."""
+    return solver.survival(F, _threshold(K, q))
 
 
 def shortfall_continuous(sigma: float, m: float, lam: float, K: float,
                          q: float = 0.0) -> float:
     """Continuous-time-limit shortfall: survival of the exponential-time
     integral law at (1+q) K."""
-    if K <= 0.0:
-        raise ParameterError(f"capital K must be positive, got {K}")
-    if q < 0.0:
-        raise ParameterError(f"buffer q must be non-negative, got {q}")
-    return yor_survival((1.0 + q) * K, sigma, m, lam)
+    return yor_survival(_threshold(K, q), sigma, m, lam)
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,9 @@ def value_at_risk(ta: TailAsymptote, p_level: float,
 # -- empirical fits on solved densities -----------------------------------------
 
 
-def fit_survival_powerlaw(F: solver.GridDensity, window_decades: float = 1.0,
-                          min_points: int = 20) -> tuple[float, float, float]:
-    """Fit the survival power law over the last decade(s) of the grid.
+def fit_survival_powerlaw(F: solver.GridDensity) -> tuple[float, float, float]:
+    """Fit the survival power law over the last decade of the grid (at least
+    its last 20 points), the window the solver fits the tail constant on.
 
     Returns (fitted_exponent, plateau_constant, plateau_variation): the
     log-log regression slope, the median of survival * x^fitted over the
@@ -124,11 +126,11 @@ def fit_survival_powerlaw(F: solver.GridDensity, window_decades: float = 1.0,
         raise ParameterError("density carries no tail asymptote to fit against")
     x = F.grid.x()
     surv = solver.survival_on_grid(F)
-    lo = np.expm1(F.grid.u_max - window_decades * math.log(10.0))
+    lo = np.expm1(F.grid.u_max - math.log(10.0))
     sel = (x >= lo) & (surv > 0.0)
-    if sel.sum() < min_points:
+    if sel.sum() < 20:
         sel = np.zeros_like(sel)
-        sel[-min_points:] = True
+        sel[-20:] = True
     lx = np.log(x[sel])
     ls = np.log(surv[sel])
     slope, intercept = np.polyfit(lx, ls, 1)
@@ -139,16 +141,15 @@ def fit_survival_powerlaw(F: solver.GridDensity, window_decades: float = 1.0,
     return fitted_exponent, constant, variation
 
 
-def fit_left_tail_coefficient(F: solver.GridDensity, params,
-                              eps_range: tuple[float, float] = (1e-4, 1e-2),
-                              n_points: int = 12) -> float:
-    """Quadratic-in-log(eps) fit of log P(X <= eps) over the given range.
+def fit_left_tail_coefficient(F: solver.GridDensity, params) -> float:
+    """Quadratic-in-log(eps) fit of log P(X <= eps) at 12 levels eps from
+    1e-4 to 1e-2.
 
     Returns the leading coefficient, comparable to -1/(2 beta); the linear
     and constant terms absorb the subleading log-normal structure.
     """
     rp = as_reduced(params)
-    eps = np.geomspace(eps_range[0], eps_range[1], n_points)
+    eps = np.geomspace(1e-4, 1e-2, 12)
     probs = solver.left_tail_cdf(F, rp, eps)
     if np.any(probs <= 0.0):
         raise ParameterError("left-tail probabilities vanished; grid too coarse")

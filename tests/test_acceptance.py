@@ -114,7 +114,7 @@ def test_criterion_07_left_tail(solved):
     for beta, rho, p in ((1.0, -0.1, 0.0), (1.0, 0.0, 0.1)):
         rp = g.ReducedParams(beta=beta, rho=rho, p=p)
         F, _ = solved(beta, rho, p, tol=1e-9, max_iter=2000)
-        coef = g.fit_left_tail_coefficient(F, rp, eps_range=(1e-4, 1e-2))
+        coef = g.fit_left_tail_coefficient(F, rp)
         target = -1.0 / (2.0 * beta)
         dev = abs(coef - target) / abs(target)
         ok = ok and dev <= 0.15

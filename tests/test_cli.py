@@ -245,6 +245,28 @@ class TestMalformedInput:
                      id="batch-text-strike"),
         pytest.param(["batch", "--config", "{dir}/missing.json"], {},
                      "cannot read batch config", id="batch-config-missing"),
+        pytest.param(["asian", "--s0", "nan", "--strike", "100", "--rate", "0.1",
+                      "--sigma", "0.4", "--maturity", "1", "--fixings", "10"], {},
+                     "s0 must be finite, got nan", id="asian-nan-spot"),
+        pytest.param(["density", "--beta", "1", "--rho", "nan", "--p", "0.1"], {},
+                     "rho must be finite, got nan", id="density-nan-rho"),
+        pytest.param(["annuity", "--beta", "1", "--rho", "0", "--p", "0.1",
+                      "--q-list", "nan"], {}, "--q-list entry must be finite, got 'nan'",
+                     id="annuity-nan-q"),
+        pytest.param(MC + ["--horizon", "fixed:5", "--statistic", "survival:nan"], {},
+                     "survival level X must be finite, got 'nan'", id="survival-nan-level"),
+        pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--max-iter", "0"], {},
+                     "need tol > 0 and max_iter >= 1, got 1e-08 and 0", id="density-max-iter-0"),
+        pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--tol", "0"], {},
+                     "need tol > 0 and max_iter >= 1, got 0.0 and 500", id="density-tol-0"),
+        pytest.param(["annuity", "--beta", "1", "--rho", "0", "--p", "0"], {},
+                     "the capital K = E[X] is infinite", id="annuity-infinite-mean-p0"),
+        pytest.param(["annuity", "--beta", "1", "--rho", "0.2", "--p", "0.1"], {},
+                     "the capital K = E[X] is infinite", id="annuity-infinite-mean"),
+        pytest.param(["batch", "--config", "{dir}/b.json"],
+                     {"b.json": json.dumps([{"type": "annuity", "beta": 1.0, "rho": 0.2,
+                                             "p": 0.1}])},
+                     "the capital K = E[X] is infinite", id="batch-infinite-mean"),
     ])
     def test_exit_2_names_the_value(self, tmp_path, capsys, argv, files, message):
         for name, text in files.items():
@@ -268,3 +290,11 @@ class TestStrictMode:
                 "--max-iter", "800"]
         assert main(args + ["--out", str(tmp_path / "a"), "--strict"]) == 4
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
+
+    def test_strike_beyond_grid_escalates(self, tmp_path):
+        # n K / S0 = 2000 lies beyond the law's grid top: the call prices 0 and warns
+        args = ["asian", "--s0", "100", "--strike", "20000", "--rate", "0.1",
+                "--sigma", "0.4", "--maturity", "1", "--fixings", "10"]
+        assert main(args + ["--out", str(tmp_path / "a"), "--strict"]) == 4
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        assert read_csv(str(tmp_path / "b" / "asian.csv"))[1][2] == "0"

@@ -30,6 +30,18 @@ class TestReduce:
         with pytest.raises(ParameterError):
             g.reduce(g.ModelParams(sigma=1.0, m=0.0, tau=2.0, lam=0.6))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["beta", "rho"])
+    def test_reduced_params_reject_non_finite(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            g.ReducedParams(**{"beta": 1.0, "rho": 0.0, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["sigma", "m", "tau", "lam"])
+    def test_model_params_reject_non_finite(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            g.ModelParams(**{"sigma": 1.0, "m": 0.0, "tau": 1.0, field: value})
+
     def test_feasibility_flag(self):
         assert g.ReducedParams(beta=1.0, rho=-0.1).perpetuity_feasible
         assert not g.ReducedParams(beta=1.0, rho=0.6).perpetuity_feasible

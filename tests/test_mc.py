@@ -28,6 +28,11 @@ class TestConfig:
         with pytest.raises(ParameterError):
             g.GeneralHorizon((0.5, 0.4))
 
+    @pytest.mark.parametrize("weights", [(math.nan,), (0.5, math.nan), (math.inf, 0.5)])
+    def test_general_horizon_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ParameterError, match="finite"):
+            g.GeneralHorizon(weights)
+
 
 class TestDeterminism:
     def test_identical_runs(self):
@@ -198,6 +203,16 @@ class TestTimeIntegral:
             )
             ref = g.yor_survival(gq, sig, m, lam)
             assert abs(est.value - ref) <= 3.0 * est.std_error + 1e-3
+
+    @pytest.mark.parametrize("sigma,m,maturity", [
+        (math.nan, 0.0, dict(T=1.0)), (1.0, math.inf, dict(T=1.0)),
+        (1.0, 0.0, dict(T=math.nan)), (1.0, 0.0, dict(T=math.inf)),
+        (1.0, 0.0, dict(lam=math.nan)), (1.0, 0.0, dict(lam=math.inf)),
+    ], ids=["sigma-nan", "m-inf", "T-nan", "T-inf", "lam-nan", "lam-inf"])
+    def test_rejects_non_finite(self, sigma, m, maturity):
+        cfg = g.McConfig(n_paths=1000, seed=1)
+        with pytest.raises(ParameterError, match="finite"):
+            g.simulate_time_integral(sigma, m, 200, cfg, **maturity)
 
     def test_argument_validation(self):
         cfg = g.McConfig(n_paths=1000, seed=1)

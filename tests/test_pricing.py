@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gbmsum as g
-from gbmsum import DivergentExpectationError, NoRootError, ParameterError
+from gbmsum import AccuracyWarning, DivergentExpectationError, NoRootError, ParameterError
 from gbmsum.solver import GaussianStepOperator
 
 
@@ -30,6 +30,15 @@ class TestAsianSpec:
         with pytest.raises(ParameterError):
             g.AsianSpec(s0=-1.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.4,
                         maturity=1.0, n_fixings=10)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["s0", "strike", "rate", "dividend", "sigma",
+                                       "maturity"])
+    def test_rejects_non_finite(self, field, value):
+        fields = dict(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.4,
+                      maturity=1.0, n_fixings=10)
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            g.AsianSpec(**{**fields, field: value})
 
 
 class TestFiniteSumDensity:
@@ -132,6 +141,15 @@ class TestAsianPricing:
         law_grid = g.finite_sum_density(500, spec.reduced()).grid
         for s0 in (95.0, 100.0, 105.0):
             assert g.asian_prices(table2_spec(500, s0))["n_points"] == law_grid.n_points
+
+    def test_strike_beyond_grid_warns(self):
+        # n K / S0 = 2000 lies beyond the law's grid top x ~ 1330
+        spec = g.AsianSpec(s0=100.0, strike=20000.0, rate=0.1, dividend=0.0, sigma=0.4,
+                           maturity=1.0, n_fixings=10)
+        with pytest.warns(AccuracyWarning) as record:
+            prices = g.asian_prices(spec)
+        assert any("truncated call-payoff mass" in str(w.message) for w in record)
+        assert prices["call"] == 0.0
 
     def test_dividend_yield_enters_drift(self):
         spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.03,

@@ -11,6 +11,7 @@ from gbmsum import (
     ConvergenceError,
     DivergentExpectationError,
     ParameterError,
+    solver,
 )
 from gbmsum.solver import Grid, GridDensity, _grid_mass, _iterate
 
@@ -170,9 +171,11 @@ class TestSolveInfinite:
         exact = math.exp(-0.1) / (1.0 - math.exp(-0.1))
         assert mean == pytest.approx(exact, abs=5e-4)
 
-    def test_both_inits_agree(self, solved):
+    def test_both_inits_agree(self, solved, monkeypatch):
         Fa, _ = solved(1.0, -0.1, tol=1e-8)
-        Fb, _ = solved(1.0, -0.1, tol=1e-8, init="lognormal")
+        # the same solve, iterated from the log-normal multiplier law instead
+        monkeypatch.setattr(solver, "_inv_gamma_values", solver._multiplier_values)
+        Fb, _ = g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1), tol=1e-8)
         assert np.max(np.abs(Fa.values - Fb.values)) <= 10.0 * 1e-8
 
     def test_infeasible_parameters(self):
@@ -182,6 +185,13 @@ class TestSolveInfinite:
     def test_rejects_positive_p(self):
         with pytest.raises(ParameterError):
             g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1, p=0.1))
+
+    @pytest.mark.parametrize("solve,p", [(g.solve_infinite, 0.0), (g.solve_geometric, 0.1),
+                                         (g.solve_geometric, 1.0)])
+    @pytest.mark.parametrize("tol,max_iter", [(1e-8, 0), (0.0, 3), (math.nan, 3)])
+    def test_rejects_bad_iteration_settings(self, solve, p, tol, max_iter):
+        with pytest.raises(ParameterError):
+            solve(g.ReducedParams(beta=1.0, rho=-0.1, p=p), tol=tol, max_iter=max_iter)
 
     def test_non_convergence_carries_trace(self):
         with pytest.raises(ConvergenceError) as err:
@@ -194,7 +204,7 @@ class TestSolveInfinite:
         f0 = np.zeros(200)
         f0[50] = np.nan
         with pytest.raises(ConvergenceError) as err:
-            _iterate(op, grid, f0, None, 1.0, 1e-8, 100)
+            _iterate(op, grid, f0, None, 1.0, 1e-8, 100, lambda f: None, 0)
         assert len(err.value.delta_trace) == 1
 
     def test_positivity_and_origin(self, solved):

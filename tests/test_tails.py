@@ -1,5 +1,6 @@
 """Tail exponents, tail prefactors, shortfall and Value-at-Risk."""
 
+import math
 
 import numpy as np
 import pytest
@@ -137,14 +138,22 @@ class TestShortfall:
         with pytest.raises(ParameterError):
             g.shortfall_continuous(1.0, 0.0, 0.1, 10.0, q=-0.5)
 
+    @pytest.mark.parametrize("K,q", [(math.nan, 0.0), (math.inf, 0.0), (10.0, math.nan)])
+    def test_rejects_non_finite(self, solved, K, q):
+        F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
+        with pytest.raises(ParameterError, match="must be finite"):
+            g.shortfall_probability(F, K, q)
+        with pytest.raises(ParameterError, match="must be finite"):
+            g.shortfall_continuous(1.0, 0.0, 0.1, K, q)
+
 
 class TestValueAtRisk:
     def test_inversion_fixed_point(self):
-        ta = g.TailAsymptote(exponent=1.5, constant=0.037, regime="geometric_sum")
+        ta = g.TailAsymptote(exponent=1.5, constant=0.037)
         assert g.value_at_risk(ta, 0.037).threshold == pytest.approx(1.0)
 
     def test_power_law_scaling(self):
-        ta = g.TailAsymptote(exponent=1.3, constant=2.0, regime="geometric_sum")
+        ta = g.TailAsymptote(exponent=1.3, constant=2.0)
         k1 = g.value_at_risk(ta, 0.01).threshold
         k2 = g.value_at_risk(ta, 0.005).threshold
         assert k2 / k1 == pytest.approx(2.0 ** (1.0 / 1.3), rel=1e-12)
@@ -152,9 +161,7 @@ class TestValueAtRisk:
     def test_roundtrip_on_density(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
-        ta = g.TailAsymptote(
-            g.tail_exponent(rp), g.tail_constant(F, rp), "geometric_sum"
-        )
+        ta = g.TailAsymptote(g.tail_exponent(rp), g.tail_constant(F, rp))
         var = g.value_at_risk(ta, 0.01, density=F)
         assert var.method == "tail_inversion"
         assert g.survival(F, var.threshold) == pytest.approx(0.01, rel=0.1)
@@ -162,16 +169,14 @@ class TestValueAtRisk:
     def test_grid_inversion_inside_body(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
-        ta = g.TailAsymptote(
-            g.tail_exponent(rp), g.tail_constant(F, rp), "geometric_sum"
-        )
+        ta = g.TailAsymptote(g.tail_exponent(rp), g.tail_constant(F, rp))
         with pytest.warns(RegimeWarning):
             var = g.value_at_risk(ta, 0.5, density=F)
         assert var.method == "grid_inversion"
         assert g.survival(F, var.threshold) == pytest.approx(0.5, abs=1e-3)
 
     def test_level_validation(self):
-        ta = g.TailAsymptote(1.2, 2.0, "infinite_sum")
+        ta = g.TailAsymptote(1.2, 2.0)
         with pytest.raises(ParameterError):
             g.value_at_risk(ta, 0.0)
 
