@@ -121,6 +121,7 @@ def _report_dict(report: solver.SolveReport) -> dict:
         "normalization_drift": report.normalization_drift,
         "quadrature_bound": report.quadrature_bound,
         "delta_trace": report.delta_trace,
+        "polish_matvecs": report.polish_matvecs,
     }
 
 
@@ -180,9 +181,9 @@ def cmd_asian(args, out: _Outputs) -> int:
         "spec": _args_dict(args),
         "call": prices["call"],
         "put": prices["put"],
-        "parity_gap_discrete": pricing.put_call_parity_gap(spec),
-        "parity_gap_continuous_average": pricing.put_call_parity_gap(
-            spec, convention="continuous_average"
+        "parity_gap_discrete": pricing._parity_gap(spec, prices, "discrete"),
+        "parity_gap_continuous_average": pricing._parity_gap(
+            spec, prices, "continuous_average"
         ),
         "mean_rel_err": prices["mean_rel_err"],
         "grid": {"h": prices["h"], "u_max": prices["u_max"], "n_points": prices["n_points"]},

@@ -225,7 +225,9 @@ def asian_prices(spec: AsianSpec) -> dict:
             stacklevel=2,
         )
     density_beyond = _edge_decay_mass(grid, mass_integrand)
-    if math.isfinite(density_beyond) and density_beyond * float(x[-1]) > 1e-5 * max(call_exp, 1e-300):
+    # a call integral of 0 means a strike beyond the grid, which the check above names
+    if (call_exp > 0.0 and math.isfinite(density_beyond)
+            and density_beyond * float(x[-1]) > 1e-5 * call_exp):
         warnings.warn(
             f"truncation-dominated result: beyond-grid mass * x_max = "
             f"{density_beyond * float(x[-1]):.3g} exceeds 1e-5 of the payoff integral",
@@ -264,7 +266,11 @@ def put_call_parity_gap(spec: AsianSpec, convention: str = "discrete") -> float:
     'discrete' uses the exact discretely sampled mean; 'continuous_average'
     uses the continuous-average mean (S0/(rT))(e^{rT} - 1) for comparison.
     """
-    prices = asian_prices(spec)
+    return _parity_gap(spec, asian_prices(spec), convention)
+
+
+def _parity_gap(spec: AsianSpec, prices: dict, convention: str) -> float:
+    """put_call_parity_gap from prices already computed by asian_prices."""
     disc = math.exp(-spec.rate * spec.maturity)
     if convention == "discrete":
         mean_avg = spec.s0 * mean_finite_sum(spec.n_fixings, spec.drift, spec.tau, 1.0) / spec.n_fixings

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse, special
 from scipy.integrate import quad
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import distributions
 from .errors import (
@@ -25,15 +26,15 @@ from .errors import (
     DivergentExpectationError,
     ParameterError,
 )
-from .params import ReducedParams, TailAsymptote, as_reduced, front_speed, tail_exponent
+from .params import ReducedParams, TailAsymptote, as_reduced, tail_exponent
 
 TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
 _BAND_SIGMAS = 8.0
 _NEG_CLIP = -1e-14
 _U_MAX_CAP = 60.0
 _LEFT_TAIL_RTOL = 3e-5  # bias of the left_tail_cdf rule, relative
-_SETTLE_RTOL = 1e-6  # tail-constant drift accepted as settled, relative
-_SETTLE_STRIDE = 10  # applications between tail-constant probes
+_POLISH_RESTART = 60  # GMRES Krylov dimension between restarts
+_POLISH_RTOL = 1e-13  # GMRES target, relative to the scaled right-hand side
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class GridDensity:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of a fixed-point solve."""
+    """Diagnostics of a fixed-point solve; the traces cover Picard alone."""
 
     iterations: int
     final_delta: float
@@ -101,6 +102,7 @@ class SolveReport:
     quadrature_bound: float
     delta_trace: list = field(default_factory=list)
     mass_trace: list = field(default_factory=list)
+    polish_matvecs: int = 0
 
 
 class GaussianStepOperator:
@@ -147,6 +149,7 @@ class GaussianStepOperator:
             col_scale = np.where(col_mass > 0.0, mass_w / col_mass, 1.0)
         mat.data *= col_scale[mat.indices]
         self._col_scale = col_scale
+        self._mass_w = mass_w  # trapezoid mass weights: mass_w @ mat == mass_w
         self._mat = mat
 
     def _kernel_rows(self, w0: np.ndarray) -> sparse.csr_array:
@@ -468,27 +471,14 @@ def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float
 
 
 def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
-             source: np.ndarray | None, damp: float, tol: float, max_iter: int,
-             tail_probe, min_settle: int):
-    """Iterate to the fixed point, then let the far tail settle.
-
-    The sup-norm delta criterion converges once the body is stationary, but
-    the power-law tail (values many orders below delta) keeps relaxing: its
-    constant propagates up-grid at a fixed speed per application, so
-    settlement is not accepted before `min_settle` iterations (the front
-    crossing time) nor before the tail-window constant reported by
-    `tail_probe` is stable to _SETTLE_RTOL across _SETTLE_STRIDE
-    applications.
-    """
+             source: np.ndarray | None, damp: float, tol: float, max_iter: int):
+    """Picard iteration F <- source + damp T F from f0 until the sup-norm
+    step is at most tol; returns the iterate and the delta and mass traces."""
     f = f0
     deltas: list[float] = []
     masses: list[float] = [_grid_mass(grid_int, f0)]
-    delta_ok = False
-    last_probe = None
     for it in range(1, max_iter + 1):
-        f_new = op.apply(f)
-        if damp != 1.0:
-            f_new *= damp
+        f_new = damp * op.apply(f)  # exact at damp = 1
         if source is not None:
             f_new = f_new + source
         delta = float(np.max(np.abs(f_new - f)))
@@ -501,23 +491,7 @@ def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
         masses.append(_grid_mass(grid_int, f_new))
         f = f_new
         if delta <= tol:
-            delta_ok = True
-            if it % _SETTLE_STRIDE == 0 and it >= min_settle:
-                probe = tail_probe(f)
-                if probe is None:
-                    return f, deltas, masses
-                if last_probe is not None and abs(probe - last_probe) <= _SETTLE_RTOL * abs(probe):
-                    return f, deltas, masses
-                last_probe = probe
-    if delta_ok:
-        warnings.warn(
-            f"tail constant still drifting after {max_iter} iterations (front "
-            f"crossing needs ~{min_settle}); deep-tail closure quantities may "
-            f"be degraded",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-        return f, deltas, masses
+            return f, deltas, masses
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol = {tol} within {max_iter} "
         f"iterations (last delta = {deltas[-1]:.3g})",
@@ -525,25 +499,43 @@ def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
     )
 
 
-def _finalize(grid_ret: Grid, f_int: np.ndarray, exponent: float,
-              deltas: list, masses: list) -> tuple[GridDensity, SolveReport]:
-    vals = np.array(f_int[: grid_ret.n_points])
-    c = _fit_tail_constant(grid_ret, vals, exponent)
-    tail_mass = 0.0 if c is None else c * float(np.expm1(grid_ret.u_max)) ** (-exponent)
-    total = _grid_mass(grid_ret, vals) + tail_mass
-    drift = abs(total - 1.0)
-    vals /= total
-    tail = None if c is None else TailAsymptote(exponent=exponent, constant=c / total)
-    density = GridDensity(grid_ret, vals, tail=tail)
-    report = SolveReport(
-        iterations=len(deltas),
-        final_delta=deltas[-1],
-        normalization_drift=drift,
-        quadrature_bound=quadrature_error_bound(density, k=1),
-        delta_trace=deltas,
-        mass_trace=masses,
-    )
-    return density, report
+def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
+            damp: float, budget: int) -> tuple[np.ndarray, int]:
+    """F = source + damp T F by GMRES from the Picard iterate v, with the
+    applies made.  Solves (I - damp T + v m^T / m^T v) F = source + v M / m^T v
+    scaled by v, so every tail decade weighs alike, with F = 0 where v = 0.
+    As m^T T = m^T for the trapezoid weights m, the rank-one term deflates the
+    mass direction (I - damp T is singular at p = 0) and fixes M: m^T v at
+    p = 0, m^T source / p at p > 0.  Keeps v and warns if GMRES misses
+    _POLISH_RTOL within `budget` applies or F is not finite and >= 0."""
+    pos = v > 0.0
+    vp, m, full = v[pos], op._mass_w, np.zeros_like(v)
+    mv = float(m @ v)
+    rhs = (np.ones(vp.size) if source is None
+           else source[pos] / vp + float(m @ source) / ((1.0 - damp) * mv))
+    applies, residual = [0], []  # residual: GMRES estimates relative to |rhs|
+
+    def matvec(y):
+        if applies[0] == budget:
+            raise ConvergenceError("polish budget spent")
+        applies[0] += 1
+        full[pos] = vp * np.ravel(y)
+        return np.ravel(y) + float(m @ full) / mv - damp * op.apply(full)[pos] / vp
+
+    try:
+        y, info = gmres(LinearOperator((vp.size, vp.size), matvec=matvec, dtype=float), rhs,
+                        x0=np.ones(vp.size), rtol=_POLISH_RTOL, atol=0.0, restart=_POLISH_RESTART,
+                        maxiter=max(budget, 1), callback=residual.append, callback_type="pr_norm")
+    except ConvergenceError:
+        y, info = None, 1
+    if info == 0 and np.all(np.isfinite(y)) and y.min() >= 0.0:
+        full[pos] = vp * y
+        return full, applies[0]
+    last = f"last estimate {residual[-1]:.3g}" if residual else "no estimate yet"
+    warnings.warn(f"GMRES polish missed scaled residual {_POLISH_RTOL} within {applies[0]} "
+                  f"applies ({last}); keeping the Picard iterate, whose deep tail may be degraded",
+                  AccuracyWarning, stacklevel=4)
+    return v, applies[0]
 
 
 def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
@@ -564,11 +556,24 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     op = GaussianStepOperator(grid_int, rp)
     f0 = _multiplier_values(grid_int, rp) if rp.p > 0.0 else _inv_gamma_values(grid_int, rp)
     source = rp.p * f0 if rp.p > 0.0 else None
-    probe = lambda f: _fit_tail_constant(grid_ret, f[: grid_ret.n_points], exponent)  # noqa: E731
-    min_settle = int(math.ceil(grid_int.u_max / front_speed(rp))) + 20
-    f, deltas, masses = _iterate(op, grid_int, f0, source, 1.0 - rp.p, tol, max_iter,
-                                 tail_probe=probe, min_settle=min_settle)
-    return _finalize(grid_ret, f, exponent, deltas, masses)
+    f, deltas, masses = _iterate(op, grid_int, f0, source, 1.0 - rp.p, tol, max_iter)
+    f, matvecs = _polish(op, f, source, 1.0 - rp.p, max_iter - len(deltas))
+    vals = np.array(f[: grid_ret.n_points])
+    c = _fit_tail_constant(grid_ret, vals, exponent)
+    tail_mass = 0.0 if c is None else c * float(np.expm1(grid_ret.u_max)) ** (-exponent)
+    total = _grid_mass(grid_ret, vals) + tail_mass
+    vals /= total
+    tail = None if c is None else TailAsymptote(exponent=exponent, constant=c / total)
+    density = GridDensity(grid_ret, vals, tail=tail)
+    return density, SolveReport(
+        iterations=len(deltas) + matvecs,
+        final_delta=deltas[-1],
+        normalization_drift=abs(total - 1.0),
+        quadrature_bound=quadrature_error_bound(density, k=1),
+        delta_trace=deltas,
+        mass_trace=masses,
+        polish_matvecs=matvecs,
+    )
 
 
 def solve_infinite(params, tol: float = 1e-8, max_iter: int = 500, h: float | None = None,
@@ -577,8 +582,8 @@ def solve_infinite(params, tol: float = 1e-8, max_iter: int = 500, h: float | No
 
     Requires p = 0 and rho < beta/2.  Iterates the one-step transform from
     the inverse-Gamma limit law until the sup-norm difference of successive
-    iterates falls below `tol`, then renormalizes once and fits the
-    power-law tail closure.
+    iterates falls below `tol`, then by GMRES (`max_iter` bounds all applies),
+    renormalizes once and fits the power-law tail closure.
     """
     rp = as_reduced(params)
     if rp.p != 0.0:
@@ -591,7 +596,8 @@ def solve_geometric(params, tol: float = 1e-8, max_iter: int = 500, h: float | N
     """Stationary density of the geometrically stopped sum.
 
     Iterates F <- source + (1-p) T F from the multiplier law, where the
-    source is p times that law; no drift condition is needed for p > 0.
+    source is p times that law, then as solve_infinite; no drift condition
+    is needed for p > 0.
     """
     rp = as_reduced(params)
     if not (0.0 < rp.p <= 1.0):

@@ -26,6 +26,7 @@ class TestDensityCommand:
         assert report["report"]["final_delta"] <= 1e-8
         trace = report["report"]["delta_trace"]
         assert min(i + 1 for i, d in enumerate(trace) if d <= 1e-8) <= 150
+        assert report["report"]["iterations"] == len(trace) + report["report"]["polish_matvecs"]
         manifest = json.load(open(os.path.join(out, "density.manifest.json")))
         assert set(manifest["outputs"]) == {"density.csv", "density_report.json"}
 
@@ -298,3 +299,16 @@ class TestStrictMode:
         assert main(args + ["--out", str(tmp_path / "a"), "--strict"]) == 4
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert read_csv(str(tmp_path / "b" / "asian.csv"))[1][2] == "0"
+
+
+class TestAsianWarnings:
+    def test_manifest_lists_each_warning_once(self, tmp_path):
+        # the spec is priced once: parity gaps reuse the same prices
+        out = str(tmp_path)
+        assert main(["asian", "--s0", "100", "--strike", "20000", "--rate", "0.1",
+                     "--sigma", "0.4", "--maturity", "1", "--fixings", "10",
+                     "--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "asian.manifest.json")))
+        messages = [w["message"] for w in manifest["warnings"]]
+        assert messages
+        assert len(messages) == len(set(messages))

@@ -151,6 +151,16 @@ class TestAsianPricing:
         assert any("truncated call-payoff mass" in str(w.message) for w in record)
         assert prices["call"] == 0.0
 
+    def test_strike_beyond_grid_warns_once(self):
+        # a call integral of 0 is a strike beyond the grid, not a truncation-dominated result
+        spec = g.AsianSpec(s0=100.0, strike=20000.0, rate=0.1, dividend=0.0, sigma=0.4,
+                           maturity=1.0, n_fixings=10)
+        with pytest.warns(AccuracyWarning) as record:
+            g.asian_prices(spec)
+        messages = [str(w.message) for w in record]
+        assert len(messages) == 1
+        assert "truncated call-payoff mass" in messages[0]
+
     def test_dividend_yield_enters_drift(self):
         spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.03,
                            sigma=0.4, maturity=1.0, n_fixings=10)

@@ -1,12 +1,14 @@
 """Fixed-point solver, grid-density integrals and quadrature diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import gbmsum as g
 from gbmsum import (
+    AccuracyWarning,
     CoarseGridWarning,
     ConvergenceError,
     DivergentExpectationError,
@@ -204,7 +206,7 @@ class TestSolveInfinite:
         f0 = np.zeros(200)
         f0[50] = np.nan
         with pytest.raises(ConvergenceError) as err:
-            _iterate(op, grid, f0, None, 1.0, 1e-8, 100, lambda f: None, 0)
+            _iterate(op, grid, f0, None, 1.0, 1e-8, 100)
         assert len(err.value.delta_trace) == 1
 
     def test_positivity_and_origin(self, solved):
@@ -215,7 +217,7 @@ class TestSolveInfinite:
     def test_mass_preserved_through_iteration(self, solved):
         F, report = solved(1.0, -0.1, tol=1e-8)
         drift = max(abs(m - report.mass_trace[0]) for m in report.mass_trace)
-        assert drift <= report.iterations * report.quadrature_bound
+        assert drift <= len(report.delta_trace) * report.quadrature_bound
 
 
 class TestSolveGeometric:
@@ -268,6 +270,44 @@ class TestSolveGeometric:
         sa = g.survival_on_grid(Fa)
         sb = g.survival_on_grid(Fb)
         assert np.all(sa >= sb - 1e-12)
+
+
+class TestPolish:
+    @pytest.mark.parametrize("beta", [1.0, 0.1])
+    def test_tail_constant_at_zero_drift(self, solved, beta):
+        # at rho = 0 the infinite sum's tail constant is exactly 2 / beta
+        F, _ = solved(beta, 0.0, tol=1e-9)
+        assert abs(F.tail.constant * beta / 2.0 - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-4])
+    def test_small_p_converges(self, p):
+        # without the mass deflation I - (1-p) T is nearly singular here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, report = g.solve_geometric(g.ReducedParams(beta=1.0, rho=-0.1, p=p), tol=1e-9)
+        assert not [w for w in caught if issubclass(w.category, AccuracyWarning)]
+        assert 0 < report.polish_matvecs <= 50
+
+    def test_small_budget_keeps_picard_iterate(self, solved):
+        rp = g.ReducedParams(beta=1.0, rho=-0.1)
+        polished, full = solved(1.0, -0.1, tol=1e-9)
+        picard = len(full.delta_trace)
+        kept = []
+        for spare in (0, 1):  # no apply left for the polish, then one
+            with pytest.warns(AccuracyWarning, match="keeping the Picard iterate"):
+                F, report = g.solve_infinite(rp, tol=1e-9, max_iter=picard + spare)
+            assert report.polish_matvecs == spare
+            assert report.iterations == picard + spare
+            kept.append(F.values)
+        assert np.array_equal(kept[0], kept[1])
+        assert not np.array_equal(kept[0], polished.values)
+
+    @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1)])
+    def test_iterations_count_picard_and_polish(self, solved, beta, rho, p):
+        _, report = solved(beta, rho, p, tol=1e-9)
+        assert report.polish_matvecs > 0
+        assert report.iterations == len(report.delta_trace) + report.polish_matvecs
+        assert len(report.mass_trace) == len(report.delta_trace) + 1
 
 
 class TestIntegrals:
