@@ -66,12 +66,16 @@ class GridDensity:
     """A density of X sampled in u coordinates: values[j] = f(e^{u_j} - 1).
 
     The optional tail asymptote extends the law analytically beyond the
-    grid; integrals over the density use it for closure.
+    grid; integrals over the density use it for closure.  Only the solver
+    sets col_scale: on a law solved at 0 <= p < 1, the column scales of the
+    operator it is the fixed point of, cropped to the grid, which off-grid
+    refinement applies.
     """
 
     grid: Grid
     values: np.ndarray
     tail: TailAsymptote | None = None
+    col_scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -117,8 +121,6 @@ class GaussianStepOperator:
 
     def __init__(self, grid: Grid, params):
         rp = as_reduced(params)
-        self.grid = grid
-        self.rp = rp
         if math.sqrt(rp.beta) < 3.0 * grid.h:
             warnings.warn(
                 f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is below "
@@ -126,15 +128,12 @@ class GaussianStepOperator:
                 CoarseGridWarning,
                 stacklevel=2,
             )
-        half = int(math.ceil(_BAND_SIGMAS * math.sqrt(rp.beta) / grid.h))
-        self._bw = min(grid.n_points, 2 * half + 1)
-        self._pref = math.exp(rp.beta - rp.rho) / math.sqrt(2.0 * math.pi * rp.beta)
         u = grid.u()
         w0 = np.empty(grid.n_points)
         w0[0] = 0.0  # row 0 is zeroed below; kernel center sits at -inf
         w0[1:] = np.log(np.expm1(u[1:])) + 1.5 * rp.beta - rp.rho
-        mat = self._kernel_rows(w0)
-        mat.data[: self._bw] = 0.0  # row 0
+        mat = _kernel_rows(grid, rp, w0)
+        mat.data[: mat.indptr[1]] = 0.0  # row 0
         # Conservative correction: scale each input column so the discrete
         # transform preserves trapezoidal mass exactly (the continuous kernel
         # satisfies int e^u K(u, w) du = e^w).  The factors are 1 + O(h^3),
@@ -152,36 +151,24 @@ class GaussianStepOperator:
         self._mass_w = mass_w  # trapezoid mass weights: mass_w @ mat == mass_w
         self._mat = mat
 
-    def _kernel_rows(self, w0: np.ndarray) -> sparse.csr_array:
-        """Unscaled kernel rows centred at w0, each a run of bw contiguous
-        columns, as a len(w0) x n CSR matrix."""
-        grid, rp = self.grid, self.rp
-        n, bw, h = grid.n_points, self._bw, grid.h
-        kc = np.rint(w0 / h).astype(np.int64)
-        k0 = np.clip(kc - (bw - 1) // 2, 0, n - bw)
-        cols = (k0[:, None] + np.arange(bw, dtype=np.int64)[None, :]).astype(np.int32)
-        w = cols * h
-        band = np.exp(-((w - w0[:, None]) ** 2) / (2.0 * rp.beta)) * (self._pref * h)
-        band[(cols == 0) | (cols == n - 1)] *= 0.5
-        indptr = np.arange(0, w0.size * bw + 1, bw, dtype=np.int32)
-        return sparse.csr_array((band.ravel(), cols.ravel(), indptr), shape=(w0.size, n))
-
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self._mat @ values
 
-    def apply_at(self, u_points: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Evaluate the transform of `values` at arbitrary points u > 0.
 
-        At a fixed point this is a Nystrom interpolation of the solution,
-        valid wherever the kernel band lies inside the grid (left tail).
-        """
-        u_points = np.asarray(u_points, dtype=float)
-        if np.any(u_points <= 0.0):
-            raise ParameterError("off-grid evaluation requires u > 0")
-        w0 = np.log(np.expm1(u_points)) + 1.5 * self.rp.beta - self.rp.rho
-        mat = self._kernel_rows(w0)
-        mat.data *= self._col_scale[mat.indices]
-        return mat @ values
+def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> sparse.csr_array:
+    """Unscaled kernel rows centred at w0, each a run of bw contiguous
+    columns of the grid, as a len(w0) x n CSR matrix."""
+    n, h = grid.n_points, grid.h
+    bw = min(n, 2 * int(math.ceil(_BAND_SIGMAS * math.sqrt(rp.beta) / h)) + 1)
+    pref = math.exp(rp.beta - rp.rho) / math.sqrt(2.0 * math.pi * rp.beta)
+    kc = np.rint(w0 / h).astype(np.int64)
+    k0 = np.clip(kc - (bw - 1) // 2, 0, n - bw)
+    cols = (k0[:, None] + np.arange(bw, dtype=np.int64)[None, :]).astype(np.int32)
+    w = cols * h
+    band = np.exp(-((w - w0[:, None]) ** 2) / (2.0 * rp.beta)) * (pref * h)
+    band[(cols == 0) | (cols == n - 1)] *= 0.5
+    indptr = np.arange(0, w0.size * bw + 1, bw, dtype=np.int32)
+    return sparse.csr_array((band.ravel(), cols.ravel(), indptr), shape=(w0.size, n))
 
 
 def apply_operator(F: GridDensity, params) -> GridDensity:
@@ -257,6 +244,8 @@ def survival_on_grid(F: GridDensity) -> np.ndarray:
 
 def survival(F: GridDensity, x: float) -> float:
     """P(X > x) by grid integration with analytic tail closure."""
+    if math.isnan(x):
+        raise ParameterError("survival needs a level x, got NaN")
     if x <= 0.0:
         return float(_grid_mass(F.grid, F.values) + _tail_mass(F))
     u_x = math.log1p(x)
@@ -345,26 +334,32 @@ def expectation(F: GridDensity, payoff) -> float:
 # -- off-grid refinement --------------------------------------------------------
 
 
-def _refined(op: GaussianStepOperator, F: GridDensity, rp: ReducedParams,
-             x_points: np.ndarray) -> np.ndarray:
-    """One operator row per point, plus the stopping source when p > 0."""
-    vals = op.apply_at(np.log1p(x_points), F.values)
+def _refined(F: GridDensity, rp: ReducedParams, x_points: np.ndarray) -> np.ndarray:
+    """p f1(x) + (1-p) (T F)(x) at points x > 0, T F by one kernel row per
+    point on F's grid, weighted by the column scales of F's solve."""
+    if not np.all(np.isfinite(x_points) & (x_points > 0.0)):
+        raise ParameterError("off-grid refinement needs finite points x > 0")
+    if rp.p == 1.0:  # the law is f1 itself
+        return np.asarray(distributions.multiplier_pdf(x_points, rp))
+    if F.col_scale is None:
+        raise ParameterError("off-grid refinement needs a law from solve_infinite or "
+                             "solve_geometric, whose fixed point it reproduces")
+    rows = _kernel_rows(F.grid, rp, np.log(x_points) + 1.5 * rp.beta - rp.rho)
+    vals = rows @ (F.col_scale * F.values)
     if rp.p > 0.0:
         vals = rp.p * np.asarray(distributions.multiplier_pdf(x_points, rp)) + (1.0 - rp.p) * vals
     return vals
 
 
 def density_at(F: GridDensity, params, x_points) -> np.ndarray:
-    """Refine a converged solution at arbitrary points x > 0.
+    """Refine a law from solve_infinite or solve_geometric at points x > 0.
 
     Evaluates one operator row per point (plus the stopping source when
     p > 0), which reproduces the fixed point off-grid to quadrature
     accuracy.  Intended for the left tail; near the grid top the row bands
     are truncated.
     """
-    rp = as_reduced(params)
-    x_points = np.asarray(x_points, dtype=float)
-    return _refined(GaussianStepOperator(F.grid, rp), F, rp, x_points)
+    return _refined(F, as_reduced(params), np.asarray(x_points, dtype=float))
 
 
 def left_tail_cdf(F: GridDensity, params, eps_values) -> np.ndarray:
@@ -379,15 +374,15 @@ def left_tail_cdf(F: GridDensity, params, eps_values) -> np.ndarray:
     """
     rp = as_reduced(params)
     eps_values = np.asarray(eps_values, dtype=float)
-    if np.any(eps_values <= 0.0):
-        raise ParameterError("left-tail levels eps must be positive")
+    if not np.all(np.isfinite(eps_values) & (eps_values > 0.0)):
+        raise ParameterError("left-tail levels eps must be finite and positive")
     log_eps = np.log(eps_values).reshape(-1)
     width = 14.0 * math.sqrt(rp.beta) + 3.0 * rp.beta + 2.0 * abs(rp.rho) + 2.0
     lo, hi = float(log_eps.min()) - width, float(log_eps.max())
     n_cells = int(math.ceil((hi - lo) / math.sqrt(12.0 * rp.beta * _LEFT_TAIL_RTOL)))
     v = np.union1d(np.linspace(lo, hi, n_cells + 1), log_eps)
     xv = np.exp(v)
-    gv = _refined(GaussianStepOperator(F.grid, rp), F, rp, xv) * xv
+    gv = _refined(F, rp, xv) * xv
     g0, g1, dv = gv[:-1], gv[1:], np.diff(v)
     cells = 0.5 * (g0 + g1) * dv
     loglin = (g0 > 0.0) & (g1 > 0.0) & (g0 != g1)
@@ -565,6 +560,9 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     vals /= total
     tail = None if c is None else TailAsymptote(exponent=exponent, constant=c / total)
     density = GridDensity(grid_ret, vals, tail=tail)
+    col_scale = op._col_scale[: grid_ret.n_points]
+    col_scale.setflags(write=False)
+    object.__setattr__(density, "col_scale", col_scale)
     return density, SolveReport(
         iterations=len(deltas) + matvecs,
         final_delta=deltas[-1],

@@ -369,6 +369,74 @@ class TestOffGridRefinement:
         assert np.max(np.abs(refined - on_grid) / on_grid) < 1e-4
 
 
+class TestRefinementUsesSolveScales:
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        init = g.GaussianStepOperator.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(g.GaussianStepOperator, "__init__", counted)
+        return builds
+
+    def test_fit_left_tail_builds_no_operator(self, solved, monkeypatch):
+        F, _ = solved(1.0, -0.1, tol=1e-9)
+        builds = self.count_builds(monkeypatch)
+        g.fit_left_tail_coefficient(F, g.ReducedParams(beta=1.0, rho=-0.1))
+        assert builds == []
+
+    def test_density_at_builds_no_operator(self, solved, monkeypatch):
+        F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
+        builds = self.count_builds(monkeypatch)
+        g.density_at(F, g.ReducedParams(beta=1.0, rho=0.0, p=0.1), np.geomspace(1e-3, 1.0, 5))
+        assert builds == []
+
+    @pytest.mark.parametrize("kind", ["finite-sum", "hand-built"])
+    @pytest.mark.parametrize("refine", [g.density_at, g.left_tail_cdf])
+    def test_unsolved_density_rejected(self, kind, refine):
+        rp = g.ReducedParams(beta=1.0, rho=-0.1)
+        if kind == "finite-sum":
+            F = g.finite_sum_density(3, rp, h=0.02, u_max=8.0)
+        else:
+            grid = Grid(0.02, 400)
+            F = GridDensity(grid, np.asarray(g.multiplier_pdf(grid.x(), rp)))
+        with pytest.raises(ParameterError, match="solve"):
+            refine(F, rp, np.array([1e-3, 1e-2]))
+
+    def test_p_one_is_multiplier_pdf(self):
+        rp = g.ReducedParams(beta=0.5, rho=0.1, p=1.0)
+        F, _ = g.solve_geometric(rp)
+        x = np.geomspace(1e-4, 10.0, 9)
+        assert np.array_equal(g.density_at(F, rp, x), np.asarray(g.multiplier_pdf(x, rp)))
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_density_at_rejects(self, solved, bad):
+        F, _ = solved(1.0, -0.1, tol=1e-9)
+        with pytest.raises(ParameterError):
+            g.density_at(F, g.ReducedParams(beta=1.0, rho=-0.1), np.array([1e-3, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_left_tail_cdf_rejects(self, solved, bad):
+        F, _ = solved(1.0, -0.1, tol=1e-9)
+        with pytest.raises(ParameterError):
+            g.left_tail_cdf(F, g.ReducedParams(beta=1.0, rho=-0.1), np.array([1e-3, bad]))
+
+    @pytest.mark.parametrize("integral", [g.survival, g.cdf])
+    def test_integrals_reject_nan(self, solved, integral):
+        F, _ = solved(1.0, -0.1, tol=1e-8)
+        with pytest.raises(ParameterError):
+            integral(F, math.nan)
+
+    def test_survival_at_infinity_is_zero(self, solved):
+        F, _ = solved(1.0, -0.1, tol=1e-8)
+        assert g.survival(F, math.inf) == 0.0
+
+
 class TestQuadratureBound:
     def test_scaling_in_h(self, solved):
         Fa, _ = solved(1.0, -0.1, tol=1e-9)
