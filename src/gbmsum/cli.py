@@ -122,6 +122,7 @@ def _report_dict(report: solver.SolveReport) -> dict:
         "quadrature_bound": report.quadrature_bound,
         "delta_trace": report.delta_trace,
         "polish_matvecs": report.polish_matvecs,
+        "mean_rel_err": report.mean_rel_err,
     }
 
 

@@ -26,6 +26,7 @@ from .errors import (
     DivergentExpectationError,
     ParameterError,
 )
+from .moments import gbm_multiplier_moments, moment_exists, moments_geometric
 from .params import ReducedParams, TailAsymptote, as_reduced, tail_exponent
 
 TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
@@ -35,6 +36,7 @@ _U_MAX_CAP = 60.0
 _LEFT_TAIL_RTOL = 3e-5  # bias of the left_tail_cdf rule, relative
 _POLISH_RESTART = 60  # GMRES Krylov dimension between restarts
 _POLISH_RTOL = 1e-13  # GMRES target, relative to the scaled right-hand side
+_PICARD_SWITCH = 1e-4  # sup-norm delta at which Picard hands over to GMRES
 
 
 @dataclass(frozen=True)
@@ -67,30 +69,29 @@ class GridDensity:
 
     The optional tail asymptote extends the law analytically beyond the
     grid; integrals over the density use it for closure.  Only the solver
-    sets col_scale: on a law solved at 0 <= p < 1, the column scales of the
-    operator it is the fixed point of, cropped to the grid, which off-grid
-    refinement applies.
+    sets params, the law's parameters, and col_scale: on a law solved at
+    0 <= p < 1, the column scales of the operator it is the fixed point of,
+    cropped to the grid, which off-grid refinement applies.
     """
 
     grid: Grid
     values: np.ndarray
     tail: TailAsymptote | None = None
+    params: ReducedParams | None = field(default=None, init=False, repr=False, compare=False)
     col_scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_points,):
-            raise ParameterError(
-                f"values shape {vals.shape} does not match grid ({self.grid.n_points},)"
-            )
+            raise ParameterError(f"values shape {vals.shape} does not match grid "
+                                 f"({self.grid.n_points},)")
         if not np.all(np.isfinite(vals)):
             raise ParameterError("density values must be finite")
         if vals[0] != 0.0:
             raise ParameterError("density must vanish at x = 0 (values[0] == 0)")
         if vals.min() < _NEG_CLIP:
-            raise ParameterError(
-                f"density has negative values below the clip threshold: min = {vals.min()}"
-            )
+            raise ParameterError(f"density has negative values below the clip threshold: "
+                                 f"min = {vals.min()}")
         vals = np.where(vals < 0.0, 0.0, vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -98,7 +99,9 @@ class GridDensity:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of a fixed-point solve; the traces cover Picard alone."""
+    """Diagnostics of a fixed-point solve.  The traces cover the Picard steps
+    alone, so the last delta is the sup-norm fixed-point residual; iterations
+    counts every apply.  mean_rel_err is None where the mean is infinite."""
 
     iterations: int
     final_delta: float
@@ -107,6 +110,7 @@ class SolveReport:
     delta_trace: list = field(default_factory=list)
     mass_trace: list = field(default_factory=list)
     polish_matvecs: int = 0
+    mean_rel_err: float | None = None
 
 
 class GaussianStepOperator:
@@ -122,12 +126,9 @@ class GaussianStepOperator:
     def __init__(self, grid: Grid, params):
         rp = as_reduced(params)
         if math.sqrt(rp.beta) < 3.0 * grid.h:
-            warnings.warn(
-                f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is below "
-                f"3h = {3.0 * grid.h:.4g}; refine the grid step",
-                CoarseGridWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is "
+                          f"below 3h = {3.0 * grid.h:.4g}; refine the grid step",
+                          CoarseGridWarning, stacklevel=2)
         u = grid.u()
         w0 = np.empty(grid.n_points)
         w0[0] = 0.0  # row 0 is zeroed below; kernel center sits at -inf
@@ -173,8 +174,7 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> sparse.csr_ar
 
 def apply_operator(F: GridDensity, params) -> GridDensity:
     """One application of the one-step transform to a grid density."""
-    op = GaussianStepOperator(F.grid, params)
-    return GridDensity(F.grid, op.apply(F.values))
+    return GridDensity(F.grid, GaussianStepOperator(F.grid, params).apply(F.values))
 
 
 # -- default grid construction ------------------------------------------------
@@ -188,13 +188,9 @@ def _default_u_max(rp: ReducedParams, exponent: float) -> float:
     body_x = 100.0 * max(mean_mult / denom, 1.0) if denom > 0.0 else 100.0
     u_max = max(math.log1p(x_tail), math.log1p(body_x), 6.0)
     if u_max > _U_MAX_CAP:
-        warnings.warn(
-            f"default grid span capped at u_max = {_U_MAX_CAP} (tail exponent "
-            f"{exponent:.3g} would need {u_max:.3g}); truncated tail mass may "
-            f"exceed {TRUNCATION_TOL}",
-            AccuracyWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"default grid span capped at u_max = {_U_MAX_CAP} (tail exponent "
+                      f"{exponent:.3g} would need {u_max:.3g}); truncated tail mass may "
+                      f"exceed {TRUNCATION_TOL}", AccuracyWarning, stacklevel=2)
         u_max = _U_MAX_CAP
     return u_max
 
@@ -339,11 +335,13 @@ def _refined(F: GridDensity, rp: ReducedParams, x_points: np.ndarray) -> np.ndar
     point on F's grid, weighted by the column scales of F's solve."""
     if not np.all(np.isfinite(x_points) & (x_points > 0.0)):
         raise ParameterError("off-grid refinement needs finite points x > 0")
-    if rp.p == 1.0:  # the law is f1 itself
-        return np.asarray(distributions.multiplier_pdf(x_points, rp))
-    if F.col_scale is None:
+    if F.params is None:
         raise ParameterError("off-grid refinement needs a law from solve_infinite or "
                              "solve_geometric, whose fixed point it reproduces")
+    if F.params != rp:
+        raise ParameterError(f"the law was solved at {F.params}, not at {rp}")
+    if rp.p == 1.0:  # the law is f1 itself
+        return np.asarray(distributions.multiplier_pdf(x_points, rp))
     rows = _kernel_rows(F.grid, rp, np.log(x_points) + 1.5 * rp.beta - rp.rho)
     vals = rows @ (F.col_scale * F.values)
     if rp.p > 0.0:
@@ -357,9 +355,11 @@ def density_at(F: GridDensity, params, x_points) -> np.ndarray:
     Evaluates one operator row per point (plus the stopping source when
     p > 0), which reproduces the fixed point off-grid to quadrature
     accuracy.  Intended for the left tail; near the grid top the row bands
-    are truncated.
+    are truncated.  `params` must be the ones F was solved at.  The result
+    has the shape of `x_points`.
     """
-    return _refined(F, as_reduced(params), np.asarray(x_points, dtype=float))
+    x_points = np.asarray(x_points, dtype=float)
+    return _refined(F, as_reduced(params), x_points.reshape(-1)).reshape(x_points.shape)
 
 
 def left_tail_cdf(F: GridDensity, params, eps_values) -> np.ndarray:
@@ -417,33 +417,23 @@ def quadrature_error_bound(F: GridDensity, k: int = 1) -> float:
     deriv = np.convolve(integrand, stencil[::-1], mode="same") / h ** (2 * k + 1)
     interior = deriv[r:-r]
     m_est = float(np.trapezoid(np.abs(interior), dx=h))
-    noise = (
-        2.2e-16 * float(np.max(integrand)) * float(np.abs(stencil).sum())
-        / h ** (2 * k + 1) * (F.grid.u_max)
-    )
+    noise = (2.2e-16 * float(np.max(integrand)) * float(np.abs(stencil).sum())
+             / h ** (2 * k + 1) * F.grid.u_max)
     if m_est < 5.0 * noise:
-        warnings.warn(
-            f"derivative estimate for the quadrature bound is noise-dominated "
-            f"(M = {m_est:.3g}, noise floor ~ {noise:.3g})",
-            AccuracyWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"derivative estimate for the quadrature bound is noise-dominated "
+                      f"(M = {m_est:.3g}, noise floor ~ {noise:.3g})", AccuracyWarning,
+                      stacklevel=2)
     zeta = float(special.zeta(2 * k + 1))
     return h ** (2 * k + 1) * m_est * zeta / (4.0**k * math.pi ** (2 * k + 1))
 
 
-# -- initial iterates -----------------------------------------------------------
+# -- the multiplier law and the tail fit ---------------------------------------
 
 
 def _multiplier_values(grid: Grid, rp: ReducedParams) -> np.ndarray:
-    """The one-period multiplier law on the grid (0 at x = 0): the start and
-    source at p > 0, the p = 1 law and the first term of every finite sum."""
+    """The one-period multiplier law on the grid (0 at x = 0): the source at
+    p > 0, the p = 1 law and the first term of every finite sum."""
     return distributions.multiplier_pdf(grid.x(), rp)
-
-
-def _inv_gamma_values(grid: Grid, rp: ReducedParams) -> np.ndarray:
-    """The inverse-Gamma limit law on the grid (0 at x = 0): the start at p = 0."""
-    return distributions.inv_gamma_pdf(grid.x(), math.sqrt(rp.beta), rp.rho)
 
 
 def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float | None:
@@ -465,33 +455,29 @@ def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float
 # -- fixed-point solvers ----------------------------------------------------------
 
 
-def _iterate(op: GaussianStepOperator, grid_int: Grid, f0: np.ndarray,
-             source: np.ndarray | None, damp: float, tol: float, max_iter: int):
-    """Picard iteration F <- source + damp T F from f0 until the sup-norm
-    step is at most tol; returns the iterate and the delta and mass traces."""
-    f = f0
-    deltas: list[float] = []
-    masses: list[float] = [_grid_mass(grid_int, f0)]
-    for it in range(1, max_iter + 1):
+def _iterate(op: GaussianStepOperator, grid_int: Grid, f: np.ndarray,
+             source: np.ndarray | None, damp: float, tol: float, budget: int,
+             deltas: list | None = None, masses: list | None = None):
+    """Picard iteration F <- source + damp T F from f until the sup-norm
+    step is at most tol, in at most `budget` steps; returns the iterate and
+    the delta and mass traces, extending the ones given."""
+    deltas, masses = ([], [_grid_mass(grid_int, f)]) if deltas is None else (deltas, masses)
+    for _ in range(budget):
         f_new = damp * op.apply(f)  # exact at damp = 1
         if source is not None:
             f_new = f_new + source
         delta = float(np.max(np.abs(f_new - f)))
         deltas.append(delta)
         if not math.isfinite(delta):
-            raise ConvergenceError(
-                f"fixed-point iteration produced non-finite values at iteration {it}",
-                delta_trace=deltas,
-            )
+            raise ConvergenceError(f"Picard step {len(deltas)} produced non-finite values",
+                                   delta_trace=deltas)
         masses.append(_grid_mass(grid_int, f_new))
         f = f_new
         if delta <= tol:
             return f, deltas, masses
-    raise ConvergenceError(
-        f"fixed-point iteration did not reach tol = {tol} within {max_iter} "
-        f"iterations (last delta = {deltas[-1]:.3g})",
-        delta_trace=deltas,
-    )
+    raise ConvergenceError(f"fixed-point iteration did not reach tol = {tol} within max_iter "
+                           f"applies ({len(deltas)} Picard steps, last delta {deltas[-1]:.3g})",
+                           delta_trace=deltas)
 
 
 def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
@@ -533,6 +519,13 @@ def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
     return v, applies[0]
 
 
+def _mean_rel_err(density: GridDensity, rp: ReducedParams) -> float | None:
+    """|E[X] - exact| / exact where the mean is finite, (1-p) e^rho < 1."""
+    mm = gbm_multiplier_moments(rp)
+    exact = moments_geometric(1, mm, rp.p)[0] if moment_exists(1, mm, rp.p) else None
+    return None if exact is None else abs(expectation(density, lambda x: x) - exact) / exact
+
+
 def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
            u_max: float | None) -> tuple[GridDensity, SolveReport]:
     """Fixed point of F = p f1 + (1-p) T F for 0 <= p <= 1, where f1 is the
@@ -545,14 +538,22 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
         vals = _multiplier_values(grid_ret, rp)
         total = _grid_mass(grid_ret, vals)
         density = GridDensity(grid_ret, vals / total)
-        return density, SolveReport(0, 0.0, abs(total - 1.0), quadrature_error_bound(density))
+        object.__setattr__(density, "params", rp)
+        return density, SolveReport(0, 0.0, abs(total - 1.0), quadrature_error_bound(density),
+                                    mean_rel_err=_mean_rel_err(density, rp))
     exponent = tail_exponent(rp)
     grid_ret, grid_int = _grid_pair(rp, exponent, h, u_max)
     op = GaussianStepOperator(grid_int, rp)
-    f0 = _multiplier_values(grid_int, rp) if rp.p > 0.0 else _inv_gamma_values(grid_int, rp)
-    source = rp.p * f0 if rp.p > 0.0 else None
-    f, deltas, masses = _iterate(op, grid_int, f0, source, 1.0 - rp.p, tol, max_iter)
-    f, matvecs = _polish(op, f, source, 1.0 - rp.p, max_iter - len(deltas))
+    # the inverse Gamma whose tail exponent is the law's own: at p = 0 the limit law
+    f0 = distributions.inv_gamma_pdf(grid_int.x(), math.sqrt(rp.beta),
+                                     0.5 * rp.beta * (1.0 - exponent))
+    source = rp.p * _multiplier_values(grid_int, rp) if rp.p > 0.0 else None
+    damp = 1.0 - rp.p
+    f, deltas, masses = _iterate(op, grid_int, f0, source, damp, max(tol, _PICARD_SWITCH), max_iter)
+    f, matvecs = _polish(op, f, source, damp, max(max_iter - len(deltas) - 1, 0))
+    # from the polished law the first Picard delta is the true fixed-point residual
+    f, deltas, masses = _iterate(op, grid_int, f, source, damp, tol,
+                                 max_iter - len(deltas) - matvecs, deltas, masses)
     vals = np.array(f[: grid_ret.n_points])
     c = _fit_tail_constant(grid_ret, vals, exponent)
     tail_mass = 0.0 if c is None else c * float(np.expm1(grid_ret.u_max)) ** (-exponent)
@@ -562,26 +563,24 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     density = GridDensity(grid_ret, vals, tail=tail)
     col_scale = op._col_scale[: grid_ret.n_points]
     col_scale.setflags(write=False)
+    object.__setattr__(density, "params", rp)
     object.__setattr__(density, "col_scale", col_scale)
     return density, SolveReport(
-        iterations=len(deltas) + matvecs,
-        final_delta=deltas[-1],
-        normalization_drift=abs(total - 1.0),
-        quadrature_bound=quadrature_error_bound(density, k=1),
-        delta_trace=deltas,
-        mass_trace=masses,
-        polish_matvecs=matvecs,
-    )
+        iterations=len(deltas) + matvecs, final_delta=deltas[-1],
+        normalization_drift=abs(total - 1.0), quadrature_bound=quadrature_error_bound(density, k=1),
+        delta_trace=deltas, mass_trace=masses, polish_matvecs=matvecs,
+        mean_rel_err=_mean_rel_err(density, rp))
 
 
 def solve_infinite(params, tol: float = 1e-8, max_iter: int = 500, h: float | None = None,
                    u_max: float | None = None) -> tuple[GridDensity, SolveReport]:
-    """Stationary density of the infinite sum by fixed-point iteration.
+    """Stationary density of the infinite sum; requires p = 0 and rho < beta/2.
 
-    Requires p = 0 and rho < beta/2.  Iterates the one-step transform from
-    the inverse-Gamma limit law until the sup-norm difference of successive
-    iterates falls below `tol`, then by GMRES (`max_iter` bounds all applies),
-    renormalizes once and fits the power-law tail closure.
+    Picard iteration runs from the inverse-Gamma limit law until its delta
+    is at most max(tol, 1e-4), GMRES polishes that iterate, and Picard goes
+    on until its delta, the sup-norm fixed-point residual, is at most `tol`
+    (one step unless the polish missed).  `max_iter` bounds all applies.
+    Renormalizes once and fits the power-law tail closure.
     """
     rp = as_reduced(params)
     if rp.p != 0.0:
@@ -593,9 +592,9 @@ def solve_geometric(params, tol: float = 1e-8, max_iter: int = 500, h: float | N
                     u_max: float | None = None) -> tuple[GridDensity, SolveReport]:
     """Stationary density of the geometrically stopped sum.
 
-    Iterates F <- source + (1-p) T F from the multiplier law, where the
-    source is p times that law, then as solve_infinite; no drift condition
-    is needed for p > 0.
+    Solves F = source + (1-p) T F, the source being p times the multiplier
+    law, as solve_infinite does, from the inverse Gamma whose tail exponent
+    is the law's own; no drift condition is needed for p > 0.
     """
     rp = as_reduced(params)
     if not (0.0 < rp.p <= 1.0):

@@ -54,6 +54,23 @@ class TestDensityCommand:
                      "--out", str(tmp_path)]) == 3
 
 
+class TestMeanOracleRecorded:
+    @pytest.mark.parametrize("command, report_file, bound", [
+        (["density", "--beta", "1", "--rho", "-0.1"], "density_report.json", 1e-5),
+        (["annuity", "--beta", "1", "--rho", "0", "--p", "0.1", "--q-list", "0"],
+         "annuity_report.json", 1e-5),
+    ])
+    def test_report_carries_mean_error(self, tmp_path, command, report_file, bound):
+        assert main(command + ["--out", str(tmp_path)]) == 0
+        report = json.load(open(os.path.join(str(tmp_path), report_file)))["report"]
+        assert 0.0 <= report["mean_rel_err"] <= bound
+
+    def test_infinite_mean_has_no_oracle(self, tmp_path):
+        assert main(["density", "--beta", "1", "--rho", "0", "--out", str(tmp_path)]) == 0
+        report = json.load(open(os.path.join(str(tmp_path), "density_report.json")))["report"]
+        assert report["mean_rel_err"] is None
+
+
 class TestAsianCommand:
     def test_price_and_diagnostics(self, tmp_path):
         out = str(tmp_path)

@@ -173,12 +173,17 @@ class TestSolveInfinite:
         exact = math.exp(-0.1) / (1.0 - math.exp(-0.1))
         assert mean == pytest.approx(exact, abs=5e-4)
 
-    def test_both_inits_agree(self, solved, monkeypatch):
+    def test_both_inits_agree(self, solved):
         Fa, _ = solved(1.0, -0.1, tol=1e-8)
-        # the same solve, iterated from the log-normal multiplier law instead
-        monkeypatch.setattr(solver, "_inv_gamma_values", solver._multiplier_values)
-        Fb, _ = g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1), tol=1e-8)
-        assert np.max(np.abs(Fa.values - Fb.values)) <= 10.0 * 1e-8
+        # Picard alone, from the log-normal multiplier law, far past tol
+        rp = g.ReducedParams(beta=1.0, rho=-0.1)
+        grid_ret, grid_int = solver._grid_pair(rp, g.tail_exponent(rp), None, None)
+        op = g.GaussianStepOperator(grid_int, rp)
+        f, _, _ = _iterate(op, grid_int, solver._multiplier_values(grid_int, rp), None, 1.0,
+                           1e-12, 2000)
+        fb = f[: grid_ret.n_points]
+        fb = fb * _grid_mass(grid_ret, Fa.values) / _grid_mass(grid_ret, fb)
+        assert np.max(np.abs(Fa.values - fb)) <= 1e-10
 
     def test_infeasible_parameters(self):
         with pytest.raises(ParameterError):
@@ -288,19 +293,49 @@ class TestPolish:
         assert not [w for w in caught if issubclass(w.category, AccuracyWarning)]
         assert 0 < report.polish_matvecs <= 50
 
-    def test_small_budget_keeps_picard_iterate(self, solved):
+    def test_spent_budget_raises_with_whole_trace(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=-0.1)
-        polished, full = solved(1.0, -0.1, tol=1e-9)
-        picard = len(full.delta_trace)
-        kept = []
-        for spare in (0, 1):  # no apply left for the polish, then one
-            with pytest.warns(AccuracyWarning, match="keeping the Picard iterate"):
-                F, report = g.solve_infinite(rp, tol=1e-9, max_iter=picard + spare)
-            assert report.polish_matvecs == spare
-            assert report.iterations == picard + spare
-            kept.append(F.values)
-        assert np.array_equal(kept[0], kept[1])
-        assert not np.array_equal(kept[0], polished.values)
+        _, full = solved(1.0, -0.1, tol=1e-9)
+        picard = next(i + 1 for i, d in enumerate(full.delta_trace)
+                      if d <= solver._PICARD_SWITCH)
+        for spare in (1, 2):  # the check step's reserve, then one polish apply too
+            with pytest.warns(AccuracyWarning, match="GMRES polish missed"):
+                with pytest.raises(ConvergenceError) as err:
+                    g.solve_infinite(rp, tol=1e-9, max_iter=picard + spare)
+            trace = err.value.delta_trace
+            assert len(trace) == picard + 1  # the Picard phase and the one reserved step
+            assert trace[:picard] == full.delta_trace[:picard]
+            assert trace[-1] > 1e-9
+
+    @pytest.mark.parametrize("beta, rho", [(0.05, -0.005), (0.01, -0.1)])
+    def test_switch_hands_over_to_polish(self, beta, rho):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, report = g.solve_infinite(g.ReducedParams(beta=beta, rho=rho), tol=1e-9)
+        assert not [w for w in caught if issubclass(w.category, AccuracyWarning)]
+        trace = report.delta_trace
+        # Picard stops at the switch; after the polish one step measures the residual
+        assert trace[-3] > solver._PICARD_SWITCH >= trace[-2]
+        assert report.polish_matvecs > 0
+        assert report.final_delta == trace[-1] <= 1e-9
+
+    def test_perpetuity_apply_count(self, solved):
+        laws = ((1.0, -0.1), (0.5, -0.1), (0.1, -0.1), (1.0, 0.0), (0.1, 0.0))
+        assert sum(solved(beta, rho, tol=1e-9)[1].iterations for beta, rho in laws) <= 250
+
+    def test_infinite_mean_law_against_mc(self):
+        # tail exponent 0.56 < 1: no mean to check the solve against
+        rp = g.ReducedParams(beta=0.05, rho=0.2, p=0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            F, report = g.solve_geometric(rp, tol=1e-9, max_iter=2000)
+        assert not [w for w in caught if issubclass(w.category, AccuracyWarning)]
+        assert report.mean_rel_err is None
+        levels = (1.0, 5.0, 20.0, 100.0, 1000.0)
+        cfg = g.McConfig(n_paths=400_000, seed=11, horizon=g.GeometricHorizon(0.1))
+        ests = g.simulate_sum(rp, cfg, lambda x: np.stack([x > v for v in levels], axis=1))
+        for level, est in zip(levels, ests):
+            assert abs(g.survival(F, level) - est.value) <= 3.0 * est.std_error
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1)])
     def test_iterations_count_picard_and_polish(self, solved, beta, rho, p):
@@ -308,6 +343,31 @@ class TestPolish:
         assert report.polish_matvecs > 0
         assert report.iterations == len(report.delta_trace) + report.polish_matvecs
         assert len(report.mass_trace) == len(report.delta_trace) + 1
+
+
+# Part of the mean-oracle sweep over beta, rho and p; each law has a tail
+# exponent above 1.05, so a finite mean.
+MEAN_SWEEP = [
+    (0.05, -0.1, 0.1), (0.05, 0.0, 0.5), (0.2, -0.3, 0.0), (0.2, 0.0, 0.1),
+    (0.2, 0.2, 0.5), (1.0, -0.3, 0.5), (1.0, -0.1, 0.0), (1.0, 0.2, 0.5),
+] + [pytest.param(2.0, rho, p, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2"))
+     for rho, p in ((-0.3, 0.0), (0.0, 0.5))]
+
+
+class TestMeanOracle:
+    @pytest.mark.parametrize("beta, rho, p", MEAN_SWEEP)
+    def test_mean_within_oracle(self, solved, beta, rho, p):
+        _, report = solved(beta, rho, p, tol=1e-9)
+        assert report.mean_rel_err <= 1e-5
+
+    def test_matches_closed_form_mean(self, solved):
+        F, report = solved(1.0, 0.0, 0.1, tol=1e-9)
+        mean = g.expectation(F, lambda x: x)
+        assert report.mean_rel_err == pytest.approx(abs(mean - 10.0) / 10.0, rel=1e-12)
+
+    def test_p_one_law_has_oracle(self):
+        _, report = g.solve_geometric(g.ReducedParams(beta=0.5, rho=0.1, p=1.0))
+        assert report.mean_rel_err <= 1e-5
 
 
 class TestIntegrals:
@@ -405,6 +465,30 @@ class TestRefinementUsesSolveScales:
             F = GridDensity(grid, np.asarray(g.multiplier_pdf(grid.x(), rp)))
         with pytest.raises(ParameterError, match="solve"):
             refine(F, rp, np.array([1e-3, 1e-2]))
+
+    def test_scalar_point_keeps_shape(self, solved):
+        F, _ = solved(1.0, -0.1, tol=1e-9)
+        rp = g.ReducedParams(beta=1.0, rho=-0.1)
+        one = g.density_at(F, rp, 0.5)
+        assert np.shape(one) == ()
+        assert float(one) == g.density_at(F, rp, np.array([0.5]))[0]
+        assert g.density_at(F, rp, np.full((2, 3), 0.5)).shape == (2, 3)
+
+    def test_other_params_rejected(self, solved):
+        # refined at beta = 0.5, this (1, -0.1) law once gave 0.223 at x_100
+        F, _ = solved(1.0, -0.1, tol=1e-9)
+        x = F.grid.x()[100]
+        assert g.density_at(F, g.ReducedParams(beta=1.0, rho=-0.1), x) == pytest.approx(
+            F.values[100], rel=1e-10)
+        for refine in (g.density_at, g.left_tail_cdf):
+            with pytest.raises(ParameterError, match="solved at"):
+                refine(F, g.ReducedParams(beta=0.5, rho=-0.1), x)
+
+    def test_p_one_law_records_params(self):
+        F, _ = g.solve_geometric(g.ReducedParams(beta=1.0, rho=-0.1, p=1.0))
+        assert F.params == g.ReducedParams(beta=1.0, rho=-0.1, p=1.0)
+        with pytest.raises(ParameterError, match="solved at"):
+            g.density_at(F, g.ReducedParams(beta=0.5, rho=-0.1, p=1.0), 1e-3)
 
     def test_p_one_is_multiplier_pdf(self):
         rp = g.ReducedParams(beta=0.5, rho=0.1, p=1.0)
