@@ -213,21 +213,21 @@ def _annuity_mean(rp: ReducedParams) -> float:
     return math.exp(rp.rho) / (1.0 - ratio)
 
 
-def _annuity_rows(rp: ReducedParams, mean: float, density: solver.GridDensity,
-                  report: solver.SolveReport, q_list, var_level):
+def _annuity_rows(mean: float, density: solver.GridDensity, report: solver.SolveReport,
+                  q_list, var_level):
+    rp = density.params
     rows = []
     for q in q_list:
         disc = tails.shortfall_probability(density, mean, q)
         cont = tails.shortfall_continuous(math.sqrt(rp.beta), rp.rho, rp.p, mean, q)
         rows.append([rp.beta, rp.rho, rp.p, mean, q, (1.0 + q) * mean, disc, cont])
     exponent = tails.tail_exponent(rp)
-    constant = tails.tail_constant(density, rp)
+    constant = tails.tail_constant(density)
     var = tails.value_at_risk(tails.TailAsymptote(exponent, constant), var_level,
                               density=density)
-    record = tails.risk_record(exponent, constant, rows[0][6], var)
-    record["report"] = _report_dict(report)
-    record["mean"] = mean
-    return rows, record
+    return rows, {"exponent": exponent, "constant": constant, "shortfall": rows[0][6],
+                  "var_threshold": var.threshold, "method_flags": {"var": var.method},
+                  "report": _report_dict(report), "mean": mean}
 
 
 _ANNUITY_HEADER = ["beta", "rho", "p", "mean", "q", "threshold",
@@ -238,7 +238,7 @@ def cmd_annuity(args, out: _Outputs) -> int:
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
     q_list = [_number(v, "--q-list entry") for v in args.q_list.split(",") if v != ""]
     mean = _annuity_mean(rp)
-    rows, record = _annuity_rows(rp, mean, *_solve(rp, args), q_list, args.var_level)
+    rows, record = _annuity_rows(mean, *_solve(rp, args), q_list, args.var_level)
     out.write_csv("annuity.csv", _ANNUITY_HEADER, rows)
     out.write_json("annuity_report.json", record)
     out.manifest("annuity", _args_dict(args))
@@ -373,7 +373,7 @@ def cmd_batch(args, out: _Outputs) -> int:
             if rp not in solve_cache:
                 solve_cache[rp] = _solve(rp, ns)
             rows, record = _annuity_rows(
-                rp, mean, *solve_cache[rp],
+                mean, *solve_cache[rp],
                 [_number(q, f"{kind} scenario {i} q_list entry") for q in sc.get("q_list", [0.0])],
                 field("var_level", 0.01),
             )

@@ -16,7 +16,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from .errors import ParameterError
-from .params import ModelParams, ReducedParams, as_reduced, reduce  # noqa: F401
+from .params import as_reduced
 
 _Y_TAIL_SWITCH = 10.0
 # The small-y series is asymptotic: within 3e-16 below this y, but off by up
@@ -201,11 +201,8 @@ def yor_moment_residual(theta: float, mu: float, lam: float) -> float:
     """
     if not (0.0 < theta < 1.0):
         raise ParameterError(f"theta must lie in (0, 1), got {theta}")
-    # alpha and beta_g are (+-mu + root) / 2; form the one without
-    # cancellation, the other from alpha beta_g = lam / 2
-    big = 0.5 * (abs(mu) + math.sqrt(mu**2 + 2.0 * lam))
-    small = 0.5 * lam / big if big > 0.0 else 0.0
-    alpha, beta_g = (big, small) if mu > 0.0 else (small, big)
+    yp = yor_params(2.0, 2.0 * mu + 2.0, lam)
+    alpha, beta_g = yp.alpha, yp.beta_g
     if beta_g - theta <= 0.0:
         raise ParameterError(
             f"moment of order theta = {theta} does not exist (beta_g = {beta_g})"

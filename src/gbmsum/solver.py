@@ -330,16 +330,20 @@ def expectation(F: GridDensity, payoff) -> float:
 # -- off-grid refinement --------------------------------------------------------
 
 
-def _refined(F: GridDensity, rp: ReducedParams, x_points: np.ndarray) -> np.ndarray:
+def _solved_params(F: GridDensity, use: str) -> ReducedParams:
+    """The parameters F was solved at, for a use that reads them."""
+    if F.params is None:
+        raise ParameterError(f"{use} needs a law from solve_infinite or solve_geometric, "
+                             "which records its parameters")
+    return F.params
+
+
+def _refined(F: GridDensity, x_points: np.ndarray) -> np.ndarray:
     """p f1(x) + (1-p) (T F)(x) at points x > 0, T F by one kernel row per
     point on F's grid, weighted by the column scales of F's solve."""
     if not np.all(np.isfinite(x_points) & (x_points > 0.0)):
         raise ParameterError("off-grid refinement needs finite points x > 0")
-    if F.params is None:
-        raise ParameterError("off-grid refinement needs a law from solve_infinite or "
-                             "solve_geometric, whose fixed point it reproduces")
-    if F.params != rp:
-        raise ParameterError(f"the law was solved at {F.params}, not at {rp}")
+    rp = _solved_params(F, "off-grid refinement")
     if rp.p == 1.0:  # the law is f1 itself
         return np.asarray(distributions.multiplier_pdf(x_points, rp))
     rows = _kernel_rows(F.grid, rp, np.log(x_points) + 1.5 * rp.beta - rp.rho)
@@ -349,20 +353,19 @@ def _refined(F: GridDensity, rp: ReducedParams, x_points: np.ndarray) -> np.ndar
     return vals
 
 
-def density_at(F: GridDensity, params, x_points) -> np.ndarray:
+def density_at(F: GridDensity, x_points) -> np.ndarray:
     """Refine a law from solve_infinite or solve_geometric at points x > 0.
 
     Evaluates one operator row per point (plus the stopping source when
     p > 0), which reproduces the fixed point off-grid to quadrature
     accuracy.  Intended for the left tail; near the grid top the row bands
-    are truncated.  `params` must be the ones F was solved at.  The result
-    has the shape of `x_points`.
+    are truncated.  The result has the shape of `x_points`.
     """
     x_points = np.asarray(x_points, dtype=float)
-    return _refined(F, as_reduced(params), x_points.reshape(-1)).reshape(x_points.shape)
+    return _refined(F, x_points.reshape(-1)).reshape(x_points.shape)
 
 
-def left_tail_cdf(F: GridDensity, params, eps_values) -> np.ndarray:
+def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
     """P(X <= eps) for eps far below the grid step, via off-grid refinement.
 
     Integrates f(e^v) e^v over one window in v = log x shared by every eps,
@@ -372,17 +375,17 @@ def left_tail_cdf(F: GridDensity, params, eps_values) -> np.ndarray:
     _LEFT_TAIL_RTOL; the integrand decays super-exponentially to the left,
     so a fixed window suffices.
     """
-    rp = as_reduced(params)
     eps_values = np.asarray(eps_values, dtype=float)
     if not np.all(np.isfinite(eps_values) & (eps_values > 0.0)):
         raise ParameterError("left-tail levels eps must be finite and positive")
+    rp = _solved_params(F, "off-grid refinement")
     log_eps = np.log(eps_values).reshape(-1)
     width = 14.0 * math.sqrt(rp.beta) + 3.0 * rp.beta + 2.0 * abs(rp.rho) + 2.0
     lo, hi = float(log_eps.min()) - width, float(log_eps.max())
     n_cells = int(math.ceil((hi - lo) / math.sqrt(12.0 * rp.beta * _LEFT_TAIL_RTOL)))
     v = np.union1d(np.linspace(lo, hi, n_cells + 1), log_eps)
     xv = np.exp(v)
-    gv = _refined(F, rp, xv) * xv
+    gv = _refined(F, xv) * xv
     g0, g1, dv = gv[:-1], gv[1:], np.diff(v)
     cells = 0.5 * (g0 + g1) * dv
     loglin = (g0 > 0.0) & (g1 > 0.0) & (g0 != g1)

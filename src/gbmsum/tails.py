@@ -30,15 +30,15 @@ def _stable_power_gap(x: np.ndarray, mu: float) -> np.ndarray:
     return out
 
 
-def tail_constant(F: solver.GridDensity, params) -> float:
-    """Renewal-formula prefactor of P(X > x) ~ c x^(-mu) for 0 <= p < 1:
-    c = (p + (1-p) E[(1+X)^mu - X^mu]) / (mu (1-p) front_speed).
+def tail_constant(F: solver.GridDensity) -> float:
+    """Renewal-formula prefactor of P(X > x) ~ c x^(-mu) for a law solved
+    at 0 <= p < 1: c = (p + (1-p) E[(1+X)^mu - X^mu]) / (mu (1-p) front_speed).
 
     The expectation runs over the solved density as one combined payoff,
     which grows like x^(mu-1) and so converges; the two terms taken
     separately each diverge at the exponent boundary.
     """
-    rp = as_reduced(params)
+    rp = solver._solved_params(F, "the tail constant")
     mu = tail_exponent(rp)
     gap = solver.expectation(F, lambda x: _stable_power_gap(x, mu))
     return (rp.p + (1.0 - rp.p) * gap) / (mu * (1.0 - rp.p) * front_speed(rp))
@@ -145,25 +145,17 @@ def fit_left_tail_coefficient(F: solver.GridDensity, params) -> float:
     """Quadratic-in-log(eps) fit of log P(X <= eps) at 12 levels eps from
     1e-4 to 1e-2.
 
-    Returns the leading coefficient, comparable to -1/(2 beta); the linear
-    and constant terms absorb the subleading log-normal structure.
+    `params` must be the ones F was solved at.  Returns the leading
+    coefficient, comparable to -1/(2 beta); the linear and constant terms
+    absorb the subleading log-normal structure.
     """
     rp = as_reduced(params)
+    if rp != solver._solved_params(F, "left-tail refinement"):
+        raise ParameterError(f"the law was solved at {F.params}, not at {rp}")
     eps = np.geomspace(1e-4, 1e-2, 12)
-    probs = solver.left_tail_cdf(F, rp, eps)
+    probs = solver.left_tail_cdf(F, eps)
     if np.any(probs <= 0.0):
         raise ParameterError("left-tail probabilities vanished; grid too coarse")
     coeffs = np.polyfit(np.log(eps), np.log(probs), 2)
     return float(coeffs[0])
 
-
-def risk_record(exponent: float, constant: float, shortfall: float,
-                var: VarEstimate) -> dict:
-    """JSON-ready summary of a tail/risk computation."""
-    return {
-        "exponent": exponent,
-        "constant": constant,
-        "shortfall": shortfall,
-        "var_threshold": var.threshold,
-        "method_flags": {"var": var.method},
-    }

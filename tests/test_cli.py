@@ -117,6 +117,8 @@ class TestAnnuityCommand:
         assert float(rows[1][6]) == pytest.approx(0.10625, abs=2e-3)
         assert float(rows[2][6]) == pytest.approx(0.06853, abs=2e-3)
         record = json.load(open(os.path.join(out, "annuity_report.json")))
+        assert set(record) == {"exponent", "constant", "shortfall", "var_threshold",
+                               "method_flags", "report", "mean"}
         assert record["var_threshold"] > 0.0
         assert record["method_flags"]["var"] in ("tail_inversion", "grid_inversion")
 

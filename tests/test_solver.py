@@ -110,10 +110,11 @@ def reference_band(grid, rp, band_sigmas=8.0):
     return band * scale[cols], cols
 
 
-def converged_left_tail(F, rp, eps):
+def converged_left_tail(F, eps):
     """P(X <= eps) from the refined density by 16-point Gauss-Legendre on
     panels of width sqrt(beta)/4, converged far below 1e-8 relative: an
     independent check of the rule in left_tail_cdf, over the same window."""
+    rp = F.params
     width = 14.0 * math.sqrt(rp.beta) + 3.0 * rp.beta + 2.0 * abs(rp.rho) + 2.0
     log_eps = np.log(eps)
     edges = np.union1d(
@@ -122,7 +123,7 @@ def converged_left_tail(F, rp, eps):
     t, w = np.polynomial.legendre.leggauss(16)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     v = (mid[:, None] + half[:, None] * t).ravel()
-    gv = (g.density_at(F, rp, np.exp(v)) * np.exp(v)).reshape(-1, t.size)
+    gv = (g.density_at(F, np.exp(v)) * np.exp(v)).reshape(-1, t.size)
     cum = np.concatenate([[0.0], np.cumsum(half * (gv @ w))])
     return cum[np.searchsorted(edges, log_eps)]
 
@@ -144,22 +145,20 @@ class TestOperatorReference:
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1)])
     def test_left_tail_cdf_matches_density_at(self, solved, beta, rho, p):
-        rp = g.ReducedParams(beta=beta, rho=rho, p=p)
         F, _ = solved(beta, rho, p, tol=1e-9)
         eps = np.geomspace(1e-4, 1e-2, 5)
-        ref = converged_left_tail(F, rp, eps)
-        probs = g.left_tail_cdf(F, rp, eps)
+        ref = converged_left_tail(F, eps)
+        probs = g.left_tail_cdf(F, eps)
         assert np.max(np.abs(probs - ref) / ref) <= 1e-4
 
     @pytest.mark.parametrize("beta, rho", [(0.5, -0.1), (0.1, -0.1)])
     def test_left_tail_cdf_converged_at_small_beta(self, solved, beta, rho):
         # the integrand's log-slope near eps is about |log eps| / beta, so a
         # rule with a fixed node count is biased high most at small beta
-        rp = g.ReducedParams(beta=beta, rho=rho)
         F, _ = solved(beta, rho, tol=1e-9, max_iter=2000)
         eps = np.geomspace(1e-4, 1e-2, 12)
-        ref = converged_left_tail(F, rp, eps)
-        probs = g.left_tail_cdf(F, rp, eps)
+        ref = converged_left_tail(F, eps)
+        probs = g.left_tail_cdf(F, eps)
         assert np.max(np.abs(probs - ref) / ref) <= 1e-4
 
 
@@ -406,25 +405,23 @@ class TestIntegrals:
 class TestOffGridRefinement:
     def test_matches_grid_values_at_fixed_point(self, solved):
         F, _ = solved(1.0, -0.1, tol=1e-10, max_iter=800)
-        rp = g.ReducedParams(beta=1.0, rho=-0.1)
         u_probe = F.grid.u()[50:500:50]
-        refined = g.density_at(F, rp, np.expm1(u_probe))
+        refined = g.density_at(F, np.expm1(u_probe))
         on_grid = F.values[50:500:50]
         assert np.max(np.abs(refined - on_grid) / np.maximum(on_grid, 1e-12)) < 1e-5
 
     def test_left_tail_cdf_monotone_positive(self, solved):
         F, _ = solved(1.0, -0.1, tol=1e-9)
         eps = np.geomspace(1e-4, 1e-2, 7)
-        probs = g.left_tail_cdf(F, g.ReducedParams(beta=1.0, rho=-0.1), eps)
+        probs = g.left_tail_cdf(F, eps)
         assert np.all(probs > 0.0)
         assert np.all(np.diff(probs) > 0.0)
         assert probs[-1] < 1e-3
 
     def test_geometric_variant_includes_source(self, solved):
-        rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
         u_probe = F.grid.u()[100:400:100]
-        refined = g.density_at(F, rp, np.expm1(u_probe))
+        refined = g.density_at(F, np.expm1(u_probe))
         on_grid = F.values[100:400:100]
         assert np.max(np.abs(refined - on_grid) / on_grid) < 1e-4
 
@@ -451,50 +448,48 @@ class TestRefinementUsesSolveScales:
     def test_density_at_builds_no_operator(self, solved, monkeypatch):
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
         builds = self.count_builds(monkeypatch)
-        g.density_at(F, g.ReducedParams(beta=1.0, rho=0.0, p=0.1), np.geomspace(1e-3, 1.0, 5))
+        g.density_at(F, np.geomspace(1e-3, 1.0, 5))
         assert builds == []
 
     @pytest.mark.parametrize("kind", ["finite-sum", "hand-built"])
-    @pytest.mark.parametrize("refine", [g.density_at, g.left_tail_cdf])
-    def test_unsolved_density_rejected(self, kind, refine):
+    @pytest.mark.parametrize("use", [g.density_at, g.left_tail_cdf, g.tail_constant])
+    def test_unsolved_density_rejected(self, kind, use):
+        # a law no solve produced has no params to refine or to take a tail from
         rp = g.ReducedParams(beta=1.0, rho=-0.1)
         if kind == "finite-sum":
             F = g.finite_sum_density(3, rp, h=0.02, u_max=8.0)
         else:
             grid = Grid(0.02, 400)
             F = GridDensity(grid, np.asarray(g.multiplier_pdf(grid.x(), rp)))
+        points = () if use is g.tail_constant else (np.array([1e-3, 1e-2]),)
         with pytest.raises(ParameterError, match="solve"):
-            refine(F, rp, np.array([1e-3, 1e-2]))
+            use(F, *points)
 
     def test_scalar_point_keeps_shape(self, solved):
         F, _ = solved(1.0, -0.1, tol=1e-9)
-        rp = g.ReducedParams(beta=1.0, rho=-0.1)
-        one = g.density_at(F, rp, 0.5)
+        one = g.density_at(F, 0.5)
         assert np.shape(one) == ()
-        assert float(one) == g.density_at(F, rp, np.array([0.5]))[0]
-        assert g.density_at(F, rp, np.full((2, 3), 0.5)).shape == (2, 3)
+        assert float(one) == g.density_at(F, np.array([0.5]))[0]
+        assert g.density_at(F, np.full((2, 3), 0.5)).shape == (2, 3)
 
     def test_other_params_rejected(self, solved):
-        # refined at beta = 0.5, this (1, -0.1) law once gave 0.223 at x_100
+        # refinement reads the law's own params; fit_left_tail_coefficient,
+        # the one function still taking params, rejects any others
         F, _ = solved(1.0, -0.1, tol=1e-9)
         x = F.grid.x()[100]
-        assert g.density_at(F, g.ReducedParams(beta=1.0, rho=-0.1), x) == pytest.approx(
-            F.values[100], rel=1e-10)
-        for refine in (g.density_at, g.left_tail_cdf):
-            with pytest.raises(ParameterError, match="solved at"):
-                refine(F, g.ReducedParams(beta=0.5, rho=-0.1), x)
+        assert g.density_at(F, x) == pytest.approx(F.values[100], rel=1e-10)
+        with pytest.raises(ParameterError, match="solved at"):
+            g.fit_left_tail_coefficient(F, g.ReducedParams(beta=0.5, rho=-0.1))
 
     def test_p_one_law_records_params(self):
         F, _ = g.solve_geometric(g.ReducedParams(beta=1.0, rho=-0.1, p=1.0))
         assert F.params == g.ReducedParams(beta=1.0, rho=-0.1, p=1.0)
-        with pytest.raises(ParameterError, match="solved at"):
-            g.density_at(F, g.ReducedParams(beta=0.5, rho=-0.1, p=1.0), 1e-3)
 
     def test_p_one_is_multiplier_pdf(self):
         rp = g.ReducedParams(beta=0.5, rho=0.1, p=1.0)
         F, _ = g.solve_geometric(rp)
         x = np.geomspace(1e-4, 10.0, 9)
-        assert np.array_equal(g.density_at(F, rp, x), np.asarray(g.multiplier_pdf(x, rp)))
+        assert np.array_equal(g.density_at(F, x), np.asarray(g.multiplier_pdf(x, rp)))
 
 
 class TestNonFiniteQueries:
@@ -502,13 +497,13 @@ class TestNonFiniteQueries:
     def test_density_at_rejects(self, solved, bad):
         F, _ = solved(1.0, -0.1, tol=1e-9)
         with pytest.raises(ParameterError):
-            g.density_at(F, g.ReducedParams(beta=1.0, rho=-0.1), np.array([1e-3, bad]))
+            g.density_at(F, np.array([1e-3, bad]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_left_tail_cdf_rejects(self, solved, bad):
         F, _ = solved(1.0, -0.1, tol=1e-9)
         with pytest.raises(ParameterError):
-            g.left_tail_cdf(F, g.ReducedParams(beta=1.0, rho=-0.1), np.array([1e-3, bad]))
+            g.left_tail_cdf(F, np.array([1e-3, bad]))
 
     @pytest.mark.parametrize("integral", [g.survival, g.cdf])
     def test_integrals_reject_nan(self, solved, integral):

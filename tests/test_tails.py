@@ -59,10 +59,9 @@ class TestExponents:
 
 class TestTailConstants:
     def test_zero_drift_closed_form(self, solved):
-        rp = g.ReducedParams(beta=1.0, rho=0.0)
         F, _ = solved(1.0, 0.0, tol=1e-9)
         # numerator expectation is the total mass, so c = 2/beta exactly
-        assert g.tail_constant(F, rp) == pytest.approx(2.0, rel=1e-9)
+        assert g.tail_constant(F) == pytest.approx(2.0, rel=1e-9)
 
     def test_zero_drift_density_tail(self, solved):
         # x-space density tail ~ c / x^2 with c = 2/beta
@@ -74,17 +73,15 @@ class TestTailConstants:
         assert np.median(implied) == pytest.approx(2.0, rel=0.01)
 
     def test_plateau_matches_renewal_formula(self, solved):
-        rp = g.ReducedParams(beta=1.0, rho=-0.1)
         F, _ = solved(1.0, -0.1, tol=1e-9)
-        c = g.tail_constant(F, rp)
+        c = g.tail_constant(F)
         fitted_exp, plateau_c, variation = g.fit_survival_powerlaw(F)
         assert plateau_c == pytest.approx(c, rel=0.05)
         assert variation < 0.05
 
     def test_geometric_plateau(self, solved):
-        rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
-        c = g.tail_constant(F, rp)
+        c = g.tail_constant(F)
         _, plateau_c, variation = g.fit_survival_powerlaw(F)
         assert plateau_c == pytest.approx(c, rel=0.05)
         assert variation < 0.05
@@ -92,14 +89,14 @@ class TestTailConstants:
     def test_geometric_rejects_p_one(self, solved):
         F, _ = solved(0.5, 0.1, 1.0)
         with pytest.raises(ParameterError):
-            g.tail_constant(F, g.ReducedParams(beta=0.5, rho=0.1, p=1.0))
+            g.tail_constant(F)
 
     def test_continuity_to_infinite_constant(self, solved):
         Fi, _ = solved(1.0, -0.1, tol=1e-9, u_max=16.0)
-        ci = g.tail_constant(Fi, g.ReducedParams(1.0, -0.1))
+        ci = g.tail_constant(Fi)
         rp = g.ReducedParams(beta=1.0, rho=-0.1, p=1e-4)
         Fg, _ = g.solve_geometric(rp, tol=1e-9, u_max=16.0)
-        cg = g.tail_constant(Fg, rp)
+        cg = g.tail_constant(Fg)
         assert cg == pytest.approx(ci, rel=0.02)
 
 
@@ -161,7 +158,7 @@ class TestValueAtRisk:
     def test_roundtrip_on_density(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
-        ta = g.TailAsymptote(g.tail_exponent(rp), g.tail_constant(F, rp))
+        ta = g.TailAsymptote(g.tail_exponent(rp), g.tail_constant(F))
         var = g.value_at_risk(ta, 0.01, density=F)
         assert var.method == "tail_inversion"
         assert g.survival(F, var.threshold) == pytest.approx(0.01, rel=0.1)
@@ -169,7 +166,7 @@ class TestValueAtRisk:
     def test_grid_inversion_inside_body(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
-        ta = g.TailAsymptote(g.tail_exponent(rp), g.tail_constant(F, rp))
+        ta = g.TailAsymptote(g.tail_exponent(rp), g.tail_constant(F))
         with pytest.warns(RegimeWarning):
             var = g.value_at_risk(ta, 0.5, density=F)
         assert var.method == "grid_inversion"
@@ -179,11 +176,3 @@ class TestValueAtRisk:
         ta = g.TailAsymptote(1.2, 2.0)
         with pytest.raises(ParameterError):
             g.value_at_risk(ta, 0.0)
-
-
-class TestRiskRecord:
-    def test_serializable_shape(self):
-        rec = g.tails.risk_record(1.2, 2.0, 0.1, g.VarEstimate(50.0, "tail_inversion"))
-        assert set(rec) == {"exponent", "constant", "shortfall", "var_threshold",
-                            "method_flags"}
-        assert rec["method_flags"]["var"] == "tail_inversion"
