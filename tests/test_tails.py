@@ -1,12 +1,13 @@
 """Tail exponents, tail prefactors, shortfall and Value-at-Risk."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import gbmsum as g
-from gbmsum import ParameterError, RegimeWarning
+from gbmsum import ParameterError, RegimeWarning, cli
 
 
 class TestExponents:
@@ -176,3 +177,15 @@ class TestValueAtRisk:
         ta = g.TailAsymptote(1.2, 2.0)
         with pytest.raises(ParameterError):
             g.value_at_risk(ta, 0.0)
+
+
+class TestRiskRecord:
+    def test_serializable_shape(self, solved):
+        # the annuity command's risk record, built from one solved law
+        F, report = solved(1.0, 0.0, 0.1, tol=1e-9)
+        mean = cli._annuity_mean(F.params)
+        _, rec = cli._annuity_rows(mean, F, report, [0.0], 0.01)
+        assert set(rec) == {"exponent", "constant", "shortfall", "var_threshold",
+                            "method_flags", "report", "mean"}
+        assert rec["method_flags"]["var"] == "tail_inversion"
+        assert json.loads(json.dumps(rec)) == rec
