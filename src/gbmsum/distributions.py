@@ -207,14 +207,17 @@ def yor_moment_residual(theta: float, mu: float, lam: float) -> float:
         raise ParameterError(
             f"moment of order theta = {theta} does not exist (beta_g = {beta_g})"
         )
+
+    def alpha_beta(x: float) -> float:
+        # alpha B(x, alpha), finite at alpha = 0 since alpha Gamma(alpha) = Gamma(alpha + 1)
+        return math.exp(math.lgamma(x) + math.lgamma(alpha + 1.0) - math.lgamma(x + alpha))
+
     e_theta = (
-        alpha / 2.0**theta
-        * special.beta(theta + 1.0, alpha)
+        alpha_beta(theta + 1.0) / 2.0**theta
         * math.exp(math.lgamma(beta_g - theta) - math.lgamma(beta_g))
     )
     e_theta_m1 = (
-        alpha / 2.0 ** (theta - 1.0)
-        * special.beta(theta, alpha)
+        alpha_beta(theta) / 2.0 ** (theta - 1.0)
         * math.exp(math.lgamma(beta_g - theta + 1.0) - math.lgamma(beta_g))
     )
     return (2.0 * theta**2 + 2.0 * theta * mu - lam) * e_theta + theta * e_theta_m1

@@ -74,15 +74,14 @@ class AsianSpec:
 # -- finite-sum densities ------------------------------------------------------
 
 
-def _finite_sum_grid(n: int, rp: ReducedParams, h: float | None = None,
-                     u_max: float | None = None) -> Grid:
-    if h is None:
-        h = min(0.01, math.sqrt(rp.beta) / 4.0)
+def _finite_sum_grid(n: int, rp: ReducedParams, u_max: float | None = None) -> Grid:
+    """The grid of the n-term law: step min(0.01, sqrt(beta)/4), well inside the
+    kernel width, and a span from the sum's mean and log-normal spread."""
     if u_max is None:
         mean = mean_finite_sum(n, rp.rho, 1.0, 1.0)
         margin = math.sqrt(2.0 * rp.beta * n * 46.0) + 1.0
         u_max = math.log1p(max(mean, 1.0) * math.exp(margin))
-    return Grid(h, max(16, int(round(u_max / h)) + 1))
+    return Grid.spanning(min(0.01, math.sqrt(rp.beta) / 4.0), u_max)
 
 
 @functools.lru_cache(maxsize=8)
@@ -96,20 +95,18 @@ def _finite_sum_values(n: int, rp: ReducedParams, grid: Grid) -> np.ndarray:
     return vals
 
 
-def finite_sum_density(n: int, params, h: float | None = None,
-                       u_max: float | None = None) -> GridDensity:
+def finite_sum_density(n: int, params, u_max: float | None = None) -> GridDensity:
     """Density of the n-term sum: n-1 applications of the one-step transform
     to the one-period multiplier law.  No power-law tail is attached (finite
     sums have log-normal-type tails)."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     rp = as_reduced(params)
-    grid = _finite_sum_grid(n, rp, h, u_max)
+    grid = _finite_sum_grid(n, rp, u_max)
     return GridDensity(grid, _finite_sum_values(n, rp, grid))
 
 
-def finite_sum_density_derivative_form(n: int, params, h: float | None = None,
-                                       u_max: float | None = None) -> GridDensity:
+def finite_sum_density_derivative_form(n: int, params) -> GridDensity:
     """The same n-term density from the alternating derivative expansion of
     the geometric-stopping law around p = 1.
 
@@ -125,7 +122,7 @@ def finite_sum_density_derivative_form(n: int, params, h: float | None = None,
             f"use finite_sum_density for large horizons"
         )
     rp = as_reduced(params)
-    grid = _finite_sum_grid(n, rp, h, u_max)
+    grid = _finite_sum_grid(n, rp)
     op = GaussianStepOperator(grid, rp)
     f1 = _multiplier_values(grid, rp)
     total = f1.copy()
@@ -160,8 +157,7 @@ def finite_sum_density_derivative_form(n: int, params, h: float | None = None,
     return GridDensity(grid, total)
 
 
-def mixture_density(horizon: GeneralHorizon, params, h: float | None = None,
-                    u_max: float | None = None) -> GridDensity:
+def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None) -> GridDensity:
     """Density of the sum stopped at a general random horizon: the weighted
     combination of finite-sum densities, built with one running transform
     pass."""
@@ -173,7 +169,7 @@ def mixture_density(horizon: GeneralHorizon, params, h: float | None = None,
     if u_max is None:
         means = np.array([mean_finite_sum(k, rp.rho, 1.0, 1.0) for k in range(1, cap + 1)])
         u_max = math.log1p(1000.0 * max(float(weights @ means), 1.0))
-    grid = _finite_sum_grid(cap, rp, h, u_max)
+    grid = _finite_sum_grid(cap, rp, u_max)
     op = GaussianStepOperator(grid, rp)
     running = _multiplier_values(grid, rp)
     acc = weights[0] * running
@@ -287,23 +283,21 @@ def _parity_gap(spec: AsianSpec, prices: dict, convention: str) -> float:
 # -- geometric-maturity option block ---------------------------------------------
 
 
-def geometric_maturity_option(params, kappa: float, tol: float = 1e-9,
-                              max_iter: int = 500, h: float | None = None,
-                              u_max: float | None = None) -> float:
-    """E[(X_N - kappa)+] for geometric stopping: the building block of the
-    generating-function route to fixed-maturity prices."""
-    rp = as_reduced(params)
+def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
+    """E[(X_N - kappa)+] for geometric stopping, on a law F from solve_geometric
+    with 0 < p < 1: the building block of the generating-function route to
+    fixed-maturity prices.  A strike ladder reuses the one solve."""
+    rp = solver._solved_params(F, "geometric_maturity_option")
     if not (0.0 < rp.p < 1.0):
         raise ParameterError(f"needs 0 < p < 1, got p = {rp.p}")
-    if kappa < 0.0:
+    if not (kappa >= 0.0):
         raise ParameterError(f"kappa must be non-negative, got {kappa}")
     mu = tail_exponent(rp)
     if mu <= 1.0:
         raise DivergentExpectationError(
             f"tail exponent mu = {mu:.4g} <= 1: E[(X_N - kappa)+] is infinite"
         )
-    density, _ = solver.solve_geometric(rp, tol=tol, max_iter=max_iter, h=h, u_max=u_max)
-    return solver.expectation(density, lambda x: np.maximum(x - kappa, 0.0))
+    return solver.expectation(F, lambda x: np.maximum(x - kappa, 0.0))
 
 
 # -- Makeham calibration ----------------------------------------------------------

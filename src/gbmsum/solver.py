@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
 )
 from .moments import gbm_multiplier_moments, moment_exists, moments_geometric
-from .params import ReducedParams, TailAsymptote, as_reduced, tail_exponent
+from .params import ReducedParams, TailAsymptote, as_reduced, require_finite, tail_exponent
 
 TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
 _BAND_SIGMAS = 8.0
@@ -47,10 +47,20 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        require_finite(h=self.h)
         if not (self.h > 0.0):
             raise ParameterError(f"grid step must be positive, got {self.h}")
         if self.n_points < 16:
             raise ParameterError(f"grid needs at least 16 points, got {self.n_points}")
+
+    @classmethod
+    def spanning(cls, h: float, u_max: float) -> Grid:
+        """The step-h grid whose top is the grid point nearest u_max."""
+        require_finite(h=h, u_max=u_max)
+        if not (h > 0.0 and u_max > 0.0):
+            raise ParameterError(f"grid step and span must be positive, got h = {h}, "
+                                 f"u_max = {u_max}")
+        return cls(h, int(round(u_max / h)) + 1)
 
     @property
     def u_max(self) -> float:
@@ -207,10 +217,9 @@ def _grid_pair(rp: ReducedParams, exponent: float, h: float | None,
         h = min(0.01, math.sqrt(rp.beta) / 3.0)
     if u_max is None:
         u_max = _default_u_max(rp, exponent)
-    n_ret = max(16, int(round(u_max / h)) + 1)
+    grid_ret = Grid.spanning(h, u_max)
     pad = 1.5 * rp.beta + abs(rp.rho) + 6.0 * math.sqrt(rp.beta) + 1.0
-    n_int = n_ret + int(math.ceil(pad / h))
-    return Grid(h, n_ret), Grid(h, n_int)
+    return grid_ret, Grid(h, grid_ret.n_points + int(math.ceil(pad / h)))
 
 
 # -- integrals over grid densities ---------------------------------------------
@@ -396,38 +405,28 @@ def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
 
 # -- quadrature error bound -----------------------------------------------------
 
-_DERIV_STENCILS = {
-    1: np.array([-0.5, 1.0, 0.0, -1.0, 0.5]),
-    2: np.array([-1.0, 4.0, -5.0, 0.0, 5.0, -4.0, 1.0]) / 2.0,
-    3: np.array([-1.0, 6.0, -14.0, 14.0, 0.0, -14.0, 14.0, -6.0, 1.0]) / 2.0,
-}
+_DERIV_STENCIL = np.array([-0.5, 1.0, 0.0, -1.0, 0.5])  # third derivative, times h^3
 
 
-def quadrature_error_bound(F: GridDensity, k: int = 1) -> float:
-    """Trapezoidal quadrature error bound h^(2k+1) M zeta(2k+1) / (4^k pi^(2k+1)).
+def quadrature_error_bound(F: GridDensity) -> float:
+    """Trapezoidal quadrature error bound h^3 M zeta(3) / (4 pi^3).
 
-    M is the integral of the (2k+1)-th derivative magnitude of the mass-form
+    M is the integral of the third derivative magnitude of the mass-form
     integrand F(u) e^u (the function whose trapezoidal sums give the
     normalization and expectations), estimated by central finite differences
     on the grid; warns when the estimate is dominated by rounding noise.
     """
-    if k not in _DERIV_STENCILS:
-        raise ParameterError(f"quadrature bound implemented for k in {{1,2,3}}, got {k}")
     h = F.grid.h
-    stencil = _DERIV_STENCILS[k]
-    r = len(stencil) // 2
     integrand = _mass_integrand(F.grid, F.values)
-    deriv = np.convolve(integrand, stencil[::-1], mode="same") / h ** (2 * k + 1)
-    interior = deriv[r:-r]
-    m_est = float(np.trapezoid(np.abs(interior), dx=h))
-    noise = (2.2e-16 * float(np.max(integrand)) * float(np.abs(stencil).sum())
-             / h ** (2 * k + 1) * F.grid.u_max)
+    deriv = np.convolve(integrand, _DERIV_STENCIL[::-1], mode="same") / h**3
+    m_est = float(np.trapezoid(np.abs(deriv[2:-2]), dx=h))
+    noise = (2.2e-16 * float(np.max(integrand)) * float(np.abs(_DERIV_STENCIL).sum())
+             / h**3 * F.grid.u_max)
     if m_est < 5.0 * noise:
         warnings.warn(f"derivative estimate for the quadrature bound is noise-dominated "
                       f"(M = {m_est:.3g}, noise floor ~ {noise:.3g})", AccuracyWarning,
                       stacklevel=2)
-    zeta = float(special.zeta(2 * k + 1))
-    return h ** (2 * k + 1) * m_est * zeta / (4.0**k * math.pi ** (2 * k + 1))
+    return h**3 * m_est * float(special.zeta(3)) / (4.0 * math.pi**3)
 
 
 # -- the multiplier law and the tail fit ---------------------------------------
@@ -570,7 +569,7 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     object.__setattr__(density, "col_scale", col_scale)
     return density, SolveReport(
         iterations=len(deltas) + matvecs, final_delta=deltas[-1],
-        normalization_drift=abs(total - 1.0), quadrature_bound=quadrature_error_bound(density, k=1),
+        normalization_drift=abs(total - 1.0), quadrature_bound=quadrature_error_bound(density),
         delta_trace=deltas, mass_trace=masses, polish_matvecs=matvecs,
         mean_rel_err=_mean_rel_err(density, rp))
 

@@ -287,6 +287,14 @@ class TestMalformedInput:
                      {"b.json": json.dumps([{"type": "annuity", "beta": 1.0, "rho": 0.2,
                                              "p": 0.1}])},
                      "the capital K = E[X] is infinite", id="batch-infinite-mean"),
+        pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--umax", "nan"], {},
+                     "u_max must be finite, got nan", id="density-nan-umax"),
+        pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--umax", "-5"], {},
+                     "u_max = -5.0", id="density-negative-umax"),
+        pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--h", "inf"], {},
+                     "h must be finite, got inf", id="density-inf-h"),
+        pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--h", "0"], {},
+                     "h = 0.0", id="density-zero-h"),
     ])
     def test_exit_2_names_the_value(self, tmp_path, capsys, argv, files, message):
         for name, text in files.items():

@@ -248,7 +248,7 @@ class TestYorSurvival:
 
 
 class TestYorMomentIdentity:
-    @pytest.mark.parametrize("mu,lam", [(-1.0, 0.5), (0.3, 1.0), (-0.4, 0.25)])
+    @pytest.mark.parametrize("mu,lam", [(-1.0, 0.5), (0.3, 1.0), (-0.4, 0.25), (-1.0, 0.0)])
     def test_residual_vanishes_on_grid(self, mu, lam):
         for theta in np.arange(0.1, 0.95, 0.1):
             beta_g = 0.5 * (-mu + math.sqrt(mu**2 + 2.0 * lam))

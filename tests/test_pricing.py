@@ -1,6 +1,7 @@
 """Finite-sum densities, Asian options, mixtures and mortality calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,8 +61,15 @@ class TestFiniteSumDensity:
         n = 25
         F = g.finite_sum_density(n, rp)
         mass = g.survival(F, 0.0)
-        bound = g.quadrature_error_bound(F, k=1)
+        bound = g.quadrature_error_bound(F)
         assert abs(mass - 1.0) <= n * max(bound, 1e-12)
+
+    def test_step_from_beta_never_coarse(self):
+        # h = min(0.01, sqrt(beta)/4) stays below the sqrt(beta)/3 the operator asks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", g.CoarseGridWarning)
+            F = g.finite_sum_density(3, g.ReducedParams(beta=0.0004, rho=0.0))
+        assert F.grid.h == pytest.approx(0.005)
 
 
 class TestDerivativeForm:
@@ -191,24 +199,43 @@ class TestAsianPricing:
 
 
 class TestGeometricMaturityOption:
-    def test_zero_threshold_is_mean(self):
-        rp = g.ReducedParams(beta=0.5, rho=-0.5, p=0.2)
-        val = g.geometric_maturity_option(rp, 0.0)
+    def test_zero_threshold_is_mean(self, solved):
+        F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
+        val = g.geometric_maturity_option(F, 0.0)
         exact = math.exp(-0.5) / (1.0 - 0.8 * math.exp(-0.5))
         assert val == pytest.approx(exact, rel=1e-4)
 
-    def test_vanishes_for_large_threshold(self):
-        rp = g.ReducedParams(beta=0.5, rho=-0.5, p=0.2)
-        assert g.geometric_maturity_option(rp, 1e5) < 1e-4
+    def test_vanishes_for_large_threshold(self, solved):
+        F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
+        assert g.geometric_maturity_option(F, 1e5) < 1e-4
 
-    def test_mean_infinite_tail_rejected(self):
-        rp = g.ReducedParams(beta=1.0, rho=0.6, p=0.05)
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
+    def test_bad_strike_rejected(self, solved, kappa):
+        F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
+        with pytest.raises(ParameterError, match="kappa must be non-negative"):
+            g.geometric_maturity_option(F, kappa)
+
+    def test_mean_infinite_tail_rejected(self, solved):
+        F, _ = solved(1.0, 0.1, 0.05, u_max=10.0)  # mu = 0.91
         with pytest.raises(DivergentExpectationError):
-            g.geometric_maturity_option(rp, 10.0)
+            g.geometric_maturity_option(F, 10.0)
 
-    def test_against_mc(self):
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_needs_stopping_probability_inside(self, solved, p):
+        F, _ = solved(1.0, -0.1, p)
+        with pytest.raises(ParameterError, match="0 < p < 1"):
+            g.geometric_maturity_option(F, 1.0)
+
+    def test_unsolved_law_rejected(self):
+        # a finite-sum law records no parameters, so it names the solvers
+        F = g.finite_sum_density(3, g.ReducedParams(beta=1.0, rho=0.0), u_max=8.0)
+        with pytest.raises(ParameterError, match="solve_geometric"):
+            g.geometric_maturity_option(F, 1.0)
+
+    def test_against_mc(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
-        val = g.geometric_maturity_option(rp, 10.0, tol=1e-9, u_max=25.0)
+        F, _ = solved(1.0, 0.0, 0.1, tol=1e-9, u_max=25.0)
+        val = g.geometric_maturity_option(F, 10.0)
         cfg = g.McConfig(n_paths=2_000_000, seed=13, antithetic=True,
                          horizon=g.GeometricHorizon(0.1))
         est = g.simulate_sum(rp, cfg, lambda x: np.maximum(x - 10.0, 0.0))
