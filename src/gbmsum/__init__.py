@@ -52,7 +52,6 @@ from .pricing import (
     AsianSpec,
     asian_call,
     asian_prices,
-    asian_put,
     finite_sum_density,
     finite_sum_density_derivative_form,
     geometric_maturity_option,
@@ -65,7 +64,6 @@ from .solver import (
     Grid,
     GridDensity,
     SolveReport,
-    apply_operator,
     cdf,
     density_at,
     expectation,

@@ -90,10 +90,7 @@ class _Outputs:
             "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                          for w in self.warnings],
         }
-        path = self.path(command + ".manifest.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        self.write_json(command + ".manifest.json", payload)
 
 
 def _fmt(v) -> str:
@@ -115,20 +112,14 @@ def _json_default(v):
 
 
 def _report_dict(report: solver.SolveReport) -> dict:
-    return {
-        "iterations": report.iterations,
-        "final_delta": report.final_delta,
-        "normalization_drift": report.normalization_drift,
-        "quadrature_bound": report.quadrature_bound,
-        "delta_trace": report.delta_trace,
-        "polish_matvecs": report.polish_matvecs,
-        "mean_rel_err": report.mean_rel_err,
-    }
+    """Every SolveReport field but the mass trace."""
+    return {k: v for k, v in vars(report).items() if k != "mass_trace"}
 
 
-def _solve(rp: ReducedParams, args) -> tuple[solver.GridDensity, solver.SolveReport]:
+def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None = None,
+           u_max: float | None = None) -> tuple[solver.GridDensity, solver.SolveReport]:
     solve = solver.solve_geometric if rp.p > 0.0 else solver.solve_infinite
-    return solve(rp, tol=args.tol, max_iter=args.max_iter, h=args.h, u_max=args.umax)
+    return solve(rp, tol=tol, max_iter=max_iter, h=h, u_max=u_max)
 
 
 # -- commands --------------------------------------------------------------------
@@ -136,7 +127,7 @@ def _solve(rp: ReducedParams, args) -> tuple[solver.GridDensity, solver.SolveRep
 
 def cmd_density(args, out: _Outputs) -> int:
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
-    density, report = _solve(rp, args)
+    density, report = _solve(rp, args.tol, args.max_iter, args.h, args.umax)
     u = density.grid.u()
     x = density.grid.x()
     if rp.p > 0.0:
@@ -166,20 +157,15 @@ def cmd_density(args, out: _Outputs) -> int:
     return _EXIT_OK
 
 
-def cmd_asian(args, out: _Outputs) -> int:
+def _asian_scenario(field) -> tuple[pricing.AsianSpec, dict]:
+    """Price the spec that field(name, default) reads; returns the spec and
+    the record that `asian` and `batch` write."""
     spec = pricing.AsianSpec(
-        s0=args.s0, strike=args.strike, rate=args.rate, dividend=args.div,
-        sigma=args.sigma, maturity=args.maturity, n_fixings=args.fixings,
+        s0=field("s0"), strike=field("strike"), rate=field("rate"), dividend=field("div", 0.0),
+        sigma=field("sigma"), maturity=field("maturity"), n_fixings=field("fixings"),
     )
     prices = pricing.asian_prices(spec)
-    header = ["n", "s0", "price"]
-    row = [spec.n_fixings, spec.s0, prices["call"]]
-    if args.put:
-        header.append("put_price")
-        row.append(prices["put"])
-    out.write_csv("asian.csv", header, [row])
-    diag = {
-        "spec": _args_dict(args),
+    return spec, {
         "call": prices["call"],
         "put": prices["put"],
         "parity_gap_discrete": pricing._parity_gap(spec, prices, "discrete"),
@@ -189,6 +175,17 @@ def cmd_asian(args, out: _Outputs) -> int:
         "mean_rel_err": prices["mean_rel_err"],
         "grid": {"h": prices["h"], "u_max": prices["u_max"], "n_points": prices["n_points"]},
     }
+
+
+def cmd_asian(args, out: _Outputs) -> int:
+    spec, record = _asian_scenario(lambda name, default=None: getattr(args, name))
+    header = ["n", "s0", "price"]
+    row = [spec.n_fixings, spec.s0, record["call"]]
+    if args.put:
+        header.append("put_price")
+        row.append(record["put"])
+    out.write_csv("asian.csv", header, [row])
+    diag = {"spec": _args_dict(args), **record}
     seeds = []
     if args.mc_check:
         cfg = McConfig(n_paths=args.mc_check, seed=args.seed, antithetic=True,
@@ -230,15 +227,29 @@ def _annuity_rows(mean: float, density: solver.GridDensity, report: solver.Solve
                   "report": _report_dict(report), "mean": mean}
 
 
+def _annuity_scenario(rp: ReducedParams, q_values, what: str, var_level: float, solve):
+    """The annuity rows and record of law rp, solved by solve(rp) once the
+    buffers q_values (which `what` names) and the VaR level are checked."""
+    if not (isinstance(q_values, list) and q_values):
+        raise ParameterError(f"{what} must be a non-empty list of buffers q, got {q_values!r}")
+    q_list = [_number(q, f"{what} entry") for q in q_values]
+    if min(q_list) < 0.0:
+        raise ParameterError(f"{what} entry must be >= 0, got {min(q_list)}")
+    if not (0.0 < var_level < 1.0):
+        raise ParameterError(f"VaR level must be in (0, 1), got {var_level}")
+    return _annuity_rows(_annuity_mean(rp), *solve(rp), q_list, var_level)
+
+
 _ANNUITY_HEADER = ["beta", "rho", "p", "mean", "q", "threshold",
                    "shortfall", "shortfall_continuous"]
 
 
 def cmd_annuity(args, out: _Outputs) -> int:
-    rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
-    q_list = [_number(v, "--q-list entry") for v in args.q_list.split(",") if v != ""]
-    mean = _annuity_mean(rp)
-    rows, record = _annuity_rows(mean, *_solve(rp, args), q_list, args.var_level)
+    rows, record = _annuity_scenario(
+        ReducedParams(beta=args.beta, rho=args.rho, p=args.p),
+        [v for v in args.q_list.split(",") if v != ""], "--q-list", args.var_level,
+        lambda rp: _solve(rp, args.tol, args.max_iter, args.h, args.umax),
+    )
     out.write_csv("annuity.csv", _ANNUITY_HEADER, rows)
     out.write_json("annuity_report.json", record)
     out.manifest("annuity", _args_dict(args))
@@ -256,6 +267,8 @@ def cmd_calibrate(args, out: _Outputs) -> int:
 
 def cmd_moments(args, out: _Outputs) -> int:
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
+    if args.kmax < 1:
+        raise ParameterError(f"kmax must be >= 1, got {args.kmax}")
     mm = moments.gbm_multiplier_moments(rp)
     rows = []
     for k in range(1, args.kmax + 1):
@@ -347,41 +360,35 @@ def cmd_batch(args, out: _Outputs) -> int:
         raise ParameterError("batch config must be a JSON array of scenario objects")
     asian_rows, annuity_rows, envelope = [], [], []
     solve_cache: dict = {}
-    ns = argparse.Namespace(tol=args.tol, max_iter=args.max_iter, h=None, umax=None)
+
+    def solve(rp):
+        if rp not in solve_cache:
+            solve_cache[rp] = _solve(rp, args.tol, args.max_iter)
+        return solve_cache[rp]
+
     for i, sc in enumerate(scenarios):
         kind = sc.get("type")
 
-        def field(name, default=None, number=float):
+        def field(name, default=None):
             value = sc.get(name, default)
             if value is None:
                 raise ParameterError(f"{kind} scenario {i} has no field {name!r}")
-            return _number(value, f"{kind} scenario {i} field {name!r}", number)
+            return _number(value, f"{kind} scenario {i} field {name!r}",
+                           int if name == "fixings" else float)
 
         if kind == "asian":
-            spec = pricing.AsianSpec(
-                s0=field("s0"), strike=field("strike"), rate=field("rate"),
-                dividend=field("div", 0.0), sigma=field("sigma"),
-                maturity=field("maturity"), n_fixings=field("fixings", number=int),
-            )
-            prices = pricing.asian_prices(spec)
-            asian_rows.append([spec.n_fixings, spec.s0, prices["call"]])
-            envelope.append({"index": i, "type": "asian", "call": prices["call"],
-                             "put": prices["put"], "mean_rel_err": prices["mean_rel_err"]})
+            spec, record = _asian_scenario(field)
+            asian_rows.append([spec.n_fixings, spec.s0, record["call"]])
         elif kind == "annuity":
-            rp = ReducedParams(beta=field("beta"), rho=field("rho"), p=field("p"))
-            mean = _annuity_mean(rp)
-            if rp not in solve_cache:
-                solve_cache[rp] = _solve(rp, ns)
-            rows, record = _annuity_rows(
-                mean, *solve_cache[rp],
-                [_number(q, f"{kind} scenario {i} q_list entry") for q in sc.get("q_list", [0.0])],
-                field("var_level", 0.01),
+            rows, record = _annuity_scenario(
+                ReducedParams(beta=field("beta"), rho=field("rho"), p=field("p")),
+                sc.get("q_list", [0.0]), f"{kind} scenario {i} q_list",
+                field("var_level", 0.01), solve,
             )
             annuity_rows.extend(rows)
-            envelope.append({"index": i, "type": "annuity", **{
-                k: v for k, v in record.items() if k != "report"}})
         else:
             raise ParameterError(f"scenario {i} has unknown type {kind!r}")
+        envelope.append({"index": i, "type": kind, **record})
     if asian_rows:
         out.write_csv("asian.csv", ["n", "s0", "price"], asian_rows)
     if annuity_rows:

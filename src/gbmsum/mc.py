@@ -246,7 +246,6 @@ def simulate_time_integral(sigma: float, m: float, substeps: int, cfg: McConfig,
         statistic = lambda y: y  # noqa: E731 - identity default
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     primaries = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    chunk = max(1024, min(1 << 16, _MAX_CHUNK_ELEMENTS // substeps))
     n_inner = substeps - 1  # the t = 0 term of the Riemann sum is exp(0) = 1
 
     def draw(count, buffer):
@@ -266,5 +265,5 @@ def simulate_time_integral(sigma: float, m: float, substeps: int, cfg: McConfig,
         acc.add(_samples(statistic, [dt * (1.0 + p)
                                      for p in (partial if cfg.antithetic else (partial,))]))
 
-    _drawn_ahead(draw, _chunk_counts(primaries, chunk), add)
+    _drawn_ahead(draw, _chunk_counts(primaries, _chunk_size(FixedHorizon(substeps))), add)
     return _finish(acc, cfg)

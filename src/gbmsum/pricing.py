@@ -206,9 +206,10 @@ def asian_prices(spec: AsianSpec) -> dict:
     n = spec.n_fixings
     kappa = n * spec.strike / spec.s0
     disc = math.exp(-spec.rate * spec.maturity)
-    grid = _finite_sum_grid(n, rp)
+    F = finite_sum_density(n, rp)
+    grid = F.grid
     x = grid.x()
-    mass_integrand = GridDensity(grid, _finite_sum_values(n, rp, grid)).values * np.exp(grid.u())
+    mass_integrand = F.values * np.exp(grid.u())
     call_integrand = mass_integrand * np.maximum(x - kappa, 0.0)
     call_exp = float(np.trapezoid(call_integrand, dx=grid.h))
     beyond = _edge_decay_mass(grid, call_integrand)
@@ -249,11 +250,6 @@ def asian_prices(spec: AsianSpec) -> dict:
 def asian_call(spec: AsianSpec) -> float:
     """Discounted arithmetic-average call price by density integration."""
     return asian_prices(spec)["call"]
-
-
-def asian_put(spec: AsianSpec) -> float:
-    """Discounted arithmetic-average put price (bounded payoff, no closure)."""
-    return asian_prices(spec)["put"]
 
 
 def put_call_parity_gap(spec: AsianSpec, convention: str = "discrete") -> float:

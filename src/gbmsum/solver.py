@@ -182,11 +182,6 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> sparse.csr_ar
     return sparse.csr_array((band.ravel(), cols.ravel(), indptr), shape=(w0.size, n))
 
 
-def apply_operator(F: GridDensity, params) -> GridDensity:
-    """One application of the one-step transform to a grid density."""
-    return GridDensity(F.grid, GaussianStepOperator(F.grid, params).apply(F.values))
-
-
 # -- default grid construction ------------------------------------------------
 
 
@@ -438,14 +433,20 @@ def _multiplier_values(grid: Grid, rp: ReducedParams) -> np.ndarray:
     return distributions.multiplier_pdf(grid.x(), rp)
 
 
-def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float | None:
-    """Median of f(x) x^(exponent+1) / exponent over the grid's last decade."""
-    u = grid.u()
-    lo = max(grid.u_max - math.log(10.0), grid.h)
-    sel = u >= lo
+def _tail_window(grid: Grid) -> np.ndarray:
+    """Mask of the grid's last decade of 1 + x (x > 0), or of its last 20
+    points if that holds fewer: the window every tail fit reads."""
+    sel = grid.u() >= max(grid.u_max - math.log(10.0), grid.h)
     if sel.sum() < 20:
         sel = np.zeros_like(sel)
         sel[-20:] = True
+    return sel
+
+
+def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float | None:
+    """Median of f(x) x^(exponent+1) / exponent over the tail window."""
+    sel = _tail_window(grid)
+    u = grid.u()
     v = values[sel]
     if np.any(v <= 0.0):
         return None

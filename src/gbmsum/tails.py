@@ -8,7 +8,6 @@ log-normal left tails: log P(X <= eps) / (log eps)^2 approaches a constant.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -126,11 +125,7 @@ def fit_survival_powerlaw(F: solver.GridDensity) -> tuple[float, float, float]:
         raise ParameterError("density carries no tail asymptote to fit against")
     x = F.grid.x()
     surv = solver.survival_on_grid(F)
-    lo = np.expm1(F.grid.u_max - math.log(10.0))
-    sel = (x >= lo) & (surv > 0.0)
-    if sel.sum() < 20:
-        sel = np.zeros_like(sel)
-        sel[-20:] = True
+    sel = solver._tail_window(F.grid) & (surv > 0.0)
     lx = np.log(x[sel])
     ls = np.log(surv[sel])
     slope, intercept = np.polyfit(lx, ls, 1)

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from gbmsum import cli
 from gbmsum.cli import main
 
 
@@ -217,6 +218,26 @@ class TestBatchCommand:
                    and "falls inside the grid body" in w["message"]
                    for w in manifest["warnings"])
 
+    def test_entries_are_the_command_records(self, tmp_path):
+        asian = ["--s0", "100", "--strike", "100", "--rate", "0.1", "--sigma", "0.4",
+                 "--maturity", "1", "--fixings", "10"]
+        config = tmp_path / "scenarios.json"
+        config.write_text(json.dumps([
+            {"type": "asian", "s0": 100, "strike": 100, "rate": 0.1, "sigma": 0.4,
+             "maturity": 1.0, "fixings": 10},
+            {"type": "annuity", "beta": 1.0, "rho": 0.0, "p": 0.1, "q_list": [0, 0.5]},
+        ]))
+        assert main(["batch", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+        assert main(["asian", *asian, "--out", str(tmp_path / "as")]) == 0
+        assert main(["annuity", "--beta", "1", "--rho", "0", "--p", "0.1", "--q-list", "0,0.5",
+                     "--out", str(tmp_path / "an")]) == 0
+        entries = json.load(open(tmp_path / "b" / "batch_report.json"))["scenarios"]
+        asian_record = json.load(open(tmp_path / "as" / "asian_report.json"))
+        del asian_record["spec"]  # only the command line has the spec and an MC check
+        assert entries[0] == {"index": 0, "type": "asian", **asian_record}
+        annuity_record = json.load(open(tmp_path / "an" / "annuity_report.json"))
+        assert entries[1] == {"index": 1, "type": "annuity", **annuity_record}
+
     def test_unknown_type_exit_2(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps([{"type": "swap"}]))
@@ -228,6 +249,26 @@ class TestMalformedInput:
     MC = ["mc", "--paths", "1000", "--seed", "1", "--beta", "1", "--rho", "0"]
     ASIAN = {"type": "asian", "s0": 100, "rate": 0.1, "sigma": 0.4,
              "maturity": 1.0, "fixings": 10}
+    ANNUITY = ["annuity", "--beta", "0.1", "--rho", "0", "--p", "0.01"]
+    LAW = {"type": "annuity", "beta": 0.1, "rho": 0.0, "p": 0.01}
+    # annuity inputs that must fail before the law is solved
+    ANNUITY_INPUTS = [
+        pytest.param(ANNUITY + ["--q-list", ","], {},
+                     "--q-list must be a non-empty list of buffers q, got []",
+                     id="annuity-empty-q-list"),
+        pytest.param(ANNUITY + ["--q-list", "0,-1"], {},
+                     "--q-list entry must be >= 0, got -1.0", id="annuity-negative-q"),
+        pytest.param(ANNUITY + ["--var-level", "1.5"], {},
+                     "VaR level must be in (0, 1), got 1.5", id="annuity-var-level"),
+        pytest.param(["batch", "--config", "{dir}/b.json"],
+                     {"b.json": json.dumps([{**LAW, "q_list": []}])},
+                     "annuity scenario 0 q_list must be a non-empty list of buffers q, got []",
+                     id="batch-empty-q-list"),
+        pytest.param(["batch", "--config", "{dir}/b.json"],
+                     {"b.json": json.dumps([{**LAW, "q_list": 0.5}])},
+                     "annuity scenario 0 q_list must be a non-empty list of buffers q, got 0.5",
+                     id="batch-scalar-q-list"),
+    ]
 
     @pytest.mark.parametrize("argv,files,message", [
         pytest.param(MC + ["--horizon", "fixed:abc"], {},
@@ -295,6 +336,9 @@ class TestMalformedInput:
                      "h must be finite, got inf", id="density-inf-h"),
         pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--h", "0"], {},
                      "h = 0.0", id="density-zero-h"),
+        pytest.param(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "0"], {},
+                     "kmax must be >= 1, got 0", id="moments-kmax-0"),
+        *ANNUITY_INPUTS,
     ])
     def test_exit_2_names_the_value(self, tmp_path, capsys, argv, files, message):
         for name, text in files.items():
@@ -302,6 +346,12 @@ class TestMalformedInput:
         argv = [a.format(dir=tmp_path) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,files,message", ANNUITY_INPUTS)
+    def test_annuity_input_fails_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                  argv, files, message):
+        monkeypatch.setattr(cli, "_solve", lambda *a: pytest.fail("solved before the check"))
+        self.test_exit_2_names_the_value(tmp_path, capsys, argv, files, message)
 
 
 class TestEnvironmentDefaults:
