@@ -9,7 +9,9 @@ stationary densities; repeated application gives finite-sum densities.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,6 +39,8 @@ _LEFT_TAIL_RTOL = 3e-5  # bias of the left_tail_cdf rule, relative
 _POLISH_RESTART = 60  # GMRES Krylov dimension between restarts
 _POLISH_RTOL = 1e-13  # GMRES target, relative to the scaled right-hand side
 _PICARD_SWITCH = 1e-4  # sup-norm delta at which Picard hands over to GMRES
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,9 @@ class SolveReport:
 
 
 class GaussianStepOperator:
-    """Banded trapezoidal discretization of the one-step transform, stored
-    as a sparse CSR matrix.
+    """Banded trapezoidal discretization of the one-step transform: the
+    unscaled kernel as a sparse CSR matrix plus a vector of column scales,
+    which every apply multiplies its input by.
 
     Row j integrates the input density against a Gaussian kernel of variance
     beta centered at w0(u_j) = log(e^{u_j} - 1) + 3 beta/2 - rho; the kernel
@@ -134,6 +139,7 @@ class GaussianStepOperator:
     """
 
     def __init__(self, grid: Grid, params):
+        start = time.perf_counter()
         rp = as_reduced(params)
         if math.sqrt(rp.beta) < 3.0 * grid.h:
             warnings.warn(f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is "
@@ -150,34 +156,44 @@ class GaussianStepOperator:
         # satisfies int e^u K(u, w) du = e^w).  The factors are 1 + O(h^3),
         # the same order as the row quadrature error, and they pin the mass
         # eigenvalue to 1 so the fixed-point iteration can converge below
-        # the per-application quadrature drift.
+        # the per-application quadrature drift.  They scale each apply's
+        # input vector.
         mass_w = grid.h * np.exp(u)
         mass_w[0] *= 0.5
         mass_w[-1] *= 0.5
         col_mass = mass_w @ mat
         with np.errstate(divide="ignore", invalid="ignore"):
             col_scale = np.where(col_mass > 0.0, mass_w / col_mass, 1.0)
-        mat.data *= col_scale[mat.indices]
         self._col_scale = col_scale
-        self._mass_w = mass_w  # trapezoid mass weights: mass_w @ mat == mass_w
+        self._mass_w = mass_w  # trapezoid mass weights: mass_w @ apply(v) == mass_w @ v
         self._mat = mat
+        _log.debug("step operator built: n = %d, bw = %d, nnz = %d, %.4f s", grid.n_points,
+                   mat.indptr[1], mat.nnz, time.perf_counter() - start)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self._mat @ values
+        return self._mat @ (self._col_scale * values)
 
 
 def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> sparse.csr_array:
     """Unscaled kernel rows centred at w0, each a run of bw contiguous
-    columns of the grid, as a len(w0) x n CSR matrix."""
+    columns of the grid, as a len(w0) x n CSR matrix.
+
+    Allocates nothing of the matrix's size beyond the matrix itself: the
+    values are computed in place in the data array, and the trapezoid half
+    weights touch only the rows whose run starts at column 0 or ends at n-1.
+    """
     n, h = grid.n_points, grid.h
     bw = min(n, 2 * int(math.ceil(_BAND_SIGMAS * math.sqrt(rp.beta) / h)) + 1)
     pref = math.exp(rp.beta - rp.rho) / math.sqrt(2.0 * math.pi * rp.beta)
-    kc = np.rint(w0 / h).astype(np.int64)
-    k0 = np.clip(kc - (bw - 1) // 2, 0, n - bw)
-    cols = (k0[:, None] + np.arange(bw, dtype=np.int64)[None, :]).astype(np.int32)
-    w = cols * h
-    band = np.exp(-((w - w0[:, None]) ** 2) / (2.0 * rp.beta)) * (pref * h)
-    band[(cols == 0) | (cols == n - 1)] *= 0.5
+    k0 = np.clip(np.rint(w0 / h).astype(np.int64) - (bw - 1) // 2, 0, n - bw)
+    band = np.add((k0 * h - w0)[:, None], np.arange(bw) * h)  # w_k - w0
+    np.square(band, out=band)
+    band *= -0.5 / rp.beta
+    np.exp(band, out=band)
+    band *= pref * h
+    band[k0 == 0, 0] *= 0.5
+    band[k0 == n - bw, -1] *= 0.5
+    cols = np.add(k0.astype(np.int32)[:, None], np.arange(bw, dtype=np.int32))
     indptr = np.arange(0, w0.size * bw + 1, bw, dtype=np.int32)
     return sparse.csr_array((band.ravel(), cols.ravel(), indptr), shape=(w0.size, n))
 

@@ -1,6 +1,8 @@
 """Fixed-point solver, grid-density integrals and quadrature diagnostics."""
 
+import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,6 +104,33 @@ class TestOperator:
             g.GaussianStepOperator(Grid(0.01, 200), rp)
 
 
+class TestOperatorBuild:
+    def test_build_allocates_only_the_operator(self):
+        rp = g.ReducedParams(beta=1.0, rho=0.0)
+        grid = solver._grid_pair(rp, g.tail_exponent(rp), None, None)[1]
+        tracemalloc.start()
+        try:
+            op = g.GaussianStepOperator(grid, rp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mat = op._mat
+        held = sum(a.nbytes for a in (mat.data, mat.indices, mat.indptr, op._col_scale,
+                                      op._mass_w))
+        assert peak <= 1.25 * held
+
+    def test_build_logs_at_debug_only(self, caplog):
+        grid = Grid(0.01, 200)
+        rp = g.ReducedParams(beta=1.0, rho=-0.1)
+        g.GaussianStepOperator(grid, rp)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="gbmsum"):
+            g.GaussianStepOperator(grid, rp)
+        (record,) = caplog.records
+        assert record.name == "gbmsum.solver" and record.levelno == logging.DEBUG
+        assert "n = 200, bw = 200, nnz = 40000" in record.getMessage()
+
+
 def reference_band(grid, rp, band_sigmas=8.0):
     """The operator as a dense n x bw band and its column indices, built
     from the kernel formula with np.add.at column masses."""
@@ -144,15 +173,32 @@ def converged_left_tail(F, eps):
     return cum[np.searchsorted(edges, log_eps)]
 
 
-class TestOperatorReference:
-    def test_apply_matches_gather(self, solved):
-        rp = g.ReducedParams(beta=0.1, rho=-0.1)
+def gather_case(solved, case):
+    """The grid, the law's parameters and an input density of one
+    apply-against-gather case."""
+    if case == "narrow-band":  # the solved law on its own grid, bw = 507
         F, _ = solved(0.1, -0.1, tol=1e-9, max_iter=2000)
         positive = F.values[F.values > 0.0]
         assert positive.min() < 1e-50  # far left tail
-        band, cols = reference_band(F.grid, rp)
-        op = g.GaussianStepOperator(F.grid, rp)
-        for values in (F.values, np.linspace(0.0, 1.0, F.grid.n_points)):
+        return F.grid, F.params, F.values
+    rp = g.ReducedParams(beta=1.0, rho=-0.1)
+    if case == "wide-band":  # the solved law zero-padded onto its solve grid, bw = 1601 < n
+        F, _ = solved(1.0, -0.1, tol=1e-9)
+        grid = solver._grid_pair(rp, g.tail_exponent(rp), None, None)[1]
+        values = np.zeros(grid.n_points)
+        values[: F.grid.n_points] = F.values
+        return grid, rp, values
+    grid = Grid(0.01, 200)  # bw = n: every row starts at column 0 and ends at n - 1
+    return grid, rp, solver._multiplier_values(grid, rp)
+
+
+class TestOperatorReference:
+    @pytest.mark.parametrize("case", ["narrow-band", "wide-band", "bw-equals-n"])
+    def test_apply_matches_gather(self, solved, case):
+        grid, rp, law = gather_case(solved, case)
+        band, cols = reference_band(grid, rp)
+        op = g.GaussianStepOperator(grid, rp)
+        for values in (law, np.linspace(0.0, 1.0, grid.n_points)):
             ref = np.einsum("jb,jb->j", band, values[cols])
             out = op.apply(values)
             assert np.all(out[ref == 0.0] == 0.0)
