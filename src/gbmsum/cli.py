@@ -22,7 +22,13 @@ import warnings
 import numpy as np
 
 from . import __version__, distributions, moments, pricing, solver, tails
-from .errors import AccuracyWarning, ConvergenceError, ParameterError
+from .errors import (
+    AccuracyWarning,
+    ConvergenceError,
+    DivergentExpectationError,
+    NoRootError,
+    ParameterError,
+)
 from .mc import (
     FixedHorizon,
     GeneralHorizon,
@@ -116,18 +122,12 @@ def _report_dict(report: solver.SolveReport) -> dict:
     return {k: v for k, v in vars(report).items() if k != "mass_trace"}
 
 
-def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None = None,
-           u_max: float | None = None) -> tuple[solver.GridDensity, solver.SolveReport]:
-    solve = solver.solve_geometric if rp.p > 0.0 else solver.solve_infinite
-    return solve(rp, tol=tol, max_iter=max_iter, h=h, u_max=u_max)
-
-
 # -- commands --------------------------------------------------------------------
 
 
-def cmd_density(args, out: _Outputs) -> int:
+def cmd_density(args, out: _Outputs):
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
-    density, report = _solve(rp, args.tol, args.max_iter, args.h, args.umax)
+    density, report = solver._solve(rp, args.tol, args.max_iter, args.h, args.umax)
     u = density.grid.u()
     x = density.grid.x()
     if rp.p > 0.0:
@@ -153,8 +153,6 @@ def cmd_density(args, out: _Outputs) -> int:
         "report": _report_dict(report),
     }
     out.write_json("density_report.json", payload)
-    out.manifest("density", _args_dict(args))
-    return _EXIT_OK
 
 
 def _asian_scenario(field) -> tuple[pricing.AsianSpec, dict]:
@@ -177,7 +175,7 @@ def _asian_scenario(field) -> tuple[pricing.AsianSpec, dict]:
     }
 
 
-def cmd_asian(args, out: _Outputs) -> int:
+def cmd_asian(args, out: _Outputs) -> list[int]:
     spec, record = _asian_scenario(lambda name, default=None: getattr(args, name))
     header = ["n", "s0", "price"]
     row = [spec.n_fixings, spec.s0, record["call"]]
@@ -198,8 +196,7 @@ def cmd_asian(args, out: _Outputs) -> int:
                             "n_paths": est.n_paths, "seed": args.seed}
         seeds = [args.seed]
     out.write_json("asian_report.json", diag)
-    out.manifest("asian", _args_dict(args), seeds)
-    return _EXIT_OK
+    return seeds
 
 
 def _annuity_mean(rp: ReducedParams) -> float:
@@ -229,7 +226,7 @@ def _annuity_rows(mean: float, density: solver.GridDensity, report: solver.Solve
 
 def _annuity_scenario(rp: ReducedParams, q_values, what: str, var_level: float, solve):
     """The annuity rows and record of law rp, solved by solve(rp) once the
-    buffers q_values (which `what` names) and the VaR level are checked."""
+    buffers q_values (which `what` names), the VaR level and p < 1 are checked."""
     if not (isinstance(q_values, list) and q_values):
         raise ParameterError(f"{what} must be a non-empty list of buffers q, got {q_values!r}")
     q_list = [_number(q, f"{what} entry") for q in q_values]
@@ -237,6 +234,7 @@ def _annuity_scenario(rp: ReducedParams, q_values, what: str, var_level: float, 
         raise ParameterError(f"{what} entry must be >= 0, got {min(q_list)}")
     if not (0.0 < var_level < 1.0):
         raise ParameterError(f"VaR level must be in (0, 1), got {var_level}")
+    tails.tail_exponent(rp)  # raises at p = 1, whose log-normal law has no power tail
     return _annuity_rows(_annuity_mean(rp), *solve(rp), q_list, var_level)
 
 
@@ -244,28 +242,24 @@ _ANNUITY_HEADER = ["beta", "rho", "p", "mean", "q", "threshold",
                    "shortfall", "shortfall_continuous"]
 
 
-def cmd_annuity(args, out: _Outputs) -> int:
+def cmd_annuity(args, out: _Outputs):
     rows, record = _annuity_scenario(
         ReducedParams(beta=args.beta, rho=args.rho, p=args.p),
         [v for v in args.q_list.split(",") if v != ""], "--q-list", args.var_level,
-        lambda rp: _solve(rp, args.tol, args.max_iter, args.h, args.umax),
+        lambda rp: solver._solve(rp, args.tol, args.max_iter, args.h, args.umax),
     )
     out.write_csv("annuity.csv", _ANNUITY_HEADER, rows)
     out.write_json("annuity_report.json", record)
-    out.manifest("annuity", _args_dict(args))
-    return _EXIT_OK
 
 
-def cmd_calibrate(args, out: _Outputs) -> int:
+def cmd_calibrate(args, out: _Outputs):
     method = args.method.replace("-", "_")
     p = pricing.makeham_match_p(args.age, method)
     out.write_csv("calibrate.csv", ["age", "method", "p"], [[args.age, args.method, p]])
     out.write_json("calibrate_report.json", {"age": args.age, "method": args.method, "p": p})
-    out.manifest("calibrate", _args_dict(args))
-    return _EXIT_OK
 
 
-def cmd_moments(args, out: _Outputs) -> int:
+def cmd_moments(args, out: _Outputs):
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
     if args.kmax < 1:
         raise ParameterError(f"kmax must be >= 1, got {args.kmax}")
@@ -284,8 +278,6 @@ def cmd_moments(args, out: _Outputs) -> int:
          "moments": [{"k": r[0], "exists": r[1], "value": r[2] if r[1] else None}
                      for r in rows]},
     )
-    out.manifest("moments", _args_dict(args))
-    return _EXIT_OK
 
 
 def _number(value, what: str, kind=float):
@@ -338,7 +330,7 @@ def _parse_statistic(text: str):
     raise ParameterError(f"statistic must be mean, moment:K or survival:X, got {text!r}")
 
 
-def cmd_mc(args, out: _Outputs) -> int:
+def cmd_mc(args, out: _Outputs) -> list[int]:
     rp = ReducedParams(beta=args.beta, rho=args.rho)
     cfg = McConfig(n_paths=args.paths, seed=args.seed, antithetic=args.antithetic,
                    horizon=_parse_horizon(args.horizon))
@@ -350,11 +342,10 @@ def cmd_mc(args, out: _Outputs) -> int:
          "antithetic": args.antithetic, "horizon": args.horizon,
          "statistic": args.statistic},
     )
-    out.manifest("mc", _args_dict(args), [args.seed])
-    return _EXIT_OK
+    return [args.seed]
 
 
-def cmd_batch(args, out: _Outputs) -> int:
+def cmd_batch(args, out: _Outputs):
     scenarios = _read_json(args.config, "batch config")
     if not isinstance(scenarios, list) or not all(isinstance(sc, dict) for sc in scenarios):
         raise ParameterError("batch config must be a JSON array of scenario objects")
@@ -363,7 +354,7 @@ def cmd_batch(args, out: _Outputs) -> int:
 
     def solve(rp):
         if rp not in solve_cache:
-            solve_cache[rp] = _solve(rp, args.tol, args.max_iter)
+            solve_cache[rp] = solver._solve(rp, args.tol, args.max_iter, None, None)
         return solve_cache[rp]
 
     for i, sc in enumerate(scenarios):
@@ -394,8 +385,6 @@ def cmd_batch(args, out: _Outputs) -> int:
     if annuity_rows:
         out.write_csv("annuity.csv", _ANNUITY_HEADER, annuity_rows)
     out.write_json("batch_report.json", {"scenarios": envelope})
-    out.manifest("batch", _args_dict(args))
-    return _EXIT_OK
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -501,8 +490,8 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         out.warnings = caught
         try:
-            code = args.func(args, out)
-        except ParameterError as exc:
+            out.manifest(args.command, _args_dict(args), args.func(args, out))
+        except (ParameterError, NoRootError, DivergentExpectationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return _EXIT_INFEASIBLE
         except ConvergenceError as exc:
@@ -513,7 +502,7 @@ def main(argv=None) -> int:
         print(f"warning: {w.message}", file=sys.stderr)
     if accuracy_issues and args.strict:
         return _EXIT_ACCURACY
-    return code
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

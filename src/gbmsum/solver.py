@@ -179,8 +179,11 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> sparse.csr_ar
     columns of the grid, as a len(w0) x n CSR matrix.
 
     Allocates nothing of the matrix's size beyond the matrix itself: the
-    values are computed in place in the data array, and the trapezoid half
-    weights touch only the rows whose run starts at column 0 or ends at n-1.
+    values are computed in place in the data array.  Every column carries
+    the full weight h, with no trapezoid half weights at the grid's ends: in
+    an operator the column scales would divide them back out, as every row
+    holding column n-1 is clipped alike, and column 0 meets only
+    values[0] = 0.
     """
     n, h = grid.n_points, grid.h
     bw = min(n, 2 * int(math.ceil(_BAND_SIGMAS * math.sqrt(rp.beta) / h)) + 1)
@@ -191,8 +194,6 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> sparse.csr_ar
     band *= -0.5 / rp.beta
     np.exp(band, out=band)
     band *= pref * h
-    band[k0 == 0, 0] *= 0.5
-    band[k0 == n - bw, -1] *= 0.5
     cols = np.add(k0.astype(np.int32)[:, None], np.arange(bw, dtype=np.int32))
     indptr = np.arange(0, w0.size * bw + 1, bw, dtype=np.int32)
     return sparse.csr_array((band.ravel(), cols.ravel(), indptr), shape=(w0.size, n))

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from gbmsum import cli
+from gbmsum import solver
 from gbmsum.cli import main
 
 
@@ -268,6 +268,11 @@ class TestMalformedInput:
                      {"b.json": json.dumps([{**LAW, "q_list": 0.5}])},
                      "annuity scenario 0 q_list must be a non-empty list of buffers q, got 0.5",
                      id="batch-scalar-q-list"),
+        pytest.param(["annuity", "--beta", "0.5", "--rho", "0.1", "--p", "1"], {},
+                     "p = 1 has a log-normal law with no power tail", id="annuity-p-1"),
+        pytest.param(["batch", "--config", "{dir}/b.json"],
+                     {"b.json": json.dumps([{**LAW, "p": 1.0}])},
+                     "p = 1 has a log-normal law with no power tail", id="batch-p-1"),
     ]
 
     @pytest.mark.parametrize("argv,files,message", [
@@ -338,6 +343,8 @@ class TestMalformedInput:
                      "h = 0.0", id="density-zero-h"),
         pytest.param(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "0"], {},
                      "kmax must be >= 1, got 0", id="moments-kmax-0"),
+        pytest.param(["calibrate", "--age", "110", "--method", "life-expectancy"], {},
+                     "leaves no p in (0, 1)", id="calibrate-no-root"),
         *ANNUITY_INPUTS,
     ])
     def test_exit_2_names_the_value(self, tmp_path, capsys, argv, files, message):
@@ -350,7 +357,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv,files,message", ANNUITY_INPUTS)
     def test_annuity_input_fails_before_the_solve(self, tmp_path, capsys, monkeypatch,
                                                   argv, files, message):
-        monkeypatch.setattr(cli, "_solve", lambda *a: pytest.fail("solved before the check"))
+        monkeypatch.setattr(solver, "_solve", lambda *a: pytest.fail("solved before the check"))
         self.test_exit_2_names_the_value(tmp_path, capsys, argv, files, message)
 
 

@@ -83,7 +83,7 @@ class TestDerivativeForm:
     def test_term_identity(self):
         # d^k/dp^k at p=1 equals (-1)^(k-1) k! T^(k-1) (1 - T) f1
         rp = g.ReducedParams(beta=0.2, rho=-0.05)
-        F1 = g.finite_sum_density(1, rp, u_max=8.0)
+        F1 = g.finite_sum_density(1, rp)
         op = GaussianStepOperator(F1.grid, rp)
         f1 = F1.values
         deriv = f1 - op.apply(f1)  # k = 1
@@ -228,7 +228,7 @@ class TestGeometricMaturityOption:
 
     def test_unsolved_law_rejected(self):
         # a finite-sum law records no parameters, so it names the solvers
-        F = g.finite_sum_density(3, g.ReducedParams(beta=1.0, rho=0.0), u_max=8.0)
+        F = g.finite_sum_density(3, g.ReducedParams(beta=1.0, rho=0.0))
         with pytest.raises(ParameterError, match="solve_geometric"):
             g.geometric_maturity_option(F, 1.0)
 
@@ -250,8 +250,8 @@ class TestMixture:
         rp = g.ReducedParams(beta=0.1, rho=0.0)
         weights = np.zeros(4)
         weights[3] = 1.0
-        mix = g.mixture_density(g.GeneralHorizon(weights), rp, u_max=8.0)
-        ref = g.finite_sum_density(4, rp, u_max=8.0)
+        ref = g.finite_sum_density(4, rp)
+        mix = g.mixture_density(g.GeneralHorizon(weights), rp, u_max=ref.grid.u_max)
         assert np.max(np.abs(mix.values - ref.values)) < 1e-14
 
     def test_two_point_mean_linearity(self):

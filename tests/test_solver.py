@@ -36,7 +36,7 @@ class TestGridTypes:
         with pytest.raises(ParameterError, match="u_max"):
             g.solve_infinite(rp, u_max=bad)
         with pytest.raises(ParameterError, match="u_max"):
-            g.finite_sum_density(3, rp, u_max=bad)
+            g.mixture_density(g.GeneralHorizon([0.0, 0.0, 1.0]), rp, u_max=bad)
 
     def test_short_span_rejected(self):
         # 0.1 at h = 0.01 is 11 points, below the grid minimum of 16
@@ -93,8 +93,8 @@ class TestOperator:
     def test_single_step_matches_two_term_sum(self):
         # applying the transform to the one-period law gives the two-term law
         rp = g.ReducedParams(beta=0.1, rho=0.0)
-        f1 = g.finite_sum_density(1, rp, u_max=8.0)
-        f2 = g.finite_sum_density(2, rp, u_max=8.0)
+        f2 = g.finite_sum_density(2, rp)
+        f1 = g.mixture_density(g.GeneralHorizon([1.0]), rp, u_max=f2.grid.u_max)
         stepped = g.GaussianStepOperator(f1.grid, rp).apply(f1.values)
         assert np.max(np.abs(stepped - f2.values)) < 1e-14
 
@@ -519,7 +519,7 @@ class TestRefinementUsesSolveScales:
         # a law no solve produced has no params to refine or to take a tail from
         rp = g.ReducedParams(beta=1.0, rho=-0.1)
         if kind == "finite-sum":
-            F = g.finite_sum_density(3, rp, u_max=8.0)
+            F = g.finite_sum_density(3, rp)
         else:
             grid = Grid(0.02, 400)
             F = GridDensity(grid, np.asarray(g.multiplier_pdf(grid.x(), rp)))

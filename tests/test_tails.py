@@ -2,12 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import gbmsum as g
-from gbmsum import ParameterError, RegimeWarning, cli
+from gbmsum import ParameterError, RegimeWarning, cli, solver
 
 
 class TestExponents:
@@ -86,6 +87,17 @@ class TestTailConstants:
         _, plateau_c, variation = g.fit_survival_powerlaw(F)
         assert plateau_c == pytest.approx(c, rel=0.05)
         assert variation < 0.05
+
+    def test_short_grid_fits_its_last_20_points(self):
+        # 51 points, 12 of them in the last decade: the fits read the last 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F, _ = g.solve_infinite(g.ReducedParams(1.0, -0.1), h=0.2, u_max=10.0)
+            fitted, _, _ = g.fit_survival_powerlaw(F)
+        window = solver._tail_window(F.grid)
+        assert F.grid.n_points == 51
+        assert window.sum() == 20 and window[-20:].all()
+        assert fitted == pytest.approx(1.2, rel=1e-3)
 
     def test_geometric_rejects_p_one(self, solved):
         F, _ = solved(0.5, 0.1, 1.0)
