@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 import gbmsum as g
-from gbmsum import AccuracyWarning, DivergentExpectationError, NoRootError, ParameterError
-from gbmsum.solver import GaussianStepOperator
+from gbmsum import (
+    AccuracyWarning,
+    DivergentExpectationError,
+    NoRootError,
+    ParameterError,
+    pricing,
+)
+from gbmsum.solver import GaussianStepOperator, _multiplier_values
 
 
 def table2_spec(n, s0):
@@ -70,6 +76,31 @@ class TestFiniteSumDensity:
             warnings.simplefilter("error", g.CoarseGridWarning)
             F = g.finite_sum_density(3, g.ReducedParams(beta=0.0004, rho=0.0))
         assert F.grid.h == pytest.approx(0.005)
+
+
+class TestPowerFloor:
+    """Finite-sum powers are zeroed below pricing._POWER_FLOOR, which keeps
+    subnormal products out of the applies and moves no price."""
+
+    @pytest.mark.parametrize("sigma, n", [(0.4, 250), (0.2, 1000)])
+    def test_floor_moves_no_price(self, sigma, n, monkeypatch):
+        spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=sigma,
+                           maturity=1.0, n_fixings=n)
+        rp = spec.reduced()
+        F = g.finite_sum_density(n, rp)
+        op = GaussianStepOperator(F.grid, rp)
+        vals = _multiplier_values(F.grid, rp)
+        for _ in range(n - 1):  # the unfloored powers
+            vals = op.apply(vals)
+        assert np.all((F.values == 0.0) | (F.values >= pricing._POWER_FLOOR))
+        assert np.any((vals > 0.0) & (vals < pricing._POWER_FLOOR))
+        assert np.max(np.abs(F.values - vals)) <= 1e-288
+        floored = g.asian_prices(spec)
+        monkeypatch.setattr(pricing, "finite_sum_density",
+                            lambda *_: g.GridDensity(F.grid, vals))
+        unfloored = g.asian_prices(spec)
+        for key in ("call", "put", "mean_rel_err"):
+            assert floored[key] == unfloored[key], key
 
 
 class TestDerivativeForm:
@@ -268,11 +299,25 @@ class TestMixture:
         Fg, _ = solved(1.0, 0.0, p, tol=1e-9, u_max=16.0)
         w = p * (1.0 - p) ** np.arange(2000)
         w /= w.sum()
-        mix = g.mixture_density(
-            g.GeneralHorizon(w), g.ReducedParams(beta=1.0, rho=0.0), u_max=16.0
-        )
+        # the power tail (exponent ~1.18) holds mean far beyond u_max = 16
+        with pytest.warns(AccuracyWarning, match="cuts the law's mass"):
+            mix = g.mixture_density(
+                g.GeneralHorizon(w), g.ReducedParams(beta=1.0, rho=0.0), u_max=16.0
+            )
         K = 10.0
         assert g.survival(mix, K) == pytest.approx(g.survival(Fg, K), abs=5e-4)
+
+    def test_span_that_cuts_the_mean_warns(self):
+        # the README weights: the mean is low by 3.1e-3 relative at u_max = 8, 7.9e-7 at 16
+        weights = 0.1 * 0.9 ** np.arange(400)
+        horizon = g.GeneralHorizon(weights / weights.sum())
+        rp = g.ReducedParams(beta=0.1, rho=0.0)
+        with pytest.warns(AccuracyWarning, match="mixture grid mean misses the exact mean 10"):
+            g.mixture_density(horizon, rp, u_max=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            mix = g.mixture_density(horizon, rp, u_max=16.0)
+        assert g.expectation(mix, lambda x: x) == pytest.approx(10.0, rel=1e-5)
 
     def test_requires_general_model(self):
         with pytest.raises(ParameterError):

@@ -205,6 +205,29 @@ class TestOperatorReference:
             pos = ref > 0.0
             assert np.max(np.abs(out[pos] - ref[pos]) / ref[pos]) <= 1e-12
 
+    @pytest.mark.parametrize("case", ["narrow-band", "wide-band", "bw-equals-n"])
+    def test_trimmed_apply_is_the_full_product(self, solved, case):
+        # apply runs only the rows whose band meets the input's nonzero span;
+        # every row must come out as the full CSR product gives it, bit for bit
+        grid, rp, law = gather_case(solved, case)
+        op = g.GaussianStepOperator(grid, rp)
+        n = grid.n_points
+        bw = op._mat.indptr[1]
+        k0 = op._mat.indices[::bw]
+        # zero prefix and suffix, the last nonzero in the first column of a row
+        lo, hi = n // 8, max(int(k0[n // 2]), n // 8)
+        inner = np.zeros(n)
+        inner[lo : hi + 1] = law[lo : hi + 1] + 1.0
+        last = np.zeros(n)
+        last[-1] = 1.0
+        head = np.zeros(n)  # live only in the band of the rows with k0 = 0
+        head[:bw] = 1.0
+        signed = law - op.apply(law)  # as the derivative form passes it
+        assert signed.min() < 0.0 < signed.max()
+        for values in (inner, np.zeros(n), last, head, signed):
+            out = op.apply(values)
+            assert out.tobytes() == (op._mat @ (op._col_scale * values)).tobytes()
+
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1)])
     def test_left_tail_cdf_matches_density_at(self, solved, beta, rho, p):
         F, _ = solved(beta, rho, p, tol=1e-9)
