@@ -40,6 +40,7 @@ _LEFT_TAIL_RTOL = 3e-5  # bias of the left_tail_cdf rule, relative
 _POLISH_RESTART = 60  # GMRES Krylov dimension between restarts
 _POLISH_RTOL = 1e-13  # GMRES target, relative to the scaled right-hand side
 _PICARD_SWITCH = 1e-4  # sup-norm delta at which Picard hands over to GMRES
+_RUN_MIN_NNZ = 1 << 14  # smallest strided run: below it one CSR call over its rows is cheaper
 
 _log = logging.getLogger(__name__)
 
@@ -138,7 +139,10 @@ class GaussianStepOperator:
     is truncated at _BAND_SIGMAS = 8 standard deviations (relative mass
     beyond 8 sigma is ~1e-15).  Row j holds columns k0[j] .. k0[j] + bw - 1,
     with k0 nondecreasing, so an apply computes only the rows whose band
-    meets the input's nonzero span; every other row is exactly 0.
+    meets the input's nonzero span; every other row is exactly 0.  The rows
+    are split once into runs over which k0 advances by a constant step (0
+    where k0 is clipped to 0 or n - bw, 1 over most of the rest), and an
+    apply takes each run as one strided dot product (see _band_product).
     """
 
     def __init__(self, grid: Grid, params):
@@ -171,30 +175,83 @@ class GaussianStepOperator:
         self._mass_w = mass_w  # trapezoid mass weights: mass_w @ apply(v) == mass_w @ v
         self._mat = mat
         self._bw = int(mat.indptr[1])
-        # first column of each row, contiguous int64: searchsorted would copy a
-        # strided int32 view on every apply
-        self._k0 = mat.indices[:: self._bw].astype(np.int64)
-        _log.debug("step operator built: n = %d, bw = %d, nnz = %d, %.4f s", grid.n_points,
-                   self._bw, mat.nnz, time.perf_counter() - start)
+        self._k0, self._runs = _band_runs(mat)
+        strided = sum(b - a for a, b, s in self._runs if s >= 0)
+        _log.debug("step operator built: n = %d, bw = %d, nnz = %d, %d rows in strided runs, "
+                   "%d on the CSR kernel, %.4f s", grid.n_points, self._bw, mat.nnz, strided,
+                   grid.n_points - strided, time.perf_counter() - start)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """T values, bit for bit mat @ (col_scale * values): the CSR kernel that
-        product calls runs on rows r0 .. r1-1 only, those whose band meets the
-        first or last nonzero of col_scale * values or lies between them."""
-        mat, bw = self._mat, self._bw
-        y = self._col_scale * values
-        if y.shape != self._col_scale.shape:  # the kernel reads y unchecked
-            raise ParameterError(f"apply needs {mat.shape[1]} values, got shape "
+        """T values, the band product of mat with col_scale * values on rows
+        r0 .. r1-1 only, those whose band meets the first or last nonzero of
+        col_scale * values or lies between them; the other rows are 0."""
+        if np.shape(values) != self._col_scale.shape:  # the CSR kernel reads y unchecked
+            raise ParameterError(f"apply needs {self._mat.shape[1]} values, got shape "
                                  f"{np.shape(values)}")
-        out = np.zeros(mat.shape[0])
+        y = self._col_scale * values
         live = np.flatnonzero(y)
+        r0 = r1 = 0
         if live.size:
-            r0 = int(np.searchsorted(self._k0, live[0] - bw + 1))
+            r0 = int(np.searchsorted(self._k0, live[0] - self._bw + 1))
             r1 = int(np.searchsorted(self._k0, live[-1], side="right"))
-            _sparsetools.csr_matvec(r1 - r0, mat.shape[1], mat.indptr[: r1 - r0 + 1],
-                                    mat.indices[r0 * bw : r1 * bw], mat.data[r0 * bw : r1 * bw],
-                                    y, out[r0:r1])
-        return out
+        return _band_product(self._mat, self._k0, self._runs, y, r0, r1)
+
+
+def _band_runs(mat: sparse.csr_array) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """First column k0 of each row of a banded CSR matrix (row j holds columns
+    k0[j] .. k0[j] + bw - 1), and its rows as consecutive runs (a, b, s)
+    covering each row once.  A strided run, s >= 0, is a set of rows a .. b-1
+    over which k0 advances by s per row, each taking the step of its first two
+    rows and every following row that keeps it, with at least _RUN_MIN_NNZ
+    entries; the rows between them, s = -1, go to the CSR kernel.
+
+    k0 is contiguous int64: searchsorted would copy a strided int32 view on
+    every apply.
+    """
+    bw = int(mat.indptr[1])
+    k0 = mat.indices[::bw].astype(np.int64)
+    step = np.diff(k0)
+    ends = np.append(np.flatnonzero(np.diff(step)) + 1, step.size)  # past each equal-step stretch
+    runs, a = [], 0
+    while a < k0.size:
+        if a < step.size:
+            b, s = int(ends[np.searchsorted(ends, a, side="right")]) + 1, int(step[a])
+        else:  # the last row, alone
+            b, s = k0.size, -1
+        if s < 0 or (b - a) * bw < _RUN_MIN_NNZ:
+            s = -1
+            if runs and runs[-1][2] < 0:  # one CSR call for adjacent rows
+                a = runs.pop()[0]
+        runs.append((a, b, s))
+        a = b
+    return k0, runs
+
+
+def _band_product(mat: sparse.csr_array, k0: np.ndarray, runs: list[tuple[int, int, int]],
+                  y: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows r0 .. r1-1 of mat @ y, the other rows 0, for a banded CSR matrix
+    and its _band_runs; y is a contiguous float vector.
+
+    A strided run of step s is one np.vecdot of its rows of the data array,
+    viewed as (rows, bw), with a window view of y whose row i starts s*i
+    columns after k0 of the run's first row; neither view copies.  The other
+    rows run through the CSR kernel that mat @ y calls.
+    """
+    bw = int(mat.indptr[1])
+    rows, item = mat.data.reshape(-1, bw), y.itemsize
+    out = np.zeros(mat.shape[0])
+    for a, b, s in runs:
+        a, b = max(a, r0), min(b, r1)
+        if a >= b:
+            continue
+        if s < 0:
+            _sparsetools.csr_matvec(b - a, mat.shape[1], mat.indptr[: b - a + 1],
+                                    mat.indices[a * bw : b * bw], mat.data[a * bw : b * bw],
+                                    y, out[a:b])
+        else:  # the ndarray constructor checks that the window lies inside y
+            window = np.ndarray((b - a, bw), y.dtype, y, int(k0[a]) * item, (s * item, item))
+            np.vecdot(rows[a:b], window, out=out[a:b])
+    return out
 
 
 def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> sparse.csr_array:
@@ -391,7 +448,7 @@ def _refined(F: GridDensity, x_points: np.ndarray) -> np.ndarray:
     if rp.p == 1.0:  # the law is f1 itself
         return np.asarray(distributions.multiplier_pdf(x_points, rp))
     rows = _kernel_rows(F.grid, rp, np.log(x_points) + 1.5 * rp.beta - rp.rho)
-    vals = rows @ (F.col_scale * F.values)
+    vals = _band_product(rows, *_band_runs(rows), F.col_scale * F.values, 0, rows.shape[0])
     if rp.p > 0.0:
         vals = rp.p * np.asarray(distributions.multiplier_pdf(x_points, rp)) + (1.0 - rp.p) * vals
     return vals

@@ -2,8 +2,12 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,14 @@ class TestOperator:
         stepped = g.GaussianStepOperator(f1.grid, rp).apply(f1.values)
         assert np.max(np.abs(stepped - f2.values)) < 1e-14
 
+    @pytest.mark.parametrize("shape", [(199,), (201,), (1,), (), (1, 200), (200, 1)])
+    def test_apply_rejects_other_shapes(self, shape):
+        # a scalar or a length-1 input would broadcast against the column scales
+        op = g.GaussianStepOperator(Grid(0.01, 200), g.ReducedParams(beta=1.0, rho=-0.1))
+        values = 1.0 if shape == () else np.ones(shape)
+        with pytest.raises(ParameterError, match="apply needs 200 values"):
+            op.apply(values)
+
     def test_coarse_grid_warning(self):
         rp = g.ReducedParams(beta=0.0004, rho=0.0)  # sqrt(beta) = 0.02 < 3h
         with pytest.warns(CoarseGridWarning):
@@ -129,6 +141,8 @@ class TestOperatorBuild:
         (record,) = caplog.records
         assert record.name == "gbmsum.solver" and record.levelno == logging.DEBUG
         assert "n = 200, bw = 200, nnz = 40000" in record.getMessage()
+        # bw = n: every row starts at column 0, one step-0 run of 40000 entries
+        assert "200 rows in strided runs, 0 on the CSR kernel" in record.getMessage()
 
 
 def reference_band(grid, rp, band_sigmas=8.0):
@@ -208,12 +222,12 @@ class TestOperatorReference:
     @pytest.mark.parametrize("case", ["narrow-band", "wide-band", "bw-equals-n"])
     def test_trimmed_apply_is_the_full_product(self, solved, case):
         # apply runs only the rows whose band meets the input's nonzero span;
-        # every row must come out as the full CSR product gives it, bit for bit
+        # every row must come out as the band product over all rows gives it,
+        # bit for bit
         grid, rp, law = gather_case(solved, case)
         op = g.GaussianStepOperator(grid, rp)
         n = grid.n_points
-        bw = op._mat.indptr[1]
-        k0 = op._mat.indices[::bw]
+        bw, k0 = op._bw, op._k0
         # zero prefix and suffix, the last nonzero in the first column of a row
         lo, hi = n // 8, max(int(k0[n // 2]), n // 8)
         inner = np.zeros(n)
@@ -226,7 +240,60 @@ class TestOperatorReference:
         assert signed.min() < 0.0 < signed.max()
         for values in (inner, np.zeros(n), last, head, signed):
             out = op.apply(values)
-            assert out.tobytes() == (op._mat @ (op._col_scale * values)).tobytes()
+            full = solver._band_product(op._mat, k0, op._runs, op._col_scale * values, 0, n)
+            assert out.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("case", ["narrow-band", "wide-band", "bw-equals-n"])
+    def test_runs_cover_each_row_once(self, solved, case):
+        grid, rp, _ = gather_case(solved, case)
+        op = g.GaussianStepOperator(grid, rp)
+        mat, bw = op._mat, op._bw
+        assert [a for a, _, _ in op._runs] == [0] + [b for _, b, _ in op._runs[:-1]]
+        assert op._runs[-1][1] == grid.n_points
+        for a, b, s in op._runs:
+            if s >= 0:  # the window the strided product reads is the rows' CSR columns
+                window = op._k0[a] + s * np.arange(b - a)[:, None] + np.arange(bw)
+                assert np.array_equal(window.ravel(), mat.indices[a * bw : b * bw])
+                assert (b - a) * bw >= solver._RUN_MIN_NNZ
+        assert any(s >= 0 for _, _, s in op._runs)
+        if case == "narrow-band":  # irregular steps near u = 0 stay on the CSR kernel
+            assert any(s < 0 for _, _, s in op._runs)
+
+    def test_unsorted_points_refine_on_the_csr_kernel(self, solved):
+        # density_at rows in the order of its points: descending points give
+        # negative steps, which only the CSR kernel takes
+        F, _ = solved(0.1, -0.1, tol=1e-9, max_iter=2000)  # bw = 507 on 1030 points
+        x = F.grid.x()[300:700]
+        rp = F.params
+        rows = solver._kernel_rows(F.grid, rp, np.log(x[::-1]) + 1.5 * rp.beta - rp.rho)
+        k0, runs = solver._band_runs(rows)
+        for a, b, s in runs:
+            assert s == -1 or np.all(np.diff(k0[a:b]) == s)
+        descending = [(a, b) for a, b, s in runs if s < 0 and np.any(np.diff(k0[a:b]) < 0)]
+        assert descending
+        ascending = g.density_at(F, x)
+        assert np.max(np.abs(g.density_at(F, x[::-1])[::-1] - ascending) / ascending) <= 1e-13
+
+    def test_apply_is_the_same_at_one_and_two_blas_threads(self):
+        # the strided runs use np.vecdot, whose per-row dot products do not
+        # depend on the BLAS thread count
+        script = ("import hashlib, numpy as np, gbmsum as g\n"
+                  "from gbmsum import solver\n"
+                  "rp = g.ReducedParams(beta=1.0, rho=-0.1)\n"
+                  "grid = solver._grid_pair(rp, g.tail_exponent(rp), None, None)[1]\n"
+                  "op = g.GaussianStepOperator(grid, rp)\n"
+                  "law = g.inv_gamma_pdf(grid.x(), 1.0, 0.5 * (1.0 - g.tail_exponent(rp)))\n"
+                  "for v in (law, np.linspace(0.0, 1.0, grid.n_points)):\n"
+                  "    print(hashlib.sha256(op.apply(v).tobytes()).hexdigest())\n")
+        src = str(Path(g.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1)])
     def test_left_tail_cdf_matches_density_at(self, solved, beta, rho, p):
