@@ -2,8 +2,8 @@
 
 Paths are grouped by length and summed in row tiles of at most
 ``_TILE_ELEMENTS`` normals, so every temporary stays in a core's L2 cache.
-The grid operator is not here: it is a ``scipy.sparse`` matrix
-(``solver.GaussianStepOperator``).
+The grid operator is not here: it is dense blocks of kernel rows applied
+with ``np.matmul`` (``solver.GaussianStepOperator``).
 """
 
 from __future__ import annotations

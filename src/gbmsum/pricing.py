@@ -190,7 +190,7 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
         u_max = math.log1p(1000.0 * max(exact_mean, 1.0))
     grid = _finite_sum_grid(cap, rp, u_max)
     F = GridDensity(grid, sum(w * vals for w, vals in zip(weights, _powers(cap, rp, grid))))
-    rel_err = abs(solver.expectation(F, lambda x: x) - exact_mean) / exact_mean
+    rel_err = solver._mean_rel_err(F, exact_mean)
     if rel_err > _MIXTURE_MEAN_RTOL:
         warnings.warn(f"mixture grid mean misses the exact mean {exact_mean:.6g} by {rel_err:.3g} "
                       f"relative, above {_MIXTURE_MEAN_RTOL}: the span u_max = {grid.u_max:.4g} "
@@ -229,7 +229,7 @@ def asian_prices(spec: AsianSpec) -> dict:
     F = finite_sum_density(n, rp)
     grid = F.grid
     x = grid.x()
-    mass_integrand = F.values * np.exp(grid.u())
+    mass_integrand = solver._mass_integrand(grid, F.values)
     call_integrand = mass_integrand * np.maximum(x - kappa, 0.0)
     call_exp = float(np.trapezoid(call_integrand, dx=grid.h))
     beyond = _edge_decay_mass(grid, call_integrand)
@@ -252,12 +252,10 @@ def asian_prices(spec: AsianSpec) -> dict:
             stacklevel=2,
         )
     put_exp = float(np.trapezoid(mass_integrand * np.maximum(kappa - x, 0.0), dx=grid.h))
-    grid_mean = float(np.trapezoid(mass_integrand * x, dx=grid.h))
-    exact_mean = mean_finite_sum(n, spec.drift, spec.tau, 1.0)
     return dict(
         call=disc * spec.s0 / n * call_exp,
         put=disc * spec.s0 / n * put_exp,
-        mean_rel_err=abs(grid_mean - exact_mean) / exact_mean,
+        mean_rel_err=solver._mean_rel_err(F, mean_finite_sum(n, spec.drift, spec.tau, 1.0)),
         u_max=grid.u_max,
         h=grid.h,
         n_points=grid.n_points,

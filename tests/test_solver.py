@@ -126,9 +126,7 @@ class TestOperatorBuild:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        mat = op._mat
-        held = sum(a.nbytes for a in (mat.data, mat.indices, mat.indptr, op._col_scale,
-                                      op._mass_w))
+        held = sum(a.nbytes for a in (op._blocks, op._cols, op._col_scale, op._mass_w))
         assert peak <= 1.25 * held
 
     def test_build_logs_at_debug_only(self, caplog):
@@ -140,9 +138,8 @@ class TestOperatorBuild:
             g.GaussianStepOperator(grid, rp)
         (record,) = caplog.records
         assert record.name == "gbmsum.solver" and record.levelno == logging.DEBUG
-        assert "n = 200, bw = 200, nnz = 40000" in record.getMessage()
-        # bw = n: every row starts at column 0, one step-0 run of 40000 entries
-        assert "200 rows in strided runs, 0 on the CSR kernel" in record.getMessage()
+        # bw = n: 13 blocks of 16 rows over all 200 columns, 8 padding rows in the last
+        assert "n = 200, blocks 13 x 16 x 200" in record.getMessage()
 
 
 def reference_band(grid, rp, band_sigmas=8.0):
@@ -221,62 +218,63 @@ class TestOperatorReference:
 
     @pytest.mark.parametrize("case", ["narrow-band", "wide-band", "bw-equals-n"])
     def test_trimmed_apply_is_the_full_product(self, solved, case):
-        # apply runs only the rows whose band meets the input's nonzero span;
-        # every row must come out as the band product over all rows gives it,
-        # bit for bit
+        # apply runs only the blocks whose window meets the input's nonzero
+        # span; every row must come out as the product over all blocks gives
+        # it, bit for bit
         grid, rp, law = gather_case(solved, case)
         op = g.GaussianStepOperator(grid, rp)
-        n = grid.n_points
-        bw, k0 = op._bw, op._k0
-        # zero prefix and suffix, the last nonzero in the first column of a row
-        lo, hi = n // 8, max(int(k0[n // 2]), n // 8)
+        n, cols, width = grid.n_points, op._cols, op._blocks.shape[2]
+        # zero prefix and suffix, the last nonzero in the first column of a window
+        lo, hi = n // 8, max(int(cols[cols.size // 2]), n // 8)
         inner = np.zeros(n)
         inner[lo : hi + 1] = law[lo : hi + 1] + 1.0
         last = np.zeros(n)
         last[-1] = 1.0
-        head = np.zeros(n)  # live only in the band of the rows with k0 = 0
-        head[:bw] = 1.0
+        head = np.zeros(n)  # live only in the first window's columns
+        head[:width] = 1.0
         signed = law - op.apply(law)  # as the derivative form passes it
         assert signed.min() < 0.0 < signed.max()
         for values in (inner, np.zeros(n), last, head, signed):
             out = op.apply(values)
-            full = solver._band_product(op._mat, k0, op._runs, op._col_scale * values, 0, n)
-            assert out.tobytes() == full.tobytes()
+            full = solver._block_product(op._blocks, cols, op._col_scale * values, 0, cols.size)
+            assert out.tobytes() == full[:n].tobytes()
 
     @pytest.mark.parametrize("case", ["narrow-band", "wide-band", "bw-equals-n"])
-    def test_runs_cover_each_row_once(self, solved, case):
+    def test_blocks_hold_their_rows_bands(self, solved, case):
+        # row j sits in block j // 16 at its band's columns, scaled as the
+        # reference band, with exact zeros beside it; the padding rows are 0
         grid, rp, _ = gather_case(solved, case)
+        band, cols = reference_band(grid, rp)
         op = g.GaussianStepOperator(grid, rp)
-        mat, bw = op._mat, op._bw
-        assert [a for a, _, _ in op._runs] == [0] + [b for _, b, _ in op._runs[:-1]]
-        assert op._runs[-1][1] == grid.n_points
-        for a, b, s in op._runs:
-            if s >= 0:  # the window the strided product reads is the rows' CSR columns
-                window = op._k0[a] + s * np.arange(b - a)[:, None] + np.arange(bw)
-                assert np.array_equal(window.ravel(), mat.indices[a * bw : b * bw])
-                assert (b - a) * bw >= solver._RUN_MIN_NNZ
-        assert any(s >= 0 for _, _, s in op._runs)
-        if case == "narrow-band":  # irregular steps near u = 0 stay on the CSR kernel
-            assert any(s < 0 for _, _, s in op._runs)
+        n, (nb, rows, width) = grid.n_points, op._blocks.shape
+        assert rows == solver._BLOCK_ROWS and nb == -(-n // rows)
+        first = op._cols.repeat(rows)[:n, None]  # each row's window start
+        assert np.all(np.diff(op._cols) >= 0) and first[-1, 0] + width <= n
+        dense = op._blocks.reshape(-1, width)
+        assert not dense[n:].any()
+        expect = np.zeros((n, width))
+        np.put_along_axis(expect, cols - first, band, axis=1)
+        scaled = dense[:n] * op._col_scale[first + np.arange(width)]
+        assert np.all(scaled[expect == 0.0] == 0.0)
+        pos = expect > 0.0
+        assert np.max(np.abs(scaled[pos] - expect[pos]) / expect[pos]) <= 1e-12
 
-    def test_unsorted_points_refine_on_the_csr_kernel(self, solved):
-        # density_at rows in the order of its points: descending points give
-        # negative steps, which only the CSR kernel takes
+    def test_unsorted_points_refine_alike(self, solved):
+        # refinement builds its rows over the sorted points and returns the
+        # values in the caller's order
         F, _ = solved(0.1, -0.1, tol=1e-9, max_iter=2000)  # bw = 507 on 1030 points
         x = F.grid.x()[300:700]
-        rp = F.params
-        rows = solver._kernel_rows(F.grid, rp, np.log(x[::-1]) + 1.5 * rp.beta - rp.rho)
-        k0, runs = solver._band_runs(rows)
-        for a, b, s in runs:
-            assert s == -1 or np.all(np.diff(k0[a:b]) == s)
-        descending = [(a, b) for a, b, s in runs if s < 0 and np.any(np.diff(k0[a:b]) < 0)]
-        assert descending
         ascending = g.density_at(F, x)
-        assert np.max(np.abs(g.density_at(F, x[::-1])[::-1] - ascending) / ascending) <= 1e-13
+        shuffle = np.random.default_rng(7).permutation(x.size)
+        assert np.array_equal(g.density_at(F, x[::-1])[::-1], ascending)
+        assert np.array_equal(g.density_at(F, x[shuffle]), ascending[shuffle])
+        # repeats shift the rows between blocks, so each sum may round apart
+        twice = g.density_at(F, np.repeat(x[::-1], 2))
+        assert np.max(np.abs(twice - np.repeat(ascending[::-1], 2)) / twice) <= 1e-13
 
     def test_apply_is_the_same_at_one_and_two_blas_threads(self):
-        # the strided runs use np.vecdot, whose per-row dot products do not
-        # depend on the BLAS thread count
+        # np.matmul takes each block to BLAS, which may split a block's rows
+        # between threads; no row may depend on the thread count
         script = ("import hashlib, numpy as np, gbmsum as g\n"
                   "from gbmsum import solver\n"
                   "rp = g.ReducedParams(beta=1.0, rho=-0.1)\n"
@@ -623,6 +621,15 @@ class TestRefinementUsesSolveScales:
         assert np.shape(one) == ()
         assert float(one) == g.density_at(F, np.array([0.5]))[0]
         assert g.density_at(F, np.full((2, 3), 0.5)).shape == (2, 3)
+
+    @pytest.mark.parametrize("points", [[], np.empty((0, 3))])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_empty_queries_keep_shape(self, solved, points, p):
+        F, _ = solved(1.0, -0.1, p, tol=1e-9)
+        shape = np.shape(points)
+        for query in (g.density_at, g.left_tail_cdf):
+            out = query(F, points)
+            assert out.shape == shape and out.dtype == float
 
     def test_other_params_rejected(self, solved):
         # refinement reads the law's own params; fit_left_tail_coefficient,
