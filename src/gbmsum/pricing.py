@@ -80,13 +80,15 @@ class AsianSpec:
 
 
 def _finite_sum_grid(n: int, rp: ReducedParams, u_max: float | None = None) -> Grid:
-    """The grid of the n-term law: step min(0.01, sqrt(beta)/4), well inside the
-    kernel width, and a span from the sum's mean and log-normal spread."""
+    """The grid of the n-term law: the solves' default step min(0.01,
+    sqrt(beta)/3) (solver._default_step), which the kernel sets, as prices
+    take their kinked last step in closed form; and a span from the sum's
+    mean and log-normal spread."""
     if u_max is None:
         mean = mean_finite_sum(n, rp.rho, 1.0, 1.0)
         margin = math.sqrt(2.0 * rp.beta * n * 46.0) + 1.0
         u_max = math.log1p(max(mean, 1.0) * math.exp(margin))
-    return Grid.spanning(min(0.01, math.sqrt(rp.beta) / 4.0), u_max)
+    return Grid.spanning(solver._default_step(rp.beta), u_max)
 
 
 def _powers(n: int, rp: ReducedParams, grid: Grid):
@@ -103,12 +105,16 @@ def _powers(n: int, rp: ReducedParams, grid: Grid):
 
 
 @functools.lru_cache(maxsize=8)
-def _finite_sum_values(n: int, rp: ReducedParams, grid: Grid) -> np.ndarray:
-    """Grid values of the n-term density, cached read-only per (n, law, grid)."""
+def _finite_sum_laws(n: int, rp: ReducedParams,
+                     grid: Grid) -> tuple[np.ndarray | None, np.ndarray]:
+    """Grid values of the (n-1)- and the n-term density from one pass,
+    cached read-only per (n, law, grid); at n = 1 the law one step back is
+    the point mass at 0, given as None."""
+    prev = last = None
     for vals in _powers(n, rp, grid):
-        pass
-    vals.setflags(write=False)
-    return vals
+        prev, last = last, vals
+        vals.setflags(write=False)
+    return prev, last
 
 
 def finite_sum_density(n: int, params) -> GridDensity:
@@ -119,7 +125,7 @@ def finite_sum_density(n: int, params) -> GridDensity:
         raise ParameterError(f"n must be >= 1, got {n}")
     rp = as_reduced(params)
     grid = _finite_sum_grid(n, rp)
-    return GridDensity(grid, _finite_sum_values(n, rp, grid))
+    return GridDensity(grid, _finite_sum_laws(n, rp, grid)[1])
 
 
 def finite_sum_density_derivative_form(n: int, params) -> GridDensity:
@@ -216,18 +222,24 @@ def asian_prices(spec: AsianSpec) -> dict:
     """Discounted call and put prices, the relative error of the law's grid
     mean and the grid's h, u_max and n_points.
 
-    The prices integrate over the law's own finite-sum grid.  An estimated
-    call-payoff mass beyond the grid above 1e-6 of the integral (a strike
-    beyond the grid top prices the call at 0) and a truncation-dominated
-    result each raise an AccuracyWarning (escalated to an error by the
-    CLI's --strict).
+    The prices take the last step in closed form: X_n = M (1 + X_{n-1}) with
+    M log-normal, so each is one Black-Scholes row in a = 1 + X_{n-1}
+    (solver._lognormal_option_rows) integrated over the (n-1)-term law with
+    the trapezoid mass weights, and no price depends on where the strike
+    falls in a grid cell.  At n = 1 that law is the point mass at 0 and the
+    prices are Black-Scholes's.  Two AccuracyWarnings read the trapezoid call
+    integral of the n-term law: one where the estimated call-payoff mass
+    beyond the grid is above 1e-6 of it, which a strike beyond the grid top
+    always raises, and one for a truncation-dominated result; the CLI's
+    --strict escalates them to errors.
     """
     rp = spec.reduced()
     n = spec.n_fixings
     kappa = n * spec.strike / spec.s0
     disc = math.exp(-spec.rate * spec.maturity)
-    F = finite_sum_density(n, rp)
-    grid = F.grid
+    grid = _finite_sum_grid(n, rp)
+    prev, last = _finite_sum_laws(n, rp, grid)
+    F = GridDensity(grid, last)
     x = grid.x()
     mass_integrand = solver._mass_integrand(grid, F.values)
     call_integrand = mass_integrand * np.maximum(x - kappa, 0.0)
@@ -251,10 +263,14 @@ def asian_prices(spec: AsianSpec) -> dict:
             AccuracyWarning,
             stacklevel=2,
         )
-    put_exp = float(np.trapezoid(mass_integrand * np.maximum(kappa - x, 0.0), dx=grid.h))
+    if prev is None:
+        u, weights = np.zeros(1), np.ones(1)
+    else:
+        u, weights = grid.u(), solver._mass_weights(grid) * prev
+    call_row, put_row = solver._lognormal_option_rows(u, kappa, rp)
     return dict(
-        call=disc * spec.s0 / n * call_exp,
-        put=disc * spec.s0 / n * put_exp,
+        call=disc * spec.s0 / n * float(weights @ call_row),
+        put=disc * spec.s0 / n * float(weights @ put_row),
         mean_rel_err=solver._mean_rel_err(F, mean_finite_sum(n, spec.drift, spec.tau, 1.0)),
         u_max=grid.u_max,
         h=grid.h,

@@ -163,9 +163,7 @@ class GaussianStepOperator:
         # eigenvalue to 1 so the fixed-point iteration can converge below
         # the per-application quadrature drift.  They scale each apply's
         # input vector.
-        mass_w = grid.h * np.exp(u)
-        mass_w[0] *= 0.5
-        mass_w[-1] *= 0.5
+        mass_w = _mass_weights(grid)
         rows_w = np.zeros(blocks.shape[:2])
         rows_w.flat[: grid.n_points] = mass_w
         window = cols[:, None] + np.arange(blocks.shape[2])  # the columns each block covers
@@ -270,6 +268,18 @@ def _default_u_max(rp: ReducedParams, exponent: float) -> float:
     return u_max
 
 
+def _default_step(beta: float) -> float:
+    """The default grid step of every law, min(0.01, sqrt(beta)/3): the
+    widest step the operator takes without a CoarseGridWarning, as its check
+    3h <= sqrt(beta) holds bit for bit (a rounded sqrt(beta)/3 can put 3h one
+    ulp above sqrt(beta); the next float below it cannot), capped at 0.01."""
+    root = math.sqrt(beta)
+    h = min(0.01, root / 3.0)
+    if 3.0 * h > root:
+        h = math.nextafter(h, 0.0)
+    return h
+
+
 def _grid_pair(rp: ReducedParams, exponent: float, h: float | None,
                u_max: float | None) -> tuple[Grid, Grid]:
     """Requested grid plus the padded internal grid the iteration runs on.
@@ -279,7 +289,7 @@ def _grid_pair(rp: ReducedParams, exponent: float, h: float | None,
     grid and the result is cropped to the clean span.
     """
     if h is None:
-        h = min(0.01, math.sqrt(rp.beta) / 3.0)
+        h = _default_step(rp.beta)
     if u_max is None:
         u_max = _default_u_max(rp, exponent)
     grid_ret = Grid.spanning(h, u_max)
@@ -292,6 +302,15 @@ def _grid_pair(rp: ReducedParams, exponent: float, h: float | None,
 
 def _mass_integrand(grid: Grid, values: np.ndarray) -> np.ndarray:
     return values * np.exp(grid.u())
+
+
+def _mass_weights(grid: Grid) -> np.ndarray:
+    """The trapezoid weights of the mass integral: weights @ values is the
+    grid mass of a law's values."""
+    weights = grid.h * np.exp(grid.u())
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return weights
 
 
 def _grid_mass(grid: Grid, values: np.ndarray) -> float:
@@ -399,6 +418,26 @@ def expectation(F: GridDensity, payoff) -> float:
     tail_term, _ = quad(tail_integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10,
                         limit=200)
     return total + tail_term
+
+
+def _lognormal_option_rows(u: np.ndarray, kappa: float,
+                           rp: ReducedParams) -> tuple[np.ndarray, np.ndarray]:
+    """E[(M a - kappa)+] and E[(kappa - M a)+] at each a = e^u, for the
+    one-period multiplier M, log-normal with log-mean rho - beta/2 and
+    log-variance beta: the Black-Scholes call and put rows on the factor a.
+    Integrated against a law of w = a - 1, they give the payoff of
+    X = M (1 + w) in closed form over its last step; kappa = 0 gives puts of
+    exactly 0.  Each row evaluates the out-of-the-money option, whose value
+    is the time value of both, and adds the intrinsic value: two normal
+    cdfs a row, and no row subtracts from an in-the-money value."""
+    root = math.sqrt(rp.beta)
+    log_kappa = math.log(kappa) if kappa > 0.0 else -math.inf
+    d2 = (u - log_kappa + rp.rho - 0.5 * rp.beta) / root
+    fwd = np.exp(u + rp.rho)
+    sign = np.where(fwd < kappa, 1.0, -1.0)  # +1 where the call is out of the money
+    time_value = sign * (fwd * special.ndtr(sign * (d2 + root)) - kappa * special.ndtr(sign * d2))
+    return (time_value + np.maximum(fwd - kappa, 0.0),
+            time_value + np.maximum(kappa - fwd, 0.0))
 
 
 # -- off-grid refinement --------------------------------------------------------

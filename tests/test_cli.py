@@ -377,12 +377,12 @@ class TestStrictMode:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
 
     def test_strike_beyond_grid_escalates(self, tmp_path):
-        # n K / S0 = 2000 lies beyond the law's grid top: the call prices 0 and warns
+        # n K / S0 = 2000 lies beyond the law's grid top: the call prices ~1e-61 and warns
         args = ["asian", "--s0", "100", "--strike", "20000", "--rate", "0.1",
                 "--sigma", "0.4", "--maturity", "1", "--fixings", "10"]
         assert main(args + ["--out", str(tmp_path / "a"), "--strict"]) == 4
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
-        assert read_csv(str(tmp_path / "b" / "asian.csv"))[1][2] == "0"
+        assert 0.0 <= float(read_csv(str(tmp_path / "b" / "asian.csv"))[1][2]) < 1e-50
 
 
 class TestAsianWarnings:

@@ -13,6 +13,7 @@ from gbmsum import (
     NoRootError,
     ParameterError,
     pricing,
+    solver,
 )
 from gbmsum.solver import GaussianStepOperator, _multiplier_values
 
@@ -71,11 +72,12 @@ class TestFiniteSumDensity:
         assert abs(mass - 1.0) <= n * max(bound, 1e-12)
 
     def test_step_from_beta_never_coarse(self):
-        # h = min(0.01, sqrt(beta)/4) stays below the sqrt(beta)/3 the operator asks
+        # h = min(0.01, sqrt(beta)/3), the solves' own step, as coarse as the operator allows
         with warnings.catch_warnings():
             warnings.simplefilter("error", g.CoarseGridWarning)
             F = g.finite_sum_density(3, g.ReducedParams(beta=0.0004, rho=0.0))
-        assert F.grid.h == pytest.approx(0.005)
+        assert F.grid.h == pytest.approx(0.02 / 3.0)
+        assert 3.0 * F.grid.h <= math.sqrt(0.0004)
 
 
 class TestPowerFloor:
@@ -89,18 +91,78 @@ class TestPowerFloor:
         rp = spec.reduced()
         F = g.finite_sum_density(n, rp)
         op = GaussianStepOperator(F.grid, rp)
-        vals = _multiplier_values(F.grid, rp)
+        prev, vals = None, _multiplier_values(F.grid, rp)
         for _ in range(n - 1):  # the unfloored powers
-            vals = op.apply(vals)
+            prev, vals = vals, op.apply(vals)
         assert np.all((F.values == 0.0) | (F.values >= pricing._POWER_FLOOR))
-        assert np.any((vals > 0.0) & (vals < pricing._POWER_FLOOR))
+        for law in (prev, vals):
+            assert np.any((law > 0.0) & (law < pricing._POWER_FLOOR))
         assert np.max(np.abs(F.values - vals)) <= 1e-288
         floored = g.asian_prices(spec)
-        monkeypatch.setattr(pricing, "finite_sum_density",
-                            lambda *_: g.GridDensity(F.grid, vals))
+        read = []
+
+        def unfloored_laws(*args):  # the (n-1)- and n-term laws the prices read
+            read.append(args)
+            return prev, vals
+
+        monkeypatch.setattr(pricing, "_finite_sum_laws", unfloored_laws)
         unfloored = g.asian_prices(spec)
+        assert read
         for key in ("call", "put", "mean_rel_err"):
             assert floored[key] == unfloored[key], key
+
+
+def black_scholes(s0, strike, rate, sigma, maturity):
+    """Closed-form European call and put."""
+    root = sigma * math.sqrt(maturity)
+    d1 = (math.log(s0 / strike) + rate * maturity) / root + 0.5 * root
+    d2 = d1 - root
+
+    def ndtr(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+    disc_k = strike * math.exp(-rate * maturity)
+    return (s0 * ndtr(d1) - disc_k * ndtr(d2), disc_k * ndtr(-d2) - s0 * ndtr(-d1))
+
+
+class TestLastStep:
+    """Prices take the last step X_n = M (1 + X_{n-1}) in closed form."""
+
+    @pytest.mark.parametrize("s0", [80.0, 100.0, 120.0])
+    @pytest.mark.parametrize("sigma", [0.2, 0.6])
+    def test_single_fixing_is_black_scholes(self, s0, sigma):
+        spec = g.AsianSpec(s0=s0, strike=100.0, rate=0.1, dividend=0.0, sigma=sigma,
+                           maturity=1.0, n_fixings=1)
+        prices = g.asian_prices(spec)
+        call, put = black_scholes(s0, 100.0, 0.1, sigma, 1.0)
+        assert prices["call"] == pytest.approx(call, rel=1e-13)
+        assert prices["put"] == pytest.approx(put, rel=1e-13)
+
+    @pytest.mark.parametrize("sigma, n", [(0.2, 10), (0.4, 50), (0.6, 125)])
+    def test_matches_finer_step(self, sigma, n, monkeypatch):
+        # the reference runs on sqrt(beta)/12, at most a quarter of the capped step
+        specs = [g.AsianSpec(s0=s0, strike=100.0, rate=0.1, dividend=0.0, sigma=sigma,
+                             maturity=1.0, n_fixings=n) for s0 in (95.0, 100.0, 105.0)]
+        prices = [g.asian_prices(spec) for spec in specs]
+        monkeypatch.setattr(solver, "_default_step",
+                            lambda beta: min(0.0025, math.sqrt(beta) / 12.0))
+        for spec, price in zip(specs, prices):
+            ref = g.asian_prices(spec)
+            assert ref["h"] <= price["h"] / 4.0
+            assert price["call"] == pytest.approx(ref["call"], rel=1e-9)
+            assert price["put"] == pytest.approx(ref["put"], rel=1e-9)
+
+    def test_one_power_pass_per_law(self, monkeypatch):
+        spec = table2_spec(50, 100.0)
+        applies = []
+        apply = GaussianStepOperator.apply
+        monkeypatch.setattr(GaussianStepOperator, "apply",
+                            lambda op, values: applies.append(1) or apply(op, values))
+        pricing._finite_sum_laws.cache_clear()
+        g.asian_prices(spec)
+        assert len(applies) == 49
+        g.put_call_parity_gap(spec)
+        assert len(applies) == 49
 
 
 class TestDerivativeForm:
@@ -188,7 +250,7 @@ class TestAsianPricing:
         with pytest.warns(AccuracyWarning) as record:
             prices = g.asian_prices(spec)
         assert any("truncated call-payoff mass" in str(w.message) for w in record)
-        assert prices["call"] == 0.0
+        assert 0.0 <= prices["call"] < 1e-50  # the closed-form last step resolves ~1e-61
 
     def test_strike_beyond_grid_warns_once(self):
         # a call integral of 0 is a strike beyond the grid, not a truncation-dominated result

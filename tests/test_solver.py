@@ -19,6 +19,7 @@ from gbmsum import (
     ConvergenceError,
     DivergentExpectationError,
     ParameterError,
+    pricing,
     solver,
 )
 from gbmsum.solver import Grid, GridDensity, _grid_mass, _iterate
@@ -114,6 +115,36 @@ class TestOperator:
         rp = g.ReducedParams(beta=0.0004, rho=0.0)  # sqrt(beta) = 0.02 < 3h
         with pytest.warns(CoarseGridWarning):
             g.GaussianStepOperator(Grid(0.01, 200), rp)
+
+
+class TestDefaultStep:
+    """Every law's default step is solver._default_step(beta), the widest
+    the operator's coarse-grid check accepts, bit for bit."""
+
+    def test_default_grids_never_coarse(self):
+        betas = 10.0 ** np.random.default_rng(21).uniform(-8.0, -2.0, 10_000)
+        # where min(0.01, sqrt(beta)/3) rounds 3h above sqrt(beta)
+        rounded_up = [b for b in betas if 3.0 * min(0.01, math.sqrt(b) / 3.0) > math.sqrt(b)]
+        assert len(rounded_up) > 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CoarseGridWarning)
+            for beta in map(float, betas):
+                rp = g.ReducedParams(beta=beta, rho=-0.05, p=0.1)
+                h = solver._default_step(beta)
+                assert 3.0 * h <= math.sqrt(beta)
+                grids = (solver._grid_pair(rp, g.tail_exponent(rp), None, None)[1],
+                         pricing._finite_sum_grid(10, rp))
+                assert [grid.h for grid in grids] == [h, h]
+                if beta in rounded_up and beta >= 1e-4:  # grids of a few thousand points
+                    for grid in grids:
+                        g.GaussianStepOperator(grid, rp)
+
+    def test_default_solve_does_not_warn(self):
+        # min(0.01, sqrt(beta)/3) put 3h one ulp above sqrt(beta) = 0.02995 here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F, _ = g.solve_geometric(g.ReducedParams(8.97e-4, -0.05, 0.1), tol=1e-8)
+        assert 3.0 * F.grid.h <= math.sqrt(8.97e-4)
 
 
 class TestOperatorBuild:
