@@ -100,8 +100,9 @@ class _Outputs:
 
 
 def _fmt(v) -> str:
+    """A CSV cell; 17 significant digits round-trip every float."""
     if isinstance(v, float):
-        return f"{v:.10g}"
+        return f"{v:.17g}"
     return str(v)
 
 

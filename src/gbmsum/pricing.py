@@ -30,7 +30,6 @@ from .moments import mean_finite_sum
 from .params import ReducedParams, as_reduced, require_finite, tail_exponent
 from .solver import GaussianStepOperator, Grid, GridDensity, _multiplier_values
 
-_PAYOFF_TRUNCATION_TOL = 1e-6
 # Finite-sum powers zero their values below this.  A product of a larger value
 # with the smallest kernel entry, about pref h e^-32, stays above 2.2e-308, so
 # no apply meets subnormal arithmetic, which takes a slow hardware path.
@@ -79,16 +78,15 @@ class AsianSpec:
 # -- finite-sum densities ------------------------------------------------------
 
 
-def _finite_sum_grid(n: int, rp: ReducedParams, u_max: float | None = None) -> Grid:
+def _finite_sum_grid(n: int, rp: ReducedParams) -> Grid:
     """The grid of the n-term law: the solves' default step min(0.01,
     sqrt(beta)/3) (solver._default_step), which the kernel sets, as prices
     take their kinked last step in closed form; and a span from the sum's
     mean and log-normal spread."""
-    if u_max is None:
-        mean = mean_finite_sum(n, rp.rho, 1.0, 1.0)
-        margin = math.sqrt(2.0 * rp.beta * n * 46.0) + 1.0
-        u_max = math.log1p(max(mean, 1.0) * math.exp(margin))
-    return Grid.spanning(solver._default_step(rp.beta), u_max)
+    mean = mean_finite_sum(n, rp.rho, 1.0, 1.0)
+    margin = math.sqrt(2.0 * rp.beta * n * 46.0) + 1.0
+    return Grid.spanning(solver._default_step(rp.beta),
+                         math.log1p(max(mean, 1.0) * math.exp(margin)))
 
 
 def _powers(n: int, rp: ReducedParams, grid: Grid):
@@ -194,7 +192,7 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
     exact_mean = float(weights @ means)
     if u_max is None:
         u_max = math.log1p(1000.0 * max(exact_mean, 1.0))
-    grid = _finite_sum_grid(cap, rp, u_max)
+    grid = Grid.spanning(solver._default_step(rp.beta), u_max)
     F = GridDensity(grid, sum(w * vals for w, vals in zip(weights, _powers(cap, rp, grid))))
     rel_err = solver._mean_rel_err(F, exact_mean)
     if rel_err > _MIXTURE_MEAN_RTOL:
@@ -207,17 +205,6 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
 # -- Asian options --------------------------------------------------------------
 
 
-def _edge_decay_mass(grid: Grid, integrand: np.ndarray) -> float:
-    """Estimate of the integral beyond the grid from the edge log-slope."""
-    tail = integrand[-40:]
-    if np.any(tail <= 0.0):
-        return 0.0
-    slope = np.polyfit(grid.u()[-40:], np.log(tail), 1)[0]
-    if slope >= -0.1:
-        return math.inf
-    return float(integrand[-1] / (-slope))
-
-
 def asian_prices(spec: AsianSpec) -> dict:
     """Discounted call and put prices, the relative error of the law's grid
     mean and the grid's h, u_max and n_points.
@@ -227,11 +214,10 @@ def asian_prices(spec: AsianSpec) -> dict:
     (solver._lognormal_option_rows) integrated over the (n-1)-term law with
     the trapezoid mass weights, and no price depends on where the strike
     falls in a grid cell.  At n = 1 that law is the point mass at 0 and the
-    prices are Black-Scholes's.  Two AccuracyWarnings read the trapezoid call
-    integral of the n-term law: one where the estimated call-payoff mass
-    beyond the grid is above 1e-6 of it, which a strike beyond the grid top
-    always raises, and one for a truncation-dominated result; the CLI's
-    --strict escalates them to errors.
+    prices are Black-Scholes's, which read no grid and never warn.  For
+    n >= 2, one AccuracyWarning names a strike level nK/S0 at or above the
+    grid top expm1(u_max), where the grid cannot check the call; the CLI's
+    --strict escalates it to an error.
     """
     rp = spec.reduced()
     n = spec.n_fixings
@@ -239,39 +225,25 @@ def asian_prices(spec: AsianSpec) -> dict:
     disc = math.exp(-spec.rate * spec.maturity)
     grid = _finite_sum_grid(n, rp)
     prev, last = _finite_sum_laws(n, rp, grid)
-    F = GridDensity(grid, last)
-    x = grid.x()
-    mass_integrand = solver._mass_integrand(grid, F.values)
-    call_integrand = mass_integrand * np.maximum(x - kappa, 0.0)
-    call_exp = float(np.trapezoid(call_integrand, dx=grid.h))
-    beyond = _edge_decay_mass(grid, call_integrand)
-    if not (call_exp > 0.0 and beyond <= _PAYOFF_TRUNCATION_TOL * call_exp):
-        warnings.warn(
-            f"call price unresolved on the law's grid (x_max = {float(x[-1]):.4g}, strike "
-            f"level x = {kappa:.4g}): truncated call-payoff mass ~{beyond:.3g} is not "
-            f"below {_PAYOFF_TRUNCATION_TOL} of the integral {call_exp:.3g}",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    density_beyond = _edge_decay_mass(grid, mass_integrand)
-    # a call integral of 0 means a strike beyond the grid, which the check above names
-    if (call_exp > 0.0 and math.isfinite(density_beyond)
-            and density_beyond * float(x[-1]) > 1e-5 * call_exp):
-        warnings.warn(
-            f"truncation-dominated result: beyond-grid mass * x_max = "
-            f"{density_beyond * float(x[-1]):.3g} exceeds 1e-5 of the payoff integral",
-            AccuracyWarning,
-            stacklevel=2,
-        )
     if prev is None:
         u, weights = np.zeros(1), np.ones(1)
     else:
         u, weights = grid.u(), solver._mass_weights(grid) * prev
+        x_max = math.expm1(grid.u_max)
+        if kappa >= x_max:
+            warnings.warn(
+                f"call price unresolved on the law's grid (x_max = {x_max:.4g}, strike level "
+                f"x = {kappa:.4g}): a strike at or above the grid top leaves only truncated "
+                f"call-payoff mass",
+                AccuracyWarning,
+                stacklevel=2,
+            )
     call_row, put_row = solver._lognormal_option_rows(u, kappa, rp)
     return dict(
         call=disc * spec.s0 / n * float(weights @ call_row),
         put=disc * spec.s0 / n * float(weights @ put_row),
-        mean_rel_err=solver._mean_rel_err(F, mean_finite_sum(n, spec.drift, spec.tau, 1.0)),
+        mean_rel_err=solver._mean_rel_err(GridDensity(grid, last),
+                                          mean_finite_sum(n, spec.drift, spec.tau, 1.0)),
         u_max=grid.u_max,
         h=grid.h,
         n_points=grid.n_points,

@@ -85,6 +85,13 @@ class TestAsianCommand:
         diag = json.load(open(os.path.join(out, "asian_report.json")))
         assert abs(diag["parity_gap_discrete"]) <= 1e-4
 
+    def test_csv_price_round_trips(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["asian", "--s0", "100", "--strike", "100", "--rate", "0.1",
+                     "--sigma", "0.2", "--maturity", "1", "--fixings", "1", "--out", out]) == 0
+        price = float(read_csv(os.path.join(out, "asian.csv"))[1][2])
+        assert price == json.load(open(os.path.join(out, "asian_report.json")))["call"]
+
     def test_deterministic_output(self, tmp_path):
         args = ["asian", "--s0", "95", "--strike", "100", "--rate", "0.1",
                 "--sigma", "0.4", "--maturity", "1", "--fixings", "25"]

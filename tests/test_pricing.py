@@ -138,6 +138,16 @@ class TestLastStep:
         assert prices["call"] == pytest.approx(call, rel=1e-13)
         assert prices["put"] == pytest.approx(put, rel=1e-13)
 
+    def test_single_fixing_far_strike_is_silent(self):
+        # the call of ~4.8e-47 reads no law, so no grid check applies to it
+        spec = g.AsianSpec(s0=100.0, strike=2000.0, rate=0.1, dividend=0.0, sigma=0.2,
+                           maturity=1.0, n_fixings=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prices = g.asian_prices(spec)
+        call, _ = black_scholes(100.0, 2000.0, 0.1, 0.2, 1.0)
+        assert prices["call"] == pytest.approx(call, rel=1e-9)
+
     @pytest.mark.parametrize("sigma, n", [(0.2, 10), (0.4, 50), (0.6, 125)])
     def test_matches_finer_step(self, sigma, n, monkeypatch):
         # the reference runs on sqrt(beta)/12, at most a quarter of the capped step
@@ -253,14 +263,24 @@ class TestAsianPricing:
         assert 0.0 <= prices["call"] < 1e-50  # the closed-form last step resolves ~1e-61
 
     def test_strike_beyond_grid_warns_once(self):
-        # a call integral of 0 is a strike beyond the grid, not a truncation-dominated result
-        spec = g.AsianSpec(s0=100.0, strike=20000.0, rate=0.1, dividend=0.0, sigma=0.4,
-                           maturity=1.0, n_fixings=10)
-        with pytest.warns(AccuracyWarning) as record:
-            g.asian_prices(spec)
-        messages = [str(w.message) for w in record]
-        assert len(messages) == 1
-        assert "truncated call-payoff mass" in messages[0]
+        # n K / S0 = 2000 and 400 lie above the grid tops x ~ 1338 and ~ 272: the
+        # strike check is the prices' one truncation check
+        for n in (10, 2):
+            spec = g.AsianSpec(s0=100.0, strike=20000.0, rate=0.1, dividend=0.0, sigma=0.4,
+                               maturity=1.0, n_fixings=n)
+            with pytest.warns(AccuracyWarning) as record:
+                g.asian_prices(spec)
+            messages = [str(w.message) for w in record]
+            assert len(messages) == 1
+            assert "truncated call-payoff mass" in messages[0]
+
+    def test_strikes_on_grid_are_silent(self):
+        for strike in (100.0, 200.0, 400.0):
+            spec = g.AsianSpec(s0=100.0, strike=strike, rate=0.1, dividend=0.0, sigma=0.4,
+                               maturity=1.0, n_fixings=10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g.asian_prices(spec)
 
     def test_dividend_yield_enters_drift(self):
         spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.03,
