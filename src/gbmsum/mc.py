@@ -9,7 +9,9 @@ thread, which alone owns the stream and draws in that layout, while the
 calling thread sums the paths of the chunk before; the statistic and the
 accumulation stay serial on the calling thread, in chunk order, so results
 cannot depend on scheduling.  The normals go into two buffers that take
-turns, so neither can the memory a run holds.
+turns, so neither can the memory a run holds.  Both simulators run through
+one chunk loop; the path sums work in row tiles of at most ``_TILE_ELEMENTS``
+normals, so every temporary stays in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import path_partial_product_sums
 from .errors import ParameterError
 from .params import as_reduced, require_finite
 
 _MAX_CHUNK_ELEMENTS = 4_000_000
 _BUFFER_BLOCK = 1 << 18  # normals (2 MiB)
+_TILE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def _typical_horizon(horizon) -> int:
 
 
 def _chunk_size(horizon) -> int:
-    return max(1024, min(1 << 16, _MAX_CHUNK_ELEMENTS // _typical_horizon(horizon)))
+    return max(1, min(1 << 16, _MAX_CHUNK_ELEMENTS // _typical_horizon(horizon)))
 
 
 def _draw_horizons(rng: np.random.Generator, horizon, count: int) -> np.ndarray:
@@ -106,7 +108,7 @@ def _draw_horizons(rng: np.random.Generator, horizon, count: int) -> np.ndarray:
 
 
 class _Accumulator:
-    """Streaming mean / standard error over (possibly multi-column) samples.
+    """Streaming mean / standard error over the columns of (paths, k) samples.
 
     Each chunk's count, mean and sum of squared deviations are merged into
     the running ones with the update of Chan, Golub and LeVeque (1983), so
@@ -120,7 +122,6 @@ class _Accumulator:
         self.m2 = None
 
     def add(self, samples: np.ndarray):
-        samples = np.atleast_2d(np.asarray(samples, dtype=float).T).T
         n_b = samples.shape[0]
         mean_b = samples.mean(axis=0)
         m2_b = ((samples - mean_b) ** 2).sum(axis=0)
@@ -136,10 +137,6 @@ class _Accumulator:
     def estimates(self, n_paths: int) -> list[McEstimate]:
         se = np.sqrt(self.m2 / max(self.n - 1, 1) / self.n)
         return [McEstimate(float(m), float(s), n_paths) for m, s in zip(self.mean, se)]
-
-
-def _chunk_counts(primaries: int, chunk: int) -> list[int]:
-    return [min(chunk, primaries - done) for done in range(0, primaries, chunk)]
 
 
 class _Buffer:
@@ -181,13 +178,86 @@ def _drawn_ahead(draw, counts, consume):
         consume(*pending.result())
 
 
-def _samples(statistic, sums) -> np.ndarray:
-    """The statistic of each path, averaged with its antithetic twin's if any."""
-    values = [np.asarray(statistic(x), dtype=float) for x in sums]
-    return values[0] if len(values) == 1 else 0.5 * (values[0] + values[1])
+def path_partial_product_sums(z: np.ndarray, offsets: np.ndarray,
+                              scale: np.ndarray, drift: np.ndarray,
+                              antithetic: bool = False):
+    """Per-path sums of running products of log-normal factors.
+
+    Path p owns z[offsets[p]:offsets[p+1]]; its result is
+    sum_i exp(sum_{k<=i} (scale[p] * z_k + drift[p])), computed as
+    exp(C_i + i * drift[p]) with C the running sum of scale[p] * z.  Returns
+    the tuple (sums,), or with ``antithetic=True`` (sums, antithetic_sums),
+    the second holding the sums of the flipped normals -z, that is of
+    exp(i * drift[p] - C_i).
+    """
+    lengths = np.diff(offsets)
+    out = np.zeros(lengths.size)
+    out_anti = np.zeros(lengths.size) if antithetic else None
+    longest = int(lengths.max(initial=0))
+    steps = np.arange(1, longest + 1, dtype=float)
+    cols = np.arange(longest)
+    size = max(_TILE_ELEMENTS, longest)
+    # scratch for one tile: the running sums C, k * drift, and exponentials
+    c_buf, kd_buf, e_buf = np.empty(size), np.empty(size), np.empty(size)
+    order = np.argsort(lengths, kind="stable")
+    bounds = np.flatnonzero(np.diff(lengths[order])) + 1
+    for group in np.split(order, bounds):
+        length = int(lengths[group[0]])
+        if length == 0:
+            continue
+        # A stable sort keeps a group ascending, so a run of adjacent paths
+        # spans exactly group.size consecutive indices.
+        first = int(offsets[group[0]])
+        adjacent = int(group[-1] - group[0]) == group.size - 1
+        rows = max(1, _TILE_ELEMENTS // length)
+        for start in range(0, group.size, rows):
+            tile = group[start:start + rows]
+            shape = (tile.size, length)
+            c = c_buf[:tile.size * length].reshape(shape)
+            if adjacent:
+                lo = first + start * length
+                np.multiply(z[lo:lo + c.size].reshape(shape), scale[tile][:, None], out=c)
+            else:
+                np.take(z, offsets[tile][:, None] + cols[:length], out=c)
+                c *= scale[tile][:, None]
+            kd = kd_buf[:c.size].reshape(shape)
+            e = e_buf[:c.size].reshape(shape)
+            np.cumsum(c, axis=1, out=c)
+            np.multiply.outer(drift[tile], steps[:length], out=kd)
+            np.add(c, kd, out=e)
+            out[tile] = np.exp(e, out=e).sum(axis=1)
+            if antithetic:
+                np.subtract(kd, c, out=e)
+                out_anti[tile] = np.exp(e, out=e).sum(axis=1)
+    return (out, out_anti) if antithetic else (out,)
 
 
-def _finish(acc: _Accumulator, cfg: McConfig):
+def _simulate(cfg: McConfig, chunk: int, draw_values, path_values, statistic):
+    """E[statistic] over cfg.n_paths paths: the one chunk loop of both simulators.
+
+    draw_values(rng, count) draws a chunk's per-path values and says how many
+    normals follow them; path_values(values, z) makes the path values, with
+    the antithetic twins second, as path_partial_product_sums orders them.
+    """
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    primaries = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    acc = _Accumulator()
+
+    def draw(count, buffer):
+        values, normals = draw_values(rng, count)
+        return values, rng.standard_normal(out=buffer.take(normals))
+
+    def add(values, z):
+        columns = [np.asarray(statistic(x), dtype=float) for x in path_values(values, z)]
+        samples = columns[0] if len(columns) == 1 else 0.5 * (columns[0] + columns[1])
+        samples = np.atleast_2d(samples.T).T
+        finite = np.isfinite(samples).all(axis=0)
+        if not finite.all():
+            raise ParameterError(f"statistic column {int(np.argmin(finite))} is not finite "
+                                 "on some path, so its Monte Carlo estimate would not be")
+        acc.add(samples)
+
+    _drawn_ahead(draw, [min(chunk, primaries - i) for i in range(0, primaries, chunk)], add)
     ests = acc.estimates(cfg.n_paths)
     return ests[0] if len(ests) == 1 else ests
 
@@ -204,24 +274,17 @@ def simulate_sum(params, cfg: McConfig, statistic):
     rp = as_reduced(params)
     scale = math.sqrt(rp.beta)
     drift = rp.rho - 0.5 * rp.beta
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    primaries = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
 
-    def draw(count, buffer):
-        horizons = _draw_horizons(rng, cfg.horizon, count)
-        offsets = np.concatenate([[0], np.cumsum(horizons)])
-        return offsets, rng.standard_normal(out=buffer.take(offsets[-1]))
+    def draw_offsets(rng, count):
+        offsets = np.concatenate([[0], np.cumsum(_draw_horizons(rng, cfg.horizon, count))])
+        return offsets, offsets[-1]
 
-    acc = _Accumulator()
-
-    def add(offsets, z):
+    def path_sums(offsets, z):
         count = offsets.size - 1
-        sums = path_partial_product_sums(z, offsets, np.full(count, scale),
+        return path_partial_product_sums(z, offsets, np.full(count, scale),
                                          np.full(count, drift), cfg.antithetic)
-        acc.add(_samples(statistic, sums if cfg.antithetic else (sums,)))
 
-    _drawn_ahead(draw, _chunk_counts(primaries, _chunk_size(cfg.horizon)), add)
-    return _finish(acc, cfg)
+    return _simulate(cfg, _chunk_size(cfg.horizon), draw_offsets, path_sums, statistic)
 
 
 def simulate_time_integral(sigma: float, m: float, substeps: int, cfg: McConfig,
@@ -244,26 +307,18 @@ def simulate_time_integral(sigma: float, m: float, substeps: int, cfg: McConfig,
         raise ParameterError(f"lam must be positive and finite, got {lam}")
     if statistic is None:
         statistic = lambda y: y  # noqa: E731 - identity default
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    primaries = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     n_inner = substeps - 1  # the t = 0 term of the Riemann sum is exp(0) = 1
 
-    def draw(count, buffer):
-        if lam is not None:
-            maturities = rng.exponential(1.0 / lam, size=count)
-        else:
-            maturities = np.full(count, float(T))
-        return maturities, rng.standard_normal(out=buffer.take(count * n_inner))
+    def draw_maturities(rng, count):
+        maturities = np.full(count, float(T)) if lam is None else rng.exponential(1.0 / lam, count)
+        return maturities, count * n_inner
 
-    acc = _Accumulator()
-
-    def add(maturities, z):
+    def integrals(maturities, z):
         offsets = np.arange(maturities.size + 1, dtype=np.int64) * n_inner
         dt = maturities / substeps
         partial = path_partial_product_sums(z, offsets, sigma * np.sqrt(dt),
                                             (m - 0.5 * sigma**2) * dt, cfg.antithetic)
-        acc.add(_samples(statistic, [dt * (1.0 + p)
-                                     for p in (partial if cfg.antithetic else (partial,))]))
+        return [dt * (1.0 + p) for p in partial]
 
-    _drawn_ahead(draw, _chunk_counts(primaries, _chunk_size(FixedHorizon(substeps))), add)
-    return _finish(acc, cfg)
+    return _simulate(cfg, _chunk_size(FixedHorizon(substeps)), draw_maturities, integrals,
+                     statistic)

@@ -169,6 +169,11 @@ class TestMcCommand:
         assert a["value"] == b["value"]
         assert a["value"] == pytest.approx(0.10852, abs=0.01)
 
+    def test_infinite_estimate_writes_no_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(TestMalformedInput.MC_OVERFLOW + ["--out", str(out)]) == 2
+        assert not (out / "mc_report.json").exists()
+
 
 class TestBatchCommand:
     def test_table_layouts(self, tmp_path):
@@ -254,6 +259,9 @@ class TestBatchCommand:
 
 class TestMalformedInput:
     MC = ["mc", "--paths", "1000", "--seed", "1", "--beta", "1", "--rho", "0"]
+    # x**400 overflows to inf on every path
+    MC_OVERFLOW = ["mc", "--paths", "2000", "--seed", "1", "--horizon", "fixed:10",
+                   "--beta", "0.1", "--rho", "0", "--statistic", "moment:400"]
     ASIAN = {"type": "asian", "s0": 100, "rate": 0.1, "sigma": 0.4,
              "maturity": 1.0, "fixings": 10}
     ANNUITY = ["annuity", "--beta", "0.1", "--rho", "0", "--p", "0.01"]
@@ -352,6 +360,7 @@ class TestMalformedInput:
                      "kmax must be >= 1, got 0", id="moments-kmax-0"),
         pytest.param(["calibrate", "--age", "110", "--method", "life-expectancy"], {},
                      "leaves no p in (0, 1)", id="calibrate-no-root"),
+        pytest.param(MC_OVERFLOW, {}, "statistic column 0 is not finite", id="mc-infinite"),
         *ANNUITY_INPUTS,
     ])
     def test_exit_2_names_the_value(self, tmp_path, capsys, argv, files, message):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gbmsum as g
-from gbmsum import _kernels, mc
+from gbmsum import mc
 
 
 def reference_sums(z, offsets, scale, drift):
@@ -30,7 +30,7 @@ def ragged():
     """Ragged paths: empty ones, a path longer than a tile, adjacent runs of
     one length spanning several tiles, and scattered lengths in between."""
     rng = np.random.default_rng(1)
-    tile = _kernels._TILE_ELEMENTS
+    tile = mc._TILE_ELEMENTS
     scattered = rng.integers(0, 40, 3000)
     scattered[scattered == 20] = 21  # so the run below stays its length's only group
     lengths = np.concatenate([
@@ -51,7 +51,7 @@ def ragged():
 class TestPathSums:
     def test_matches_sequential_reference(self, ragged):
         z, offsets, scale, drift = ragged
-        out = _kernels.path_partial_product_sums(z, offsets, scale, drift)
+        (out,) = mc.path_partial_product_sums(z, offsets, scale, drift)
         ref = reference_sums(z, offsets, scale, drift)
         lengths = np.diff(offsets)
         assert np.all(out[lengths == 0] == 0.0)
@@ -59,17 +59,18 @@ class TestPathSums:
 
     def test_antithetic_equals_flipped_normals(self, ragged):
         z, offsets, scale, drift = ragged
-        out, out_anti = _kernels.path_partial_product_sums(z, offsets, scale, drift,
-                                                           antithetic=True)
-        assert np.array_equal(out, _kernels.path_partial_product_sums(z, offsets, scale, drift))
-        flipped = _kernels.path_partial_product_sums(-z, offsets, scale, drift)
+        out, out_anti = mc.path_partial_product_sums(z, offsets, scale, drift,
+                                                     antithetic=True)
+        (plain,) = mc.path_partial_product_sums(z, offsets, scale, drift)
+        assert np.array_equal(out, plain)
+        (flipped,) = mc.path_partial_product_sums(-z, offsets, scale, drift)
         assert max_rel(out_anti, flipped) <= 1e-12
 
     def test_small_tiles_give_the_same_sums(self, ragged, monkeypatch):
         z, offsets, scale, drift = ragged
-        ref = _kernels.path_partial_product_sums(z, offsets, scale, drift)
-        monkeypatch.setattr(_kernels, "_TILE_ELEMENTS", 64)
-        assert max_rel(_kernels.path_partial_product_sums(z, offsets, scale, drift),
+        (ref,) = mc.path_partial_product_sums(z, offsets, scale, drift)
+        monkeypatch.setattr(mc, "_TILE_ELEMENTS", 64)
+        assert max_rel(*mc.path_partial_product_sums(z, offsets, scale, drift),
                        ref) <= 1e-12
 
     def test_backend_name(self):
@@ -105,3 +106,33 @@ class TestDrawLayout:
         assert est.value == pytest.approx(samples.mean(), rel=1e-14)
         assert est.std_error == pytest.approx(
             np.std(samples, ddof=1) / math.sqrt(samples.size), rel=1e-10)
+
+    def test_time_integral_matches_serial_recomputation(self, monkeypatch):
+        # maturities first, then count * (substeps - 1) normals, chunk after chunk;
+        # a smaller chunk cap splits a run short enough for the Python reference
+        monkeypatch.setattr(mc, "_MAX_CHUNK_ELEMENTS", 110_000)
+        sigma, m, lam, substeps = 0.6, -0.2, 0.5, 100
+        cfg = g.McConfig(n_paths=2400, seed=11, antithetic=True)
+        seen = []
+        est = g.simulate_time_integral(sigma, m, substeps, cfg, lam=lam,
+                                       statistic=lambda y: seen.append(y.copy()) or y)
+
+        rng = np.random.Generator(np.random.Philox(11))
+        primaries = cfg.n_paths // 2
+        chunk = mc._chunk_size(g.FixedHorizon(substeps))
+        assert chunk < primaries
+        expected = []
+        for done in range(0, primaries, chunk):
+            count = min(chunk, primaries - done)
+            dt = rng.exponential(1.0 / lam, size=count) / substeps
+            offsets = np.arange(count + 1) * (substeps - 1)
+            z = rng.standard_normal(offsets[-1])
+            scale, drift = sigma * np.sqrt(dt), (m - 0.5 * sigma**2) * dt
+            # the primaries reach the statistic first, then their antithetic twins
+            expected += [dt * (1.0 + reference_sums(z, offsets, scale, drift)),
+                         dt * (1.0 + reference_sums(-z, offsets, scale, drift))]
+        assert [y.size for y in seen] == [y.size for y in expected]
+        for got, ref in zip(seen, expected):
+            assert max_rel(got, ref) <= 1e-12
+        pairs = 0.5 * (np.concatenate(expected[0::2]) + np.concatenate(expected[1::2]))
+        assert est.value == pytest.approx(pairs.mean(), rel=1e-14)

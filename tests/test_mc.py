@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -231,3 +232,53 @@ class TestMultiColumnStatistics:
         ests = g.simulate_sum(rp, cfg, lambda x: np.stack([x, x**2], axis=1))
         assert len(ests) == 2
         assert ests[1].value >= ests[0].value ** 2
+
+
+class TestNonFiniteEstimates:
+    """A statistic that is not finite on some path stops the run, naming its column."""
+
+    RP = g.ReducedParams(beta=0.1, rho=0.0)
+
+    @staticmethod
+    def _one_inf(x):
+        y = x.copy()
+        y[0] = math.inf
+        return y
+
+    @staticmethod
+    def _nan_column(x):
+        return np.stack([x, np.full_like(x, math.nan)], axis=1)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("statistic, column", [("_one_inf", 0), ("_nan_column", 1)])
+    def test_both_simulators_raise(self, antithetic, statistic, column):
+        statistic = getattr(self, statistic)
+        cfg = g.McConfig(n_paths=2000, seed=1, antithetic=antithetic,
+                         horizon=g.FixedHorizon(10))
+        message = f"statistic column {column} is not finite"
+        with pytest.raises(ParameterError, match=message):
+            g.simulate_sum(self.RP, cfg, statistic)
+        with pytest.raises(ParameterError, match=message):
+            g.simulate_time_integral(1.0, 0.0, 100, cfg, statistic=statistic, T=1.0)
+
+    def test_error_leaves_no_worker_thread(self):
+        # three chunks, so the next one is being drawn when the first one raises
+        cfg = g.McConfig(n_paths=100_000, seed=1, horizon=g.FixedHorizon(100))
+        assert mc._chunk_size(cfg.horizon) < cfg.n_paths // 2
+        before = threading.active_count()
+        with pytest.raises(ParameterError):
+            g.simulate_sum(self.RP, cfg, self._one_inf)
+        assert threading.active_count() == before
+
+
+class TestChunkMemory:
+    def test_long_horizon_chunk_stays_under_the_cap(self, monkeypatch):
+        # a chunk of 20_000-step paths holds 200 of them, not 1000
+        requests = []
+        take = mc._Buffer.take
+        monkeypatch.setattr(mc._Buffer, "take",
+                            lambda self, n: requests.append(int(n)) or take(self, n))
+        cfg = g.McConfig(n_paths=1000, seed=1, horizon=g.FixedHorizon(20_000))
+        g.simulate_sum(g.ReducedParams(beta=0.01, rho=-0.01), cfg, lambda x: x)
+        assert sum(requests) == 1000 * 20_000
+        assert max(requests) <= max(mc._MAX_CHUNK_ELEMENTS, 20_000)
