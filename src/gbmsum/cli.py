@@ -487,21 +487,22 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get("GBMSUM_OUT", ".")
     out = _Outputs(out_dir, args.prefix)
+    error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out.warnings = caught
         try:
             out.manifest(args.command, _args_dict(args), args.func(args, out))
         except (ParameterError, NoRootError, DivergentExpectationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return _EXIT_INFEASIBLE
+            error, status = exc, _EXIT_INFEASIBLE
         except ConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return _EXIT_NO_CONVERGENCE
-    accuracy_issues = [w for w in caught if issubclass(w.category, AccuracyWarning)]
+            error, status = exc, _EXIT_NO_CONVERGENCE
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    if accuracy_issues and args.strict:
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return status
+    if args.strict and any(issubclass(w.category, AccuracyWarning) for w in caught):
         return _EXIT_ACCURACY
     return _EXIT_OK
 

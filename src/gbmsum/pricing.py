@@ -15,9 +15,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import solver
+from .distributions import _de_integrate
 from .errors import (
     AccuracyWarning,
     CancellationWarning,
@@ -302,11 +302,11 @@ def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
 # -- Makeham calibration ----------------------------------------------------------
 
 
-def _makeham_cumulative_hazard(a: float, b: float, beta: float, t0: float,
-                               t1: float) -> float:
+def _makeham_cumulative_hazard(a: float, b: float, beta: float, t0: float, t1):
+    """Integral of the hazard a + b e^(beta t) from t0 to t1 (a float or an array)."""
     if beta == 0.0:
         return (a + b) * (t1 - t0)
-    return a * (t1 - t0) + b / beta * (math.exp(beta * t1) - math.exp(beta * t0))
+    return a * (t1 - t0) + b / beta * (np.exp(beta * t1) - math.exp(beta * t0))
 
 
 def makeham_match_p(a0: float, method: str = "life_expectancy",
@@ -315,8 +315,8 @@ def makeham_match_p(a0: float, method: str = "life_expectancy",
     """Match the geometric stopping probability to a Makeham hazard at age a0.
 
     life_expectancy: solve E[age at death | alive at a0] = a0 + 1/p with the
-    conditional expectation integrated numerically (truncated at age 130,
-    where survival is below 1e-12).
+    conditional expectation integrated by the double-exponential rule
+    (distributions._de_integrate) up to age 130, where survival is below 1e-12.
 
     hazard_rate: match the one-year death probability at a0,
     p = 1 - exp(-integral of the hazard over [a0, a0+1]).  (The raw hazard
@@ -330,12 +330,11 @@ def makeham_match_p(a0: float, method: str = "life_expectancy",
         if a == 0.0 and b == 0.0:
             raise NoRootError("zero hazard: conditional life expectancy diverges")
 
-        def death_age_density(t: float) -> float:
-            hz = a + b * math.exp(beta * t)
-            return t * hz * math.exp(-_makeham_cumulative_hazard(a, b, beta, a0, t))
+        def death_age_density(t: np.ndarray) -> np.ndarray:
+            hz = a + b * np.exp(beta * t)
+            return t * hz * np.exp(-_makeham_cumulative_hazard(a, b, beta, a0, t))
 
-        expect, _ = quad(death_age_density, a0, 130.0, epsabs=1e-12, epsrel=1e-11,
-                         limit=400)
+        expect = _de_integrate(death_age_density, a0, 130.0)
         if expect - a0 <= 1.0:
             raise NoRootError(
                 f"conditional life expectancy {expect:.4g} leaves no p in (0, 1)"

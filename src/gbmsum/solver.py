@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import distributions
@@ -390,7 +389,17 @@ def expectation(F: GridDensity, payoff) -> float:
     """E[payoff(X)] over the grid with analytic power-law tail closure.
 
     `payoff` must be vectorized (ndarray -> ndarray).  With a tail attached,
-    payoffs growing at least as fast as the tail exponent are rejected.
+    the closure's density c mu x^(-mu-1) beyond x_max is integrated in
+    w = mu log(x/x_max) as c x_max^(-mu) times the integral over w > 0 of
+    payoff(x_max e^(w/mu)) e^(-w).  The payoff's growth is read from the
+    half-line rule's two farthest nodes, x_max e^(28.3/mu) and
+    x_max e^(299/mu), far beyond any kink near the grid: growth at or above
+    the tail exponent raises DivergentExpectationError.  The power law
+    through those two payoff values is integrated in closed form and the
+    double-exponential rule takes the rest, so a payoff growing nearly as
+    fast as the tail decays loses nothing beyond the farthest node.  A kink
+    or jump of the payoff beyond x_max slows the rule, which then warns
+    (AccuracyWarning).
     """
     u = F.grid.u()
     x = np.expm1(u)
@@ -399,25 +408,33 @@ def expectation(F: GridDensity, payoff) -> float:
     if F.tail is None:
         return total
     x_max = float(x[-1])
-    probes = _payoff_values(payoff, np.array([x_max, 2.0 * x_max, 4.0 * x_max]))
-    if np.all(probes == 0.0):
-        return total
-    mu, c = F.tail.exponent, F.tail.constant
-    if probes[0] != 0.0 and probes[2] != 0.0 and probes[0] * probes[2] > 0.0:
-        growth = math.log(abs(probes[2] / probes[0])) / math.log(4.0)
-        if growth >= mu:
+    mu = F.tail.exponent
+    unit = F.tail.constant * x_max ** (-mu)  # the closure's mass beyond x_max
+
+    def tail_payoff(w):
+        return _payoff_values(payoff, x_max * np.exp(w / mu))
+
+    # the payoff at the rule's two farthest nodes gives its growth per unit w; the
+    # power law amp e^(growth w) through the farther one is integrated in closed form
+    w_near, w_far = distributions._DE_FAR
+    with np.errstate(over="ignore"):
+        p_near, p_far = map(float, tail_payoff(distributions._DE_FAR))
+    growth = amp = 0.0
+    if p_near * p_far > 0.0:
+        growth = math.log(p_far / p_near) / (w_far - w_near)
+        # within rounding of the exponent counts as reaching it: amp / (1 - growth)
+        # would exceed 1e12 amp
+        if not growth < 1.0 - 1e-12:
             raise DivergentExpectationError(
-                f"payoff grows like x^{growth:.3g} >= tail exponent {mu:.3g}"
+                f"payoff grows like x^{mu * growth:.3g} >= tail exponent {mu:.3g}"
             )
-
-    def tail_integrand(t: float) -> float:
-        xv = x_max / t
-        pv = float(_payoff_values(payoff, np.array([xv]))[0])
-        return pv * c * mu * x_max ** (-mu) * t ** (mu - 1.0)
-
-    tail_term, _ = quad(tail_integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10,
-                        limit=200)
-    return total + tail_term
+        growth = max(growth, 0.0)  # a decaying fit's e^(-growth w_far) could overflow
+        amp = p_far * math.exp(-growth * w_far)
+    closure = amp / (1.0 - growth)
+    rest = distributions._de_integrate(
+        lambda w: (tail_payoff(w) - amp * np.exp(growth * w)) * np.exp(-w), 0.0, math.inf,
+        scale=abs(closure) + abs(total) / unit)
+    return total + unit * (closure + rest)
 
 
 def _lognormal_option_rows(u: np.ndarray, kappa: float,

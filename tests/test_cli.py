@@ -376,6 +376,13 @@ class TestMalformedInput:
         monkeypatch.setattr(solver, "_solve", lambda *a: pytest.fail("solved before the check"))
         self.test_exit_2_names_the_value(tmp_path, capsys, argv, files, message)
 
+    def test_exit_2_prints_the_warnings_caught(self, tmp_path, capsys):
+        # numpy's overflow warning is what made the estimate non-finite
+        assert main(self.MC_OVERFLOW + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "warning: overflow encountered in power"
+        assert err[-1].startswith("error: statistic column 0 is not finite")
+
 
 class TestEnvironmentDefaults:
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):

@@ -1,13 +1,16 @@
 """Closed-form law tests: multiplier, inverse-Gamma limit, exponential-time law."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import gbmsum as g
-from gbmsum import ParameterError
+from gbmsum import AccuracyWarning, ParameterError
+from gbmsum.distributions import _de_integrate
 
 
 class TestReduce:
@@ -245,6 +248,54 @@ class TestYorSurvival:
             sv = g.yor_survival(z, math.sqrt(2.0), 0.0, 1e-8)
             ref = 1.0 - g.inv_gamma_cdf(z, math.sqrt(2.0), 0.0)
             assert sv == pytest.approx(ref, abs=2e-6)
+
+
+    @pytest.mark.parametrize("sigma, m, lam, z", [
+        (1.0, 0.0, 0.1, 1e-12), (1.0, 0.0, 0.1, 0.02), (1.0, 0.0, 0.1, 1.5),
+        (1.0, -0.1, 0.01, 3.0), (math.sqrt(0.1), 0.0, 0.1, 0.4), (0.3, -0.1, 0.01, 100.0),
+        (math.sqrt(2.0), 0.0, 1e-8, 2.0), (1.0, -0.5, 0.5, 19.9),
+    ])
+    def test_body_matches_quad(self, sigma, m, lam, z):
+        # the same tail sum beyond y = 10; quad takes the body
+        yp = g.yor_params(sigma, m, lam)
+        switch = g.distributions._Y_TAIL_SWITCH
+        body, _ = quad(lambda y: g.distributions._ratio_pdf(y, yp), 0.5 * sigma**2 * z, switch,
+                       epsabs=0.0, epsrel=1e-13, limit=400)
+        ref = body + g.distributions._ratio_survival_tail(switch, yp)
+        assert g.yor_survival(z, sigma, m, lam) == pytest.approx(ref, rel=1e-13)
+
+
+class TestDoubleExponentialRule:
+    @pytest.mark.parametrize("f, a, b, exact", [
+        (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
+        (lambda x: 1.0 / np.sqrt(x), 0.0, 4.0, 4.0),
+        (np.cos, -1.0, 2.0, math.sin(2.0) + math.sin(1.0)),
+        (lambda x: np.exp(-x), 0.0, math.inf, 1.0),
+        (lambda x: x**2.5 * np.exp(-x), 0.0, math.inf, math.gamma(3.5)),
+        (lambda x: x * np.exp(3.0 - x), 3.0, math.inf, 4.0),
+    ])
+    def test_known_integrals(self, f, a, b, exact):
+        assert _de_integrate(f, a, b) == pytest.approx(exact, rel=1e-14)
+
+    def test_jump_runs_out_of_levels(self):
+        with pytest.warns(AccuracyWarning, match="stopped at step"):
+            value = _de_integrate(lambda x: (x > 0.3).astype(float), 0.0, 1.0)
+        assert value == pytest.approx(0.7, abs=5e-3)
+
+    def test_slow_decay_cut_by_the_span_warns(self):
+        # e^(-x/100) keeps e^-3 of its mass beyond the farthest node, x = 299
+        with pytest.warns(AccuracyWarning, match="stopped at step"):
+            _de_integrate(lambda x: np.exp(-0.01 * x), 0.0, math.inf)
+
+
+class TestImport:
+    def test_no_scipy_integrate_or_optimize(self):
+        code = ("import sys, gbmsum; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestYorMomentIdentity:

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import gbmsum as g
 from gbmsum import (
@@ -319,8 +320,10 @@ class TestGeometricMaturityOption:
         assert val == pytest.approx(exact, rel=1e-4)
 
     def test_vanishes_for_large_threshold(self, solved):
+        # the strike lies far beyond the grid top (x_max = 423): the tail rule meets the kink
         F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
-        assert g.geometric_maturity_option(F, 1e5) < 1e-4
+        with pytest.warns(AccuracyWarning, match="double-exponential rule"):
+            assert g.geometric_maturity_option(F, 1e5) < 1e-4
 
     @pytest.mark.parametrize("kappa", [-1.0, math.nan])
     def test_bad_strike_rejected(self, solved, kappa):
@@ -424,6 +427,18 @@ class TestMakehamCalibration:
         assert g.makeham_match_p(65.0, "life_expectancy") == pytest.approx(
             0.06443, abs=5e-5
         )
+
+    @pytest.mark.parametrize("age", [0.0, 20.0, 65.0, 80.0, 100.0, 106.0])
+    def test_life_expectancy_matches_quad(self, age):
+        a, b, beta = 0.0007, 5e-5, 0.0921
+
+        def death_age_density(t):
+            cum = a * (t - age) + b / beta * (math.exp(beta * t) - math.exp(beta * age))
+            return t * (a + b * math.exp(beta * t)) * math.exp(-cum)
+
+        expect, _ = quad(death_age_density, age, 130.0, epsabs=0.0, epsrel=1e-13, limit=400)
+        assert g.makeham_match_p(age, "life_expectancy") == pytest.approx(
+            1.0 / (expect - age), rel=1e-11)
 
     def test_hazard_rate_value(self):
         # one-year death probability at 65: p = 0.0213157277

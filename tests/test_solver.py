@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import SHORTFALL_TABLE
+from scipy.integrate import quad
 
 import gbmsum as g
 from gbmsum import (
@@ -21,6 +23,7 @@ from gbmsum import (
     ParameterError,
     pricing,
     solver,
+    tails,
 )
 from gbmsum.solver import Grid, GridDensity, _grid_mass, _iterate
 
@@ -581,6 +584,88 @@ class TestIntegrals:
         for q in (0.5, 0.9, 0.99):
             x = g.quantile(F, q)
             assert g.cdf(F, x) == pytest.approx(q, abs=1e-6)
+
+
+# the perpetuity laws and the shortfall table's stopped laws, as (beta, rho, p)
+TAIL_LAWS = [(1.0, -0.1, 0.0), (0.5, -0.1, 0.0), (0.1, -0.1, 0.0), (1.0, 0.0, 0.0),
+             (0.1, 0.0, 0.0)] + sorted({row[:3] for row in SHORTFALL_TABLE})
+
+
+def _tail_solved(solved, beta, rho, p):
+    F, _ = solved(beta, rho, p, tol=1e-9, max_iter=2000)
+    return F, float(np.expm1(F.grid.u_max)), F.tail.exponent, F.tail.constant
+
+
+def _quad_expectation(F, payoff, growth):
+    """expectation's oracle: the grid trapezoid sum plus the tail closure
+    c mu x_max^-mu times the integral over t in (0, 1] of payoff(x_max/t) t^(mu-1)
+    (x = x_max/t), which quad takes with the algebraic weight t^(mu-1-growth)
+    of a payoff growing like x^growth."""
+    x_max, mu, c = float(np.expm1(F.grid.u_max)), F.tail.exponent, F.tail.constant
+    x = F.grid.x()
+    body = np.trapezoid(F.values * np.exp(F.grid.u()) * payoff(x), dx=F.grid.h)
+
+    def scaled(t):
+        t = max(t, 1e-100)  # QAWS samples the end point t = 0
+        return float(payoff(np.array([x_max / t]))[0]) * t**growth
+
+    tail, _ = quad(scaled, 0.0, 1.0, weight="alg", wvar=(mu - 1.0 - growth, 0.0),
+                   epsabs=0.0, epsrel=1e-12, limit=200)
+    return body + c * mu * x_max ** (-mu) * tail
+
+
+class TestTailClosure:
+    @pytest.mark.parametrize("beta, rho, p", TAIL_LAWS)
+    def test_matches_quad(self, solved, beta, rho, p):
+        F, _, mu, _ = _tail_solved(solved, beta, rho, p)
+        payoffs = [(lambda x: tails._stable_power_gap(x, mu), mu - 1.0), (np.sqrt, 0.5),
+                   (lambda x: (1.0 + x) ** -3.0, -3.0)]
+        if mu > 1.0:
+            payoffs.append((lambda x: x, 1.0))
+        for payoff, growth in payoffs:
+            assert g.expectation(F, payoff) == pytest.approx(
+                _quad_expectation(F, payoff, growth), rel=1e-12)
+
+    @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (0.1, 0.0, 0.01)])
+    @pytest.mark.parametrize("level", [0.3, 0.5])
+    def test_call_kinked_on_the_grid_converges(self, solved, beta, rho, p, level):
+        # the payoff's kink once read as growth x^mu; beyond x_max it is x - kappa
+        F, x_max, mu, c = _tail_solved(solved, beta, rho, p)
+        kappa = level * x_max
+        call = g.expectation(F, lambda x: np.maximum(x - kappa, 0.0))
+        body = g.expectation(GridDensity(F.grid, F.values), lambda x: np.maximum(x - kappa, 0.0))
+        tail = c * x_max ** (1.0 - mu) * mu / (mu - 1.0) - kappa * c * x_max ** (-mu)
+        assert call == pytest.approx(body + tail, rel=1e-12)
+
+    @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (0.1, -0.1, 0.0),
+                                              (0.1, 0.0, 0.01)])
+    def test_payoff_zero_up_to_4_x_max_keeps_its_tail(self, solved, beta, rho, p):
+        # the payoff vanishes on the grid and at x_max, 2 x_max and 4 x_max; the tail
+        # closure alone prices it, c kappa^(1-mu) / (mu - 1)
+        F, x_max, mu, c = _tail_solved(solved, beta, rho, p)
+        kappa = 4.1 * x_max
+        with pytest.warns(AccuracyWarning, match="double-exponential rule"):
+            call = g.expectation(F, lambda x: np.maximum(x - kappa, 0.0))
+        assert call == pytest.approx(c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-4)
+
+    def test_kink_beyond_the_grid_warns(self, solved):
+        F, x_max, mu, c = _tail_solved(solved, 1.0, -0.1, 0.0)
+        with pytest.warns(AccuracyWarning, match="double-exponential rule"):
+            call = g.expectation(F, lambda x: np.maximum(x - 2.0 * x_max, 0.0))
+        assert call == pytest.approx(c * (2.0 * x_max) ** (1.0 - mu) / (mu - 1.0), rel=1e-4)
+
+    def test_payoff_overflowing_far_out_is_divergent(self, solved):
+        F, _, _, _ = _tail_solved(solved, 1.0, -0.1, 0.0)
+        with pytest.raises(DivergentExpectationError):
+            g.expectation(F, lambda x: x**5)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.1])
+    def test_mean_at_exponent_one_is_divergent(self, solved, beta):
+        F, x_max, mu, _ = _tail_solved(solved, beta, 0.0, 0.0)
+        assert mu == 1.0
+        for payoff in (lambda x: x, lambda x: np.maximum(x - 0.3 * x_max, 0.0)):
+            with pytest.raises(DivergentExpectationError):
+                g.expectation(F, payoff)
 
 
 class TestOffGridRefinement:
