@@ -34,8 +34,6 @@ _DE_RTOL = 1e-13
 _DE_LEVELS = 7  # sums, the last at step 1/128
 _DE_T_FINITE = (-4.0, 4.0)  # tanh-sinh: the end nodes lie within e^-85 (b - a) of a and b
 _DE_T_HALF_LINE = (-4.0, 2.0)  # exp-sinh: x - a runs from 2.3e-19 to 299
-# x - a at the two farthest nodes of the half-line rule, t = 1.5 and 2: 28.3 and 299
-_DE_FAR = np.exp(0.5 * math.pi * np.sinh(np.array([1.5, 2.0])))
 
 
 def _de_nodes(t: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -285,7 +285,11 @@ def _parity_gap(spec: AsianSpec, prices: dict, convention: str) -> float:
 def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
     """E[(X_N - kappa)+] for geometric stopping, on a law F from solve_geometric
     with 0 < p < 1: the building block of the generating-function route to
-    fixed-maturity prices.  A strike ladder reuses the one solve."""
+    fixed-maturity prices.  A strike ladder reuses the one solve.
+
+    The grid part is a trapezoid sum; the part beyond the grid top x_max is
+    the tail closure c mu x^(-mu-1) integrated in closed form, kink included:
+    c k^(-mu) (mu k / (mu - 1) - kappa) with k = max(kappa, x_max)."""
     rp = solver._solved_params(F, "geometric_maturity_option")
     if not (0.0 < rp.p < 1.0):
         raise ParameterError(f"needs 0 < p < 1, got p = {rp.p}")
@@ -296,7 +300,12 @@ def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
         raise DivergentExpectationError(
             f"tail exponent mu = {mu:.4g} <= 1: E[(X_N - kappa)+] is infinite"
         )
-    return solver.expectation(F, lambda x: np.maximum(x - kappa, 0.0))
+    call = solver.expectation(GridDensity(F.grid, F.values), lambda x: np.maximum(x - kappa, 0.0))
+    if F.tail is None:
+        return call
+    c, mu = F.tail.constant, F.tail.exponent
+    k = max(kappa, float(F.grid.x()[-1]))
+    return call + c * k ** (-mu) * (mu * k / (mu - 1.0) - kappa)
 
 
 # -- Makeham calibration ----------------------------------------------------------

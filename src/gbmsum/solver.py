@@ -391,13 +391,14 @@ def expectation(F: GridDensity, payoff) -> float:
     `payoff` must be vectorized (ndarray -> ndarray).  With a tail attached,
     the closure's density c mu x^(-mu-1) beyond x_max is integrated in
     w = mu log(x/x_max) as c x_max^(-mu) times the integral over w > 0 of
-    payoff(x_max e^(w/mu)) e^(-w).  The payoff's growth is read from the
-    half-line rule's two farthest nodes, x_max e^(28.3/mu) and
-    x_max e^(299/mu), far beyond any kink near the grid: growth at or above
-    the tail exponent raises DivergentExpectationError.  The power law
-    through those two payoff values is integrated in closed form and the
-    double-exponential rule takes the rest, so a payoff growing nearly as
-    fast as the tail decays loses nothing beyond the farthest node.  A kink
+    payoff(x_max e^(w/mu)) e^(-w).  The payoff's growth is read at the
+    half-line rule's two farthest nodes, far beyond any kink near the grid
+    (both scaled down together where the farther one would put x past the
+    largest float): growth at or above the tail exponent raises
+    DivergentExpectationError.  The power law through those two payoff
+    values is integrated in closed form and stands in for the payoff beyond
+    the farther one; the double-exponential rule takes the rest, so a payoff
+    growing nearly as fast as the tail decays loses nothing far out.  A kink
     or jump of the payoff beyond x_max slows the rule, which then warns
     (AccuracyWarning).
     """
@@ -414,11 +415,16 @@ def expectation(F: GridDensity, payoff) -> float:
     def tail_payoff(w):
         return _payoff_values(payoff, x_max * np.exp(w / mu))
 
-    # the payoff at the rule's two farthest nodes gives its growth per unit w; the
-    # power law amp e^(growth w) through the farther one is integrated in closed form
-    w_near, w_far = distributions._DE_FAR
+    # the payoff at the rule's two farthest nodes gives its growth per unit w, at
+    # most w_top, where x is a factor e below the largest float
+    t_far = distributions._DE_T_HALF_LINE[1]
+    probes = distributions._de_nodes(np.array([t_far - 0.5, t_far]), 0.0, math.inf)[0]
+    w_top = mu * (math.log(np.finfo(float).max) - math.log(x_max) - 1.0)
+    w_near, w_far = probes * min(1.0, w_top / probes[1])
     with np.errstate(over="ignore"):
-        p_near, p_far = map(float, tail_payoff(distributions._DE_FAR))
+        p_near, p_far = map(float, tail_payoff(np.array([w_near, w_far])))
+    # the power law amp e^(growth w) through the farther one is integrated in closed
+    # form and stands in for the payoff beyond it
     growth = amp = 0.0
     if p_near * p_far > 0.0:
         growth = math.log(p_far / p_near) / (w_far - w_near)
@@ -431,10 +437,14 @@ def expectation(F: GridDensity, payoff) -> float:
         growth = max(growth, 0.0)  # a decaying fit's e^(-growth w_far) could overflow
         amp = p_far * math.exp(-growth * w_far)
     closure = amp / (1.0 - growth)
-    rest = distributions._de_integrate(
-        lambda w: (tail_payoff(w) - amp * np.exp(growth * w)) * np.exp(-w), 0.0, math.inf,
-        scale=abs(closure) + abs(total) / unit)
-    return total + unit * (closure + rest)
+
+    def rest(w):
+        w_in = np.minimum(w, w_far)
+        return (tail_payoff(w_in) - amp * np.exp(growth * w_in)) * np.exp(-w)
+
+    rest_term = distributions._de_integrate(rest, 0.0, math.inf,
+                                            scale=abs(closure) + abs(total) / unit)
+    return total + unit * (closure + rest_term)
 
 
 def _lognormal_option_rows(u: np.ndarray, kappa: float,

@@ -320,10 +320,22 @@ class TestGeometricMaturityOption:
         assert val == pytest.approx(exact, rel=1e-4)
 
     def test_vanishes_for_large_threshold(self, solved):
-        # the strike lies far beyond the grid top (x_max = 423): the tail rule meets the kink
         F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
-        with pytest.warns(AccuracyWarning, match="double-exponential rule"):
-            assert g.geometric_maturity_option(F, 1e5) < 1e-4
+        assert g.geometric_maturity_option(F, 1e5) < 1e-4
+
+    @pytest.mark.parametrize("beta, rho, p", [(0.5, -0.5, 0.2), (1.0, -0.1, 0.05),
+                                              (0.1, 0.0, 0.01)])
+    def test_strike_beyond_grid_top_is_closed_form(self, solved, beta, rho, p):
+        # a strike at or above x_max leaves the grid no payoff: the call is the tail
+        # closure alone, c kappa^(1-mu) / (mu - 1), without a quadrature warning
+        F, _ = solved(beta, rho, p, tol=1e-9, max_iter=2000)
+        x_max, mu, c = float(F.grid.x()[-1]), F.tail.exponent, F.tail.constant
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for level in (1.0, 1.01, 2.0, 4.0, 4.1, 236.0):
+                kappa = level * x_max
+                assert g.geometric_maturity_option(F, kappa) == pytest.approx(
+                    c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [-1.0, math.nan])
     def test_bad_strike_rejected(self, solved, kappa):

@@ -626,6 +626,22 @@ class TestTailClosure:
             assert g.expectation(F, payoff) == pytest.approx(
                 _quad_expectation(F, payoff, growth), rel=1e-12)
 
+    @pytest.mark.parametrize("beta, rho, p", [(1.0, 0.3, 0.0), (1.0, 0.3, 0.01)])
+    def test_heavy_tail_matches_quad(self, solved, beta, rho, p):
+        # mu ~ 0.4: the rule's farthest node, w = 299, would put x = x_max e^(w/mu)
+        # past the largest float, so the growth probes are scaled down
+        F, x_max, mu, _ = _tail_solved(solved, beta, rho, p)
+        assert 299.0 / mu + math.log(x_max) > math.log(np.finfo(float).max)
+        payoffs = [(lambda x: tails._stable_power_gap(x, mu), mu - 1.0),
+                   (lambda x: x ** (0.5 * mu), 0.5 * mu), (lambda x: (1.0 + x) ** -3.0, -3.0),
+                   (lambda x: x / (1.0 + x), 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for payoff, growth in payoffs:
+                assert g.expectation(F, payoff) == pytest.approx(
+                    _quad_expectation(F, payoff, growth), rel=1e-12)
+            assert math.isfinite(tails.tail_constant(F))
+
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (0.1, 0.0, 0.01)])
     @pytest.mark.parametrize("level", [0.3, 0.5])
     def test_call_kinked_on_the_grid_converges(self, solved, beta, rho, p, level):
@@ -640,19 +656,28 @@ class TestTailClosure:
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (0.1, -0.1, 0.0),
                                               (0.1, 0.0, 0.01)])
     def test_payoff_zero_up_to_4_x_max_keeps_its_tail(self, solved, beta, rho, p):
-        # the payoff vanishes on the grid and at x_max, 2 x_max and 4 x_max; the tail
-        # closure alone prices it, c kappa^(1-mu) / (mu - 1)
-        F, x_max, mu, c = _tail_solved(solved, beta, rho, p)
-        kappa = 4.1 * x_max
+        # the payoff vanishes on the grid and at x_max, 2 x_max and 4 x_max, where the
+        # tail once went unpriced; smooth beyond x_max, the rule converges
+        F, x_max, _, _ = _tail_solved(solved, beta, rho, p)
+
+        def payoff(x):
+            r = x_max / np.maximum(x, x_max)
+            return (1.0 - r) * (1.0 - 2.0 * r) * (1.0 - 4.0 * r)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = g.expectation(F, payoff)
+        assert value == pytest.approx(_quad_expectation(F, payoff, 0.0), rel=1e-12)
+        assert value > 0.0
+
+    @pytest.mark.parametrize("level", [2.0, 4.1])
+    def test_kink_beyond_the_grid_warns(self, solved, level):
+        # the rule resolves a call's kink beyond x_max only to its last step
+        F, x_max, mu, c = _tail_solved(solved, 1.0, -0.1, 0.0)
+        kappa = level * x_max
         with pytest.warns(AccuracyWarning, match="double-exponential rule"):
             call = g.expectation(F, lambda x: np.maximum(x - kappa, 0.0))
-        assert call == pytest.approx(c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-4)
-
-    def test_kink_beyond_the_grid_warns(self, solved):
-        F, x_max, mu, c = _tail_solved(solved, 1.0, -0.1, 0.0)
-        with pytest.warns(AccuracyWarning, match="double-exponential rule"):
-            call = g.expectation(F, lambda x: np.maximum(x - 2.0 * x_max, 0.0))
-        assert call == pytest.approx(c * (2.0 * x_max) ** (1.0 - mu) / (mu - 1.0), rel=1e-4)
+        assert call == pytest.approx(c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-3)
 
     def test_payoff_overflowing_far_out_is_divergent(self, solved):
         F, _, _, _ = _tail_solved(solved, 1.0, -0.1, 0.0)
