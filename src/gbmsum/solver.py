@@ -34,7 +34,6 @@ TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
 _BAND_SIGMAS = 8.0
 _NEG_CLIP = -1e-14
 _U_MAX_CAP = 60.0
-_LEFT_TAIL_RTOL = 3e-5  # bias of the left_tail_cdf rule, relative
 _POLISH_RESTART = 60  # GMRES Krylov dimension between restarts
 _POLISH_RTOL = 1e-13  # GMRES target, relative to the scaled right-hand side
 _PICARD_SWITCH = 1e-4  # sup-norm delta at which Picard hands over to GMRES
@@ -513,32 +512,27 @@ def density_at(F: GridDensity, x_points) -> np.ndarray:
 def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
     """P(X <= eps) for eps far below the grid step, via off-grid refinement.
 
-    Integrates f(e^v) e^v over one window in v = log x shared by every eps,
-    each log eps a node, exactly for the log-linear interpolant on each cell
-    (the trapezoid where a value is 0).  Near a Gaussian of variance beta in
-    v, the rule is low by about dv^2 / (12 beta), which the step sets to
-    _LEFT_TAIL_RTOL; the integrand decays super-exponentially to the left,
-    so a fixed window suffices.
+    With x = eps e^(-s), P(X <= eps) is the integral over s > 0 of
+    f(eps e^(-s)) eps e^(-s), which the double-exponential rule takes on the
+    half line.  Every eps shares the rule's nodes s, so one refinement per
+    level serves them all; a node whose x underflows to 0 adds 0.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if not np.all(np.isfinite(eps_values) & (eps_values > 0.0)):
         raise ParameterError("left-tail levels eps must be finite and positive")
-    rp = _solved_params(F, "off-grid refinement")
+    _solved_params(F, "off-grid refinement")
     if eps_values.size == 0:
         return np.zeros(eps_values.shape)
-    log_eps = np.log(eps_values).reshape(-1)
-    width = 14.0 * math.sqrt(rp.beta) + 3.0 * rp.beta + 2.0 * abs(rp.rho) + 2.0
-    lo, hi = float(log_eps.min()) - width, float(log_eps.max())
-    n_cells = int(math.ceil((hi - lo) / math.sqrt(12.0 * rp.beta * _LEFT_TAIL_RTOL)))
-    v = np.union1d(np.linspace(lo, hi, n_cells + 1), log_eps)
-    xv = np.exp(v)
-    gv = _refined(F, xv) * xv
-    g0, g1, dv = gv[:-1], gv[1:], np.diff(v)
-    cells = 0.5 * (g0 + g1) * dv
-    loglin = (g0 > 0.0) & (g1 > 0.0) & (g0 != g1)
-    cells[loglin] = ((g1 - g0) * dv)[loglin] / np.log(g1[loglin] / g0[loglin])
-    cum = np.concatenate([[0.0], np.cumsum(cells)])
-    return cum[np.searchsorted(v, log_eps)].reshape(eps_values.shape)
+    eps = eps_values.reshape(-1, 1)
+
+    def mass(s):
+        x = eps * np.exp(-s)
+        out = np.zeros(x.shape)
+        live = x > 0.0
+        out[live] = _refined(F, x[live]) * x[live]
+        return out
+
+    return distributions._de_integrate(mass, 0.0, math.inf).reshape(eps_values.shape)
 
 
 # -- quadrature error bound -----------------------------------------------------

@@ -20,9 +20,9 @@ from .params import TailAsymptote, as_reduced, front_speed, require_finite, tail
 
 
 def _stable_power_gap(x: np.ndarray, mu: float) -> np.ndarray:
-    # (1+x)^mu - x^mu without cancellation for large x
+    # (1+x)^mu - x^mu, from x = 1 on in the expm1 form: the direct one cancels
     out = np.empty_like(x)
-    small = x < 1e6
+    small = x < 1.0
     out[small] = (1.0 + x[small]) ** mu - x[small] ** mu
     xl = x[~small]
     out[~small] = xl**mu * np.expm1(mu * np.log1p(1.0 / xl))

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import SHORTFALL_TABLE
+from scipy import special
 from scipy.integrate import quad
 
 import gbmsum as g
@@ -202,8 +203,9 @@ def reference_band(grid, rp, band_sigmas=8.0):
 
 def converged_left_tail(F, eps):
     """P(X <= eps) from the refined density by 16-point Gauss-Legendre on
-    panels of width sqrt(beta)/4, converged far below 1e-8 relative: an
-    independent check of the rule in left_tail_cdf, over the same window."""
+    panels of width sqrt(beta)/4 in log x, converged far below 1e-10
+    relative: an independent check of left_tail_cdf's double-exponential
+    rule, over a window of its own below the smallest eps."""
     rp = F.params
     width = 14.0 * math.sqrt(rp.beta) + 3.0 * rp.beta + 2.0 * abs(rp.rho) + 2.0
     log_eps = np.log(eps)
@@ -333,17 +335,42 @@ class TestOperatorReference:
         eps = np.geomspace(1e-4, 1e-2, 5)
         ref = converged_left_tail(F, eps)
         probs = g.left_tail_cdf(F, eps)
-        assert np.max(np.abs(probs - ref) / ref) <= 1e-4
+        assert np.max(np.abs(probs - ref) / ref) <= 1e-10
 
     @pytest.mark.parametrize("beta, rho", [(0.5, -0.1), (0.1, -0.1)])
     def test_left_tail_cdf_converged_at_small_beta(self, solved, beta, rho):
-        # the integrand's log-slope near eps is about |log eps| / beta, so a
-        # rule with a fixed node count is biased high most at small beta
+        # the integrand's log-slope near eps is about |log eps| / beta, so its
+        # mass lies closest to eps at small beta
         F, _ = solved(beta, rho, tol=1e-9, max_iter=2000)
         eps = np.geomspace(1e-4, 1e-2, 12)
         ref = converged_left_tail(F, eps)
         probs = g.left_tail_cdf(F, eps)
-        assert np.max(np.abs(probs - ref) / ref) <= 1e-4
+        assert np.max(np.abs(probs - ref) / ref) <= 1e-10
+
+    def test_left_tail_cdf_at_p_one_is_lognormal_cdf(self, solved):
+        # at p = 1 the law is the multiplier's: log X is normal with mean
+        # rho - beta/2 and variance beta
+        beta, rho = 1.0, -0.1
+        F, _ = solved(beta, rho, 1.0)
+        eps = np.array([1e-8, 1e-4, 1e-2, 0.5, 2.0])
+        exact = special.ndtr((np.log(eps) - rho + 0.5 * beta) / math.sqrt(beta))
+        assert np.max(np.abs(g.left_tail_cdf(F, eps) - exact) / exact) <= 1e-12
+
+    @pytest.mark.parametrize("others", [[1e-200], [1e-300], [2.0], [1e-4, 1e-2]])
+    def test_left_tail_cdf_reads_each_level_alone(self, solved, others):
+        # the levels share the rule's nodes but nothing else: a level's
+        # probability does not depend on the levels beside it
+        F, _ = solved(1.0, -0.1, tol=1e-9)
+        alone = g.left_tail_cdf(F, [1e-3])[0]
+        shared = g.left_tail_cdf(F, others + [1e-3])[-1]
+        assert shared == pytest.approx(alone, rel=1e-13, abs=0.0)
+
+    def test_left_tail_cdf_at_tiny_levels(self, solved):
+        # x = eps e^(-s) underflows to 0 at the rule's far nodes: those add 0
+        F, _ = solved(1.0, -0.1, tol=1e-9)
+        probs = g.left_tail_cdf(F, [1e-200, 1e-320, 1e-3])
+        assert np.all(np.isfinite(probs) & (probs >= 0.0))
+        assert probs[0] <= probs[2] and probs[1] <= probs[2]
 
 
 class TestSolveInfinite:

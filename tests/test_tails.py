@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gbmsum as g
-from gbmsum import ParameterError, RegimeWarning, cli, solver
+from gbmsum import ParameterError, RegimeWarning, cli, solver, tails
 
 
 class TestExponents:
@@ -111,6 +111,15 @@ class TestTailConstants:
         Fg, _ = g.solve_geometric(rp, tol=1e-9, u_max=16.0)
         cg = g.tail_constant(Fg)
         assert cg == pytest.approx(ci, rel=0.02)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 1.2, 2.035, 3.0, 10.0])
+    def test_power_gap_against_mpmath(self, mu):
+        # (1+x)^mu - x^mu cancels in its direct form far above x = 1
+        mp = pytest.importorskip("mpmath")
+        x = np.array([0.0, 1e-6, 0.5, 1.0, 1e5, 9.99e5, 1e8])
+        with mp.workdps(40):
+            ref = [float((1 + mp.mpf(v)) ** mu - mp.mpf(v) ** mu) for v in x]
+        np.testing.assert_allclose(tails._stable_power_gap(x, mu), ref, rtol=1e-14, atol=0.0)
 
 
 class TestLeftTailCoefficients:
