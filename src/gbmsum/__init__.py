@@ -49,7 +49,6 @@ from .params import (
 )
 from .pricing import (
     AsianSpec,
-    asian_call,
     asian_prices,
     finite_sum_density,
     finite_sum_density_derivative_form,

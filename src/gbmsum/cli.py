@@ -64,6 +64,8 @@ class _Outputs:
 
     def write_csv(self, name: str, header: list[str], rows: list[list]) -> str:
         path = self.path(name)
+        if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+            raise ParameterError(f"{path} would hold a non-finite value")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -74,9 +76,13 @@ class _Outputs:
 
     def write_json(self, name: str, payload: dict) -> str:
         path = self.path(name)
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default,
+                              allow_nan=False)
+        except ValueError:
+            raise ParameterError(f"{path} would hold a non-finite value") from None
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+            fh.write(text + "\n")
         self.files.append(path)
         return path
 
@@ -118,11 +124,6 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v)!r}")
 
 
-def _report_dict(report: solver.SolveReport) -> dict:
-    """Every SolveReport field but the mass trace."""
-    return {k: v for k, v in vars(report).items() if k != "mass_trace"}
-
-
 # -- commands --------------------------------------------------------------------
 
 
@@ -137,11 +138,8 @@ def cmd_density(args, out: _Outputs):
         )
     else:
         limit = np.asarray(distributions.inv_gamma_pdf(x, math.sqrt(rp.beta), rp.rho))
-    rows = [
-        [u[j], x[j], density.values[j], density.values[j], limit[j]]
-        for j in range(density.grid.n_points)
-    ]
-    out.write_csv("density.csv", ["u", "x", "F", "f", "f_continuous_limit"], rows)
+    rows = [[u[j], x[j], density.values[j], limit[j]] for j in range(density.grid.n_points)]
+    out.write_csv("density.csv", ["u", "x", "f", "f_continuous_limit"], rows)
     payload = {
         "parameters": {"beta": rp.beta, "rho": rp.rho, "p": rp.p},
         "grid": {"h": density.grid.h, "n_points": density.grid.n_points,
@@ -151,7 +149,7 @@ def cmd_density(args, out: _Outputs):
             "constant": density.tail.constant,
             "regime": "geometric_sum" if rp.p > 0.0 else "infinite_sum",
         },
-        "report": _report_dict(report),
+        "report": vars(report),
     }
     out.write_json("density_report.json", payload)
 
@@ -163,27 +161,19 @@ def _asian_scenario(field) -> tuple[pricing.AsianSpec, dict]:
         s0=field("s0"), strike=field("strike"), rate=field("rate"), dividend=field("div", 0.0),
         sigma=field("sigma"), maturity=field("maturity"), n_fixings=field("fixings"),
     )
-    prices = pricing.asian_prices(spec)
-    return spec, {
-        "call": prices["call"],
-        "put": prices["put"],
-        "parity_gap_discrete": pricing._parity_gap(spec, prices, "discrete"),
-        "parity_gap_continuous_average": pricing._parity_gap(
-            spec, prices, "continuous_average"
-        ),
-        "mean_rel_err": prices["mean_rel_err"],
-        "grid": {"h": prices["h"], "u_max": prices["u_max"], "n_points": prices["n_points"]},
-    }
+    return spec, pricing.asian_prices(spec)
+
+
+_ASIAN_HEADER = ["n", "s0", "price", "put_price"]
+
+
+def _asian_row(spec: pricing.AsianSpec, record: dict) -> list:
+    return [spec.n_fixings, spec.s0, record["call"], record["put"]]
 
 
 def cmd_asian(args, out: _Outputs) -> list[int]:
     spec, record = _asian_scenario(lambda name, default=None: getattr(args, name))
-    header = ["n", "s0", "price"]
-    row = [spec.n_fixings, spec.s0, record["call"]]
-    if args.put:
-        header.append("put_price")
-        row.append(record["put"])
-    out.write_csv("asian.csv", header, [row])
+    out.write_csv("asian.csv", _ASIAN_HEADER, [_asian_row(spec, record)])
     diag = {"spec": _args_dict(args), **record}
     seeds = []
     if args.mc_check:
@@ -193,8 +183,7 @@ def cmd_asian(args, out: _Outputs) -> list[int]:
         disc = math.exp(-spec.rate * spec.maturity) * spec.s0 / spec.n_fixings
         est = simulate_sum(spec.reduced(), cfg,
                            lambda xs: disc * np.maximum(xs - kappa, 0.0))
-        diag["mc_check"] = {"value": est.value, "std_error": est.std_error,
-                            "n_paths": est.n_paths, "seed": args.seed}
+        diag["mc_check"] = {**vars(est), "seed": args.seed}
         seeds = [args.seed]
     out.write_json("asian_report.json", diag)
     return seeds
@@ -222,7 +211,7 @@ def _annuity_rows(mean: float, density: solver.GridDensity, report: solver.Solve
                               density=density)
     return rows, {"exponent": exponent, "constant": constant, "shortfall": rows[0][6],
                   "var_threshold": var.threshold, "method_flags": {"var": var.method},
-                  "report": _report_dict(report), "mean": mean}
+                  "report": vars(report), "mean": mean}
 
 
 def _annuity_scenario(rp: ReducedParams, q_values, what: str, var_level: float, solve):
@@ -338,8 +327,7 @@ def cmd_mc(args, out: _Outputs) -> list[int]:
     est = simulate_sum(rp, cfg, _parse_statistic(args.statistic))
     out.write_json(
         "mc_report.json",
-        {"value": est.value, "std_error": est.std_error, "n_paths": est.n_paths,
-         "beta": rp.beta, "rho": rp.rho, "seed": args.seed,
+        {**vars(est), "beta": rp.beta, "rho": rp.rho, "seed": args.seed,
          "antithetic": args.antithetic, "horizon": args.horizon,
          "statistic": args.statistic},
     )
@@ -370,7 +358,7 @@ def cmd_batch(args, out: _Outputs):
 
         if kind == "asian":
             spec, record = _asian_scenario(field)
-            asian_rows.append([spec.n_fixings, spec.s0, record["call"]])
+            asian_rows.append(_asian_row(spec, record))
         elif kind == "annuity":
             rows, record = _annuity_scenario(
                 ReducedParams(beta=field("beta"), rho=field("rho"), p=field("p")),
@@ -382,7 +370,7 @@ def cmd_batch(args, out: _Outputs):
             raise ParameterError(f"scenario {i} has unknown type {kind!r}")
         envelope.append({"index": i, "type": kind, **record})
     if asian_rows:
-        out.write_csv("asian.csv", ["n", "s0", "price"], asian_rows)
+        out.write_csv("asian.csv", _ASIAN_HEADER, asian_rows)
     if annuity_rows:
         out.write_csv("annuity.csv", _ANNUITY_HEADER, annuity_rows)
     out.write_json("batch_report.json", {"scenarios": envelope})
@@ -428,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--maturity", type=float, required=True)
     p.add_argument("--fixings", type=int, required=True)
-    p.add_argument("--put", action="store_true", help="also report the put price")
     p.add_argument("--mc-check", type=int, default=0, dest="mc_check",
                    help="cross-check with this many Monte Carlo paths")
     p.add_argument("--seed", type=int, default=20160520)

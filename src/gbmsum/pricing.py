@@ -206,8 +206,9 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
 
 
 def asian_prices(spec: AsianSpec) -> dict:
-    """Discounted call and put prices, the relative error of the law's grid
-    mean and the grid's h, u_max and n_points.
+    """The Asian record: discounted call and put, their put-call parity gaps
+    under both conventions (put_call_parity_gap), the relative error of the
+    law's grid mean and, under "grid", the grid's h, u_max and n_points.
 
     The prices take the last step in closed form: X_n = M (1 + X_{n-1}) with
     M log-normal, so each is one Black-Scholes row in a = 1 + X_{n-1}
@@ -239,20 +240,19 @@ def asian_prices(spec: AsianSpec) -> dict:
                 stacklevel=2,
             )
     call_row, put_row = solver._lognormal_option_rows(u, kappa, rp)
-    return dict(
-        call=disc * spec.s0 / n * float(weights @ call_row),
-        put=disc * spec.s0 / n * float(weights @ put_row),
-        mean_rel_err=solver._mean_rel_err(GridDensity(grid, last),
-                                          mean_finite_sum(n, spec.drift, spec.tau, 1.0)),
-        u_max=grid.u_max,
-        h=grid.h,
-        n_points=grid.n_points,
-    )
-
-
-def asian_call(spec: AsianSpec) -> float:
-    """Discounted arithmetic-average call price by density integration."""
-    return asian_prices(spec)["call"]
+    call = disc * spec.s0 / n * float(weights @ call_row)
+    put = disc * spec.s0 / n * float(weights @ put_row)
+    mean = mean_finite_sum(n, spec.drift, spec.tau, 1.0)
+    rt = spec.rate * spec.maturity
+    continuous_mean = spec.s0 if rt == 0.0 else spec.s0 / rt * math.expm1(rt)
+    return {
+        "call": call,
+        "put": put,
+        "parity_gap_discrete": (call - put) - disc * (spec.s0 * mean / n - spec.strike),
+        "parity_gap_continuous_average": (call - put) - disc * (continuous_mean - spec.strike),
+        "mean_rel_err": solver._mean_rel_err(GridDensity(grid, last), mean),
+        "grid": {"h": grid.h, "u_max": grid.u_max, "n_points": grid.n_points},
+    }
 
 
 def put_call_parity_gap(spec: AsianSpec, convention: str = "discrete") -> float:
@@ -261,22 +261,9 @@ def put_call_parity_gap(spec: AsianSpec, convention: str = "discrete") -> float:
     'discrete' uses the exact discretely sampled mean; 'continuous_average'
     uses the continuous-average mean (S0/(rT))(e^{rT} - 1) for comparison.
     """
-    return _parity_gap(spec, asian_prices(spec), convention)
-
-
-def _parity_gap(spec: AsianSpec, prices: dict, convention: str) -> float:
-    """put_call_parity_gap from prices already computed by asian_prices."""
-    disc = math.exp(-spec.rate * spec.maturity)
-    if convention == "discrete":
-        mean_avg = spec.s0 * mean_finite_sum(spec.n_fixings, spec.drift, spec.tau, 1.0) / spec.n_fixings
-    elif convention == "continuous_average":
-        if spec.rate == 0.0:
-            mean_avg = spec.s0
-        else:
-            mean_avg = spec.s0 / (spec.rate * spec.maturity) * math.expm1(spec.rate * spec.maturity)
-    else:
+    if convention not in ("discrete", "continuous_average"):
         raise ParameterError(f"unknown parity convention {convention!r}")
-    return (prices["call"] - prices["put"]) - disc * (mean_avg - spec.strike)
+    return asian_prices(spec)["parity_gap_" + convention]
 
 
 # -- geometric-maturity option block ---------------------------------------------

@@ -112,16 +112,16 @@ class GridDensity:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of a fixed-point solve.  The traces cover the Picard steps
-    alone, so the last delta is the sup-norm fixed-point residual; iterations
-    counts every apply.  mean_rel_err is None where the mean is infinite."""
+    """Diagnostics of a fixed-point solve.  The delta trace covers the Picard
+    steps alone, so its last delta is the sup-norm fixed-point residual;
+    iterations counts every apply.  mean_rel_err is None where the mean is
+    infinite."""
 
     iterations: int
     final_delta: float
     normalization_drift: float
     quadrature_bound: float
     delta_trace: list = field(default_factory=list)
-    mass_trace: list = field(default_factory=list)
     polish_matvecs: int = 0
     mean_rel_err: float | None = None
 
@@ -410,6 +410,8 @@ def expectation(F: GridDensity, payoff) -> float:
     x_max = float(x[-1])
     mu = F.tail.exponent
     unit = F.tail.constant * x_max ** (-mu)  # the closure's mass beyond x_max
+    if unit == 0.0:  # x_max^(-mu) underflows at a large exponent: the closure adds nothing
+        return total
 
     def tail_payoff(w):
         return _payoff_values(payoff, x_max * np.exp(w / mu))
@@ -595,13 +597,12 @@ def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float
 # -- fixed-point solvers ----------------------------------------------------------
 
 
-def _iterate(op: GaussianStepOperator, grid_int: Grid, f: np.ndarray,
-             source: np.ndarray | None, damp: float, tol: float, budget: int,
-             deltas: list | None = None, masses: list | None = None):
+def _iterate(op: GaussianStepOperator, f: np.ndarray, source: np.ndarray | None,
+             damp: float, tol: float, budget: int, deltas: list | None = None):
     """Picard iteration F <- source + damp T F from f until the sup-norm
     step is at most tol, in at most `budget` steps; returns the iterate and
-    the delta and mass traces, extending the ones given."""
-    deltas, masses = ([], [_grid_mass(grid_int, f)]) if deltas is None else (deltas, masses)
+    the delta trace, extending the one given."""
+    deltas = [] if deltas is None else deltas
     for _ in range(budget):
         f_new = damp * op.apply(f)  # exact at damp = 1
         if source is not None:
@@ -611,10 +612,9 @@ def _iterate(op: GaussianStepOperator, grid_int: Grid, f: np.ndarray,
         if not math.isfinite(delta):
             raise ConvergenceError(f"Picard step {len(deltas)} produced non-finite values",
                                    delta_trace=deltas)
-        masses.append(_grid_mass(grid_int, f_new))
         f = f_new
         if delta <= tol:
-            return f, deltas, masses
+            return f, deltas
     raise ConvergenceError(f"fixed-point iteration did not reach tol = {tol} within max_iter "
                            f"applies ({len(deltas)} Picard steps, last delta {deltas[-1]:.3g})",
                            delta_trace=deltas)
@@ -690,11 +690,10 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
                                      0.5 * rp.beta * (1.0 - exponent))
     source = rp.p * _multiplier_values(grid_int, rp) if rp.p > 0.0 else None
     damp = 1.0 - rp.p
-    f, deltas, masses = _iterate(op, grid_int, f0, source, damp, max(tol, _PICARD_SWITCH), max_iter)
+    f, deltas = _iterate(op, f0, source, damp, max(tol, _PICARD_SWITCH), max_iter)
     f, matvecs = _polish(op, f, source, damp, max(max_iter - len(deltas) - 1, 0))
     # from the polished law the first Picard delta is the true fixed-point residual
-    f, deltas, masses = _iterate(op, grid_int, f, source, damp, tol,
-                                 max_iter - len(deltas) - matvecs, deltas, masses)
+    f, deltas = _iterate(op, f, source, damp, tol, max_iter - len(deltas) - matvecs, deltas)
     vals = np.array(f[: grid_ret.n_points])
     c = _fit_tail_constant(grid_ret, vals, exponent)
     tail_mass = 0.0 if c is None else c * float(np.expm1(grid_ret.u_max)) ** (-exponent)
@@ -709,7 +708,7 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     return density, SolveReport(
         iterations=len(deltas) + matvecs, final_delta=deltas[-1],
         normalization_drift=abs(total - 1.0), quadrature_bound=quadrature_error_bound(density),
-        delta_trace=deltas, mass_trace=masses, polish_matvecs=matvecs,
+        delta_trace=deltas, polish_matvecs=matvecs,
         mean_rel_err=_mean_rel_err(density, exact_mean))
 
 

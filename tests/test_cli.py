@@ -1,13 +1,15 @@
 """CLI surface: files, exit codes, determinism, batch layouts."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 
 import pytest
 
-from gbmsum import solver
-from gbmsum.cli import main
+from gbmsum import ParameterError, pricing, solver
+from gbmsum.cli import _Outputs, main
 
 
 def read_csv(path):
@@ -21,7 +23,7 @@ class TestDensityCommand:
         code = main(["density", "--beta", "1", "--rho", "-0.1", "--out", out])
         assert code == 0
         rows = read_csv(os.path.join(out, "density.csv"))
-        assert rows[0] == ["u", "x", "F", "f", "f_continuous_limit"]
+        assert rows[0] == ["u", "x", "f", "f_continuous_limit"]
         assert len(rows) > 100
         report = json.load(open(os.path.join(out, "density_report.json")))
         assert report["report"]["final_delta"] <= 1e-8
@@ -30,6 +32,20 @@ class TestDensityCommand:
         assert report["report"]["iterations"] == len(trace) + report["report"]["polish_matvecs"]
         manifest = json.load(open(os.path.join(out, "density.manifest.json")))
         assert set(manifest["outputs"]) == {"density.csv", "density_report.json"}
+
+    def test_report_is_the_solve_report(self, tmp_path):
+        assert main(["density", "--beta", "1", "--rho", "-0.1", "--out", str(tmp_path)]) == 0
+        report = json.load(open(tmp_path / "density_report.json"))["report"]
+        assert set(report) == {f.name for f in dataclasses.fields(solver.SolveReport)}
+
+    def test_large_tail_exponent_writes_finite_values(self, tmp_path):
+        # mu = 207.7: the tail closure's mass c x_max^-mu underflows to 0
+        assert main(["density", "--beta", "0.001", "--rho", "-0.1", "--p", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(str(tmp_path / "density.csv"))
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+        report = json.load(open(tmp_path / "density_report.json"))
+        assert report["tail"]["exponent"] == pytest.approx(207.675, rel=1e-4)
 
     def test_stopped_variant_runs(self, tmp_path):
         out = str(tmp_path)
@@ -77,7 +93,7 @@ class TestAsianCommand:
         out = str(tmp_path)
         code = main(["asian", "--s0", "100", "--strike", "100", "--rate", "0.1",
                      "--sigma", "0.4", "--maturity", "1", "--fixings", "10",
-                     "--put", "--out", out])
+                     "--out", out])
         assert code == 0
         rows = read_csv(os.path.join(out, "asian.csv"))
         assert rows[0] == ["n", "s0", "price", "put_price"]
@@ -110,7 +126,21 @@ class TestAsianCommand:
         assert code == 0
         diag = json.load(open(os.path.join(out, "asian_report.json")))
         est = diag["mc_check"]
+        assert set(est) == {"value", "std_error", "n_paths", "seed"}
         assert abs(est["value"] - diag["call"]) <= 4.0 * est["std_error"]
+
+    def test_report_is_the_library_record(self, tmp_path):
+        assert main(["asian", "--s0", "95", "--strike", "100", "--rate", "0.1",
+                     "--sigma", "0.4", "--maturity", "1", "--fixings", "25",
+                     "--mc-check", "2000", "--out", str(tmp_path)]) == 0
+        diag = json.load(open(tmp_path / "asian_report.json"))
+        del diag["spec"], diag["mc_check"]
+        spec = pricing.AsianSpec(s0=95.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.4,
+                                 maturity=1.0, n_fixings=25)
+        assert diag == pricing.asian_prices(spec)
+        rows = read_csv(str(tmp_path / "asian.csv"))
+        assert rows[0] == ["n", "s0", "price", "put_price"]
+        assert [float(v) for v in rows[1]] == [25, 95, diag["call"], diag["put"]]
 
 
 class TestAnnuityCommand:
@@ -189,13 +219,16 @@ class TestBatchCommand:
         out = str(tmp_path / "out")
         assert main(["batch", "--config", str(config), "--out", out]) == 0
         asian = read_csv(os.path.join(out, "asian.csv"))
-        assert asian[0] == ["n", "s0", "price"]
+        assert asian[0] == ["n", "s0", "price", "put_price"]
         assert [r[1] for r in asian[1:]] == ["95", "105"]  # input order kept
         annuity = read_csv(os.path.join(out, "annuity.csv"))
         assert len(annuity) == 3
         envelope = json.load(open(os.path.join(out, "batch_report.json")))
         assert [s["type"] for s in envelope["scenarios"]] == ["asian", "annuity",
                                                               "asian"]
+        records = [s for s in envelope["scenarios"] if s["type"] == "asian"]
+        assert [[float(r[2]), float(r[3])] for r in asian[1:]] == [
+            [s["call"], s["put"]] for s in records]
 
     def test_shared_solve_keeps_scenario_rows(self, tmp_path):
         # both scenarios reuse one solve; each keeps its own q and VaR level
@@ -247,6 +280,9 @@ class TestBatchCommand:
         asian_record = json.load(open(tmp_path / "as" / "asian_report.json"))
         del asian_record["spec"]  # only the command line has the spec and an MC check
         assert entries[0] == {"index": 0, "type": "asian", **asian_record}
+        spec = pricing.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.4,
+                                 maturity=1.0, n_fixings=10)
+        assert asian_record == pricing.asian_prices(spec)
         annuity_record = json.load(open(tmp_path / "an" / "annuity_report.json"))
         assert entries[1] == {"index": 1, "type": "annuity", **annuity_record}
 
@@ -382,6 +418,21 @@ class TestMalformedInput:
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "warning: overflow encountered in power"
         assert err[-1].startswith("error: statistic column 0 is not finite")
+
+    def test_non_finite_report_exit_2(self, tmp_path, capsys):
+        # at mu = 207.7 the tail constant and the VaR threshold overflow to inf
+        out = tmp_path / "out"
+        assert main(["annuity", "--beta", "0.001", "--rho", "-0.1", "--p", "0.5",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"error: {out / 'annuity_report.json'} would hold a non-finite value"
+        assert not (out / "annuity_report.json").exists()
+        assert not (out / "annuity.manifest.json").exists()
+
+    def test_non_finite_csv_cell_is_refused(self, tmp_path):
+        with pytest.raises(ParameterError, match="t.csv would hold a non-finite value"):
+            _Outputs(str(tmp_path), "").write_csv("t.csv", ["a"], [[1.0], [math.nan]])
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestEnvironmentDefaults:

@@ -159,7 +159,7 @@ class TestLastStep:
                             lambda beta: min(0.0025, math.sqrt(beta) / 12.0))
         for spec, price in zip(specs, prices):
             ref = g.asian_prices(spec)
-            assert ref["h"] <= price["h"] / 4.0
+            assert ref["grid"]["h"] <= price["grid"]["h"] / 4.0
             assert price["call"] == pytest.approx(ref["call"], rel=1e-9)
             assert price["put"] == pytest.approx(ref["put"], rel=1e-9)
 
@@ -203,7 +203,7 @@ class TestAsianPricing:
     def test_table_values(self, n, s0):
         from conftest import ASIAN_TABLE
 
-        assert g.asian_call(table2_spec(n, float(s0))) == pytest.approx(
+        assert g.asian_prices(table2_spec(n, float(s0)))["call"] == pytest.approx(
             ASIAN_TABLE[(n, s0)], abs=5e-3
         )
 
@@ -212,7 +212,7 @@ class TestAsianPricing:
                            maturity=1.0, n_fixings=10)
         fwd_avg = 100.0 * g.mean_finite_sum(10, 0.1, 0.1, 1.0) / 10.0
         det = math.exp(-0.1) * (fwd_avg - 90.0)
-        assert g.asian_call(spec) == pytest.approx(det, abs=1e-3)
+        assert g.asian_prices(spec)["call"] == pytest.approx(det, abs=1e-3)
 
     def test_zero_strike(self):
         spec = g.AsianSpec(s0=100.0, strike=0.0, rate=0.1, dividend=0.0, sigma=0.4,
@@ -230,29 +230,61 @@ class TestAsianPricing:
         gap_cont = g.put_call_parity_gap(spec, convention="continuous_average")
         assert abs(gap_cont) > 1e-4
 
+    def test_record_holds_prices_gaps_and_grid(self):
+        # the record asian_report.json holds, spec and MC check apart; each gap is
+        # (C - P) - e^-rT (E[average] - K) with its own mean of the average
+        spec = table2_spec(50, 105.0)
+        prices = g.asian_prices(spec)
+        assert set(prices) == {"call", "put", "parity_gap_discrete",
+                               "parity_gap_continuous_average", "mean_rel_err", "grid"}
+        law_grid = g.finite_sum_density(50, spec.reduced()).grid
+        assert prices["grid"] == {"h": law_grid.h, "u_max": law_grid.u_max,
+                                  "n_points": law_grid.n_points}
+        forward = prices["call"] - prices["put"]
+        discrete_avg = 105.0 * g.mean_finite_sum(50, 0.1, 0.02, 1.0) / 50
+        continuous_avg = 105.0 / 0.1 * math.expm1(0.1)
+        for convention, avg in (("discrete", discrete_avg), ("continuous_average",
+                                                             continuous_avg)):
+            gap = prices["parity_gap_" + convention]
+            assert gap == pytest.approx(forward - math.exp(-0.1) * (avg - 100.0),
+                                        rel=1e-12, abs=1e-12)
+            assert g.put_call_parity_gap(spec, convention) == gap
+
+    def test_zero_rate_continuous_average_is_spot(self):
+        spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.0, dividend=0.0, sigma=0.4,
+                           maturity=1.0, n_fixings=10)
+        prices = g.asian_prices(spec)
+        assert prices["parity_gap_continuous_average"] == prices["call"] - prices["put"]
+
+    def test_unknown_parity_convention(self, monkeypatch):
+        # the convention is checked before any price is computed
+        monkeypatch.setattr(pricing, "asian_prices", None)
+        with pytest.raises(ParameterError, match="unknown parity convention 'arithmetic'"):
+            g.put_call_parity_gap(table2_spec(10, 100.0), convention="arithmetic")
+
     def test_no_arbitrage_shapes(self):
         strikes = [80.0, 90.0, 100.0, 110.0, 120.0]
         calls = [
-            g.asian_call(g.AsianSpec(s0=100.0, strike=k, rate=0.1, dividend=0.0,
-                                     sigma=0.4, maturity=1.0, n_fixings=10))
+            g.asian_prices(g.AsianSpec(s0=100.0, strike=k, rate=0.1, dividend=0.0,
+                                       sigma=0.4, maturity=1.0, n_fixings=10))["call"]
             for k in strikes
         ]
         assert all(a > b for a, b in zip(calls, calls[1:]))
         convexity = np.diff(calls, 2)
         assert np.all(convexity > -1e-8)
-        lo_vol = g.asian_call(g.AsianSpec(s0=100.0, strike=100.0, rate=0.1,
-                                          dividend=0.0, sigma=0.3, maturity=1.0,
-                                          n_fixings=10))
-        hi_vol = g.asian_call(g.AsianSpec(s0=100.0, strike=100.0, rate=0.1,
-                                          dividend=0.0, sigma=0.5, maturity=1.0,
-                                          n_fixings=10))
+        lo_vol = g.asian_prices(g.AsianSpec(s0=100.0, strike=100.0, rate=0.1,
+                                            dividend=0.0, sigma=0.3, maturity=1.0,
+                                            n_fixings=10))["call"]
+        hi_vol = g.asian_prices(g.AsianSpec(s0=100.0, strike=100.0, rate=0.1,
+                                            dividend=0.0, sigma=0.5, maturity=1.0,
+                                            n_fixings=10))["call"]
         assert hi_vol > lo_vol
 
     def test_grid_depends_on_law_not_strike(self):
         spec = table2_spec(500, 100.0)
         law_grid = g.finite_sum_density(500, spec.reduced()).grid
         for s0 in (95.0, 100.0, 105.0):
-            assert g.asian_prices(table2_spec(500, s0))["n_points"] == law_grid.n_points
+            assert g.asian_prices(table2_spec(500, s0))["grid"]["n_points"] == law_grid.n_points
 
     def test_strike_beyond_grid_warns(self):
         # n K / S0 = 2000 lies beyond the law's grid top x ~ 1330
@@ -287,7 +319,7 @@ class TestAsianPricing:
         spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.03,
                            sigma=0.4, maturity=1.0, n_fixings=10)
         assert spec.drift == pytest.approx(0.07)
-        assert g.asian_call(spec) < g.asian_call(table2_spec(10, 100.0))
+        assert g.asian_prices(spec)["call"] < g.asian_prices(table2_spec(10, 100.0))["call"]
 
     def test_prices_against_mc(self):
         # every tabulated price vs the simulation oracle, three strikes per
@@ -308,7 +340,7 @@ class TestAsianPricing:
                              horizon=g.FixedHorizon(n))
             ests = g.simulate_sum(rp, cfg, payoffs)
             for (s0, _), est in zip(kappas.items(), ests):
-                price = g.asian_call(table2_spec(n, s0))
+                price = g.asian_prices(table2_spec(n, s0))["call"]
                 assert abs(price - est.value) <= 3.0 * est.std_error
 
 
