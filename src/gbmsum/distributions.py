@@ -8,7 +8,10 @@ and moment identity).  All densities accept scalars or numpy arrays.
 `_de_integrate`, a double-exponential rule in numpy alone, takes every integral
 the library does not sum on a grid, one integrand or a stack of them (the
 left-tail levels): tanh-sinh nodes on a finite interval, exp-sinh nodes on a
-half line (Takahasi and Mori, Publ. RIMS 9, 1974).
+half line (Takahasi and Mori, Publ. RIMS 9, 1974).  `_ndtr`, the standard
+normal cdf in numpy alone, serves the Black-Scholes rows of the Asian prices.
+Only the continuous-time laws (inv_gamma_cdf, yor_pdf, yor_survival) load
+scipy.special, when they are called.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .errors import AccuracyWarning, ParameterError
+from .errors import AccuracyWarning, ConvergenceError, ParameterError
 from .params import as_reduced
 
 _Y_TAIL_SWITCH = 10.0
@@ -28,6 +30,9 @@ _Y_TAIL_SWITCH = 10.0
 # to 1.4e-10 at y = 0.0199.  The Kummer form is within 6e-14 above it and
 # turns into 0 * inf below y ~ 0.0014, where 1/y passes 709.
 _Y_SERIES_SWITCH = 0.002
+# how far outside [0, 1] a survival probability may round: 10 times the
+# double-exponential rule's target _DE_RTOL
+_SURVIVAL_SLACK = 1e-12
 
 # The double-exponential rule: trapezoid sums in t, the step halving from
 # 1/2, until two successive sums agree to _DE_RTOL.
@@ -89,6 +94,68 @@ def _de_integrate(f, a: float, b: float, scale: float = 0.0) -> float | np.ndarr
     return total if np.ndim(total) else float(total)
 
 
+# The Cephes rational approximations of erf on |x| <= 1 and of
+# erfc(x) e^(x^2) on 1 <= x < 8 and x >= 8 (ndtr.c, Cephes Math Library 2.8),
+# highest power first; the denominators' leading 1 is implicit.
+_ERF_NUM = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+            7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_DEN = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+            2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_NEAR = ((2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+               4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+               9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2),
+              (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+               9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+               1.65666309194161350182E3, 5.57535340817727675546E2))
+_ERFC_FAR = ((5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+              6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0),
+             (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+              1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0))
+# |a| bounds of the cdf's branches at a: erf below sqrt 2 (x = a/sqrt 2 below 1),
+# then the two erfc rationals, and 0 or 1 from where e^(-a^2/2) underflows
+_NDTR_TAILS = ((math.sqrt(2.0), 8.0 * math.sqrt(2.0), _ERFC_NEAR),
+               (8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384), _ERFC_FAR))
+
+
+def _rational(x: np.ndarray, num, den) -> np.ndarray:
+    """num(x) / den(x) by Horner's rule, den monic (Cephes polevl / p1evl)."""
+    p = num[0] * x + num[1]
+    for c in num[2:]:
+        p *= x
+        p += c
+    q = x + den[0]
+    for c in den[1:]:
+        q *= x
+        q += c
+    return p / q
+
+
+def _ndtr(a) -> np.ndarray:
+    """The standard normal cdf at each a from Cephes' rational approximations
+    of erf (|a| < sqrt 2) and erfc (beyond), within 2e-15 relative on
+    [-37, 8.3]; -inf and inf give exactly 0 and 1.  In the tails e^(-a^2/2) is split as Cephes expx2 splits
+    it: with m the multiple of 1/128 nearest |a|, e^(-m^2/2) is exact in its
+    argument and e^(-(m f + f^2/2)), f = |a| - m, small, so the rounding of
+    a^2, which costs an unsplit exponential up to 2.4e-13 near a = -37, does
+    not enter."""
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    mag = np.abs(flat)
+    out = 0.5 + 0.5 * np.sign(flat)  # 0 or 1 beyond the tails, NaN stays NaN
+    idx = np.flatnonzero(mag < _NDTR_TAILS[0][0])
+    x = flat[idx] * math.sqrt(0.5)
+    out[idx] = 0.5 + 0.5 * x * _rational(x * x, _ERF_NUM, _ERF_DEN)
+    for lo, hi, (num, den) in _NDTR_TAILS:
+        idx = np.flatnonzero((mag >= lo) & (mag < hi))
+        mag_i = mag[idx]
+        m = np.round(128.0 * mag_i) / 128.0  # mag_i - m is exact
+        f = mag_i - m
+        lower = (0.5 * np.exp(-0.5 * m * m) * np.exp(-(m * f + 0.5 * f * f))
+                 * _rational(mag_i * math.sqrt(0.5), num, den))
+        out[idx] = np.where(flat[idx] > 0.0, 1.0 - lower, lower)
+    return out.reshape(a.shape)
+
+
 def multiplier_pdf(x, params) -> np.ndarray | float:
     """Density of the one-period multiplier: log-normal with log-mean
     rho - beta/2 and log-variance beta.  Zero for x <= 0."""
@@ -130,6 +197,8 @@ def inv_gamma_pdf(z, sigma: float, m: float) -> np.ndarray | float:
 
 def inv_gamma_cdf(x, sigma: float, m: float) -> np.ndarray | float:
     """P(Y_inf < x) = Q(1 - 2m/sigma^2, 2/(sigma^2 x))."""
+    from scipy import special  # loaded on first use: no other law needs scipy
+
     a, s = _inv_gamma_shape_scale(sigma, m)
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr)
@@ -195,6 +264,8 @@ def _ratio_pdf_small_y(yv: float, a: float, b: float) -> float:
 
 def _ratio_pdf(y, yp: YorParams) -> np.ndarray | float:
     """Density of Beta(1, alpha)/Gamma(beta_g) at y > 0."""
+    from scipy import special  # loaded on first use: no other law needs scipy
+
     a, b = yp.alpha, yp.beta_g
     log_pref = math.log(a) + math.log(b) + math.lgamma(a) - math.lgamma(a + b + 1.0)
     y_arr = np.asarray(y, dtype=float)
@@ -242,7 +313,10 @@ def _ratio_survival_tail(y0: float, yp: YorParams) -> float:
 def yor_survival(z: float, sigma: float, m: float, lam: float) -> float:
     """P(Y_{T_lam} > z): the ratio density integrated by the
     double-exponential rule from y = sigma^2 z / 2 to 10, plus the
-    term-by-term tail sum beyond y = 10."""
+    term-by-term tail sum beyond y = 10.  A sum outside [0, 1] by more than
+    _SURVIVAL_SLACK raises ConvergenceError (the rule stopped short, as a
+    ratio density too steep for its last step makes it); one within it is
+    rounding and is clipped."""
     if z <= 0.0:
         return 1.0
     if lam <= 0.0:
@@ -250,9 +324,15 @@ def yor_survival(z: float, sigma: float, m: float, lam: float) -> float:
     yp = yor_params(sigma, m, lam)
     y0 = 0.5 * sigma**2 * z
     if y0 >= _Y_TAIL_SWITCH:
-        return _ratio_survival_tail(y0, yp)
-    return (_de_integrate(lambda y: _ratio_pdf(y, yp), y0, _Y_TAIL_SWITCH)
-            + _ratio_survival_tail(_Y_TAIL_SWITCH, yp))
+        value = _ratio_survival_tail(y0, yp)
+    else:
+        value = (_de_integrate(lambda y: _ratio_pdf(y, yp), y0, _Y_TAIL_SWITCH)
+                 + _ratio_survival_tail(_Y_TAIL_SWITCH, yp))
+    if not -_SURVIVAL_SLACK <= value <= 1.0 + _SURVIVAL_SLACK:
+        raise ConvergenceError(f"P(Y > {z:.6g}) evaluated to {value!r}, outside [0, 1]: the "
+                               f"quadrature of the exponential-time law did not converge "
+                               f"(sigma = {sigma:.6g}, m = {m:.6g}, lam = {lam:.6g})")
+    return min(max(value, 0.0), 1.0)
 
 
 def yor_moment_residual(theta: float, mu: float, lam: float) -> float:

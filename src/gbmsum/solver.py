@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import distributions
 from .errors import (
@@ -36,6 +34,11 @@ _NEG_CLIP = -1e-14
 _U_MAX_CAP = 60.0
 _POLISH_RESTART = 60  # GMRES Krylov dimension between restarts
 _POLISH_RTOL = 1e-13  # GMRES target, relative to the scaled right-hand side
+# scaled polish values below 0 by at most this fraction of the largest are
+# rounding and become 0: GMRES meets _POLISH_RTOL in the 2-norm over the whole
+# grid, not entry by entry, and the law at (0.001, -0.1, 0.5) converges with a
+# minimum of -5.8e-13 times its largest
+_POLISH_NEG_TOL = 1e-10
 _PICARD_SWITCH = 1e-4  # sup-norm delta at which Picard hands over to GMRES
 _BLOCK_ROWS = 16  # rows per dense operator block
 
@@ -183,11 +186,13 @@ class GaussianStepOperator:
             raise ParameterError(f"apply needs {self._col_scale.size} values, got shape "
                                  f"{np.shape(values)}")
         y = self._col_scale * values
-        live = np.flatnonzero(y)
+        nonzero = y != 0.0
+        first = int(nonzero.argmax())  # argmax finds the first True without a full index
         b0 = b1 = 0
-        if live.size:
-            b0 = int(np.searchsorted(self._cols, live[0] - self._blocks.shape[2] + 1))
-            b1 = int(np.searchsorted(self._cols, live[-1], side="right"))
+        if nonzero[first]:
+            last = y.size - 1 - int(nonzero[::-1].argmax())
+            b0 = int(np.searchsorted(self._cols, first - self._blocks.shape[2] + 1))
+            b1 = int(np.searchsorted(self._cols, last, side="right"))
         return _block_product(self._blocks, self._cols, y, b0, b1)[: y.size]
 
 
@@ -463,7 +468,8 @@ def _lognormal_option_rows(u: np.ndarray, kappa: float,
     d2 = (u - log_kappa + rp.rho - 0.5 * rp.beta) / root
     fwd = np.exp(u + rp.rho)
     sign = np.where(fwd < kappa, 1.0, -1.0)  # +1 where the call is out of the money
-    time_value = sign * (fwd * special.ndtr(sign * (d2 + root)) - kappa * special.ndtr(sign * d2))
+    cdf_1, cdf_2 = distributions._ndtr(sign * np.stack([d2 + root, d2]))
+    time_value = sign * (fwd * cdf_1 - kappa * cdf_2)
     return (time_value + np.maximum(fwd - kappa, 0.0),
             time_value + np.maximum(kappa - fwd, 0.0))
 
@@ -540,6 +546,7 @@ def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
 # -- quadrature error bound -----------------------------------------------------
 
 _DERIV_STENCIL = np.array([-0.5, 1.0, 0.0, -1.0, 0.5])  # third derivative, times h^3
+_ZETA_3 = 1.2020569031595942  # Apery's constant zeta(3), correctly rounded
 
 
 def quadrature_error_bound(F: GridDensity) -> float:
@@ -560,7 +567,7 @@ def quadrature_error_bound(F: GridDensity) -> float:
         warnings.warn(f"derivative estimate for the quadrature bound is noise-dominated "
                       f"(M = {m_est:.3g}, noise floor ~ {noise:.3g})", AccuracyWarning,
                       stacklevel=2)
-    return h**3 * m_est * float(special.zeta(3)) / (4.0 * math.pi**3)
+    return h**3 * m_est * _ZETA_3 / (4.0 * math.pi**3)
 
 
 # -- the multiplier law and the tail fit ---------------------------------------
@@ -620,6 +627,100 @@ def _iterate(op: GaussianStepOperator, f: np.ndarray, source: np.ndarray | None,
                            delta_trace=deltas)
 
 
+def _givens(f: float, g: float) -> tuple[float, float, float]:
+    """The rotation (c, s) with c f + s g = r and c g - s f = 0, and r, as
+    LAPACK lartg forms it where f^2 + g^2 neither overflows nor underflows
+    (r has the sign of f); f = g = 0 gives the identity."""
+    d = math.sqrt(f * f + g * g)
+    if d == 0.0:
+        return 1.0, 0.0, 0.0
+    r = math.copysign(d, f)
+    return abs(f) / d, g / r, r
+
+
+def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, restart: int,
+           maxiter: int, callback) -> tuple[np.ndarray, int]:
+    """x with |b - A x| <= rtol |b| (2-norms) by GMRES restarted every
+    `restart` steps (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
+    from x0, A applied by matvec, in at most maxiter restarts; returns x and
+    0, or maxiter where the residual was missed.  callback gets each step's
+    residual estimate relative to |b|.
+
+    A transcription of scipy.sparse.linalg.gmres for a real system with no
+    preconditioner, atol = 0 and callback_type="pr_norm", including its
+    inner tolerance control (scipy gh-8400): it makes the same matvecs and
+    returns the same x.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0.0:
+        return b, 0
+    atol = rtol * bnrm2
+    eps = np.finfo(float).eps
+    restart = min(restart, b.size)
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, b.size))
+    h = np.zeros((restart, restart + 1))  # the Hessenberg matrix, column col in row col
+    givens = np.zeros((restart, 2))
+    x = np.array(x0, dtype=float)
+    r = b - matvec(x) if x.any() else b.copy()
+    if np.linalg.norm(r) < atol:
+        return x, 0
+    for _ in range(maxiter):
+        v[0] = r
+        r_norm = np.linalg.norm(v[0])
+        v[0] *= 1 / r_norm
+        s_rhs = np.zeros(restart + 1)  # the rotated right-hand side |r| e_1
+        s_rhs[0] = r_norm
+        breakdown = False
+        for col in range(restart):
+            w = matvec(v[col])
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):  # modified Gram-Schmidt
+                h[col, k] = hk = np.dot(v[k], w)
+                w -= hk * v[k]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= eps * h0:  # the Krylov space holds the solution
+                h[col, col + 1] = 0.0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, h[col, col] = _givens(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col + 1] = 0.0
+            s_rhs[col], s_rhs[col + 1] = c * s_rhs[col], -s * s_rhs[col]
+            presid = abs(s_rhs[col + 1])
+            callback(presid / bnrm2)
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0.0:
+            s_rhs[col] = 0.0
+        y = s_rhs[: col + 1].copy()  # back substitution, skipping zeros
+        for k in range(col, 0, -1):
+            if y[k] != 0.0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0.0:
+            y[0] /= h[0, 0]
+        x += y @ v[: col + 1]
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the inner estimate passed but the true residual did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
+
+
 def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
             damp: float, budget: int) -> tuple[np.ndarray, int]:
     """F = source + damp T F by GMRES from the Picard iterate v, with the
@@ -627,8 +728,10 @@ def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
     scaled by v, so every tail decade weighs alike, with F = 0 where v = 0.
     As m^T T = m^T for the trapezoid weights m, the rank-one term deflates the
     mass direction (I - damp T is singular at p = 0) and fixes M: m^T v at
-    p = 0, m^T source / p at p > 0.  Keeps v and warns if GMRES misses
-    _POLISH_RTOL within `budget` applies or F is not finite and >= 0."""
+    p = 0, m^T source / p at p > 0.  Scaled values below 0 by at most
+    _POLISH_NEG_TOL of the largest are rounding and become 0.  Keeps v and
+    warns, naming the cause, if GMRES misses _POLISH_RTOL within `budget`
+    applies or its F is not finite or has a value below that."""
     pos = v > 0.0
     vp, m, full = v[pos], op._mass_w, np.zeros_like(v)
     mv = float(m @ v)
@@ -640,22 +743,27 @@ def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
         if applies[0] == budget:
             raise ConvergenceError("polish budget spent")
         applies[0] += 1
-        full[pos] = vp * np.ravel(y)
-        return np.ravel(y) + float(m @ full) / mv - damp * op.apply(full)[pos] / vp
+        full[pos] = vp * y
+        return y + float(m @ full) / mv - damp * op.apply(full)[pos] / vp
 
     try:
-        y, info = gmres(LinearOperator((vp.size, vp.size), matvec=matvec, dtype=float), rhs,
-                        x0=np.ones(vp.size), rtol=_POLISH_RTOL, atol=0.0, restart=_POLISH_RESTART,
-                        maxiter=max(budget, 1), callback=residual.append, callback_type="pr_norm")
+        y, info = _gmres(matvec, rhs, np.ones(vp.size), _POLISH_RTOL, _POLISH_RESTART,
+                         max(budget, 1), residual.append)
     except ConvergenceError:
         y, info = None, 1
-    if info == 0 and np.all(np.isfinite(y)) and y.min() >= 0.0:
-        full[pos] = vp * y
+    if info != 0:
+        last = f"last estimate {residual[-1]:.3g}" if residual else "no estimate yet"
+        cause = f"missed scaled residual {_POLISH_RTOL} within {applies[0]} applies ({last})"
+    elif not np.all(np.isfinite(y)):
+        cause = f"gave non-finite values after {applies[0]} applies"
+    elif y.min() < -_POLISH_NEG_TOL * y.max():
+        cause = (f"gave a scaled value of {y.min():.3g}, below -{_POLISH_NEG_TOL} times the "
+                 f"largest, {y.max():.3g}")
+    else:
+        full[pos] = vp * np.maximum(y, 0.0)
         return full, applies[0]
-    last = f"last estimate {residual[-1]:.3g}" if residual else "no estimate yet"
-    warnings.warn(f"GMRES polish missed scaled residual {_POLISH_RTOL} within {applies[0]} "
-                  f"applies ({last}); keeping the Picard iterate, whose deep tail may be degraded",
-                  AccuracyWarning, stacklevel=4)
+    warnings.warn(f"GMRES polish {cause}; keeping the Picard iterate, whose deep tail may be "
+                  f"degraded", AccuracyWarning, stacklevel=4)
     return v, applies[0]
 
 

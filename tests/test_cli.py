@@ -160,6 +160,15 @@ class TestAnnuityCommand:
         assert record["var_threshold"] > 0.0
         assert record["method_flags"]["var"] in ("tail_inversion", "grid_inversion")
 
+    def test_unconverged_continuous_shortfall_exit_3(self, tmp_path, capsys):
+        # the double-exponential rule stops 5% apart on the ratio density and its
+        # sum, 1.0146, is no probability: no row is written
+        assert main(["annuity", "--beta", "0.001", "--rho", "-0.1", "--p", "0.5",
+                     "--q-list", "0", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: P(Y > 1.65243) evaluated to 1.01458")
+        assert not (tmp_path / "annuity.csv").exists()
+
     def test_certain_stopping_has_no_power_tail_exit_2(self, tmp_path):
         # p = 1 is the one-period log-normal law: no tail exponent or constant
         assert main(["annuity", "--beta", "0.5", "--rho", "0.1", "--p", "1.0",
@@ -420,9 +429,9 @@ class TestMalformedInput:
         assert err[-1].startswith("error: statistic column 0 is not finite")
 
     def test_non_finite_report_exit_2(self, tmp_path, capsys):
-        # at mu = 207.7 the tail constant and the VaR threshold overflow to inf
+        # at mu = 204.4 the tail constant and the VaR threshold overflow to inf
         out = tmp_path / "out"
-        assert main(["annuity", "--beta", "0.001", "--rho", "-0.1", "--p", "0.5",
+        assert main(["annuity", "--beta", "0.002", "--rho", "-0.2", "--p", "0.5",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"error: {out / 'annuity_report.json'} would hold a non-finite value"

@@ -1,16 +1,18 @@
 """Closed-form law tests: multiplier, inverse-Gamma limit, exponential-time law."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import gbmsum as g
-from gbmsum import AccuracyWarning, ParameterError
+from gbmsum import AccuracyWarning, ConvergenceError, ParameterError
 from gbmsum.distributions import _de_integrate
 
 
@@ -251,6 +253,26 @@ class TestYorSurvival:
             assert sv == pytest.approx(ref, abs=2e-6)
 
 
+    def test_sum_outside_unit_interval_raises(self):
+        # at (beta, rho, p) = (0.001, -0.1, 0.5) and K = E[X_N] the rule stops with
+        # its last two sums 5% apart, and the survival it gives, 1.0146, is no
+        # probability
+        rho, p = -0.1, 0.5
+        mean = math.exp(rho) / (1.0 - (1.0 - p) * math.exp(rho))
+        with pytest.warns(AccuracyWarning, match="stopped at step"):
+            with pytest.raises(ConvergenceError, match=r"evaluated to 1\.01458.*outside \[0, 1\]"):
+                g.shortfall_continuous(math.sqrt(0.001), rho, p, mean)
+
+    @pytest.mark.parametrize("tail, expected", [(1.0 + 1e-13, 1.0), (-1e-13, 0.0)])
+    def test_rounding_outside_unit_interval_is_clipped(self, monkeypatch, tail, expected):
+        monkeypatch.setattr(g.distributions, "_ratio_survival_tail", lambda y0, yp: tail)
+        assert g.yor_survival(100.0, 1.0, 0.0, 0.1) == expected
+
+    def test_beyond_rounding_raises(self, monkeypatch):
+        monkeypatch.setattr(g.distributions, "_ratio_survival_tail", lambda y0, yp: 1.0 + 1e-9)
+        with pytest.raises(ConvergenceError, match="outside"):
+            g.yor_survival(100.0, 1.0, 0.0, 0.1)
+
     @pytest.mark.parametrize("sigma, m, lam, z", [
         (1.0, 0.0, 0.1, 1e-12), (1.0, 0.0, 0.1, 0.02), (1.0, 0.0, 0.1, 1.5),
         (1.0, -0.1, 0.01, 3.0), (math.sqrt(0.1), 0.0, 0.1, 0.4), (0.3, -0.1, 0.01, 100.0),
@@ -309,13 +331,22 @@ class TestDoubleExponentialRule:
 
 
 class TestImport:
-    def test_no_scipy_integrate_or_optimize(self):
-        code = ("import sys, gbmsum; "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+    def test_no_scipy_after_import_solve_price_and_mc(self):
+        # only the continuous-time laws load scipy.special, when they are called
+        code = ("import sys, gbmsum as g\n"
+                "g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1))\n"
+                "g.solve_geometric(g.ReducedParams(beta=0.1, rho=0.0, p=0.01))\n"
+                "g.asian_prices(g.AsianSpec(100.0, 100.0, 0.1, 0.0, 0.2, 1.0, 10))\n"
+                "g.simulate_sum(g.ReducedParams(beta=0.1, rho=0.0),\n"
+                "               g.McConfig(n_paths=2000, seed=1), lambda x: x)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                "g.yor_survival(1.0, 1.0, 0.0, 0.1)\n"
+                "print('scipy.special' in sys.modules)\n")
+        src = str(Path(g.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["[]", "True"]
 
 
 class TestYorMomentIdentity:

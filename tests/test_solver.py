@@ -115,6 +115,17 @@ class TestOperator:
         with pytest.raises(ParameterError, match="apply needs 200 values"):
             op.apply(values)
 
+    @pytest.mark.parametrize("span", [(0, 4686), (0, 1), (4685, 4686), (1200, 1300), (2000, 2000)])
+    def test_apply_span_matches_every_block(self, span):
+        # rows outside the blocks an apply computes are exactly the 0 the full product gives
+        rp = g.ReducedParams(beta=0.04 / 1000, rho=0.0)
+        op = g.GaussianStepOperator(Grid(solver._default_step(rp.beta), 4686), rp)
+        values = np.zeros(4686)
+        values[span[0] : span[1]] = np.linspace(1.0, 2.0, span[1] - span[0])
+        full = solver._block_product(op._blocks, op._cols, op._col_scale * values, 0,
+                                     op._cols.size)[:4686]
+        np.testing.assert_array_equal(op.apply(values), full)
+
     def test_coarse_grid_warning(self):
         rp = g.ReducedParams(beta=0.0004, rho=0.0)  # sqrt(beta) = 0.02 < 3h
         with pytest.warns(CoarseGridWarning):
@@ -540,6 +551,80 @@ class TestPolish:
         ests = g.simulate_sum(rp, cfg, lambda x: np.stack([x > v for v in levels], axis=1))
         for level, est in zip(levels, ests):
             assert abs(g.survival(F, level) - est.value) <= 3.0 * est.std_error
+
+    def test_gmres_matches_scipy(self, monkeypatch):
+        # the (1, -0.1) polish system: the same x, matvecs and residual estimates
+        from scipy.sparse.linalg import LinearOperator, gmres
+
+        systems, exact = [], solver._gmres
+
+        def record(matvec, b, x0, *args):
+            systems.append((matvec, b.copy(), x0.copy(), args))
+            raise ConvergenceError("system recorded")
+
+        monkeypatch.setattr(solver, "_gmres", record)
+        with pytest.warns(AccuracyWarning, match="missed"):
+            g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1), tol=1e-9)
+        matvec, b, x0, (rtol, restart, maxiter, _) = systems[0]
+        runs = []
+        for solve in ("library", "scipy"):
+            count, residuals = [0], []
+
+            def counted(y):
+                count[0] += 1
+                return matvec(y)
+
+            if solve == "library":
+                x, info = exact(counted, b, x0, rtol, restart, maxiter, residuals.append)
+            else:
+                x, info = gmres(LinearOperator((b.size, b.size), matvec=counted, dtype=float), b,
+                                x0=x0, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter,
+                                callback=residuals.append, callback_type="pr_norm")
+            runs.append((x, info, count[0], residuals))
+        (x_lib, info_lib, n_lib, res_lib), (x_sp, info_sp, n_sp, res_sp) = runs
+        assert info_lib == info_sp == 0
+        assert n_lib == n_sp > 0
+        assert res_lib == res_sp
+        np.testing.assert_array_equal(x_lib, x_sp)
+
+    def test_givens_is_lartg(self):
+        from scipy.linalg.lapack import dlartg
+
+        rng = np.random.default_rng(3)
+        pairs = [(0.0, 2.0), (3.0, 0.0), (-3.0, 0.0), (0.0, 0.0), (-1.5, 2.5)] + [
+            (float(f), float(g_)) for f, g_ in rng.normal(size=(200, 2)) * [1.0, 1e-3]]
+        for f, g_ in pairs:
+            assert solver._givens(f, g_) == pytest.approx(dlartg(f, g_), abs=0.0, rel=0.0)
+
+    def test_rounding_negatives_are_kept_as_zero(self):
+        # GMRES converges at (0.001, -0.1, 0.5) to a scaled minimum of -1.4e-12 against
+        # a maximum of 2.5: rounding, so the polished law is kept
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            F, report = g.solve_geometric(g.ReducedParams(beta=0.001, rho=-0.1, p=0.5))
+        assert not [w for w in caught if issubclass(w.category, AccuracyWarning)]
+        assert report.polish_matvecs > 0
+        assert report.final_delta <= 1e-12
+        assert report.mean_rel_err <= 1e-12
+        assert F.values.min() == 0.0
+
+    @pytest.mark.parametrize("bad, cause", [
+        (-1e-6, "gave a scaled value of -1e-06, below -1e-10 times the largest"),
+        (math.nan, "gave non-finite values"),
+    ])
+    def test_rejected_solution_names_its_cause(self, monkeypatch, bad, cause):
+        exact = solver._gmres
+
+        def spoiled(*args):
+            x, info = exact(*args)
+            x[len(x) // 2] = bad
+            return x, info
+
+        monkeypatch.setattr(solver, "_gmres", spoiled)
+        with pytest.warns(AccuracyWarning, match=f"GMRES polish {cause}") as caught:
+            _, report = g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1), tol=1e-9)
+        assert "missed" not in str(caught[0].message)
+        assert report.final_delta <= 1e-9
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1)])
     def test_iterations_count_picard_and_polish(self, solved, beta, rho, p):

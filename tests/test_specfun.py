@@ -1,16 +1,24 @@
-"""The scipy.special functions the library evaluates, against identities and
-an arbitrary-precision oracle.
+"""The special functions the library evaluates, against identities and an
+arbitrary-precision oracle.
 
-gammaincc backs `inv_gamma_cdf`, hyp1f1 backs `yor_pdf` (through Kummer's
-transformation, checked here on both sides), beta backs
-`yor_moment_residual` and zeta(2k+1) backs `quadrature_error_bound`.
+From scipy.special, which only the continuous-time laws load: gammaincc
+backs `inv_gamma_cdf` and hyp1f1 backs `yor_pdf` and `yor_survival` (through
+Kummer's transformation, checked here on both sides); beta and zeta are the
+closed forms of the tests' own oracles.  The library's own: the normal cdf
+`distributions._ndtr` (Cephes' rational approximations in numpy) backs the
+Black-Scholes rows of the Asian prices, and zeta(3) is a constant of
+`quadrature_error_bound`.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
+
+from gbmsum import solver
+from gbmsum.distributions import _ndtr
 
 
 @pytest.fixture
@@ -115,3 +123,41 @@ class TestZeta:
     def test_bounds(self):
         for p in range(2, 12):
             assert 1.0 < special.zeta(p) <= 2.0
+
+
+class TestLibraryZeta3:
+    def test_constant_is_zeta_3(self, mp):
+        assert solver._ZETA_3 == float(mp.zeta(3)) == float(special.zeta(3))
+
+
+class TestNdtr:
+    # the branch switches: erf below |a| = sqrt 2, the two erfc rationals
+    # meet at 8 sqrt 2; each with its neighbouring floats
+    SWITCHES = [s * np.nextafter(v, d) for v in (math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+                for d in (0.0, math.inf) for s in (1.0, -1.0)] + [
+                   s * v for v in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)) for s in (1.0, -1.0)]
+
+    def test_matches_mpmath(self, mp):
+        # scipy.special.ndtr's own worst on these points is about 2e-13, at a ~ -36;
+        # at the switches a jump between branches would show above 2e-15
+        points = np.concatenate([np.linspace(-37.0, 8.3, 1001), self.SWITCHES])
+        ref = np.array([float(mp.ncdf(mp.mpf(float(a)))) for a in points])
+        rel = np.abs(_ndtr(points) / ref - 1.0)
+        assert rel.max() <= 2e-13
+        assert rel[-len(self.SWITCHES):].max() <= 2e-15
+
+    def test_exact_values_without_warnings(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = _ndtr(np.array([-math.inf, math.inf, 0.0, -0.0]))
+        assert got.tolist() == [0.0, 1.0, 0.5, 0.5]
+
+    def test_far_tails_are_0_and_1(self):
+        assert _ndtr(np.array([-40.0, -1e300, 40.0, 1e300])).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_keeps_the_shape(self):
+        a = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        got = _ndtr(a)
+        assert got.shape == (3, 4)
+        np.testing.assert_array_equal(got.ravel(), _ndtr(a.ravel()))
+        assert _ndtr(0.3).shape == ()
