@@ -37,7 +37,7 @@ _POLISH_RTOL = 1e-13  # GMRES target, relative to the scaled right-hand side
 # scaled polish values below 0 by at most this fraction of the largest are
 # rounding and become 0: GMRES meets _POLISH_RTOL in the 2-norm over the whole
 # grid, not entry by entry, and the law at (0.001, -0.1, 0.5) converges with a
-# minimum of -5.8e-13 times its largest
+# minimum of -4.4e-17 times its largest
 _POLISH_NEG_TOL = 1e-10
 _PICARD_SWITCH = 1e-4  # sup-norm delta at which Picard hands over to GMRES
 _BLOCK_ROWS = 16  # rows per dense operator block
@@ -597,7 +597,8 @@ def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float
     if np.any(v <= 0.0):
         return None
     logx = np.log(np.expm1(u[sel]))
-    c = float(np.median(np.exp(np.log(v) + (exponent + 1.0) * logx))) / exponent
+    with np.errstate(over="ignore"):  # at a large exponent: an infinite median gives None
+        c = float(np.median(np.exp(np.log(v) + (exponent + 1.0) * logx))) / exponent
     return c if math.isfinite(c) and c > 0.0 else None
 
 
@@ -627,98 +628,58 @@ def _iterate(op: GaussianStepOperator, f: np.ndarray, source: np.ndarray | None,
                            delta_trace=deltas)
 
 
-def _givens(f: float, g: float) -> tuple[float, float, float]:
-    """The rotation (c, s) with c f + s g = r and c g - s f = 0, and r, as
-    LAPACK lartg forms it where f^2 + g^2 neither overflows nor underflows
-    (r has the sign of f); f = g = 0 gives the identity."""
-    d = math.sqrt(f * f + g * g)
-    if d == 0.0:
-        return 1.0, 0.0, 0.0
-    r = math.copysign(d, f)
-    return abs(f) / d, g / r, r
-
-
-def _gmres(matvec, b: np.ndarray, x0: np.ndarray, rtol: float, restart: int,
-           maxiter: int, callback) -> tuple[np.ndarray, int]:
+def _gmres(matvec, b: np.ndarray, x: np.ndarray, rtol: float, restart: int,
+           budget: int) -> tuple[np.ndarray, bool, int, float | None]:
     """x with |b - A x| <= rtol |b| (2-norms) by GMRES restarted every
     `restart` steps (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
-    from x0, A applied by matvec, in at most maxiter restarts; returns x and
-    0, or maxiter where the residual was missed.  callback gets each step's
-    residual estimate relative to |b|.
-
-    A transcription of scipy.sparse.linalg.gmres for a real system with no
-    preconditioner, atol = 0 and callback_type="pr_norm", including its
-    inner tolerance control (scipy gh-8400): it makes the same matvecs and
-    returns the same x.
-    """
-    bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0.0:
-        return b, 0
-    atol = rtol * bnrm2
-    eps = np.finfo(float).eps
-    restart = min(restart, b.size)
-    ptol_max_factor = 1.0
-    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
-    v = np.empty((restart + 1, b.size))
-    h = np.zeros((restart, restart + 1))  # the Hessenberg matrix, column col in row col
-    givens = np.zeros((restart, 2))
-    x = np.array(x0, dtype=float)
-    r = b - matvec(x) if x.any() else b.copy()
-    if np.linalg.norm(r) < atol:
-        return x, 0
-    for _ in range(maxiter):
-        v[0] = r
-        r_norm = np.linalg.norm(v[0])
-        v[0] *= 1 / r_norm
-        s_rhs = np.zeros(restart + 1)  # the rotated right-hand side |r| e_1
-        s_rhs[0] = r_norm
-        breakdown = False
-        for col in range(restart):
-            w = matvec(v[col])
-            h0 = np.linalg.norm(w)
-            for k in range(col + 1):  # modified Gram-Schmidt
-                h[col, k] = hk = np.dot(v[k], w)
-                w -= hk * v[k]
-            h1 = np.linalg.norm(w)
-            h[col, col + 1] = h1
-            v[col + 1] = w
-            if h1 <= eps * h0:  # the Krylov space holds the solution
-                h[col, col + 1] = 0.0
-                breakdown = True
-            else:
-                v[col + 1] *= 1 / h1
-            for k in range(col):
-                c, s = givens[k]
-                n0, n1 = h[col, k], h[col, k + 1]
-                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-            c, s, h[col, col] = _givens(h[col, col], h[col, col + 1])
-            givens[col] = c, s
-            h[col, col + 1] = 0.0
-            s_rhs[col], s_rhs[col + 1] = c * s_rhs[col], -s * s_rhs[col]
-            presid = abs(s_rhs[col + 1])
-            callback(presid / bnrm2)
-            if presid <= ptol or breakdown:
+    from x, with at most `budget` applies of A by matvec.  Each cycle takes
+    the true residual, then modified Gram-Schmidt Arnoldi steps with Givens
+    rotations until the residual estimate meets the target.  Returns x,
+    whether its true residual met the target, the applies made and the last
+    residual, estimated or true, relative to |b|: None before any apply, and
+    not finite where a norm overflowed, which ends the solve."""
+    b_norm = np.linalg.norm(b)
+    target = rtol * b_norm
+    m = min(restart, b.size)
+    v = np.empty((m + 1, b.size))
+    hess = np.zeros((m + 1, m))  # the Hessenberg matrix, rotated to upper triangular
+    cs, sn = np.zeros(m), np.zeros(m)
+    applies, estimate = 0, None
+    with np.errstate(all="ignore"):  # a norm that is not finite is returned, not warned
+        while applies < budget:
+            r = b - matvec(x)
+            applies += 1
+            r_norm = np.linalg.norm(r)
+            estimate = r_norm / b_norm
+            if r_norm <= target:
+                return x, True, applies, estimate
+            if not math.isfinite(r_norm) or applies == budget:
                 break
-        if h[col, col] == 0.0:
-            s_rhs[col] = 0.0
-        y = s_rhs[: col + 1].copy()  # back substitution, skipping zeros
-        for k in range(col, 0, -1):
-            if y[k] != 0.0:
-                y[k] /= h[k, k]
-                y[:k] -= y[k] * h[k, :k]
-        if y[0] != 0.0:
-            y[0] /= h[0, 0]
-        x += y @ v[: col + 1]
-        r = b - matvec(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= atol or breakdown:
-            break
-        if presid <= ptol:  # the inner estimate passed but the true residual did not
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, 0 if rnorm <= atol else maxiter
+            v[0] = r / r_norm
+            g = np.zeros(m + 1)  # |r| e_1, rotated alike
+            g[0] = r_norm
+            for k in range(min(m, budget - applies)):
+                w = matvec(v[k])
+                applies += 1
+                for i in range(k + 1):
+                    hess[i, k] = np.dot(v[i], w)
+                    w -= hess[i, k] * v[i]
+                hess[k + 1, k] = np.linalg.norm(w)
+                v[k + 1] = w / hess[k + 1, k]
+                for i in range(k):
+                    hess[i, k], hess[i + 1, k] = (cs[i] * hess[i, k] + sn[i] * hess[i + 1, k],
+                                                  cs[i] * hess[i + 1, k] - sn[i] * hess[i, k])
+                d = math.hypot(hess[k, k], hess[k + 1, k])
+                cs[k], sn[k] = hess[k, k] / d, hess[k + 1, k] / d
+                hess[k, k], hess[k + 1, k] = d, 0.0
+                g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+                estimate = abs(g[k + 1]) / b_norm
+                if not math.isfinite(estimate):
+                    return x, False, applies, estimate
+                if abs(g[k + 1]) <= target:
+                    break
+            x = x + np.linalg.solve(hess[: k + 1, : k + 1], g[: k + 1]) @ v[: k + 1]
+    return x, False, applies, estimate
 
 
 def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
@@ -730,41 +691,37 @@ def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
     mass direction (I - damp T is singular at p = 0) and fixes M: m^T v at
     p = 0, m^T source / p at p > 0.  Scaled values below 0 by at most
     _POLISH_NEG_TOL of the largest are rounding and become 0.  Keeps v and
-    warns, naming the cause, if GMRES misses _POLISH_RTOL within `budget`
-    applies or its F is not finite or has a value below that."""
+    warns, naming the cause, if a norm overflows, GMRES misses _POLISH_RTOL
+    within `budget` applies, or its F is not finite or has a value below
+    that."""
     pos = v > 0.0
     vp, m, full = v[pos], op._mass_w, np.zeros_like(v)
     mv = float(m @ v)
     rhs = (np.ones(vp.size) if source is None
            else source[pos] / vp + float(m @ source) / ((1.0 - damp) * mv))
-    applies, residual = [0], []  # residual: GMRES estimates relative to |rhs|
 
     def matvec(y):
-        if applies[0] == budget:
-            raise ConvergenceError("polish budget spent")
-        applies[0] += 1
         full[pos] = vp * y
         return y + float(m @ full) / mv - damp * op.apply(full)[pos] / vp
 
-    try:
-        y, info = _gmres(matvec, rhs, np.ones(vp.size), _POLISH_RTOL, _POLISH_RESTART,
-                         max(budget, 1), residual.append)
-    except ConvergenceError:
-        y, info = None, 1
-    if info != 0:
-        last = f"last estimate {residual[-1]:.3g}" if residual else "no estimate yet"
-        cause = f"missed scaled residual {_POLISH_RTOL} within {applies[0]} applies ({last})"
+    y, converged, applies, estimate = _gmres(matvec, rhs, np.ones(vp.size), _POLISH_RTOL,
+                                             _POLISH_RESTART, budget)
+    if estimate is not None and not math.isfinite(estimate):
+        cause = f"met a norm that is not finite after {applies} applies"
+    elif not converged:
+        last = "no estimate yet" if estimate is None else f"last estimate {estimate:.3g}"
+        cause = f"missed scaled residual {_POLISH_RTOL} within {applies} applies ({last})"
     elif not np.all(np.isfinite(y)):
-        cause = f"gave non-finite values after {applies[0]} applies"
+        cause = f"gave non-finite values after {applies} applies"
     elif y.min() < -_POLISH_NEG_TOL * y.max():
         cause = (f"gave a scaled value of {y.min():.3g}, below -{_POLISH_NEG_TOL} times the "
                  f"largest, {y.max():.3g}")
     else:
         full[pos] = vp * np.maximum(y, 0.0)
-        return full, applies[0]
+        return full, applies
     warnings.warn(f"GMRES polish {cause}; keeping the Picard iterate, whose deep tail may be "
                   f"degraded", AccuracyWarning, stacklevel=4)
-    return v, applies[0]
+    return v, applies
 
 
 def _mean_rel_err(F: GridDensity, exact: float | None) -> float | None:

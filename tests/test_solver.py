@@ -538,6 +538,25 @@ class TestPolish:
         laws = ((1.0, -0.1), (0.5, -0.1), (0.1, -0.1), (1.0, 0.0), (0.1, 0.0))
         assert sum(solved(beta, rho, tol=1e-9)[1].iterations for beta, rho in laws) <= 250
 
+    def test_annuity_apply_count(self, solved):
+        # the 8 stopped laws of the shortfall table take 362 applies in all
+        laws = {(beta, rho, p) for beta, rho, p, *_ in SHORTFALL_TABLE}
+        assert len(laws) == 8
+        assert sum(solved(*law, tol=1e-9, max_iter=2000)[1].iterations for law in laws) <= 400
+
+    def test_overflowing_norm_keeps_the_picard_iterate(self):
+        # at (4.9e-5, -0.01, 0.9), mu = 573, the polish residual's norm overflows and the
+        # tail fit's powers x^(mu + 1) too; neither may warn beyond the polish's cause
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            _, report = g.solve_geometric(g.ReducedParams(beta=4.9e-5, rho=-0.01, p=0.9),
+                                          tol=1e-8, max_iter=2000)
+        assert [(w.category, str(w.message).split(";")[0]) for w in caught] == [
+            (AccuracyWarning, "GMRES polish met a norm that is not finite after 1 applies")]
+        assert report.final_delta <= 1e-8
+        assert report.mean_rel_err <= 1e-8
+
     def test_infinite_mean_law_against_mc(self):
         # tail exponent 0.56 < 1: no mean to check the solve against
         rp = g.ReducedParams(beta=0.05, rho=0.2, p=0.1)
@@ -553,51 +572,79 @@ class TestPolish:
             assert abs(g.survival(F, level) - est.value) <= 3.0 * est.std_error
 
     def test_gmres_matches_scipy(self, monkeypatch):
-        # the (1, -0.1) polish system: the same x, matvecs and residual estimates
+        # the (1, -0.1) polish system: scipy's matvecs, and its x to rounding
         from scipy.sparse.linalg import LinearOperator, gmres
 
         systems, exact = [], solver._gmres
 
         def record(matvec, b, x0, *args):
             systems.append((matvec, b.copy(), x0.copy(), args))
-            raise ConvergenceError("system recorded")
+            return exact(matvec, b, x0, *args)
 
         monkeypatch.setattr(solver, "_gmres", record)
-        with pytest.warns(AccuracyWarning, match="missed"):
-            g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1), tol=1e-9)
-        matvec, b, x0, (rtol, restart, maxiter, _) = systems[0]
+        g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1), tol=1e-9)
+        matvec, b, x0, (rtol, restart, budget) = systems[0]
         runs = []
         for solve in ("library", "scipy"):
-            count, residuals = [0], []
+            count = [0]
 
             def counted(y):
                 count[0] += 1
                 return matvec(y)
 
             if solve == "library":
-                x, info = exact(counted, b, x0, rtol, restart, maxiter, residuals.append)
+                x, converged, applies, _ = exact(counted, b, x0, rtol, restart, budget)
+                assert converged and applies == count[0]
             else:
                 x, info = gmres(LinearOperator((b.size, b.size), matvec=counted, dtype=float), b,
-                                x0=x0, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter,
-                                callback=residuals.append, callback_type="pr_norm")
-            runs.append((x, info, count[0], residuals))
-        (x_lib, info_lib, n_lib, res_lib), (x_sp, info_sp, n_sp, res_sp) = runs
-        assert info_lib == info_sp == 0
+                                x0=x0, rtol=rtol, atol=0.0, restart=restart, maxiter=10)
+                assert info == 0
+            runs.append((x, count[0]))
+        (x_lib, n_lib), (x_sp, n_sp) = runs
         assert n_lib == n_sp > 0
-        assert res_lib == res_sp
-        np.testing.assert_array_equal(x_lib, x_sp)
+        np.testing.assert_allclose(x_lib, x_sp, rtol=1e-12, atol=0.0)
 
-    def test_givens_is_lartg(self):
-        from scipy.linalg.lapack import dlartg
+    @staticmethod
+    def _nonsymmetric_system(n=40):
+        # I plus a random nonsymmetric part of norm about 0.8: restarted every 5 steps,
+        # GMRES takes several cycles
+        rng = np.random.default_rng(7)
+        a = np.eye(n) + 0.4 * rng.normal(size=(n, n)) / math.sqrt(n)
+        return a, rng.normal(size=n)
 
-        rng = np.random.default_rng(3)
-        pairs = [(0.0, 2.0), (3.0, 0.0), (-3.0, 0.0), (0.0, 0.0), (-1.5, 2.5)] + [
-            (float(f), float(g_)) for f, g_ in rng.normal(size=(200, 2)) * [1.0, 1e-3]]
-        for f, g_ in pairs:
-            assert solver._givens(f, g_) == pytest.approx(dlartg(f, g_), abs=0.0, rel=0.0)
+    def test_gmres_restarts_to_the_true_residual(self):
+        a, b = self._nonsymmetric_system()
+        count = [0]
+
+        def matvec(y):
+            count[0] += 1
+            return a @ y
+
+        x, converged, applies, estimate = solver._gmres(matvec, b, np.zeros(b.size), 1e-12, 5,
+                                                        1000)
+        assert converged and applies == count[0] > 3 * 6  # more than three cycles of 5 + 1
+        assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+        assert estimate == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-12)
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5, 6, 7, 13])
+    def test_gmres_spends_exactly_its_budget(self, budget):
+        a, b = self._nonsymmetric_system()
+        count = [0]
+
+        def matvec(y):
+            count[0] += 1
+            return a @ y
+
+        x, converged, applies, estimate = solver._gmres(matvec, b, np.zeros(b.size), 1e-12, 5,
+                                                        budget)
+        assert not converged
+        assert applies == count[0] == budget
+        assert (estimate is None) == (budget == 0)
+        assert np.all(np.isfinite(x))
 
     def test_rounding_negatives_are_kept_as_zero(self):
-        # GMRES converges at (0.001, -0.1, 0.5) to a scaled minimum of -1.4e-12 against
+        # GMRES converges at (0.001, -0.1, 0.5) to a scaled minimum of -1.1e-16 against
         # a maximum of 2.5: rounding, so the polished law is kept
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -616,9 +663,9 @@ class TestPolish:
         exact = solver._gmres
 
         def spoiled(*args):
-            x, info = exact(*args)
+            x, converged, applies, estimate = exact(*args)
             x[len(x) // 2] = bad
-            return x, info
+            return x, converged, applies, estimate
 
         monkeypatch.setattr(solver, "_gmres", spoiled)
         with pytest.warns(AccuracyWarning, match=f"GMRES polish {cause}") as caught:
