@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .distributions import _de_integrate
+from .distributions import _de_integrate, multiplier_pdf
 from .errors import (
     AccuracyWarning,
     CancellationWarning,
@@ -28,7 +28,7 @@ from .errors import (
 from .mc import GeneralHorizon
 from .moments import mean_finite_sum
 from .params import ReducedParams, as_reduced, require_finite, tail_exponent
-from .solver import GaussianStepOperator, Grid, GridDensity, _multiplier_values
+from .solver import GaussianStepOperator, Grid, GridDensity
 
 # Finite-sum powers zero their values below this.  A product of a larger value
 # with the smallest kernel entry, about pref h e^-32, stays above 2.2e-308, so
@@ -94,7 +94,7 @@ def _powers(n: int, rp: ReducedParams, grid: Grid):
     pass of the step operator; each power is zeroed below _POWER_FLOOR, f1 is
     the multiplier law exactly."""
     op = GaussianStepOperator(grid, rp)
-    vals = _multiplier_values(grid, rp)
+    vals = multiplier_pdf(grid.x(), rp)
     yield vals
     for _ in range(n - 1):
         vals = op.apply(vals)
@@ -103,27 +103,26 @@ def _powers(n: int, rp: ReducedParams, grid: Grid):
 
 
 @functools.lru_cache(maxsize=8)
-def _finite_sum_laws(n: int, rp: ReducedParams,
-                     grid: Grid) -> tuple[np.ndarray | None, np.ndarray]:
-    """Grid values of the (n-1)- and the n-term density from one pass,
-    cached read-only per (n, law, grid); at n = 1 the law one step back is
-    the point mass at 0, given as None."""
+def _finite_sum_laws(n: int, rp: ReducedParams) -> tuple[np.ndarray | None, GridDensity]:
+    """The (n-1)-term values and the n-term law on the n-term law's grid,
+    from one power pass, built once per (n, law) and cached read-only; at
+    n = 1 the law one step back is the point mass at 0, given as None."""
+    grid = _finite_sum_grid(n, rp)
     prev = last = None
     for vals in _powers(n, rp, grid):
         prev, last = last, vals
         vals.setflags(write=False)
-    return prev, last
+    return prev, GridDensity(grid, last)
 
 
 def finite_sum_density(n: int, params) -> GridDensity:
     """Density of the n-term sum: n-1 applications of the one-step transform
-    to the one-period multiplier law.  No power-law tail is attached (finite
-    sums have log-normal-type tails)."""
+    to the one-period multiplier law, built once per (n, law); calls for the
+    same law return the same read-only law.  No power-law tail is attached
+    (finite sums have log-normal-type tails)."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    rp = as_reduced(params)
-    grid = _finite_sum_grid(n, rp)
-    return GridDensity(grid, _finite_sum_laws(n, rp, grid)[1])
+    return _finite_sum_laws(n, as_reduced(params))[1]
 
 
 def finite_sum_density_derivative_form(n: int, params) -> GridDensity:
@@ -144,7 +143,7 @@ def finite_sum_density_derivative_form(n: int, params) -> GridDensity:
     rp = as_reduced(params)
     grid = _finite_sum_grid(n, rp)
     op = GaussianStepOperator(grid, rp)
-    f1 = _multiplier_values(grid, rp)
+    f1 = multiplier_pdf(grid.x(), rp)
     total = f1.copy()
     deriv = f1  # d^k/dp^k of the stopped density at p = 1, unscaled
     max_term = float(np.max(np.abs(f1)))
@@ -224,8 +223,8 @@ def asian_prices(spec: AsianSpec) -> dict:
     n = spec.n_fixings
     kappa = n * spec.strike / spec.s0
     disc = math.exp(-spec.rate * spec.maturity)
-    grid = _finite_sum_grid(n, rp)
-    prev, last = _finite_sum_laws(n, rp, grid)
+    prev, law = _finite_sum_laws(n, rp)
+    grid = law.grid
     if prev is None:
         u, weights = np.zeros(1), np.ones(1)
     else:
@@ -250,7 +249,7 @@ def asian_prices(spec: AsianSpec) -> dict:
         "put": put,
         "parity_gap_discrete": (call - put) - disc * (spec.s0 * mean / n - spec.strike),
         "parity_gap_continuous_average": (call - put) - disc * (continuous_mean - spec.strike),
-        "mean_rel_err": solver._mean_rel_err(GridDensity(grid, last), mean),
+        "mean_rel_err": solver._mean_rel_err(law, mean),
         "grid": {"h": grid.h, "u_max": grid.u_max, "n_points": grid.n_points},
     }
 

@@ -316,10 +316,6 @@ def _mass_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def _grid_mass(grid: Grid, values: np.ndarray) -> float:
-    return float(np.trapezoid(_mass_integrand(grid, values), dx=grid.h))
-
-
 def _tail_mass(F: GridDensity) -> float:
     if F.tail is None:
         return 0.0
@@ -339,7 +335,7 @@ def survival(F: GridDensity, x: float) -> float:
     if math.isnan(x):
         raise ParameterError("survival needs a level x, got NaN")
     if x <= 0.0:
-        return float(_grid_mass(F.grid, F.values) + _tail_mass(F))
+        return float(_mass_weights(F.grid) @ F.values + _tail_mass(F))
     u_x = math.log1p(x)
     if u_x >= F.grid.u_max:
         return F.tail.survival(x) if F.tail is not None else 0.0
@@ -362,7 +358,8 @@ def quantile(F: GridDensity, q: float) -> float:
     """Smallest grid-interpolated x with P(X <= x) >= q.
 
     Bisects the survival function within the bracketing grid cell so the
-    result is exactly consistent with cdf/survival evaluation.
+    result is exactly consistent with cdf/survival evaluation; beyond the
+    grid top it inverts the tail closure, which survival reads there.
     """
     if not (0.0 < q < 1.0):
         raise ParameterError(f"quantile level must be in (0, 1), got {q}")
@@ -373,8 +370,12 @@ def quantile(F: GridDensity, q: float) -> float:
     x = F.grid.x()
     if j == 0:
         return float(x[0])
-    if j >= F.grid.n_points:
-        return float(x[-1])
+    if j >= F.grid.n_points:  # beyond the grid top survival reads the closure c x^-mu
+        with np.errstate(over="ignore"):
+            x_q = float(np.float64(F.tail.constant / target) ** (1.0 / F.tail.exponent))
+        if not math.isfinite(x_q):
+            raise ParameterError(f"the {q} quantile lies beyond the largest float")
+        return x_q
     lo, hi = float(x[j - 1]), float(x[j])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -386,13 +387,19 @@ def quantile(F: GridDensity, q: float) -> float:
 
 
 def _payoff_values(payoff, x: np.ndarray) -> np.ndarray:
-    return np.asarray(payoff(x), dtype=float).reshape(x.shape)
+    values = np.asarray(payoff(x), dtype=float)
+    if values.shape != x.shape:
+        raise ParameterError(f"payoff gave values of shape {values.shape} for points of shape "
+                             f"{x.shape}; it must keep its input's shape")
+    return values
 
 
 def expectation(F: GridDensity, payoff) -> float:
     """E[payoff(X)] over the grid with analytic power-law tail closure.
 
-    `payoff` must be vectorized (ndarray -> ndarray).  With a tail attached,
+    `payoff` must be vectorized (ndarray -> ndarray of the same shape); the
+    grid part reads it at the nodes x > 0 only, so log x and 1/x are fine
+    payoffs there.  With a tail attached,
     the closure's density c mu x^(-mu-1) beyond x_max is integrated in
     w = mu log(x/x_max) as c x_max^(-mu) times the integral over w > 0 of
     payoff(x_max e^(w/mu)) e^(-w).  The payoff's growth is read at the
@@ -406,10 +413,8 @@ def expectation(F: GridDensity, payoff) -> float:
     or jump of the payoff beyond x_max slows the rule, which then warns
     (AccuracyWarning).
     """
-    u = F.grid.u()
-    x = np.expm1(u)
-    integrand = _mass_integrand(F.grid, F.values) * _payoff_values(payoff, x)
-    total = float(np.trapezoid(integrand, dx=F.grid.h))
+    x = F.grid.x()[1:]  # the node x = 0 carries no mass (values[0] = 0): no payoff is read there
+    total = float(_mass_weights(F.grid)[1:] @ (F.values[1:] * _payoff_values(payoff, x)))
     if F.tail is None:
         return total
     x_max = float(x[-1])
@@ -485,36 +490,30 @@ def _solved_params(F: GridDensity, use: str) -> ReducedParams:
     return F.params
 
 
-def _refined(F: GridDensity, x_points: np.ndarray) -> np.ndarray:
-    """p f1(x) + (1-p) (T F)(x) at points x > 0, T F by one kernel row per
-    point on F's grid, weighted by the column scales of F's solve.  The rows
-    follow the sorted points, so a block's window spans the bands of 16
-    neighbouring points; points far apart widen every block, up to the
-    whole grid."""
-    if not np.all(np.isfinite(x_points) & (x_points > 0.0)):
-        raise ParameterError("off-grid refinement needs finite points x > 0")
-    rp = _solved_params(F, "off-grid refinement")
-    if rp.p == 1.0 or x_points.size == 0:  # the law is f1 itself, or no point to refine
-        return np.asarray(distributions.multiplier_pdf(x_points, rp))
-    order = np.argsort(x_points)
-    blocks, cols = _kernel_rows(F.grid, rp, np.log(x_points[order]) + 1.5 * rp.beta - rp.rho)
-    vals = np.empty(x_points.size)
-    vals[order] = _block_product(blocks, cols, F.col_scale * F.values, 0, cols.size)[: vals.size]
-    if rp.p > 0.0:
-        vals = rp.p * np.asarray(distributions.multiplier_pdf(x_points, rp)) + (1.0 - rp.p) * vals
-    return vals
-
-
 def density_at(F: GridDensity, x_points) -> np.ndarray:
-    """Refine a law from solve_infinite or solve_geometric at points x > 0.
-
-    Evaluates one operator row per point (plus the stopping source when
-    p > 0), which reproduces the fixed point off-grid to quadrature
-    accuracy.  Intended for the left tail; near the grid top the row bands
-    are truncated.  The result has the shape of `x_points`.
+    """Refine a law from solve_infinite or solve_geometric at points x > 0:
+    p f1(x) + (1-p) (T F)(x), T F by one kernel row per point on F's grid,
+    weighted by the column scales of F's solve, which reproduces the fixed
+    point off-grid to quadrature accuracy.  Intended for the left tail; near
+    the grid top the row bands are truncated.  The rows follow the sorted
+    points, so a block's window spans the bands of 16 neighbouring points;
+    points far apart widen every block, up to the whole grid.  The result
+    has the shape of `x_points`.
     """
     x_points = np.asarray(x_points, dtype=float)
-    return _refined(F, x_points.reshape(-1)).reshape(x_points.shape)
+    x = x_points.reshape(-1)
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise ParameterError("off-grid refinement needs finite points x > 0")
+    rp = _solved_params(F, "off-grid refinement")
+    if rp.p == 1.0 or x.size == 0:  # the law is f1 itself, or no point to refine
+        return distributions.multiplier_pdf(x, rp).reshape(x_points.shape)
+    order = np.argsort(x)
+    blocks, cols = _kernel_rows(F.grid, rp, np.log(x[order]) + 1.5 * rp.beta - rp.rho)
+    vals = np.empty(x.size)
+    vals[order] = _block_product(blocks, cols, F.col_scale * F.values, 0, cols.size)[: x.size]
+    if rp.p > 0.0:
+        vals = rp.p * distributions.multiplier_pdf(x, rp) + (1.0 - rp.p) * vals
+    return vals.reshape(x_points.shape)
 
 
 def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
@@ -537,7 +536,7 @@ def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
         x = eps * np.exp(-s)
         out = np.zeros(x.shape)
         live = x > 0.0
-        out[live] = _refined(F, x[live]) * x[live]
+        out[live] = density_at(F, x[live]) * x[live]
         return out
 
     return distributions._de_integrate(mass, 0.0, math.inf).reshape(eps_values.shape)
@@ -571,12 +570,6 @@ def quadrature_error_bound(F: GridDensity) -> float:
 
 
 # -- the multiplier law and the tail fit ---------------------------------------
-
-
-def _multiplier_values(grid: Grid, rp: ReducedParams) -> np.ndarray:
-    """The one-period multiplier law on the grid (0 at x = 0): the source at
-    p > 0, the p = 1 law and the first term of every finite sum."""
-    return distributions.multiplier_pdf(grid.x(), rp)
 
 
 def _tail_window(grid: Grid) -> np.ndarray:
@@ -634,25 +627,26 @@ def _gmres(matvec, b: np.ndarray, x: np.ndarray, rtol: float, restart: int,
     `restart` steps (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986),
     from x, with at most `budget` applies of A by matvec.  Each cycle takes
     the true residual, then modified Gram-Schmidt Arnoldi steps with Givens
-    rotations until the residual estimate meets the target.  Returns x,
-    whether its true residual met the target, the applies made and the last
-    residual, estimated or true, relative to |b|: None before any apply, and
-    not finite where a norm overflowed, which ends the solve."""
+    rotations until the residual estimate meets the target, which ends only
+    the cycle.  Returns x, whether its true residual met the target, the
+    applies made and the last true residual measured, relative to |b|: None
+    before any apply, and not finite where a norm or an estimate overflowed,
+    which ends the solve."""
     b_norm = np.linalg.norm(b)
     target = rtol * b_norm
     m = min(restart, b.size)
     v = np.empty((m + 1, b.size))
     hess = np.zeros((m + 1, m))  # the Hessenberg matrix, rotated to upper triangular
     cs, sn = np.zeros(m), np.zeros(m)
-    applies, estimate = 0, None
+    applies, residual = 0, None
     with np.errstate(all="ignore"):  # a norm that is not finite is returned, not warned
         while applies < budget:
             r = b - matvec(x)
             applies += 1
             r_norm = np.linalg.norm(r)
-            estimate = r_norm / b_norm
+            residual = r_norm / b_norm
             if r_norm <= target:
-                return x, True, applies, estimate
+                return x, True, applies, residual
             if not math.isfinite(r_norm) or applies == budget:
                 break
             v[0] = r / r_norm
@@ -673,13 +667,12 @@ def _gmres(matvec, b: np.ndarray, x: np.ndarray, rtol: float, restart: int,
                 cs[k], sn[k] = hess[k, k] / d, hess[k + 1, k] / d
                 hess[k, k], hess[k + 1, k] = d, 0.0
                 g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
-                estimate = abs(g[k + 1]) / b_norm
-                if not math.isfinite(estimate):
-                    return x, False, applies, estimate
+                if not math.isfinite(g[k + 1]):
+                    return x, False, applies, math.inf
                 if abs(g[k + 1]) <= target:
                     break
             x = x + np.linalg.solve(hess[: k + 1, : k + 1], g[: k + 1]) @ v[: k + 1]
-    return x, False, applies, estimate
+    return x, False, applies, residual
 
 
 def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
@@ -704,12 +697,12 @@ def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
         full[pos] = vp * y
         return y + float(m @ full) / mv - damp * op.apply(full)[pos] / vp
 
-    y, converged, applies, estimate = _gmres(matvec, rhs, np.ones(vp.size), _POLISH_RTOL,
+    y, converged, applies, residual = _gmres(matvec, rhs, np.ones(vp.size), _POLISH_RTOL,
                                              _POLISH_RESTART, budget)
-    if estimate is not None and not math.isfinite(estimate):
+    if residual is not None and not math.isfinite(residual):
         cause = f"met a norm that is not finite after {applies} applies"
     elif not converged:
-        last = "no estimate yet" if estimate is None else f"last estimate {estimate:.3g}"
+        last = "no residual yet" if residual is None else f"last true residual {residual:.3g}"
         cause = f"missed scaled residual {_POLISH_RTOL} within {applies} applies ({last})"
     elif not np.all(np.isfinite(y)):
         cause = f"gave non-finite values after {applies} applies"
@@ -741,8 +734,8 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     if rp.p == 1.0:
         # N = 1 almost surely: the law is exactly the multiplier law
         grid_ret, _ = _grid_pair(rp, 2.0, h, u_max if u_max is not None else 6.0)
-        vals = _multiplier_values(grid_ret, rp)
-        total = _grid_mass(grid_ret, vals)
+        vals = distributions.multiplier_pdf(grid_ret.x(), rp)
+        total = float(_mass_weights(grid_ret) @ vals)
         density = GridDensity(grid_ret, vals / total)
         object.__setattr__(density, "params", rp)
         return density, SolveReport(0, 0.0, abs(total - 1.0), quadrature_error_bound(density),
@@ -753,7 +746,7 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     # the inverse Gamma whose tail exponent is the law's own: at p = 0 the limit law
     f0 = distributions.inv_gamma_pdf(grid_int.x(), math.sqrt(rp.beta),
                                      0.5 * rp.beta * (1.0 - exponent))
-    source = rp.p * _multiplier_values(grid_int, rp) if rp.p > 0.0 else None
+    source = rp.p * distributions.multiplier_pdf(grid_int.x(), rp) if rp.p > 0.0 else None
     damp = 1.0 - rp.p
     f, deltas = _iterate(op, f0, source, damp, max(tol, _PICARD_SWITCH), max_iter)
     f, matvecs = _polish(op, f, source, damp, max(max_iter - len(deltas) - 1, 0))
@@ -762,7 +755,7 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     vals = np.array(f[: grid_ret.n_points])
     c = _fit_tail_constant(grid_ret, vals, exponent)
     tail_mass = 0.0 if c is None else c * float(np.expm1(grid_ret.u_max)) ** (-exponent)
-    total = _grid_mass(grid_ret, vals) + tail_mass
+    total = float(_mass_weights(grid_ret) @ vals) + tail_mass
     vals /= total
     tail = None if c is None else TailAsymptote(exponent=exponent, constant=c / total)
     density = GridDensity(grid_ret, vals, tail=tail)

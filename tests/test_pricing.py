@@ -16,7 +16,7 @@ from gbmsum import (
     pricing,
     solver,
 )
-from gbmsum.solver import GaussianStepOperator, _multiplier_values
+from gbmsum.solver import GaussianStepOperator, GridDensity
 
 
 def table2_spec(n, s0):
@@ -72,6 +72,10 @@ class TestFiniteSumDensity:
         bound = g.quadrature_error_bound(F)
         assert abs(mass - 1.0) <= n * max(bound, 1e-12)
 
+    def test_built_once_per_law(self):
+        rp = g.ReducedParams(beta=0.016, rho=0.01)
+        assert g.finite_sum_density(10, rp) is g.finite_sum_density(10, rp)
+
     def test_step_from_beta_never_coarse(self):
         # h = min(0.01, sqrt(beta)/3), the solves' own step, as coarse as the operator allows
         with warnings.catch_warnings():
@@ -92,7 +96,7 @@ class TestPowerFloor:
         rp = spec.reduced()
         F = g.finite_sum_density(n, rp)
         op = GaussianStepOperator(F.grid, rp)
-        prev, vals = None, _multiplier_values(F.grid, rp)
+        prev, vals = None, g.multiplier_pdf(F.grid.x(), rp)
         for _ in range(n - 1):  # the unfloored powers
             prev, vals = vals, op.apply(vals)
         assert np.all((F.values == 0.0) | (F.values >= pricing._POWER_FLOOR))
@@ -102,9 +106,9 @@ class TestPowerFloor:
         floored = g.asian_prices(spec)
         read = []
 
-        def unfloored_laws(*args):  # the (n-1)- and n-term laws the prices read
+        def unfloored_laws(*args):  # the (n-1)-term values and n-term law the prices read
             read.append(args)
-            return prev, vals
+            return prev, GridDensity(F.grid, vals)
 
         monkeypatch.setattr(pricing, "_finite_sum_laws", unfloored_laws)
         unfloored = g.asian_prices(spec)
@@ -157,8 +161,12 @@ class TestLastStep:
         prices = [g.asian_prices(spec) for spec in specs]
         monkeypatch.setattr(solver, "_default_step",
                             lambda beta: min(0.0025, math.sqrt(beta) / 12.0))
-        for spec, price in zip(specs, prices):
-            ref = g.asian_prices(spec)
+        # the finite-sum cache is keyed by (n, law), not by step: clear it before the
+        # finer prices, and after them, so that no later test reads a finer law
+        pricing._finite_sum_laws.cache_clear()
+        refs = [g.asian_prices(spec) for spec in specs]
+        pricing._finite_sum_laws.cache_clear()
+        for price, ref in zip(prices, refs):
             assert ref["grid"]["h"] <= price["grid"]["h"] / 4.0
             assert price["call"] == pytest.approx(ref["call"], rel=1e-9)
             assert price["put"] == pytest.approx(ref["put"], rel=1e-9)
