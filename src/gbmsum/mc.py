@@ -2,21 +2,23 @@
 
 Ground truth for means, moments, survival probabilities and option payoffs,
 with standard errors.  A single counter-based Philox stream and a fixed,
-platform-independent draw layout (horizons first, then one flat normal
-block per chunk) make every estimate bit-for-bit reproducible for a given
-(seed, n_paths, horizon).  The draws run one chunk ahead on a worker
-thread, which alone owns the stream and draws in that layout, while the
-calling thread sums the paths of the chunk before; the statistic and the
-accumulation stay serial on the calling thread, in chunk order, so results
-cannot depend on scheduling.  The normals go into two buffers that take
-turns, so neither can the memory a run holds.  Both simulators run through
-one chunk loop; the path sums work in row tiles of at most ``_TILE_ELEMENTS``
-normals, so every temporary stays in a core's L2 cache.
-"""
+platform-independent draw layout (per chunk, the per-path values first, then
+one flat block of normals) make every estimate bit-for-bit reproducible for
+a given (seed, n_paths, horizon).  A worker thread, which alone owns the
+stream, draws each chunk's normals in path-aligned pieces of at most
+``_PIECE_ELEMENTS`` normals, one piece ahead, into two buffers that take
+turns; the calling thread sums the paths of the piece before.  The
+statistic and the accumulation run once per chunk, serial on the calling
+thread and in chunk order, so neither the results nor the memory a run
+holds can depend on scheduling.  Both simulators run through one chunk
+loop; the path sums work in row tiles of at most ``_TILE_ELEMENTS``
+normals, so every temporary stays in a core's L2 cache."""
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,7 +28,7 @@ from .errors import ParameterError
 from .params import as_reduced, require_finite
 
 _MAX_CHUNK_ELEMENTS = 4_000_000
-_BUFFER_BLOCK = 1 << 18  # normals (2 MiB)
+_PIECE_ELEMENTS = 1 << 18  # normals (2 MiB)
 _TILE_ELEMENTS = 1 << 16
 
 
@@ -140,11 +142,10 @@ class _Accumulator:
 
 
 class _Buffer:
-    """Float scratch that is reused from chunk to chunk and only grows.
+    """Normals scratch of one piece, reused from piece to piece.
 
-    It grows in whole blocks of ``_BUFFER_BLOCK`` elements, so ragged chunks
-    of one run, whose sizes scatter far less than a block, share one size
-    whatever the seed.
+    It holds ``_PIECE_ELEMENTS`` normals and grows only for a path longer
+    than that, so the pieces of one run share one size whatever the seed.
     """
 
     def __init__(self):
@@ -152,30 +153,56 @@ class _Buffer:
 
     def take(self, n: int) -> np.ndarray:
         if n > self._data.size:
-            self._data = np.empty(-(-n // _BUFFER_BLOCK) * _BUFFER_BLOCK)
+            self._data = np.empty(max(n, _PIECE_ELEMENTS))
         return self._data[:n]
 
 
-def _drawn_ahead(draw, counts, consume):
-    """Call consume(*draw(count, buffer)) for each count in order, one chunk ahead.
+def _drawn_ahead(pieces, consume):
+    """Call consume(*piece) for each piece of the iterator pieces, one piece ahead.
 
-    draw runs on one worker thread, so the chunk after the one being
-    consumed is drawn meanwhile; the draws follow each other in order on
-    that thread, and consume sees them in the same order on the calling
-    thread.  draw writes its normals into buffer, one of two that take
-    turns: a chunk's buffer is handed to a new draw only after consume has
-    returned from that chunk.  The normals thus live in the same two
-    buffers all run long, and the memory a run holds does not depend on
-    how the threads are scheduled.
+    A worker thread advances pieces, so the piece after the one being
+    consumed is drawn meanwhile; consume sees the pieces in order on the
+    calling thread.  The worker takes the piece after that only once consume
+    has returned from the piece before, so an iterator that draws into two
+    buffers in turn never overwrites a piece that is being consumed.  When
+    consume has already returned, the worker goes straight on, with no round
+    trip through the calling thread.
     """
-    buffers = (_Buffer(), _Buffer())
+    drawn = queue.SimpleQueue()
+    turn = threading.Semaphore(1)  # the worker may draw one piece ahead
+    stopped = False
+
+    def produce():
+        try:
+            for piece in pieces:
+                drawn.put(piece)
+                turn.acquire()
+                if stopped:
+                    return
+        finally:
+            drawn.put(None)
+
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, counts[0], buffers[0])
-        for i, count in enumerate(counts[1:], start=1):
-            ready = pending.result()
-            pending = pool.submit(draw, count, buffers[i % 2])
-            consume(*ready)
-        consume(*pending.result())
+        worker = pool.submit(produce)
+        try:
+            while (piece := drawn.get()) is not None:
+                consume(*piece)
+                turn.release()
+        finally:
+            stopped = True
+            turn.release()
+        worker.result()
+
+
+def _piece_bounds(offsets: np.ndarray) -> list[int]:
+    """Path indices that cut a chunk into pieces of at most ``_PIECE_ELEMENTS``
+    normals, or of one path where a path is longer."""
+    bounds = [0]
+    while bounds[-1] < offsets.size - 1:
+        first = bounds[-1]
+        last = int(np.searchsorted(offsets, offsets[first] + _PIECE_ELEMENTS, side="right")) - 1
+        bounds.append(max(last, first + 1))
+    return bounds
 
 
 def path_partial_product_sums(z: np.ndarray, offsets: np.ndarray,
@@ -189,67 +216,121 @@ def path_partial_product_sums(z: np.ndarray, offsets: np.ndarray,
     the tuple (sums,), or with ``antithetic=True`` (sums, antithetic_sums),
     the second holding the sums of the flipped normals -z, that is of
     exp(i * drift[p] - C_i).
+
+    The paths, sorted by length, go through row tiles of at most
+    ``_TILE_ELEMENTS`` elements, so every temporary stays in a core's L2
+    cache.  A tile of unequal paths pads each row to one past its longest
+    path; its rows are at most 9/8 as wide as its first, so that little of
+    it is padding.  The padding's running sums are set to 0, so its
+    exponentials stay finite, and the last padding cell of each row is set
+    to 0 after the exponential: the next row's sum starts from that cell.
+    Every sum is thus numpy's pairwise sum of the path's own terms, whatever
+    tile it lands in.
     """
     lengths = np.diff(offsets)
     out = np.zeros(lengths.size)
     out_anti = np.zeros(lengths.size) if antithetic else None
-    longest = int(lengths.max(initial=0))
-    steps = np.arange(1, longest + 1, dtype=float)
-    cols = np.arange(longest)
-    size = max(_TILE_ELEMENTS, longest)
-    # scratch for one tile: the running sums C, k * drift, and exponentials
-    c_buf, kd_buf, e_buf = np.empty(size), np.empty(size), np.empty(size)
     order = np.argsort(lengths, kind="stable")
-    bounds = np.flatnonzero(np.diff(lengths[order])) + 1
-    for group in np.split(order, bounds):
-        length = int(lengths[group[0]])
-        if length == 0:
-            continue
-        # A stable sort keeps a group ascending, so a run of adjacent paths
-        # spans exactly group.size consecutive indices.
-        first = int(offsets[group[0]])
-        adjacent = int(group[-1] - group[0]) == group.size - 1
-        rows = max(1, _TILE_ELEMENTS // length)
-        for start in range(0, group.size, rows):
-            tile = group[start:start + rows]
-            shape = (tile.size, length)
-            c = c_buf[:tile.size * length].reshape(shape)
-            if adjacent:
-                lo = first + start * length
-                np.multiply(z[lo:lo + c.size].reshape(shape), scale[tile][:, None], out=c)
-            else:
-                np.take(z, offsets[tile][:, None] + cols[:length], out=c)
-                c *= scale[tile][:, None]
-            kd = kd_buf[:c.size].reshape(shape)
-            e = e_buf[:c.size].reshape(shape)
-            np.cumsum(c, axis=1, out=c)
-            np.multiply.outer(drift[tile], steps[:length], out=kd)
-            np.add(c, kd, out=e)
-            out[tile] = np.exp(e, out=e).sum(axis=1)
-            if antithetic:
+    ordered = lengths[order]
+    longest = int(ordered[-1]) if ordered.size else 0
+    steps = np.arange(1, longest + 2, dtype=float)
+    cols = np.arange(longest + 1)
+    # one drift for all paths (simulate_sum, or a fixed maturity) needs one row of k * drift
+    drift_row = drift[0] * steps if drift.size and np.all(drift == drift[0]) else None
+    size = max(_TILE_ELEMENTS, longest + 1)
+    # scratch for one tile: the running sums C, k * drift, the exponentials after
+    # one cell of 0, where the first row's sum starts, and the gather indices
+    c_buf, kd_buf, e_buf = np.empty(size), np.empty(size), np.empty(size + 1)
+    e_buf[0] = 0.0
+    index_buf = np.empty(size, dtype=np.int64)
+    start = int(np.searchsorted(ordered, 1))  # empty paths sum to 0
+    while start < order.size:
+        # rows at most 9/8 as wide as the first, as many as fill the tile at
+        # that width; a thin run of long paths takes rows on up to an eighth of it
+        first_width = int(ordered[start]) + 1
+        stop = int(np.searchsorted(ordered, first_width + first_width // 8 - 1, side="right"))
+        longest_row = int(ordered[stop - 1])
+        rows = min(stop - start, size // (longest_row + (longest_row >= first_width)))
+        if rows * int(ordered[start + rows - 1] + 1) < size // 8:
+            window = ordered[start:start + size // (8 * first_width)]
+            cells = np.arange(1, window.size + 1) * (window + 1)
+            rows = max(rows, int(np.searchsorted(cells, size // 8, side="right")))
+        tile, tile_lengths = order[start:start + rows], ordered[start:start + rows]
+        start += rows
+        padded = int(tile_lengths[0]) < int(tile_lengths[-1])
+        width = int(tile_lengths[-1]) + padded
+        shape = (rows, width)
+        c = c_buf[:rows * width].reshape(shape)
+        firsts = offsets[tile]
+        # A stable sort keeps equal lengths ascending, so a tile of adjacent
+        # equal paths is one slice of z.
+        if not padded and int(tile[-1] - tile[0]) == rows - 1:
+            np.multiply(z[firsts[0]:firsts[0] + c.size].reshape(shape), scale[tile][:, None],
+                        out=c)
+        else:
+            index = np.add(firsts[:, None], cols[:width], out=index_buf[:c.size].reshape(shape))
+            # padding reads the normals after a path, or repeats z[-1] past the end
+            np.take(z, index, out=c, mode="clip")
+            c *= scale[tile][:, None]
+        np.cumsum(c, axis=1, out=c)
+        if drift_row is None:
+            kd = np.multiply.outer(drift[tile], steps[:width], out=kd_buf[:c.size].reshape(shape))
+        else:
+            kd = drift_row[:width]
+        e = e_buf[1:1 + c.size].reshape(shape)
+        if padded:
+            np.copyto(c, 0.0, where=cols[:width] >= tile_lengths[:, None])
+            heads = np.arange(rows) * width
+            segments = np.stack([heads, heads + tile_lengths + 1], axis=1).ravel()[:-1]
+        for sums, flip in ((out, False), (out_anti, True))[:1 + antithetic]:
+            if flip:
                 np.subtract(kd, c, out=e)
-                out_anti[tile] = np.exp(e, out=e).sum(axis=1)
+            else:
+                np.add(c, kd, out=e)
+            np.exp(e, out=e)
+            if padded:
+                e[:, -1] = 0.0
+                sums[tile] = np.add.reduceat(e_buf[:e.size], segments)[::2]
+            else:
+                sums[tile] = e.sum(axis=1)
     return (out, out_anti) if antithetic else (out,)
 
 
 def _simulate(cfg: McConfig, chunk: int, draw_values, path_values, statistic):
     """E[statistic] over cfg.n_paths paths: the one chunk loop of both simulators.
 
-    draw_values(rng, count) draws a chunk's per-path values and says how many
-    normals follow them; path_values(values, z) makes the path values, with
-    the antithetic twins second, as path_partial_product_sums orders them.
+    draw_values(rng, count) draws a chunk's per-path values and returns them
+    with the offsets of the paths' normals; path_values(values, offsets,
+    first, last, z) makes the values of paths first to last - 1 from their
+    normals z, with the antithetic twins second, as path_partial_product_sums
+    orders them.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     primaries = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     acc = _Accumulator()
+    columns = []
 
-    def draw(count, buffer):
-        values, normals = draw_values(rng, count)
-        return values, rng.standard_normal(out=buffer.take(normals))
+    def pieces():
+        buffers, turn = (_Buffer(), _Buffer()), 0
+        for done in range(0, primaries, chunk):
+            values, offsets = draw_values(rng, min(chunk, primaries - done))
+            bounds = _piece_bounds(offsets)
+            for first, last in zip(bounds, bounds[1:]):
+                n = int(offsets[last] - offsets[first])
+                z = rng.standard_normal(out=buffers[turn].take(n))
+                turn ^= 1
+                yield values, offsets, first, last, z
 
-    def add(values, z):
-        columns = [np.asarray(statistic(x), dtype=float) for x in path_values(values, z)]
-        samples = columns[0] if len(columns) == 1 else 0.5 * (columns[0] + columns[1])
+    def add(values, offsets, first, last, z):
+        parts = path_values(values, offsets, first, last, z)
+        if first == 0:
+            columns[:] = [np.empty(offsets.size - 1) for _ in parts]
+        for column, part in zip(columns, parts):
+            column[first:last] = part
+        if last < offsets.size - 1:
+            return
+        stats = [np.asarray(statistic(x), dtype=float) for x in columns]
+        samples = stats[0] if len(stats) == 1 else 0.5 * (stats[0] + stats[1])
         samples = np.atleast_2d(samples.T).T
         finite = np.isfinite(samples).all(axis=0)
         if not finite.all():
@@ -257,7 +338,7 @@ def _simulate(cfg: McConfig, chunk: int, draw_values, path_values, statistic):
                                  "on some path, so its Monte Carlo estimate would not be")
         acc.add(samples)
 
-    _drawn_ahead(draw, [min(chunk, primaries - i) for i in range(0, primaries, chunk)], add)
+    _drawn_ahead(pieces(), add)
     ests = acc.estimates(cfg.n_paths)
     return ests[0] if len(ests) == 1 else ests
 
@@ -276,13 +357,13 @@ def simulate_sum(params, cfg: McConfig, statistic):
     drift = rp.rho - 0.5 * rp.beta
 
     def draw_offsets(rng, count):
-        offsets = np.concatenate([[0], np.cumsum(_draw_horizons(rng, cfg.horizon, count))])
-        return offsets, offsets[-1]
+        return None, np.concatenate([[0], np.cumsum(_draw_horizons(rng, cfg.horizon, count))])
 
-    def path_sums(offsets, z):
-        count = offsets.size - 1
-        return path_partial_product_sums(z, offsets, np.full(count, scale),
-                                         np.full(count, drift), cfg.antithetic)
+    def path_sums(_, offsets, first, last, z):
+        count = last - first
+        return path_partial_product_sums(z, offsets[first:last + 1] - offsets[first],
+                                         np.full(count, scale), np.full(count, drift),
+                                         cfg.antithetic)
 
     return _simulate(cfg, _chunk_size(cfg.horizon), draw_offsets, path_sums, statistic)
 
@@ -311,12 +392,11 @@ def simulate_time_integral(sigma: float, m: float, substeps: int, cfg: McConfig,
 
     def draw_maturities(rng, count):
         maturities = np.full(count, float(T)) if lam is None else rng.exponential(1.0 / lam, count)
-        return maturities, count * n_inner
+        return maturities, np.arange(count + 1, dtype=np.int64) * n_inner
 
-    def integrals(maturities, z):
-        offsets = np.arange(maturities.size + 1, dtype=np.int64) * n_inner
-        dt = maturities / substeps
-        partial = path_partial_product_sums(z, offsets, sigma * np.sqrt(dt),
+    def integrals(maturities, offsets, first, last, z):
+        dt = maturities[first:last] / substeps
+        partial = path_partial_product_sums(z, offsets[:last - first + 1], sigma * np.sqrt(dt),
                                             (m - 0.5 * sigma**2) * dt, cfg.antithetic)
         return [dt * (1.0 + p) for p in partial]
 

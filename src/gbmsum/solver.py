@@ -258,11 +258,15 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndar
 
 def _default_u_max(rp: ReducedParams, exponent: float) -> float:
     c_est = 10.0 * max(2.0 / rp.beta, 1.0)
-    x_tail = (c_est / TRUNCATION_TOL) ** (1.0 / exponent)
+    # u = log1p(x) at the tail point x = (c_est / tol)^(1/exponent), taken in logs:
+    # below exponent ~0.03 that x overflows a float, and the cap applies anyway
+    u_tail = math.log(c_est / TRUNCATION_TOL) / exponent
+    if u_tail <= _U_MAX_CAP:
+        u_tail = math.log1p((c_est / TRUNCATION_TOL) ** (1.0 / exponent))
     mean_mult = math.exp(rp.rho)
     denom = 1.0 - (1.0 - rp.p) * mean_mult
     body_x = 100.0 * max(mean_mult / denom, 1.0) if denom > 0.0 else 100.0
-    u_max = max(math.log1p(x_tail), math.log1p(body_x), 6.0)
+    u_max = max(u_tail, math.log1p(body_x), 6.0)
     if u_max > _U_MAX_CAP:
         warnings.warn(f"default grid span capped at u_max = {_U_MAX_CAP} (tail exponent "
                       f"{exponent:.3g} would need {u_max:.3g}); truncated tail mass may "
@@ -331,9 +335,13 @@ def survival_on_grid(F: GridDensity) -> np.ndarray:
 
 
 def survival(F: GridDensity, x: float) -> float:
-    """P(X > x) by grid integration with analytic tail closure."""
+    """P(X > x) by grid integration with analytic tail closure, clipped to [0, 1]."""
     if math.isnan(x):
         raise ParameterError("survival needs a level x, got NaN")
+    return min(max(_survival(F, x), 0.0), 1.0)
+
+
+def _survival(F: GridDensity, x: float) -> float:
     if x <= 0.0:
         return float(_mass_weights(F.grid) @ F.values + _tail_mass(F))
     u_x = math.log1p(x)
@@ -350,8 +358,8 @@ def survival(F: GridDensity, x: float) -> float:
 
 
 def cdf(F: GridDensity, x: float) -> float:
-    """P(X <= x); cdf + survival equals the total mass exactly."""
-    return survival(F, 0.0) - survival(F, x)
+    """P(X <= x) = survival(F, 0) - survival(F, x), clipped to [0, 1]."""
+    return min(max(survival(F, 0.0) - survival(F, x), 0.0), 1.0)
 
 
 def quantile(F: GridDensity, q: float) -> float:

@@ -47,6 +47,15 @@ class TestDensityCommand:
         report = json.load(open(tmp_path / "density_report.json"))
         assert report["tail"]["exponent"] == pytest.approx(207.675, rel=1e-4)
 
+    def test_small_tail_exponent_caps_the_span(self, tmp_path):
+        # mu = 0.028: the span the law would need, 719, overflowed a float on its
+        # way to the cap; it is capped with a warning instead
+        assert main(["density", "--beta", "0.359641", "--rho", "0.49595", "--p", "0.008954",
+                     "--out", str(tmp_path)]) == 0
+        warned = json.load(open(tmp_path / "density.manifest.json"))["warnings"]
+        assert [w["category"] for w in warned] == ["AccuracyWarning"]
+        assert "would need 719" in warned[0]["message"]
+
     def test_stopped_variant_runs(self, tmp_path):
         out = str(tmp_path)
         code = main(["density", "--beta", "1", "--rho", "0", "--p", "0.1",

@@ -4,6 +4,8 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,35 +79,65 @@ class TestDeterminism:
 
 class TestDrawAhead:
     @staticmethod
-    def _run(counts):
-        """Chunks tagged with their index; each is checked after the next is drawn."""
-        bases, seen = [], []
+    def _run(n_pieces):
+        """Pieces tagged with their index and drawn into two buffers in turn;
+        each is checked after the next one has been drawn."""
+        buffers, drawn, seen = (mc._Buffer(), mc._Buffer()), [], []
 
-        def draw(count, buffer):
-            z = buffer.take(count)
-            z.fill(len(bases))
-            bases.append(z.base)
-            return len(bases) - 1, z
+        def pieces():
+            for index in range(n_pieces):
+                z = buffers[index % 2].take(1000)
+                z.fill(index)
+                drawn.append(index)
+                yield index, z
 
         def consume(index, z):
             deadline = time.monotonic() + 10.0
-            while len(bases) < min(index + 2, len(counts)) and time.monotonic() < deadline:
+            while len(drawn) < min(index + 2, n_pieces) and time.monotonic() < deadline:
                 time.sleep(1e-4)
+            assert len(drawn) == min(index + 2, n_pieces)  # one piece ahead, never two
             assert (z == index).all()
             seen.append(index)
 
-        mc._drawn_ahead(draw, counts, consume)
-        return bases, seen
+        mc._drawn_ahead(pieces(), consume)
+        return seen
 
-    def test_chunk_is_not_overwritten_while_consumed(self):
-        counts = [1000] * 20 + [300_000] * 20  # each buffer regrows once
-        _, seen = self._run(counts)
-        assert seen == list(range(len(counts)))
+    def test_piece_is_not_overwritten_while_consumed(self):
+        assert self._run(40) == list(range(40))
 
-    def test_equal_chunks_share_two_buffers(self):
-        # the normals of a whole run live in two arrays, whatever the scheduling
-        bases, _ = self._run([1000] * 50)
-        assert len({id(base) for base in bases}) == 2
+    def test_two_buffers_serve_a_run(self, monkeypatch):
+        # the normals of a whole run, 40 pieces in 3 chunks, live in two arrays
+        arrays = []
+        take = mc._Buffer.take
+
+        def recorded(self, n):
+            z = take(self, n)
+            arrays.append(z.base)
+            return z
+
+        monkeypatch.setattr(mc._Buffer, "take", recorded)
+        cfg = g.McConfig(n_paths=100_000, seed=1, horizon=g.FixedHorizon(100))
+        g.simulate_sum(g.ReducedParams(beta=0.1, rho=-0.1), cfg, lambda x: x)
+        assert len(arrays) == 40
+        assert len({id(a) for a in arrays}) == 2
+
+    def test_error_leaves_no_worker_thread(self):
+        # an error in consume, then one in the draws, reaches the caller
+        def consume(index, z):
+            if index == 1:
+                raise ParameterError("consume")
+
+        def pieces():
+            yield 0, None
+            raise ParameterError("draw")
+
+        before = threading.active_count()
+        with pytest.raises(ParameterError, match="consume"):
+            mc._drawn_ahead(((index, None) for index in range(10)), consume)
+        assert threading.active_count() == before
+        with pytest.raises(ParameterError, match="draw"):
+            mc._drawn_ahead(pieces(), lambda index, z: None)
+        assert threading.active_count() == before
 
 
 class TestAgainstClosedForms:
@@ -282,3 +314,49 @@ class TestChunkMemory:
         g.simulate_sum(g.ReducedParams(beta=0.01, rho=-0.01), cfg, lambda x: x)
         assert sum(requests) == 1000 * 20_000
         assert max(requests) <= max(mc._MAX_CHUNK_ELEMENTS, 20_000)
+        assert max(requests) <= max(mc._PIECE_ELEMENTS, 20_000)
+
+    def test_two_chunks_hold_pieces_not_chunks(self):
+        # 200_000 antithetic paths of 80 steps: two chunks of 4M normals (32 MB)
+        cfg = g.McConfig(n_paths=200_000, seed=1, antithetic=True, horizon=g.FixedHorizon(80))
+        assert mc._chunk_size(cfg.horizon) == cfg.n_paths // 4
+        tracemalloc.start()
+        try:
+            g.simulate_sum(g.ReducedParams(beta=0.05, rho=-0.2), cfg, lambda x: x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_geometric_chunk_sums_do_not_depend_on_the_pieces(self):
+        # each path's sum is its own: whole chunk or piece by piece, bit for bit
+        rng = np.random.Generator(np.random.Philox(3))
+        offsets = np.concatenate([[0], np.cumsum(rng.geometric(0.01, 20_000))])
+        z = rng.standard_normal(offsets[-1])
+        count = offsets.size - 1
+        scale, drift = np.full(count, 0.07), np.full(count, -0.0025)
+        whole = mc.path_partial_product_sums(z, offsets, scale, drift, antithetic=True)
+        bounds = mc._piece_bounds(offsets)
+        assert len(bounds) > 4
+        pieces = [mc.path_partial_product_sums(z[offsets[a]:offsets[b]],
+                                               offsets[a:b + 1] - offsets[a], scale[a:b],
+                                               drift[a:b], antithetic=True)
+                  for a, b in zip(bounds, bounds[1:])]
+        for k in range(2):
+            assert np.array_equal(np.concatenate([p[k] for p in pieces]), whole[k])
+
+    def test_padding_past_a_path_end_cannot_overflow(self):
+        # 40 one-step paths of z = 20, then a 40-step path: they share a padded
+        # tile, whose rows read on into the next paths' normals; their running
+        # sums would reach 800 there, where exp overflows
+        offsets = np.arange(42)
+        offsets[-1] = 80
+        z = np.concatenate([np.full(40, 20.0), np.full(40, -1.0)])
+        count = offsets.size - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, anti = mc.path_partial_product_sums(z, offsets, np.ones(count),
+                                                     np.zeros(count), antithetic=True)
+        assert np.array_equal(out[:40], np.full(40, math.exp(20.0)))
+        assert np.array_equal(anti[:40], np.full(40, math.exp(-20.0)))
+        assert out[40] == pytest.approx(sum(math.exp(-k) for k in range(1, 41)), rel=1e-14)

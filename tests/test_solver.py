@@ -162,6 +162,17 @@ class TestDefaultStep:
         assert 3.0 * F.grid.h <= math.sqrt(8.97e-4)
 
 
+class TestDefaultSpan:
+    def test_small_tail_exponent_is_capped_with_a_warning(self):
+        # mu = 0.028: the tail point (c / tol)^(1/mu) overflows a float; its log,
+        # the span the law would need, is 719, above the cap of 60
+        rp = g.ReducedParams(beta=0.359641, rho=0.49595, p=0.008954)
+        exponent = g.tail_exponent(rp)
+        assert exponent == pytest.approx(0.028, abs=5e-4)
+        with pytest.warns(AccuracyWarning, match="would need 719"):
+            assert solver._default_u_max(rp, exponent) == solver._U_MAX_CAP
+
+
 class TestOperatorBuild:
     def test_build_allocates_only_the_operator(self):
         rp = g.ReducedParams(beta=1.0, rho=0.0)
@@ -755,6 +766,15 @@ class TestIntegrals:
             assert g.cdf(F, x) + g.survival(F, x) == pytest.approx(
                 g.survival(F, 0.0), abs=1e-10
             )
+
+    def test_survival_and_cdf_stay_in_the_unit_interval(self, solved):
+        # the grid integral of survival reads 1.0000000000000002 at x = 0.5 here
+        F, _ = solved(0.0061, -0.534301)
+        assert solver._survival(F, 0.5) > 1.0
+        assert g.survival(F, 0.5) == 1.0
+        for x in (0.0, 0.5, 1.0, 1e3):
+            assert 0.0 <= g.survival(F, x) <= 1.0
+            assert 0.0 <= g.cdf(F, x) <= 1.0
 
     def test_survival_at_zero_is_total_mass(self, solved):
         F, _ = solved(1.0, -0.1, tol=1e-8)
