@@ -6,10 +6,10 @@ law of the integral up to an exponential time (with its survival function
 and moment identity).  All densities accept scalars or numpy arrays.
 
 `_de_integrate`, a double-exponential rule in numpy alone, takes every integral
-the library does not sum on a grid, one integrand or a stack of them (the
-left-tail levels): tanh-sinh nodes on a finite interval, exp-sinh nodes on a
-half line (Takahasi and Mori, Publ. RIMS 9, 1974).  `_ndtr`, the standard
-normal cdf in numpy alone, serves the Black-Scholes rows of the Asian prices.
+the library neither sums on a grid nor has in closed form: tanh-sinh nodes on
+a finite interval, exp-sinh nodes on a half line (Takahasi and Mori, Publ.
+RIMS 9, 1974).  `_ndtr`, the standard normal cdf in numpy alone, serves the
+Asian prices' Black-Scholes rows and the left-tail probabilities.
 Only the continuous-time laws (inv_gamma_cdf, yor_pdf, yor_survival) load
 scipy.special, when they are called.
 """
@@ -56,42 +56,40 @@ def _de_nodes(t: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     return np.where(t < 0.0, a + gap, b - gap), 2.0 * (b - a) * ds * e / (1.0 + e) ** 2
 
 
-def _de_integrate(f, a: float, b: float, scale: float = 0.0) -> float | np.ndarray:
+def _de_integrate(f, a: float, b: float, scale: float = 0.0) -> float:
     """Integral of the vectorized f over [a, b] (b may be inf) by the
     double-exponential rule.
 
-    An f giving shape (k, nodes) is k integrands, and the result their k
-    integrals.  Each halving of the step adds the new midpoints to the last
-    sum.  The sums must agree to _DE_RTOL relative to the integral of |f|
-    (each integrand's own), or to `scale` where that is larger (the size of
-    what the caller adds the result to).  An AccuracyWarning names a rule
-    that runs out of levels first, as a kink or jump in f makes it do.  On a
-    half line the nodes end at x - a = 299, so f must decay there; an f that
-    does not leaves its last node's term in every sum at that sum's step,
-    and the sums disagree.
+    Each halving of the step adds the new midpoints to the last sum.  The
+    sums must agree to _DE_RTOL relative to the integral of |f|, or to
+    `scale` where that is larger (the size of what the caller adds the
+    result to).  An AccuracyWarning names a rule that runs out of levels
+    first, as a kink or jump in f makes it do.  On a half line the nodes end
+    at x - a = 299, so f must decay there; an f that does not leaves its
+    last node's term in every sum at that sum's step, and the sums disagree.
     """
     t_lo, t_hi = _DE_T_HALF_LINE if math.isinf(b) else _DE_T_FINITE
     h = 0.5
     t = np.arange(t_lo, t_hi + 0.5 * h, h)
     x, dx = _de_nodes(t, a, b)
     terms = np.asarray(f(x), dtype=float) * dx
-    total, norm = h * terms.sum(axis=-1), h * np.abs(terms).sum(axis=-1)
+    total, norm = h * terms.sum(), h * np.abs(terms).sum()
     for _ in range(_DE_LEVELS - 1):
         h *= 0.5
         x, dx = _de_nodes(np.arange(t_lo + h, t_hi, 2.0 * h), a, b)
         terms = np.asarray(f(x), dtype=float) * dx
         prev = total
-        total = 0.5 * total + h * terms.sum(axis=-1)
-        norm = 0.5 * norm + h * np.abs(terms).sum(axis=-1)
+        total = 0.5 * total + h * terms.sum()
+        norm = 0.5 * norm + h * np.abs(terms).sum()
         # an integrand 0 at every node has norm 0 and agrees
-        limit = np.maximum(np.maximum(norm, scale), np.finfo(float).tiny)
-        if np.all(np.abs(total - prev) <= _DE_RTOL * limit):
+        limit = max(norm, scale, np.finfo(float).tiny)
+        if abs(total - prev) <= _DE_RTOL * limit:
             break
     else:
         warnings.warn(f"double-exponential rule on [{a:.6g}, {b:.6g}] stopped at step {h}: "
-                      f"its last two sums differ by {np.max(np.abs(total - prev) / limit):.3g} "
+                      f"its last two sums differ by {abs(total - prev) / limit:.3g} "
                       f"relative, above {_DE_RTOL}", AccuracyWarning, stacklevel=2)
-    return total if np.ndim(total) else float(total)
+    return float(total)
 
 
 # The Cephes rational approximations of erf on |x| <= 1 and of

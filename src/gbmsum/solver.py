@@ -87,7 +87,7 @@ class GridDensity:
     grid; integrals over the density use it for closure.  Only the solver
     sets params, the law's parameters, and col_scale: on a law solved at
     0 <= p < 1, the column scales of the operator it is the fixed point of,
-    cropped to the grid, which off-grid refinement applies.
+    cropped to the grid, which off-grid refinement and left_tail_cdf apply.
     """
 
     grid: Grid
@@ -407,13 +407,14 @@ def expectation(F: GridDensity, payoff) -> float:
 
     `payoff` must be vectorized (ndarray -> ndarray of the same shape); the
     grid part reads it at the nodes x > 0 only, so log x and 1/x are fine
-    payoffs there.  With a tail attached,
-    the closure's density c mu x^(-mu-1) beyond x_max is integrated in
-    w = mu log(x/x_max) as c x_max^(-mu) times the integral over w > 0 of
-    payoff(x_max e^(w/mu)) e^(-w).  The payoff's growth is read at the
-    half-line rule's two farthest nodes, far beyond any kink near the grid
-    (both scaled down together where the farther one would put x past the
-    largest float): growth at or above the tail exponent raises
+    payoffs there, and a payoff times density that is not finite there
+    raises ParameterError naming the first such node, with no numpy warning.
+    With a tail attached, the closure's density c mu x^(-mu-1) beyond x_max
+    is integrated in w = mu log(x/x_max) as c x_max^(-mu) times the integral
+    over w > 0 of payoff(x_max e^(w/mu)) e^(-w).  The payoff's growth is
+    read at the half-line rule's two farthest nodes, far beyond any kink
+    near the grid (both scaled down together where the farther one would put
+    x past the largest float): growth at or above the tail exponent raises
     DivergentExpectationError.  The power law through those two payoff
     values is integrated in closed form and stands in for the payoff beyond
     the farther one; the double-exponential rule takes the rest, so a payoff
@@ -422,7 +423,12 @@ def expectation(F: GridDensity, payoff) -> float:
     (AccuracyWarning).
     """
     x = F.grid.x()[1:]  # the node x = 0 carries no mass (values[0] = 0): no payoff is read there
-    total = float(_mass_weights(F.grid)[1:] @ (F.values[1:] * _payoff_values(payoff, x)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a term that is not finite is named below
+        terms = F.values[1:] * _payoff_values(payoff, x)
+    if not np.all(np.isfinite(terms)):
+        raise ParameterError(f"payoff times density is not finite at the grid node x = "
+                             f"{x[np.argmin(np.isfinite(terms))]:.6g}")
+    total = float(_mass_weights(F.grid)[1:] @ terms)
     if F.tail is None:
         return total
     x_max = float(x[-1])
@@ -502,11 +508,10 @@ def density_at(F: GridDensity, x_points) -> np.ndarray:
     """Refine a law from solve_infinite or solve_geometric at points x > 0:
     p f1(x) + (1-p) (T F)(x), T F by one kernel row per point on F's grid,
     weighted by the column scales of F's solve, which reproduces the fixed
-    point off-grid to quadrature accuracy.  Intended for the left tail; near
-    the grid top the row bands are truncated.  The rows follow the sorted
-    points, so a block's window spans the bands of 16 neighbouring points;
-    points far apart widen every block, up to the whole grid.  The result
-    has the shape of `x_points`.
+    point off-grid to quadrature accuracy.  Near the grid top the row bands
+    are truncated.  The rows follow the sorted points, so a block's window
+    spans the bands of 16 neighbouring points; points far apart widen every
+    block, up to the whole grid.  The result has the shape of `x_points`.
     """
     x_points = np.asarray(x_points, dtype=float)
     x = x_points.reshape(-1)
@@ -525,29 +530,25 @@ def density_at(F: GridDensity, x_points) -> np.ndarray:
 
 
 def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
-    """P(X <= eps) for eps far below the grid step, via off-grid refinement.
-
-    With x = eps e^(-s), P(X <= eps) is the integral over s > 0 of
-    f(eps e^(-s)) eps e^(-s), which the double-exponential rule takes on the
-    half line.  Every eps shares the rule's nodes s, so one refinement per
-    level serves them all; a node whose x underflows to 0 adds 0.
-    """
+    """P(X <= eps) at each level eps > 0, the exact integral over (0, eps] of
+    the law density_at refines: X = M (1 + X') with M the log-normal
+    multiplier, so P(X <= eps) = p Phi(d(0)) + (1-p) sum_k h e^(u_k) s_k F_k
+    Phi(d(u_k)), d(u) = (log eps - u - rho + beta/2) / sqrt(beta), s the
+    column scales of F's solve.  Each level's row is summed on its own, so
+    it does not depend on the levels beside it; a probability below the
+    smallest normal double may read 0."""
     eps_values = np.asarray(eps_values, dtype=float)
     if not np.all(np.isfinite(eps_values) & (eps_values > 0.0)):
         raise ParameterError("left-tail levels eps must be finite and positive")
-    _solved_params(F, "off-grid refinement")
-    if eps_values.size == 0:
-        return np.zeros(eps_values.shape)
-    eps = eps_values.reshape(-1, 1)
-
-    def mass(s):
-        x = eps * np.exp(-s)
-        out = np.zeros(x.shape)
-        live = x > 0.0
-        out[live] = density_at(F, x[live]) * x[live]
-        return out
-
-    return distributions._de_integrate(mass, 0.0, math.inf).reshape(eps_values.shape)
+    rp = _solved_params(F, "the left-tail cdf")
+    root = math.sqrt(rp.beta)
+    level = np.log(eps_values.reshape(-1, 1)) + 0.5 * rp.beta - rp.rho  # d(u) = (level - u) / root
+    probs = rp.p * distributions._ndtr(level[:, 0] / root)
+    if rp.p < 1.0:
+        mass = F.grid.h * np.exp(F.grid.u()) * F.col_scale * F.values
+        phi = distributions._ndtr((level - F.grid.u()) / root)
+        probs = probs + (1.0 - rp.p) * (phi * mass).sum(axis=1)
+    return probs.reshape(eps_values.shape)
 
 
 # -- quadrature error bound -----------------------------------------------------

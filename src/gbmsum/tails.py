@@ -150,7 +150,7 @@ def fit_left_tail_coefficient(F: solver.GridDensity, params) -> float:
     eps = np.geomspace(1e-4, 1e-2, 12)
     probs = solver.left_tail_cdf(F, eps)
     if np.any(probs <= 0.0):
-        raise ParameterError("left-tail probabilities vanished; grid too coarse")
+        raise ParameterError(f"P(X <= {eps[probs <= 0.0].max():.6g}) underflows a double")
     coeffs = np.polyfit(np.log(eps), np.log(probs), 2)
     return float(coeffs[0])
 

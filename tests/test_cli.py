@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from gbmsum import ParameterError, pricing, solver
+from gbmsum import ParameterError, pricing, solver, tails
 from gbmsum.cli import _Outputs, main
 
 
@@ -437,11 +437,22 @@ class TestMalformedInput:
         assert err[0] == "warning: overflow encountered in power"
         assert err[-1].startswith("error: statistic column 0 is not finite")
 
-    def test_non_finite_report_exit_2(self, tmp_path, capsys):
-        # at mu = 204.4 the tail constant and the VaR threshold overflow to inf
+    def test_overflowing_tail_constant_exit_2(self, tmp_path, capsys):
+        # at mu = 274 the tail constant's payoff overflows on the grid: one named
+        # error, where numpy's overflow warnings and a NaN constant were
+        assert main(["annuity", "--beta", "0.00145", "--rho", "-0.198", "--p", "0.00278",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: payoff times density is not finite at the grid node x = 12.3298"]
+        assert not (tmp_path / "annuity_report.json").exists()
+
+    def test_non_finite_report_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a tail constant of inf makes the VaR threshold inf too; no law gives one
+        # now that expectation names an overflowing payoff, so it is patched in
+        monkeypatch.setattr(tails, "tail_constant", lambda F: math.inf)
         out = tmp_path / "out"
-        assert main(["annuity", "--beta", "0.002", "--rho", "-0.2", "--p", "0.5",
-                     "--out", str(out)]) == 2
+        assert main(["annuity", "--beta", "0.1", "--rho", "0", "--p", "0.1",
+                     "--q-list", "0", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"error: {out / 'annuity_report.json'} would hold a non-finite value"
         assert not (out / "annuity_report.json").exists()

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,25 +308,6 @@ class TestDoubleExponentialRule:
         # e^(-x/100) keeps e^-3 of its mass beyond the farthest node, x = 299
         with pytest.warns(AccuracyWarning, match="stopped at step"):
             _de_integrate(lambda x: np.exp(-0.01 * x), 0.0, math.inf)
-
-    def test_stacked_integrands_each_converge(self):
-        # rows of one (k, nodes) array are k integrals; a row 0 at every node
-        # agrees at once and so stops no other row
-        def stacked(x):
-            return np.stack([np.exp(-x), x**2.5 * np.exp(-x), np.zeros_like(x)])
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = _de_integrate(stacked, 0.0, math.inf)
-        assert values.shape == (3,)
-        np.testing.assert_allclose(values, [1.0, math.gamma(3.5), 0.0], rtol=1e-14, atol=0.0)
-
-    def test_stacked_integrand_that_stops_warns(self):
-        def stacked(x):
-            return np.stack([np.exp(-x), np.zeros_like(x), np.exp(-0.01 * x)])
-
-        with pytest.warns(AccuracyWarning, match="stopped at step"):
-            _de_integrate(stacked, 0.0, math.inf)
 
 
 class TestImport:

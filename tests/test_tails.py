@@ -104,6 +104,17 @@ class TestTailConstants:
         with pytest.raises(ParameterError):
             g.tail_constant(F)
 
+    @pytest.mark.parametrize("beta, rho, p, node", [(0.00145, -0.198, 0.00278, "12.3298"),
+                                                    (0.001, -0.1, 0.5, "29.5694")])
+    def test_overflowing_payoff_names_the_grid_node(self, solved, beta, rho, p, node):
+        # at mu = 274 and 208 (1+x)^mu overflows on the grid: the constant came out
+        # NaN and inf after numpy warnings; now one named error and no warning
+        F, _ = solved(beta, rho, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"not finite at the grid node x = {node}$"):
+                g.tail_constant(F)
+
     def test_continuity_to_infinite_constant(self, solved):
         Fi, _ = solved(1.0, -0.1, tol=1e-9, u_max=16.0)
         ci = g.tail_constant(Fi)
@@ -136,6 +147,12 @@ class TestLeftTailCoefficients:
         F, _ = solved(1.0, -0.1, tol=1e-9)
         coef = g.fit_left_tail_coefficient(F, rp)
         assert coef == pytest.approx(-0.5, rel=0.15)
+
+    def test_underflowing_level_is_named(self, solved):
+        # at beta = 0.02, P(X <= eps) underflows to 0 at the 10 levels up to 4.3e-3
+        F, _ = solved(0.02, -0.01, 0.01, tol=1e-9, max_iter=2000)
+        with pytest.raises(ParameterError, match=r"P\(X <= 0\.00432876\) underflows a double"):
+            g.fit_left_tail_coefficient(F, g.ReducedParams(beta=0.02, rho=-0.01, p=0.01))
 
 
 class TestShortfall:
