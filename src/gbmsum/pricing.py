@@ -89,11 +89,10 @@ def _finite_sum_grid(n: int, rp: ReducedParams) -> Grid:
                          math.log1p(max(mean, 1.0) * math.exp(margin)))
 
 
-def _powers(n: int, rp: ReducedParams, grid: Grid):
+def _powers(n: int, rp: ReducedParams, grid: Grid, op: GaussianStepOperator):
     """The k-term densities f1, T f1, ..., T^(n-1) f1 on grid, from one running
-    pass of the step operator; each power is zeroed below _POWER_FLOOR, f1 is
-    the multiplier law exactly."""
-    op = GaussianStepOperator(grid, rp)
+    pass of the step operator op; each power is zeroed below _POWER_FLOOR, f1
+    is the multiplier law exactly."""
     vals = multiplier_pdf(grid.x(), rp)
     yield vals
     for _ in range(n - 1):
@@ -103,26 +102,28 @@ def _powers(n: int, rp: ReducedParams, grid: Grid):
 
 
 @functools.lru_cache(maxsize=8)
-def _finite_sum_laws(n: int, rp: ReducedParams) -> tuple[np.ndarray | None, GridDensity]:
-    """The (n-1)-term values and the n-term law on the n-term law's grid,
-    from one power pass, built once per (n, law) and cached read-only; at
-    n = 1 the law one step back is the point mass at 0, given as None."""
+def _finite_sum_laws(n: int, rp: ReducedParams) -> solver._Law:
+    """The n-term law at rp = ReducedParams(beta, rho), from one power pass,
+    cached read-only; its law one step back is the (n-1)-term values, or at
+    n = 1 the point mass at 0, given as None."""
     grid = _finite_sum_grid(n, rp)
+    op = GaussianStepOperator(grid, rp)
     prev = last = None
-    for vals in _powers(n, rp, grid):
+    for vals in _powers(n, rp, grid, op):
         prev, last = last, vals
         vals.setflags(write=False)
-    return prev, GridDensity(grid, last)
+    return solver._Law(grid, last, params=rp, col_scale=op._col_scale, prev=prev)
 
 
 def finite_sum_density(n: int, params) -> GridDensity:
     """Density of the n-term sum: n-1 applications of the one-step transform
-    to the one-period multiplier law, built once per (n, law); calls for the
-    same law return the same read-only law.  No power-law tail is attached
-    (finite sums have log-normal-type tails)."""
+    to the one-period multiplier law, built once per (n, beta, rho), as no
+    stopping p enters, and refined by density_at and left_tail_cdf as a
+    solve is.  No power-law tail is attached (log-normal-type tails)."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    return _finite_sum_laws(n, as_reduced(params))[1]
+    rp = as_reduced(params)
+    return _finite_sum_laws(n, ReducedParams(rp.beta, rp.rho))
 
 
 def finite_sum_density_derivative_form(n: int, params) -> GridDensity:
@@ -192,7 +193,8 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
     if u_max is None:
         u_max = math.log1p(1000.0 * max(exact_mean, 1.0))
     grid = Grid.spanning(solver._default_step(rp.beta), u_max)
-    F = GridDensity(grid, sum(w * vals for w, vals in zip(weights, _powers(cap, rp, grid))))
+    powers = _powers(cap, rp, grid, GaussianStepOperator(grid, rp))
+    F = GridDensity(grid, sum(w * vals for w, vals in zip(weights, powers)))
     rel_err = solver._mean_rel_err(F, exact_mean)
     if rel_err > _MIXTURE_MEAN_RTOL:
         warnings.warn(f"mixture grid mean misses the exact mean {exact_mean:.6g} by {rel_err:.3g} "
@@ -223,12 +225,12 @@ def asian_prices(spec: AsianSpec) -> dict:
     n = spec.n_fixings
     kappa = n * spec.strike / spec.s0
     disc = math.exp(-spec.rate * spec.maturity)
-    prev, law = _finite_sum_laws(n, rp)
+    law = _finite_sum_laws(n, rp)
     grid = law.grid
-    if prev is None:
+    if law.prev is None:
         u, weights = np.zeros(1), np.ones(1)
     else:
-        u, weights = grid.u(), solver._mass_weights(grid) * prev
+        u, weights = grid.u(), solver._mass_weights(grid) * law.prev
         x_max = math.expm1(grid.u_max)
         if kappa >= x_max:
             warnings.warn(
@@ -276,7 +278,7 @@ def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
     The grid part is a trapezoid sum; the part beyond the grid top x_max is
     the tail closure c mu x^(-mu-1) integrated in closed form, kink included:
     c k^(-mu) (mu k / (mu - 1) - kappa) with k = max(kappa, x_max)."""
-    rp = solver._solved_params(F, "geometric_maturity_option")
+    rp = solver._law(F, "geometric_maturity_option", fixed_point=True).params
     if not (0.0 < rp.p < 1.0):
         raise ParameterError(f"needs 0 < p < 1, got p = {rp.p}")
     if not (kappa >= 0.0):

@@ -84,17 +84,13 @@ class GridDensity:
     """A density of X sampled in u coordinates: values[j] = f(e^{u_j} - 1).
 
     The optional tail asymptote extends the law analytically beyond the
-    grid; integrals over the density use it for closure.  Only the solver
-    sets params, the law's parameters, and col_scale: on a law solved at
-    0 <= p < 1, the column scales of the operator it is the fixed point of,
-    cropped to the grid, which off-grid refinement and left_tail_cdf apply.
+    grid; integrals over the density use it for closure.  The solves and
+    finite_sum_density return a subclass, _Law, that carries its last step.
     """
 
     grid: Grid
     values: np.ndarray
     tail: TailAsymptote | None = None
-    params: ReducedParams | None = field(default=None, init=False, repr=False, compare=False)
-    col_scale: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -111,6 +107,24 @@ class GridDensity:
         vals = np.where(vals < 0.0, 0.0, vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+@dataclass(frozen=True)
+class _Law(GridDensity):
+    """A law X = M (1 + X') built by the step operator T, with params, T's
+    column scales on the grid and prev, the values of X': its density is
+    p f1 + (1-p) T prev, or f1 where prev is None (p = 1, or one term).  A
+    fixed point (p < 1) is its own X': given its values as prev, prev is values."""
+
+    params: ReducedParams = field(kw_only=True, repr=False, compare=False)
+    col_scale: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
+    prev: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        given = self.values
+        super().__post_init__()
+        if self.prev is given:
+            object.__setattr__(self, "prev", self.values)
 
 
 @dataclass
@@ -172,6 +186,7 @@ class GaussianStepOperator:
                                minlength=grid.n_points)
         with np.errstate(divide="ignore", invalid="ignore"):
             col_scale = np.where(col_mass > 0.0, mass_w / col_mass, 1.0)
+        col_scale.setflags(write=False)  # laws keep them, and views of them, for refinement
         self._col_scale = col_scale
         self._mass_w = mass_w  # trapezoid mass weights: mass_w @ apply(v) == mass_w @ v
         self._blocks, self._cols = blocks, cols
@@ -496,34 +511,36 @@ def _lognormal_option_rows(u: np.ndarray, kappa: float,
 # -- off-grid refinement --------------------------------------------------------
 
 
-def _solved_params(F: GridDensity, use: str) -> ReducedParams:
-    """The parameters F was solved at, for a use that reads them."""
-    if F.params is None:
-        raise ParameterError(f"{use} needs a law from solve_infinite or solve_geometric, "
-                             "which records its parameters")
-    return F.params
+def _law(F: GridDensity, use: str, fixed_point: bool = False) -> _Law:
+    """F, for a use that reads its last step; with fixed_point, for one that
+    takes a law solved at p < 1 only, whose law one step back is itself."""
+    if not isinstance(F, _Law) or (fixed_point and F.prev is not F.values):
+        need = ("a fixed point, from solve_infinite or from solve_geometric at 0 < p < 1"
+                if fixed_point else "a law from a solve or finite_sum_density")
+        raise ParameterError(f"{use} needs {need}")
+    return F
 
 
 def density_at(F: GridDensity, x_points) -> np.ndarray:
-    """Refine a law from solve_infinite or solve_geometric at points x > 0:
-    p f1(x) + (1-p) (T F)(x), T F by one kernel row per point on F's grid,
-    weighted by the column scales of F's solve, which reproduces the fixed
-    point off-grid to quadrature accuracy.  Near the grid top the row bands
-    are truncated.  The rows follow the sorted points, so a block's window
-    spans the bands of 16 neighbouring points; points far apart widen every
-    block, up to the whole grid.  The result has the shape of `x_points`.
+    """Refine a law from a solve or finite_sum_density at points x > 0:
+    p f1(x) + (1-p) (T prev)(x), or f1(x) where prev is None, T prev by one
+    kernel row per point weighted by F's column scales, which reproduces the
+    law off-grid to quadrature accuracy.  Near the grid top the row bands are
+    truncated.  The rows follow the sorted points, so a block's window spans
+    the bands of 16 neighbouring points; points far apart widen every block,
+    up to the whole grid.  The result has the shape of `x_points`.
     """
     x_points = np.asarray(x_points, dtype=float)
     x = x_points.reshape(-1)
     if not np.all(np.isfinite(x) & (x > 0.0)):
         raise ParameterError("off-grid refinement needs finite points x > 0")
-    rp = _solved_params(F, "off-grid refinement")
-    if rp.p == 1.0 or x.size == 0:  # the law is f1 itself, or no point to refine
+    rp = _law(F, "off-grid refinement").params
+    if F.prev is None or x.size == 0:  # the law is f1 itself, or no point to refine
         return distributions.multiplier_pdf(x, rp).reshape(x_points.shape)
     order = np.argsort(x)
     blocks, cols = _kernel_rows(F.grid, rp, np.log(x[order]) + 1.5 * rp.beta - rp.rho)
     vals = np.empty(x.size)
-    vals[order] = _block_product(blocks, cols, F.col_scale * F.values, 0, cols.size)[: x.size]
+    vals[order] = _block_product(blocks, cols, F.col_scale * F.prev, 0, cols.size)[: x.size]
     if rp.p > 0.0:
         vals = rp.p * distributions.multiplier_pdf(x, rp) + (1.0 - rp.p) * vals
     return vals.reshape(x_points.shape)
@@ -532,22 +549,22 @@ def density_at(F: GridDensity, x_points) -> np.ndarray:
 def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
     """P(X <= eps) at each level eps > 0, the exact integral over (0, eps] of
     the law density_at refines: X = M (1 + X') with M the log-normal
-    multiplier, so P(X <= eps) = p Phi(d(0)) + (1-p) sum_k h e^(u_k) s_k F_k
-    Phi(d(u_k)), d(u) = (log eps - u - rho + beta/2) / sqrt(beta), s the
-    column scales of F's solve.  Each level's row is summed on its own, so
-    it does not depend on the levels beside it; a probability below the
-    smallest normal double may read 0."""
+    multiplier, so P(X <= eps) = p Phi(d(0)) + (1-p) sum_k h e^(u_k) s_k prev_k
+    Phi(d(u_k)), or Phi(d(0)) where prev is None, d(u) = (log eps - u - rho
+    + beta/2) / sqrt(beta), s F's column scales.  Each level's row is summed
+    on its own, so it does not depend on the levels beside it; a probability
+    below the smallest normal double may read 0."""
     eps_values = np.asarray(eps_values, dtype=float)
     if not np.all(np.isfinite(eps_values) & (eps_values > 0.0)):
         raise ParameterError("left-tail levels eps must be finite and positive")
-    rp = _solved_params(F, "the left-tail cdf")
+    rp = _law(F, "the left-tail cdf").params
     root = math.sqrt(rp.beta)
     level = np.log(eps_values.reshape(-1, 1)) + 0.5 * rp.beta - rp.rho  # d(u) = (level - u) / root
-    probs = rp.p * distributions._ndtr(level[:, 0] / root)
-    if rp.p < 1.0:
-        mass = F.grid.h * np.exp(F.grid.u()) * F.col_scale * F.values
+    probs = distributions._ndtr(level[:, 0] / root)
+    if F.prev is not None:
+        mass = F.grid.h * np.exp(F.grid.u()) * F.col_scale * F.prev
         phi = distributions._ndtr((level - F.grid.u()) / root)
-        probs = probs + (1.0 - rp.p) * (phi * mass).sum(axis=1)
+        probs = rp.p * probs + (1.0 - rp.p) * (phi * mass).sum(axis=1)
     return probs.reshape(eps_values.shape)
 
 
@@ -745,8 +762,7 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
         grid_ret, _ = _grid_pair(rp, 2.0, h, u_max if u_max is not None else 6.0)
         vals = distributions.multiplier_pdf(grid_ret.x(), rp)
         total = float(_mass_weights(grid_ret) @ vals)
-        density = GridDensity(grid_ret, vals / total)
-        object.__setattr__(density, "params", rp)
+        density = _Law(grid_ret, vals / total, params=rp)
         return density, SolveReport(0, 0.0, abs(total - 1.0), quadrature_error_bound(density),
                                     mean_rel_err=_mean_rel_err(density, exact_mean))
     exponent = tail_exponent(rp)
@@ -767,11 +783,8 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     total = float(_mass_weights(grid_ret) @ vals) + tail_mass
     vals /= total
     tail = None if c is None else TailAsymptote(exponent=exponent, constant=c / total)
-    density = GridDensity(grid_ret, vals, tail=tail)
-    col_scale = op._col_scale[: grid_ret.n_points]
-    col_scale.setflags(write=False)
-    object.__setattr__(density, "params", rp)
-    object.__setattr__(density, "col_scale", col_scale)
+    density = _Law(grid_ret, vals, tail=tail, params=rp,
+                   col_scale=op._col_scale[: grid_ret.n_points], prev=vals)
     return density, SolveReport(
         iterations=len(deltas) + matvecs, final_delta=deltas[-1],
         normalization_drift=abs(total - 1.0), quadrature_bound=quadrature_error_bound(density),

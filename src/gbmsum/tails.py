@@ -37,7 +37,7 @@ def tail_constant(F: solver.GridDensity) -> float:
     which grows like x^(mu-1) and so converges; the two terms taken
     separately each diverge at the exponent boundary.
     """
-    rp = solver._solved_params(F, "the tail constant")
+    rp = solver._law(F, "the tail constant", fixed_point=True).params
     mu = tail_exponent(rp)
     gap = solver.expectation(F, lambda x: _stable_power_gap(x, mu))
     return (rp.p + (1.0 - rp.p) * gap) / (mu * (1.0 - rp.p) * front_speed(rp))
@@ -140,12 +140,12 @@ def fit_left_tail_coefficient(F: solver.GridDensity, params) -> float:
     """Quadratic-in-log(eps) fit of log P(X <= eps) at 12 levels eps from
     1e-4 to 1e-2.
 
-    `params` must be the ones F was solved at.  Returns the leading
+    `params` must be the law's own.  Returns the leading
     coefficient, comparable to -1/(2 beta); the linear and constant terms
     absorb the subleading log-normal structure.
     """
     rp = as_reduced(params)
-    if rp != solver._solved_params(F, "left-tail refinement"):
+    if rp != solver._law(F, "left-tail refinement").params:
         raise ParameterError(f"the law was solved at {F.params}, not at {rp}")
     eps = np.geomspace(1e-4, 1e-2, 12)
     probs = solver.left_tail_cdf(F, eps)

@@ -16,7 +16,7 @@ from gbmsum import (
     pricing,
     solver,
 )
-from gbmsum.solver import GaussianStepOperator, GridDensity
+from gbmsum.solver import GaussianStepOperator
 
 
 def table2_spec(n, s0):
@@ -76,6 +76,12 @@ class TestFiniteSumDensity:
         rp = g.ReducedParams(beta=0.016, rho=0.01)
         assert g.finite_sum_density(10, rp) is g.finite_sum_density(10, rp)
 
+    def test_stopping_plays_no_part(self):
+        # the powers read beta and rho only: one law serves every p
+        F = g.finite_sum_density(3, g.ReducedParams(1, 0))
+        assert g.finite_sum_density(3, g.ReducedParams(1, 0, 0.5)) is F
+        assert F.params == g.ReducedParams(1, 0)
+
     def test_step_from_beta_never_coarse(self):
         # h = min(0.01, sqrt(beta)/3), the solves' own step, as coarse as the operator allows
         with warnings.catch_warnings():
@@ -106,9 +112,9 @@ class TestPowerFloor:
         floored = g.asian_prices(spec)
         read = []
 
-        def unfloored_laws(*args):  # the (n-1)-term values and n-term law the prices read
+        def unfloored_laws(*args):  # the n-term law the prices read, its last step unfloored
             read.append(args)
-            return prev, GridDensity(F.grid, vals)
+            return solver._Law(F.grid, vals, params=F.params, col_scale=F.col_scale, prev=prev)
 
         monkeypatch.setattr(pricing, "_finite_sum_laws", unfloored_laws)
         unfloored = g.asian_prices(spec)
@@ -395,7 +401,7 @@ class TestGeometricMaturityOption:
             g.geometric_maturity_option(F, 1.0)
 
     def test_unsolved_law_rejected(self):
-        # a finite-sum law records no parameters, so it names the solvers
+        # a finite-sum law is no fixed point, so it names the solvers
         F = g.finite_sum_density(3, g.ReducedParams(beta=1.0, rho=0.0))
         with pytest.raises(ParameterError, match="solve_geometric"):
             g.geometric_maturity_option(F, 1.0)

@@ -1,5 +1,6 @@
 """Fixed-point solver, grid-density integrals and quadrature diagnostics."""
 
+import inspect
 import logging
 import math
 import os
@@ -30,6 +31,12 @@ from gbmsum.solver import Grid, GridDensity, _iterate
 
 
 class TestGridTypes:
+    def test_public_constructor_takes_grid_values_and_tail(self):
+        # the last step a law carries is set by its producer, never by a caller
+        params = inspect.signature(GridDensity).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("grid", inspect.Parameter.empty), ("values", inspect.Parameter.empty), ("tail", None)]
+
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             Grid(0.0, 100)
@@ -989,6 +996,50 @@ class TestOffGridRefinement:
         assert np.max(np.abs(refined - on_grid) / on_grid) < 1e-4
 
 
+def asian_law(n):
+    """The n-term law of the sigma = 0.4, r = 0.1, T = 1 Asian sums."""
+    spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.4,
+                       maturity=1.0, n_fixings=n)
+    return g.finite_sum_density(n, spec.reduced())
+
+
+class TestFiniteSumRefinement:
+    """A finite sum carries its last step X_n = M (1 + X_{n-1}) and is
+    refined as a solve is."""
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_density_at_matches_grid_values(self, n):
+        F = asian_law(n)
+        sel = F.values > 1e-200
+        refined = g.density_at(F, F.grid.x()[sel])
+        assert np.max(np.abs(refined - F.values[sel]) / F.values[sel]) <= 1e-12
+
+    @pytest.mark.parametrize("n, lo, hi", [(2, 0.25, 2.0), (10, 2.2, 10.0)])
+    def test_left_tail_cdf_matches_reference(self, n, lo, hi, monkeypatch):
+        # levels from about the law's 1e-12 quantile to its median.  The
+        # reference integrates density_at, whose rows keep 8 standard deviations
+        # of the kernel: at n = 10 the columns cut above a row carry 4e-10 of
+        # the density where P = 3e-8, as the left tail falls steeply, so the
+        # reference takes 12 (the law itself is built first, at 8)
+        F = asian_law(n)
+        eps = np.geomspace(lo, hi, 6)
+        probs = g.left_tail_cdf(F, eps)
+        monkeypatch.setattr(solver, "_BAND_SIGMAS", 12.0)
+        ref = converged_left_tail(F, eps)
+        assert ref[0] < 1e-11 and ref[-1] > 0.3
+        assert np.max(np.abs(probs - ref) / ref) <= 1e-10
+
+    def test_one_term_is_the_multiplier_law(self):
+        rp = g.ReducedParams(beta=0.5, rho=0.1)
+        F = g.finite_sum_density(1, rp)
+        assert F.prev is None
+        x = np.geomspace(1e-4, 10.0, 9)
+        assert np.array_equal(g.density_at(F, x), np.asarray(g.multiplier_pdf(x, rp)))
+        eps = np.array([1e-8, 1e-4, 1e-2, 0.5, 2.0])
+        exact = special.ndtr((np.log(eps) - rp.rho + 0.5 * rp.beta) / math.sqrt(rp.beta))
+        assert np.max(np.abs(g.left_tail_cdf(F, eps) - exact) / exact) <= 1e-12
+
+
 class TestRefinementUsesSolveScales:
     @staticmethod
     def count_builds(monkeypatch):
@@ -1024,13 +1075,19 @@ class TestRefinementUsesSolveScales:
         g.density_at(F, np.geomspace(1e-3, 1.0, 5))
         assert builds == []
 
-    @pytest.mark.parametrize("kind", ["finite-sum", "hand-built"])
-    @pytest.mark.parametrize("use", [g.density_at, g.left_tail_cdf, g.tail_constant])
-    def test_unsolved_density_rejected(self, kind, use):
-        # a law no solve produced has no params to refine or to take a tail from
+    @pytest.mark.parametrize("use, kind", [
+        (g.density_at, "mixture"), (g.density_at, "hand-built"),
+        (g.left_tail_cdf, "mixture"), (g.left_tail_cdf, "hand-built"),
+        (g.tail_constant, "finite-sum"), (g.tail_constant, "mixture"),
+        (g.tail_constant, "hand-built")])
+    def test_unsolved_density_rejected(self, use, kind):
+        # a mixture or a hand-built law records no last step to refine; a tail
+        # constant needs a fixed point, which a finite sum is not
         rp = g.ReducedParams(beta=1.0, rho=-0.1)
         if kind == "finite-sum":
             F = g.finite_sum_density(3, rp)
+        elif kind == "mixture":
+            F = g.mixture_density(g.GeneralHorizon((0.5, 0.5)), rp)
         else:
             grid = Grid(0.02, 400)
             F = GridDensity(grid, np.asarray(g.multiplier_pdf(grid.x(), rp)))
