@@ -9,8 +9,10 @@ stationary densities; repeated application gives finite-sum densities.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import mmap
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -41,6 +43,7 @@ _POLISH_RTOL = 1e-13  # GMRES target, relative to the scaled right-hand side
 _POLISH_NEG_TOL = 1e-10
 _PICARD_SWITCH = 1e-4  # sup-norm delta at which Picard hands over to GMRES
 _BLOCK_ROWS = 16  # rows per dense operator block
+_BUILD_CHUNK_BYTES = 1 << 20  # bytes of bands, or of blocks, one pass of a build works on
 
 _log = logging.getLogger(__name__)
 
@@ -181,17 +184,24 @@ class GaussianStepOperator:
         mass_w = _mass_weights(grid)
         rows_w = np.zeros(blocks.shape[:2])
         rows_w.flat[: grid.n_points] = mass_w
-        window = cols[:, None] + np.arange(blocks.shape[2])  # the columns each block covers
-        col_mass = np.bincount(window.ravel(), (rows_w[:, None, :] @ blocks).ravel(),
-                               minlength=grid.n_points)
+        # each block's column masses, added to the columns it covers block by
+        # block: in the order of one bincount over all blocks, without its
+        # full-size index and weights
+        col_mass = np.zeros(grid.n_points)
+        span = np.arange(blocks.shape[2])
+        size = max(1, _BUILD_CHUNK_BYTES // blocks[0].nbytes)
+        for b in range(0, blocks.shape[0], size):
+            np.add.at(col_mass, (cols[b : b + size, None] + span).ravel(),
+                      (rows_w[b : b + size, None, :] @ blocks[b : b + size]).ravel())
         with np.errstate(divide="ignore", invalid="ignore"):
             col_scale = np.where(col_mass > 0.0, mass_w / col_mass, 1.0)
         col_scale.setflags(write=False)  # laws keep them, and views of them, for refinement
         self._col_scale = col_scale
         self._mass_w = mass_w  # trapezoid mass weights: mass_w @ apply(v) == mass_w @ v
         self._blocks, self._cols = blocks, cols
-        _log.debug("step operator built: n = %d, blocks %d x %d x %d, %.4f s", grid.n_points,
-                   *blocks.shape, time.perf_counter() - start)
+        _log.debug("step operator built: n = %d, blocks %d x %d x %d (%.2f MiB), %.4f s",
+                   grid.n_points, *blocks.shape, blocks.nbytes / 2**20,
+                   time.perf_counter() - start)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """T values, the block product with col_scale * values over the blocks
@@ -219,12 +229,16 @@ def _block_product(blocks: np.ndarray, cols: np.ndarray, y: np.ndarray, b0: int,
     windows of y, which a sliding view of y without a copy indexes."""
     nb, rows, width = blocks.shape
     out = np.zeros(nb * rows)
-    # every window of y as one view: the ndarray constructor takes about 1 us
-    # where sliding_window_view takes 17 us, on each of thousands of applies
-    windows = np.ndarray((y.size - width + 1, width), y.dtype, y, 0, (y.itemsize, y.itemsize))
-    np.matmul(blocks[b0:b1], windows[cols[b0:b1], :, None],
+    np.matmul(blocks[b0:b1], _windows(y, width)[cols[b0:b1], :, None],
               out=out[b0 * rows : b1 * rows].reshape(b1 - b0, rows, 1))
     return out
+
+
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Every run of width consecutive entries of a contiguous vector a, as
+    the rows of one view of it.  The ndarray constructor takes about 1 us
+    where sliding_window_view takes 17 us, on each of thousands of applies."""
+    return np.ndarray((a.size - width + 1, width), a.dtype, a, 0, (a.itemsize, a.itemsize))
 
 
 def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,12 +249,15 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndar
     Block b holds rows b*_BLOCK_ROWS onwards over columns cols[b] ..
     cols[b] + W - 1, each band at its own offset with exact zeros beside it;
     W is the widest span of any block's bands, and rows past len(w0) are 0.
-    The values are computed in place; the largest other allocation is the
-    boolean mask of the gaps beside the bands, an eighth of the blocks'
-    bytes.  Every column carries the full weight h, with no trapezoid half
-    weights at the grid's ends: in an operator the column scales would
-    divide them back out, as every row holding column n-1 is clipped alike,
-    and column 0 meets only values[0] = 0.
+    The blocks live in an anonymous mapping of their own (see
+    _mapped_zeros), so the OS takes their pages back when the last array
+    over them goes.  Only the bands are computed, about _BUILD_CHUNK_BYTES
+    of them at a time, and written into the mapping, whose zeros are the
+    gaps: no other allocation grows with the blocks but a few arrays of one
+    value per row.  Every column carries the full weight h, with no
+    trapezoid half weights at the grid's ends: in an operator the column
+    scales would divide them back out, as every row holding column n-1 is
+    clipped alike, and column 0 meets only values[0] = 0.
     """
     n, h, m = grid.n_points, grid.h, w0.size
     bw = min(n, 2 * int(math.ceil(_BAND_SIGMAS * math.sqrt(rp.beta) / h)) + 1)
@@ -252,20 +269,37 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndar
     k0 = np.clip(np.rint(centre / h).astype(np.int64) - (bw - 1) // 2, 0, n - bw)
     width = int(np.max(k0[:, -1] - k0[:, 0])) + bw
     cols = np.minimum(k0[:, 0], n - width)
-    blocks = np.empty((nb, _BLOCK_ROWS, width))
-    np.add((cols[:, None] * h - centre)[:, :, None], np.arange(width) * h, out=blocks)  # w_k - w0
-    np.square(blocks, out=blocks)
-    blocks *= -0.5 / rp.beta
-    np.exp(blocks, out=blocks)
-    blocks *= pref * h
-    # in the flat blocks, runs that alternate between the gap before a band
-    # and the band: zero the gaps, which hold the padding rows too
-    first = np.arange(m) * width + (k0 - cols[:, None]).ravel()[:m]
-    edges = np.column_stack([first, first + bw]).ravel()
-    runs = np.diff(edges, prepend=0, append=blocks.size)
-    gaps = np.repeat(np.arange(runs.size) % 2 == 0, runs).reshape(blocks.shape)
-    np.copyto(blocks, 0.0, where=gaps)
+    start = (cols[:, None] * h - centre).ravel()[:m]  # w_k - w0 at each row's window start
+    lo = (k0 - cols[:, None]).ravel()[:m]  # each row's band start in its window
+    blocks = _mapped_zeros((nb, _BLOCK_ROWS, width))
+    bands = _windows(blocks.reshape(-1), bw)
+    first = np.arange(m) * width + lo  # row j's band is bands[first[j]]
+    steps = _windows(np.arange(width) * h, bw)
+    rows = min(m, max(1, _BUILD_CHUNK_BYTES // (8 * bw)))
+    chunk = np.empty((rows, bw))
+    for j in range(0, m, rows):
+        lo_j = lo[j : j + rows]
+        # every lo is in range; mode "raise" would gather into a buffer of its own
+        d = np.take(steps, lo_j, axis=0, out=chunk[: lo_j.size], mode="clip")
+        d += start[j : j + rows, None]  # w_k - w0 over each band
+        np.square(d, out=d)
+        d *= -0.5 / rp.beta
+        np.exp(d, out=d)
+        d *= pref * h
+        bands[first[j : j + rows]] = d
     return blocks, cols
+
+
+def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float array of zeros in a private anonymous mapping of its own,
+    which the array keeps alive: dropping the array unmaps it, and its
+    pages go back to the OS whatever malloc's mmap threshold is by then.
+    Like numpy's own large arrays, it is advised to use huge pages."""
+    mapping = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel without transparent huge pages
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(mapping).reshape(shape)
 
 
 # -- default grid construction ------------------------------------------------
@@ -430,9 +464,13 @@ def expectation(F: GridDensity, payoff) -> float:
     read at the half-line rule's two farthest nodes, far beyond any kink
     near the grid (both scaled down together where the farther one would put
     x past the largest float): growth at or above the tail exponent raises
-    DivergentExpectationError.  The power law through those two payoff
-    values is integrated in closed form and stands in for the payoff beyond
-    the farther one; the double-exponential rule takes the rest, so a payoff
+    DivergentExpectationError.  Where the payoff is not finite at a probe,
+    its growth is read on both probes scaled down to the last x where it is
+    finite; growth below the exponent then raises ParameterError naming
+    where the payoff stops being finite, as the closure cannot be
+    integrated.  The power law through those two payoff values is
+    integrated in closed form and stands in for the payoff beyond the
+    farther one; the double-exponential rule takes the rest, so a payoff
     growing nearly as fast as the tail decays loses nothing far out.  A kink
     or jump of the payoff beyond x_max slows the rule, which then warns
     (AccuracyWarning).
@@ -461,8 +499,21 @@ def expectation(F: GridDensity, payoff) -> float:
     probes = distributions._de_nodes(np.array([t_far - 0.5, t_far]), 0.0, math.inf)[0]
     w_top = mu * (math.log(np.finfo(float).max) - math.log(x_max) - 1.0)
     w_near, w_far = probes * min(1.0, w_top / probes[1])
-    with np.errstate(over="ignore"):
+    w_bad = None
+    with np.errstate(over="ignore", invalid="ignore"):
         p_near, p_far = map(float, tail_payoff(np.array([w_near, w_far])))
+        if not (math.isfinite(p_near) and math.isfinite(p_far)):
+            # the payoff stops being finite short of the probes: find where, and
+            # read its growth on the probes scaled down to the last finite point
+            w_ok, w_bad = 0.0, w_near if not math.isfinite(p_near) else w_far
+            for _ in range(60):
+                mid = 0.5 * (w_ok + w_bad)
+                if math.isfinite(float(tail_payoff(np.array([mid]))[0])):
+                    w_ok = mid
+                else:
+                    w_bad = mid
+            w_near, w_far = probes * (w_ok / probes[1])
+            p_near, p_far = map(float, tail_payoff(np.array([w_near, w_far])))
     # the power law amp e^(growth w) through the farther one is integrated in closed
     # form and stands in for the payoff beyond it
     growth = amp = 0.0
@@ -476,6 +527,9 @@ def expectation(F: GridDensity, payoff) -> float:
             )
         growth = max(growth, 0.0)  # a decaying fit's e^(-growth w_far) could overflow
         amp = p_far * math.exp(-growth * w_far)
+    if w_bad is not None:  # the growth converges, but the closure cannot read the payoff
+        raise ParameterError(f"payoff is not finite beyond x = {x_max * math.exp(w_bad / mu):.6g}, "
+                             f"where the tail closure reads it (x_max = {x_max:.6g})")
     closure = amp / (1.0 - growth)
 
     def rest(w):

@@ -115,6 +115,16 @@ class TestTailConstants:
             with pytest.raises(ParameterError, match=f"not finite at the grid node x = {node}$"):
                 g.tail_constant(F)
 
+    def test_payoff_overflowing_beyond_the_grid_is_named(self, solved):
+        # mu = 93.4: the gap grows like x^92.4, below the exponent, so the tail
+        # converges; but it overflows past x ~ 2000, short of the closure's probes,
+        # where the growth once read as x^inf and the law as divergent
+        F, _ = solved(0.014294, -0.660359)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="payoff is not finite beyond x = 1997.51,"):
+                g.tail_constant(F)
+
     def test_continuity_to_infinite_constant(self, solved):
         Fi, _ = solved(1.0, -0.1, tol=1e-9, u_max=16.0)
         ci = g.tail_constant(Fi)
