@@ -31,9 +31,16 @@ from .params import ReducedParams, as_reduced, require_finite, tail_exponent
 from .solver import GaussianStepOperator, Grid, GridDensity
 
 # Finite-sum powers zero their values below this.  A product of a larger value
-# with the smallest kernel entry, about pref h e^-32, stays above 2.2e-308, so
-# no apply meets subnormal arithmetic, which takes a slow hardware path.
+# with the smallest kernel entry, about pref h e^-32 (pref 2h e^-32 on the coarse
+# grid), stays above 2.2e-308, so no apply meets subnormal arithmetic, which
+# takes a slow hardware path.
 _POWER_FLOOR = 1e-290
+# Finite-sum powers past this many terms take their steps on every other node.
+# An apply resolves the product of its input with the kernel (width sqrt(beta)
+# in u); f1 is about sqrt(beta)/2 wide in u and needs the step sqrt(beta)/3,
+# while the 16-term law is about 2.3 sqrt(beta) wide, and at 2 sqrt(beta)/3 the
+# kernel's own trapezoid sum errs by about e^(-2 pi^2 9/4) = 5e-20.
+_FINE_POWERS = 16
 _MIXTURE_MEAN_RTOL = 1e-5
 
 
@@ -79,23 +86,22 @@ class AsianSpec:
 
 
 def _finite_sum_grid(n: int, rp: ReducedParams) -> Grid:
-    """The grid of the n-term law: the solves' default step min(0.01,
-    sqrt(beta)/3) (solver._default_step), which the kernel sets, as prices
-    take their kinked last step in closed form; and a span from the sum's
-    mean and log-normal spread."""
+    """The grid the n-term law's first powers run on: the solves' default step
+    min(0.01, sqrt(beta)/3) (solver._default_step), which the kernel sets, as
+    prices take their kinked last step in closed form; and a span from the
+    sum's mean and log-normal spread.  Past _FINE_POWERS terms the powers run
+    on every other node of it (_finite_sum_laws)."""
     mean = mean_finite_sum(n, rp.rho, 1.0, 1.0)
     margin = math.sqrt(2.0 * rp.beta * n * 46.0) + 1.0
     return Grid.spanning(solver._default_step(rp.beta),
                          math.log1p(max(mean, 1.0) * math.exp(margin)))
 
 
-def _powers(n: int, rp: ReducedParams, grid: Grid, op: GaussianStepOperator):
-    """The k-term densities f1, T f1, ..., T^(n-1) f1 on grid, from one running
-    pass of the step operator op; each power is zeroed below _POWER_FLOOR, f1
-    is the multiplier law exactly."""
-    vals = multiplier_pdf(grid.x(), rp)
+def _powers(vals: np.ndarray, op: GaussianStepOperator, count: int):
+    """vals, T vals, ..., T^count vals, from one running pass of the step
+    operator op; each value after vals is zeroed below _POWER_FLOOR."""
     yield vals
-    for _ in range(n - 1):
+    for _ in range(count):
         vals = op.apply(vals)
         vals[vals < _POWER_FLOOR] = 0.0
         yield vals
@@ -105,13 +111,27 @@ def _powers(n: int, rp: ReducedParams, grid: Grid, op: GaussianStepOperator):
 def _finite_sum_laws(n: int, rp: ReducedParams) -> solver._Law:
     """The n-term law at rp = ReducedParams(beta, rho), from one power pass,
     cached read-only; its law one step back is the (n-1)-term values, or at
-    n = 1 the point mass at 0, given as None."""
+    n = 1 the point mass at 0, given as None.
+
+    The first _FINE_POWERS powers run on _finite_sum_grid; past them the
+    _FINE_POWERS-term values, restricted to the even nodes (exact there),
+    take the remaining n - _FINE_POWERS steps on the grid of step 2h, whose
+    operator is built once the fine one is dropped.  The law lives on the
+    grid its last step was taken on."""
     grid = _finite_sum_grid(n, rp)
     op = GaussianStepOperator(grid, rp)
     prev = last = None
-    for vals in _powers(n, rp, grid, op):
+    for vals in _powers(multiplier_pdf(grid.x(), rp), op, min(n, _FINE_POWERS) - 1):
         prev, last = last, vals
         vals.setflags(write=False)
+    if n > _FINE_POWERS:
+        del op  # its blocks go back before the coarse ones are built
+        m = (grid.n_points - 1) // 2 + 1
+        grid = Grid(2.0 * grid.h, m)
+        op = GaussianStepOperator._for_wide_inputs(grid, rp)
+        for vals in _powers(last[: 2 * m - 1 : 2].copy(), op, n - _FINE_POWERS):
+            prev, last = last, vals
+            vals.setflags(write=False)
     return solver._Law(grid, last, params=rp, col_scale=op._col_scale, prev=prev)
 
 
@@ -119,7 +139,9 @@ def finite_sum_density(n: int, params) -> GridDensity:
     """Density of the n-term sum: n-1 applications of the one-step transform
     to the one-period multiplier law, built once per (n, beta, rho), as no
     stopping p enters, and refined by density_at and left_tail_cdf as a
-    solve is.  No power-law tail is attached (log-normal-type tails)."""
+    solve is.  Past 16 terms the law's grid is every other node of the
+    first powers' grid, at twice their step (_finite_sum_laws).  No
+    power-law tail is attached (log-normal-type tails)."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     rp = as_reduced(params)
@@ -193,7 +215,7 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
     if u_max is None:
         u_max = math.log1p(1000.0 * max(exact_mean, 1.0))
     grid = Grid.spanning(solver._default_step(rp.beta), u_max)
-    powers = _powers(cap, rp, grid, GaussianStepOperator(grid, rp))
+    powers = _powers(multiplier_pdf(grid.x(), rp), GaussianStepOperator(grid, rp), cap - 1)
     F = GridDensity(grid, sum(w * vals for w, vals in zip(weights, powers)))
     rel_err = solver._mean_rel_err(F, exact_mean)
     if rel_err > _MIXTURE_MEAN_RTOL:
@@ -209,7 +231,9 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
 def asian_prices(spec: AsianSpec) -> dict:
     """The Asian record: discounted call and put, their put-call parity gaps
     under both conventions (put_call_parity_gap), the relative error of the
-    law's grid mean and, under "grid", the grid's h, u_max and n_points.
+    law's grid mean and, under "grid", the h, u_max and n_points of the grid
+    the law was priced on: past 16 fixings, twice the step of its first
+    powers (finite_sum_density).
 
     The prices take the last step in closed form: X_n = M (1 + X_{n-1}) with
     M log-normal, so each is one Black-Scholes row in a = 1 + X_{n-1}

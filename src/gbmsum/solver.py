@@ -162,12 +162,31 @@ class GaussianStepOperator:
     """
 
     def __init__(self, grid: Grid, params):
-        start = time.perf_counter()
         rp = as_reduced(params)
         if math.sqrt(rp.beta) < 3.0 * grid.h:
             warnings.warn(f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is "
                           f"below 3h = {3.0 * grid.h:.4g}; refine the grid step",
                           CoarseGridWarning, stacklevel=2)
+        self._build(grid, rp)
+
+    @classmethod
+    def _for_wide_inputs(cls, grid: Grid, rp: ReducedParams) -> GaussianStepOperator:
+        """The operator on a grid up to twice as coarse as __init__ takes, for
+        inputs wider than the kernel (finite-sum powers past their first
+        few): there the rows need resolve only the kernel, whose trapezoid
+        sum at step h errs by about e^(-2 pi^2 beta / h^2), 5e-20 at its bound
+        h = 2 sqrt(beta)/3.  A CoarseGridWarning names a step beyond that
+        bound, sqrt(beta) < 1.5 h; twice a step __init__ takes never is."""
+        if math.sqrt(rp.beta) < 1.5 * grid.h:
+            warnings.warn(f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is "
+                          f"below 1.5h = {1.5 * grid.h:.4g}, even for inputs wider than "
+                          f"the kernel; refine the grid step", CoarseGridWarning, stacklevel=2)
+        op = cls.__new__(cls)
+        op._build(grid, rp)
+        return op
+
+    def _build(self, grid: Grid, rp: ReducedParams) -> None:
+        start = time.perf_counter()
         u = grid.u()
         w0 = np.empty(grid.n_points)
         w0[0] = 0.0  # row 0 is zeroed below; kernel center sits at -inf

@@ -101,9 +101,16 @@ class TestPowerFloor:
                            maturity=1.0, n_fixings=n)
         rp = spec.reduced()
         F = g.finite_sum_density(n, rp)
-        op = GaussianStepOperator(F.grid, rp)
-        prev, vals = None, g.multiplier_pdf(F.grid.x(), rp)
-        for _ in range(n - 1):  # the unfloored powers
+        # the unfloored powers, in the law's two stages: the first _FINE_POWERS on the
+        # fine grid, the rest on every other node of it, which is F's grid
+        fine = pricing._finite_sum_grid(n, rp)
+        op = GaussianStepOperator(fine, rp)
+        vals = g.multiplier_pdf(fine.x(), rp)
+        for _ in range(pricing._FINE_POWERS - 1):
+            vals = op.apply(vals)
+        op = GaussianStepOperator._for_wide_inputs(F.grid, rp)
+        prev, vals = None, vals[: 2 * F.grid.n_points - 1 : 2]
+        for _ in range(n - pricing._FINE_POWERS):
             prev, vals = vals, op.apply(vals)
         assert np.all((F.values == 0.0) | (F.values >= pricing._POWER_FLOOR))
         for law in (prev, vals):
@@ -121,6 +128,66 @@ class TestPowerFloor:
         assert read
         for key in ("call", "put", "mean_rel_err"):
             assert floored[key] == unfloored[key], key
+
+
+def fine_only_law(n, rp):
+    """The n-term law with every power on the fine grid, through the public
+    operator, floored as the library floors its powers."""
+    grid = pricing._finite_sum_grid(n, rp)
+    op = GaussianStepOperator(grid, rp)
+    prev, vals = None, g.multiplier_pdf(grid.x(), rp)
+    for _ in range(n - 1):
+        prev, vals = vals, op.apply(vals)
+        vals[vals < pricing._POWER_FLOOR] = 0.0
+    return solver._Law(grid, vals, params=rp, col_scale=op._col_scale, prev=prev)
+
+
+class TestCoarsePowers:
+    """Past pricing._FINE_POWERS terms the finite-sum powers run on every
+    other node, with prices as on the fine grid."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 16])
+    def test_short_laws_are_fine_only(self, n):
+        rp = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.4,
+                         maturity=1.0, n_fixings=n).reduced()
+        F, ref = g.finite_sum_density(n, rp), fine_only_law(n, rp)
+        assert F.grid == ref.grid
+        assert np.array_equal(F.values, ref.values)
+        assert np.array_equal(F.col_scale, ref.col_scale)
+        assert (F.prev is None) if n == 1 else np.array_equal(F.prev, ref.prev)
+
+    @pytest.mark.parametrize("sigma, n", [(0.2, 1000), (0.4, 1000), (0.6, 1000), (0.4, 250)])
+    def test_prices_match_fine_only(self, sigma, n, monkeypatch):
+        spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=sigma,
+                           maturity=1.0, n_fixings=n)
+        prices = g.asian_prices(spec)
+        ref_law = fine_only_law(n, spec.reduced())
+        monkeypatch.setattr(pricing, "_finite_sum_laws", lambda *args: ref_law)
+        ref = g.asian_prices(spec)
+        assert prices["grid"]["h"] == 2.0 * ref["grid"]["h"]
+        assert prices["call"] == pytest.approx(ref["call"], rel=1e-12)
+        assert prices["put"] == pytest.approx(ref["put"], rel=1e-12)
+        assert abs(prices["mean_rel_err"]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [17, 50, 1000])
+    def test_long_laws_on_twice_the_step(self, n):
+        rp = g.ReducedParams(beta=0.04 / n, rho=0.1 / n)
+        F = g.finite_sum_density(n, rp)
+        fine = pricing._finite_sum_grid(n, rp)
+        assert F.grid.h == 2.0 * solver._default_step(rp.beta)
+        assert F.grid.n_points == (fine.n_points - 1) // 2 + 1
+        assert F.prev.shape == F.values.shape == F.col_scale.shape
+
+    def test_no_coarse_grid_warning_and_one_public_build(self, monkeypatch):
+        builds = []
+        init = GaussianStepOperator.__init__
+        monkeypatch.setattr(GaussianStepOperator, "__init__",
+                            lambda op, *args: builds.append(1) or init(op, *args))
+        pricing._finite_sum_laws.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", g.CoarseGridWarning)
+            g.finite_sum_density(1000, g.ReducedParams(beta=0.04 / 1000, rho=0.1 / 1000))
+        assert len(builds) == 1
 
 
 def black_scholes(s0, strike, rate, sigma, maturity):

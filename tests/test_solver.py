@@ -139,6 +139,21 @@ class TestOperator:
         with pytest.warns(CoarseGridWarning):
             g.GaussianStepOperator(Grid(0.01, 200), rp)
 
+    def test_wide_input_operator_bound(self):
+        # for inputs wider than the kernel the bound is sqrt(beta) >= 1.5h, which twice
+        # the default step meets bit for bit and the step past it does not
+        rp = g.ReducedParams(beta=0.04 / 1000, rho=0.0)
+        h = 2.0 * solver._default_step(rp.beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CoarseGridWarning)
+            op = g.GaussianStepOperator._for_wide_inputs(Grid(h, 300), rp)
+        with pytest.warns(CoarseGridWarning, match="below 1.5h"):
+            g.GaussianStepOperator._for_wide_inputs(Grid(math.nextafter(h, 1.0), 300), rp)
+        with pytest.warns(CoarseGridWarning, match="below 3h"):
+            ref = g.GaussianStepOperator(Grid(h, 300), rp)
+        values = np.exp(-0.5 * (np.arange(300) - 150.0) ** 2 / 400.0)
+        np.testing.assert_array_equal(op.apply(values), ref.apply(values))
+
 
 class TestDefaultStep:
     """Every law's default step is solver._default_step(beta), the widest
