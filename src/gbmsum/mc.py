@@ -17,8 +17,6 @@ normals, so every temporary stays in a core's L2 cache."""
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -160,38 +158,18 @@ class _Buffer:
 def _drawn_ahead(pieces, consume):
     """Call consume(*piece) for each piece of the iterator pieces, one piece ahead.
 
-    A worker thread advances pieces, so the piece after the one being
-    consumed is drawn meanwhile; consume sees the pieces in order on the
-    calling thread.  The worker takes the piece after that only once consume
-    has returned from the piece before, so an iterator that draws into two
-    buffers in turn never overwrites a piece that is being consumed.  When
-    consume has already returned, the worker goes straight on, with no round
-    trip through the calling thread.
+    One worker thread draws the piece after the one being consumed, in one
+    pending next(pieces); the draw after that is submitted once that piece
+    is taken, after consume has returned from the one before, so an
+    iterator that draws into two buffers in turn never overwrites a piece
+    that is being consumed.  An error on either thread reaches the caller,
+    and the pool's exit joins the worker.
     """
-    drawn = queue.SimpleQueue()
-    turn = threading.Semaphore(1)  # the worker may draw one piece ahead
-    stopped = False
-
-    def produce():
-        try:
-            for piece in pieces:
-                drawn.put(piece)
-                turn.acquire()
-                if stopped:
-                    return
-        finally:
-            drawn.put(None)
-
     with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(produce)
-        try:
-            while (piece := drawn.get()) is not None:
-                consume(*piece)
-                turn.release()
-        finally:
-            stopped = True
-            turn.release()
-        worker.result()
+        drawn = pool.submit(next, pieces, None)
+        while (piece := drawn.result()) is not None:
+            drawn = pool.submit(next, pieces, None)
+            consume(*piece)
 
 
 def _piece_bounds(offsets: np.ndarray) -> list[int]:

@@ -10,6 +10,7 @@ probability p = lam tau).  All numerical routines work in reduced form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -20,6 +21,14 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_count(name: str, value) -> int:
+    """value as an int, for a count of at least 1: an int or a numpy integer,
+    not a bool; ParameterError names any other value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,7 @@ class TailAsymptote:
     constant: float
 
     def __post_init__(self):
+        require_finite(exponent=self.exponent, constant=self.constant)
         if not (self.exponent > 0.0):
             raise ParameterError(f"tail exponent must be positive, got {self.exponent}")
         if not (self.constant > 0.0):
@@ -132,3 +142,14 @@ class TailAsymptote:
 
     def survival(self, x: float) -> float:
         return self.constant * x ** (-self.exponent)
+
+    def level(self, prob: float) -> float:
+        """The x with survival(x) = prob > 0; an x that is not finite overflowed."""
+        try:
+            x = math.pow(self.constant / prob, 1.0 / self.exponent)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise ParameterError(f"the level of tail probability {prob:.6g} overflows: "
+                                 f"(c / p)^(1/mu) lies beyond the largest float")
+        return x

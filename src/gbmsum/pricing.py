@@ -27,7 +27,7 @@ from .errors import (
 )
 from .mc import GeneralHorizon
 from .moments import mean_finite_sum
-from .params import ReducedParams, as_reduced, require_finite, tail_exponent
+from .params import ReducedParams, as_reduced, require_count, require_finite, tail_exponent
 from .solver import GaussianStepOperator, Grid, GridDensity
 
 # Finite-sum powers zero their values below this.  A product of a larger value
@@ -67,8 +67,7 @@ class AsianSpec:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if self.maturity <= 0.0:
             raise ParameterError(f"maturity must be positive, got {self.maturity}")
-        if self.n_fixings < 1:
-            raise ParameterError(f"n_fixings must be >= 1, got {self.n_fixings}")
+        object.__setattr__(self, "n_fixings", require_count("n_fixings", self.n_fixings))
 
     @property
     def tau(self) -> float:
@@ -142,8 +141,7 @@ def finite_sum_density(n: int, params) -> GridDensity:
     solve is.  Past 16 terms the law's grid is every other node of the
     first powers' grid, at twice their step (_finite_sum_laws).  No
     power-law tail is attached (log-normal-type tails)."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = require_count("n", n)
     rp = as_reduced(params)
     return _finite_sum_laws(n, ReducedParams(rp.beta, rp.rho))
 
@@ -156,8 +154,7 @@ def finite_sum_density_derivative_form(n: int, params) -> GridDensity:
     -k, summed with (-1)^k/k! coefficients.  All n terms are always used;
     catastrophic cancellation is flagged.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = require_count("n", n)
     if n > 150:
         raise ParameterError(
             f"expansion order {n} exceeds double-precision factorial range; "
@@ -237,13 +234,13 @@ def asian_prices(spec: AsianSpec) -> dict:
 
     The prices take the last step in closed form: X_n = M (1 + X_{n-1}) with
     M log-normal, so each is one Black-Scholes row in a = 1 + X_{n-1}
-    (solver._lognormal_option_rows) integrated over the (n-1)-term law with
-    the trapezoid mass weights, and no price depends on where the strike
-    falls in a grid cell.  At n = 1 that law is the point mass at 0 and the
-    prices are Black-Scholes's, which read no grid and never warn.  For
-    n >= 2, one AccuracyWarning names a strike level nK/S0 at or above the
-    grid top expm1(u_max), where the grid cannot check the call; the CLI's
-    --strict escalates it to an error.
+    (solver._lognormal_option_rows) summed over the (n-1)-term law by
+    solver._last_step, the sum left_tail_cdf reads, and no price depends on
+    where the strike falls in a grid cell.  At n = 1 that law is the point
+    mass at 0 and the prices are Black-Scholes's, which read no grid and
+    never warn.  For n >= 2, one AccuracyWarning names a strike level nK/S0
+    at or above the grid top expm1(u_max), where the grid cannot check the
+    call; the CLI's --strict escalates it to an error.
     """
     rp = spec.reduced()
     n = spec.n_fixings
@@ -251,22 +248,13 @@ def asian_prices(spec: AsianSpec) -> dict:
     disc = math.exp(-spec.rate * spec.maturity)
     law = _finite_sum_laws(n, rp)
     grid = law.grid
-    if law.prev is None:
-        u, weights = np.zeros(1), np.ones(1)
-    else:
-        u, weights = grid.u(), solver._mass_weights(grid) * law.prev
-        x_max = math.expm1(grid.u_max)
-        if kappa >= x_max:
-            warnings.warn(
-                f"call price unresolved on the law's grid (x_max = {x_max:.4g}, strike level "
-                f"x = {kappa:.4g}): a strike at or above the grid top leaves only truncated "
-                f"call-payoff mass",
-                AccuracyWarning,
-                stacklevel=2,
-            )
-    call_row, put_row = solver._lognormal_option_rows(u, kappa, rp)
-    call = disc * spec.s0 / n * float(weights @ call_row)
-    put = disc * spec.s0 / n * float(weights @ put_row)
+    x_max = math.expm1(grid.u_max)
+    if n > 1 and kappa >= x_max:
+        warnings.warn(f"call price unresolved on the law's grid (x_max = {x_max:.4g}, strike "
+                      f"level x = {kappa:.4g}): a strike at or above the grid top leaves only "
+                      f"truncated call-payoff mass", AccuracyWarning, stacklevel=2)
+    call, put = map(float, disc * spec.s0 / n * solver._last_step(
+        law, "asian_prices", lambda u: solver._lognormal_option_rows(u, kappa, rp)))
     mean = mean_finite_sum(n, spec.drift, spec.tau, 1.0)
     rt = spec.rate * spec.maturity
     continuous_mean = spec.s0 if rt == 0.0 else spec.s0 / rt * math.expm1(rt)
@@ -315,9 +303,9 @@ def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
     call = solver.expectation(GridDensity(F.grid, F.values), lambda x: np.maximum(x - kappa, 0.0))
     if F.tail is None:
         return call
-    c, mu = F.tail.constant, F.tail.exponent
+    mu = F.tail.exponent
     k = max(kappa, float(F.grid.x()[-1]))
-    return call + c * k ** (-mu) * (mu * k / (mu - 1.0) - kappa)
+    return call + F.tail.survival(k) * (mu * k / (mu - 1.0) - kappa)
 
 
 # -- Makeham calibration ----------------------------------------------------------

@@ -446,12 +446,8 @@ def quantile(F: GridDensity, q: float) -> float:
     x = F.grid.x()
     if j == 0:
         return float(x[0])
-    if j >= F.grid.n_points:  # beyond the grid top survival reads the closure c x^-mu
-        with np.errstate(over="ignore"):
-            x_q = float(np.float64(F.tail.constant / target) ** (1.0 / F.tail.exponent))
-        if not math.isfinite(x_q):
-            raise ParameterError(f"the {q} quantile lies beyond the largest float")
-        return x_q
+    if j >= F.grid.n_points:  # beyond the grid top survival reads the tail closure
+        return F.tail.level(target)
     lo, hi = float(x[j - 1]), float(x[j])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -505,7 +501,7 @@ def expectation(F: GridDensity, payoff) -> float:
         return total
     x_max = float(x[-1])
     mu = F.tail.exponent
-    unit = F.tail.constant * x_max ** (-mu)  # the closure's mass beyond x_max
+    unit = F.tail.survival(x_max)  # the closure's mass beyond x_max
     if unit == 0.0:  # x_max^(-mu) underflows at a large exponent: the closure adds nothing
         return total
 
@@ -560,12 +556,11 @@ def expectation(F: GridDensity, payoff) -> float:
     return total + unit * (closure + rest_term)
 
 
-def _lognormal_option_rows(u: np.ndarray, kappa: float,
-                           rp: ReducedParams) -> tuple[np.ndarray, np.ndarray]:
-    """E[(M a - kappa)+] and E[(kappa - M a)+] at each a = e^u, for the
-    one-period multiplier M, log-normal with log-mean rho - beta/2 and
+def _lognormal_option_rows(u: np.ndarray, kappa: float, rp: ReducedParams) -> np.ndarray:
+    """E[(M a - kappa)+] and E[(kappa - M a)+] at each a = e^u, stacked, for
+    the one-period multiplier M, log-normal with log-mean rho - beta/2 and
     log-variance beta: the Black-Scholes call and put rows on the factor a.
-    Integrated against a law of w = a - 1, they give the payoff of
+    Over a law of w = a - 1 (_last_step), they give the payoff of
     X = M (1 + w) in closed form over its last step; kappa = 0 gives puts of
     exactly 0.  Each row evaluates the out-of-the-money option, whose value
     is the time value of both, and adds the intrinsic value: two normal
@@ -577,8 +572,8 @@ def _lognormal_option_rows(u: np.ndarray, kappa: float,
     sign = np.where(fwd < kappa, 1.0, -1.0)  # +1 where the call is out of the money
     cdf_1, cdf_2 = distributions._ndtr(sign * np.stack([d2 + root, d2]))
     time_value = sign * (fwd * cdf_1 - kappa * cdf_2)
-    return (time_value + np.maximum(fwd - kappa, 0.0),
-            time_value + np.maximum(kappa - fwd, 0.0))
+    return np.stack([time_value + np.maximum(fwd - kappa, 0.0),
+                     time_value + np.maximum(kappa - fwd, 0.0)])
 
 
 # -- off-grid refinement --------------------------------------------------------
@@ -619,13 +614,25 @@ def density_at(F: GridDensity, x_points) -> np.ndarray:
     return vals.reshape(x_points.shape)
 
 
+def _last_step(F: GridDensity, use: str, rows) -> np.ndarray:
+    """E[g(X)] over the last step X = M (1 + X') in closed form, for a law F
+    from a solve or finite_sum_density and rows(u) holding E[g(M e^u)] along
+    its last axis: p rows(0) + (1-p) sum_k h e^(u_k) s_k prev_k rows(u_k), s
+    F's column scales, or rows(0) where prev is None.  Each row is summed on
+    its own; rows(0) is computed only where it enters."""
+    p = _law(F, use).params.p
+    if F.prev is None:
+        return rows(np.zeros(1))[..., 0]
+    u = F.grid.u()
+    total = (rows(u) * (F.grid.h * np.exp(u) * F.col_scale * F.prev)).sum(axis=-1)
+    return total if p == 0.0 else p * rows(np.zeros(1))[..., 0] + (1.0 - p) * total
+
+
 def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
     """P(X <= eps) at each level eps > 0, the exact integral over (0, eps] of
-    the law density_at refines: X = M (1 + X') with M the log-normal
-    multiplier, so P(X <= eps) = p Phi(d(0)) + (1-p) sum_k h e^(u_k) s_k prev_k
-    Phi(d(u_k)), or Phi(d(0)) where prev is None, d(u) = (log eps - u - rho
-    + beta/2) / sqrt(beta), s F's column scales.  Each level's row is summed
-    on its own, so it does not depend on the levels beside it; a probability
+    the law density_at refines: one row Phi(d(u)) per level over the last
+    step (_last_step), d(u) = (log eps - u - rho + beta/2) / sqrt(beta).  A
+    level's value does not depend on the levels beside it; a probability
     below the smallest normal double may read 0."""
     eps_values = np.asarray(eps_values, dtype=float)
     if not np.all(np.isfinite(eps_values) & (eps_values > 0.0)):
@@ -633,11 +640,8 @@ def left_tail_cdf(F: GridDensity, eps_values) -> np.ndarray:
     rp = _law(F, "the left-tail cdf").params
     root = math.sqrt(rp.beta)
     level = np.log(eps_values.reshape(-1, 1)) + 0.5 * rp.beta - rp.rho  # d(u) = (level - u) / root
-    probs = distributions._ndtr(level[:, 0] / root)
-    if F.prev is not None:
-        mass = F.grid.h * np.exp(F.grid.u()) * F.col_scale * F.prev
-        phi = distributions._ndtr((level - F.grid.u()) / root)
-        probs = rp.p * probs + (1.0 - rp.p) * (phi * mass).sum(axis=1)
+    probs = _last_step(F, "the left-tail cdf",
+                       lambda u: distributions._ndtr((level - u) / root))
     return probs.reshape(eps_values.shape)
 
 
@@ -681,6 +685,16 @@ def _tail_window(grid: Grid) -> np.ndarray:
     return sel
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a, bit for bit, from one sort: the first np.median of a
+    process imports numpy.ma, which takes 15-19 ms."""
+    s = np.sort(a, axis=None)
+    mid = s.size // 2
+    if math.isnan(s[-1]):  # a NaN sorts last, and makes the median NaN
+        return math.nan
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
+
+
 def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float | None:
     """Median of f(x) x^(exponent+1) / exponent over the tail window."""
     sel = _tail_window(grid)
@@ -690,7 +704,7 @@ def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float
         return None
     logx = np.log(np.expm1(u[sel]))
     with np.errstate(over="ignore"):  # at a large exponent: an infinite median gives None
-        c = float(np.median(np.exp(np.log(v) + (exponent + 1.0) * logx))) / exponent
+        c = _median(np.exp(np.log(v) + (exponent + 1.0) * logx)) / exponent
     return c if math.isfinite(c) and c > 0.0 else None
 
 

@@ -89,13 +89,14 @@ def value_at_risk(ta: TailAsymptote, p_level: float,
                   density: solver.GridDensity | None = None) -> VarEstimate:
     """Threshold K with P(X > K) = p_level from the tail asymptote.
 
-    K = (constant / p_level)^(1/exponent).  When a density is supplied and
-    K falls inside the grid body (below the 99th percentile), the power-law
-    regime does not apply: the exact grid inversion is returned and flagged.
+    K = (constant / p_level)^(1/exponent) (TailAsymptote.level, which names
+    a K beyond the largest float).  When a density is supplied and K falls
+    inside the grid body (below the 99th percentile), the power-law regime
+    does not apply: the exact grid inversion is returned and flagged.
     """
     if not (0.0 < p_level < 1.0):
         raise ParameterError(f"p_level must be in (0, 1), got {p_level}")
-    k = (ta.constant / p_level) ** (1.0 / ta.exponent)
+    k = ta.level(p_level)
     if density is not None:
         x99 = solver.quantile(density, 0.99)
         if k <= x99:
@@ -131,8 +132,8 @@ def fit_survival_powerlaw(F: solver.GridDensity) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(lx, ls, 1)
     fitted_exponent = -float(slope)
     plateau = surv[sel] * x[sel] ** F.tail.exponent
-    variation = float((plateau.max() - plateau.min()) / np.median(plateau))
-    constant = float(np.median(surv[sel] * x[sel] ** fitted_exponent))
+    variation = float((plateau.max() - plateau.min()) / solver._median(plateau))
+    constant = solver._median(surv[sel] * x[sel] ** fitted_exponent)
     return fitted_exponent, constant, variation
 
 

@@ -447,9 +447,11 @@ class TestMalformedInput:
         assert not (tmp_path / "annuity_report.json").exists()
 
     def test_non_finite_report_exit_2(self, tmp_path, capsys, monkeypatch):
-        # a tail constant of inf makes the VaR threshold inf too; no law gives one
-        # now that expectation names an overflowing payoff, so it is patched in
-        monkeypatch.setattr(tails, "tail_constant", lambda F: math.inf)
+        # no law gives a VaR threshold of inf: TailAsymptote refuses a constant that is
+        # not finite and its level names an overflow, so one is patched in past them
+        monkeypatch.setattr(tails, "value_at_risk",
+                            lambda ta, level, density=None: tails.VarEstimate(math.inf,
+                                                                              "tail_inversion"))
         out = tmp_path / "out"
         assert main(["annuity", "--beta", "0.1", "--rho", "0", "--p", "0.1",
                      "--q-list", "0", "--out", str(out)]) == 2

@@ -16,6 +16,7 @@ from gbmsum import (
     pricing,
     solver,
 )
+from gbmsum.distributions import _de_integrate
 from gbmsum.solver import GaussianStepOperator
 
 
@@ -40,6 +41,17 @@ class TestAsianSpec:
             g.AsianSpec(s0=-1.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.4,
                         maturity=1.0, n_fixings=10)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_fixings_must_be_an_integer(self, n):
+        # a float, even a whole one, and a bool are refused before range() sees them
+        with pytest.raises(ParameterError, match=f"n_fixings must be an integer >= 1, got {n!r}"):
+            table2_spec(n, 100.0)
+
+    def test_numpy_integer_fixings(self):
+        spec = table2_spec(np.int64(10), 100.0)
+        assert type(spec.n_fixings) is int
+        assert g.asian_prices(spec)["call"] == g.asian_prices(table2_spec(10, 100.0))["call"]
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["s0", "strike", "rate", "dividend", "sigma",
                                        "maturity"])
@@ -51,6 +63,18 @@ class TestAsianSpec:
 
 
 class TestFiniteSumDensity:
+    @pytest.mark.parametrize("build", [g.finite_sum_density, g.finite_sum_density_derivative_form])
+    @pytest.mark.parametrize("n", [0, 2.5, 3.0, True])
+    def test_term_count_must_be_an_integer(self, build, n):
+        with pytest.raises(ParameterError, match=f"n must be an integer >= 1, got {n!r}"):
+            build(n, g.ReducedParams(beta=0.1, rho=0.0))
+
+    def test_numpy_integer_term_count(self):
+        rp = g.ReducedParams(beta=0.1, rho=0.0)
+        assert g.finite_sum_density(np.int64(3), rp) is g.finite_sum_density(3, rp)
+        derivative = g.finite_sum_density_derivative_form(np.int32(3), rp)
+        assert np.array_equal(derivative.values, g.finite_sum_density_derivative_form(3, rp).values)
+
     def test_single_term_is_multiplier(self):
         rp = g.ReducedParams(beta=0.1, rho=0.0)
         F = g.finite_sum_density(1, rp)
@@ -243,6 +267,18 @@ class TestLastStep:
             assert ref["grid"]["h"] <= price["grid"]["h"] / 4.0
             assert price["call"] == pytest.approx(ref["call"], rel=1e-9)
             assert price["put"] == pytest.approx(ref["put"], rel=1e-9)
+
+    @pytest.mark.parametrize("sigma, n", [(0.4, 10), (0.2, 250), (0.6, 2), (0.4, 1)])
+    def test_put_is_the_integral_of_the_cdf(self, sigma, n):
+        # for X >= 0, E[(kappa - X)+] = int_0^kappa P(X <= y) dy: the prices and
+        # left_tail_cdf read one last step, so the two agree to rounding
+        spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=sigma,
+                           maturity=1.0, n_fixings=n)
+        kappa = n * spec.strike / spec.s0
+        put = g.asian_prices(spec)["put"] / (math.exp(-spec.rate * spec.maturity) * spec.s0 / n)
+        law = g.finite_sum_density(n, spec.reduced())
+        integral = _de_integrate(lambda y: solver.left_tail_cdf(law, y), 0.0, kappa)
+        assert put == pytest.approx(integral, rel=1e-12)
 
     def test_one_power_pass_per_law(self, monkeypatch):
         spec = table2_spec(50, 100.0)

@@ -1231,3 +1231,26 @@ class TestContinuousLimit:
             disc = np.array([g.cdf(F, float(x)) for x in xs])
             dists.append(float(np.max(np.abs(disc - lim))))
         assert dists[0] > dists[1]
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 20, 21, 431])
+    def test_bit_identical_to_numpy(self, size):
+        values = np.random.default_rng(size).lognormal(0.0, 30.0, size)
+        values[::7] = np.inf
+        assert solver._median(values) == float(np.median(values))
+        values[size // 2] = np.nan
+        assert math.isnan(solver._median(values))
+
+    def test_tail_fits_import_no_masked_arrays(self):
+        # the first np.median of a process imports numpy.ma (15-19 ms); the solve's
+        # tail constant and the power-law fit take their medians without it
+        script = ("import sys, gbmsum as g\n"
+                  "F, _ = g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1))\n"
+                  "g.fit_survival_powerlaw(F)\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(g.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "False"

@@ -226,6 +226,17 @@ class TestValueAtRisk:
         with pytest.raises(ParameterError):
             g.value_at_risk(ta, 0.0)
 
+    def test_threshold_beyond_the_largest_float(self):
+        # mu = 0.005 is the law (1, 0.4975)'s: 100^200 overflows a float
+        with pytest.raises(ParameterError, match="overflows.*beyond the largest float"):
+            g.value_at_risk(g.TailAsymptote(0.005, 1.0), 0.01)
+
+    @pytest.mark.parametrize("exponent, constant", [(1.2, math.inf), (math.inf, 1.0),
+                                                    (math.nan, 1.0), (1.2, math.nan)])
+    def test_asymptote_must_be_finite(self, exponent, constant):
+        with pytest.raises(ParameterError, match="must be finite"):
+            g.TailAsymptote(exponent, constant)
+
 
 class TestRiskRecord:
     def test_serializable_shape(self, solved):
