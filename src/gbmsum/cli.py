@@ -77,8 +77,7 @@ class _Outputs:
     def write_json(self, name: str, payload: dict) -> str:
         path = self.path(name)
         try:
-            text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default,
-                              allow_nan=False)
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         except ValueError:
             raise ParameterError(f"{path} would hold a non-finite value") from None
         with open(path, "w") as fh:
@@ -114,14 +113,6 @@ def _fmt(v) -> str:
 
 def _args_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON serializable: {type(v)!r}")
 
 
 # -- commands --------------------------------------------------------------------
@@ -394,11 +385,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true",
                        help="escalate accuracy warnings to exit code 4")
 
+    def add_iteration(p):
+        p.add_argument("--tol", type=float, default=solver._SOLVE_TOL)
+        p.add_argument("--max-iter", type=int, default=solver._SOLVE_MAX_ITER, dest="max_iter")
+
     def add_solver(p):
         p.add_argument("--h", type=float, default=None, help="grid step in u")
         p.add_argument("--umax", type=float, default=None, help="grid span in u")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+        add_iteration(p)
 
     p = sub.add_parser("density", help="solve for a stationary density")
     p.add_argument("--beta", type=float, required=True)
@@ -463,8 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run a JSON scenario list")
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+    add_iteration(p)
     add_common(p)
     p.set_defaults(func=cmd_batch)
     return parser

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, ConvergenceError, ParameterError
-from .params import as_reduced
+from .params import as_reduced, require_finite, require_nonnegative, require_positive
 
 _Y_TAIL_SWITCH = 10.0
 # The small-y series is asymptotic: within 3e-16 below this y, but off by up
@@ -170,8 +170,8 @@ def multiplier_pdf(x, params) -> np.ndarray | float:
 
 
 def _inv_gamma_shape_scale(sigma: float, m: float) -> tuple[float, float]:
-    if sigma <= 0.0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    require_positive(sigma=sigma)
+    require_finite(m=m)
     if m >= 0.5 * sigma**2:
         raise ParameterError(
             f"inverse-Gamma limit law requires m < sigma^2/2, got m = {m}, "
@@ -214,10 +214,8 @@ class YorParams:
     beta_g: float
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ParameterError(f"alpha must be non-negative, got {self.alpha}")
-        if not (self.beta_g > 0.0):
-            raise ParameterError(f"beta_g must be positive, got {self.beta_g}")
+        require_nonnegative(alpha=self.alpha)
+        require_positive(beta_g=self.beta_g)
 
 
 def yor_params(sigma: float, m: float, lam: float) -> YorParams:
@@ -226,10 +224,9 @@ def yor_params(sigma: float, m: float, lam: float) -> YorParams:
     lam = 0 is allowed as the degenerate limit (alpha = 0) when the infinite
     integral exists.
     """
-    if sigma <= 0.0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    if lam < 0.0:
-        raise ParameterError(f"lam must be non-negative, got {lam}")
+    require_positive(sigma=sigma)
+    require_finite(m=m)
+    require_nonnegative(lam=lam)
     s2 = sigma**2
     if lam == 0.0 and m >= 0.5 * s2:
         raise ParameterError("lam = 0 with m >= sigma^2/2: no limiting law exists")
@@ -315,6 +312,8 @@ def yor_survival(z: float, sigma: float, m: float, lam: float) -> float:
     _SURVIVAL_SLACK raises ConvergenceError (the rule stopped short, as a
     ratio density too steep for its last step makes it); one within it is
     rounding and is clipped."""
+    if math.isnan(z):
+        raise ParameterError("yor_survival needs a level z, got NaN")
     if z <= 0.0:
         return 1.0
     if lam <= 0.0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .params import as_reduced, require_finite
+from .params import as_reduced, require_count, require_finite, require_positive
 
 _MAX_CHUNK_ELEMENTS = 4_000_000
 _PIECE_ELEMENTS = 1 << 18  # normals (2 MiB)
@@ -35,8 +35,7 @@ class FixedHorizon:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"fixed horizon must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", require_count("fixed horizon n", self.n))
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,8 @@ class McConfig:
     horizon: object = field(default_factory=lambda: FixedHorizon(1))
 
     def __post_init__(self):
-        if self.n_paths < 1000:
-            raise ParameterError(f"n_paths must be >= 1000, got {self.n_paths}")
+        object.__setattr__(self, "n_paths", require_count("n_paths", self.n_paths, least=1000))
+        object.__setattr__(self, "seed", require_count("seed", self.seed, least=0))
         if self.antithetic and self.n_paths % 2:
             raise ParameterError("antithetic pairing needs an even n_paths")
         if not isinstance(self.horizon, (FixedHorizon, GeometricHorizon, GeneralHorizon)):
@@ -355,15 +354,11 @@ def simulate_time_integral(sigma: float, m: float, substeps: int, cfg: McConfig,
     per path) must be given.  Used to validate the continuous-time limit
     laws empirically.
     """
-    if substeps < 100:
-        raise ParameterError(f"substeps must be >= 100, got {substeps}")
+    substeps = require_count("substeps", substeps, least=100)
     if (T is None) == (lam is None):
         raise ParameterError("give exactly one of T and lam")
     require_finite(sigma=sigma, m=m)
-    if T is not None and not (0.0 < T < math.inf):
-        raise ParameterError(f"T must be positive and finite, got {T}")
-    if lam is not None and not (0.0 < lam < math.inf):
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
+    require_positive(**({"T": T} if lam is None else {"lam": lam}))
     if statistic is None:
         statistic = lambda y: y  # noqa: E731 - identity default
     n_inner = substeps - 1  # the t = 0 term of the Riemann sum is exp(0) = 1

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import ParameterError
-from .params import as_reduced
+from .params import as_reduced, require_count, require_finite, require_positive
 
 MultiplierMoments = Callable[[float], float]
 
@@ -32,6 +32,8 @@ def levy_multiplier_moments(cumulant: Callable[[float], float], m: float,
                             tau: float) -> MultiplierMoments:
     """k -> E[A^k] = exp(kappa(k) tau + m k tau) for an exponential-Levy
     multiplier with user-supplied cumulant function kappa."""
+    require_finite(m=m)
+    require_positive(tau=tau)
     if abs(cumulant(0.0)) > 1e-12:
         raise ParameterError(f"cumulant must satisfy kappa(0) = 0, got {cumulant(0.0)}")
 
@@ -51,8 +53,7 @@ def moment_exists(k: int, mm: MultiplierMoments, p: float = 0.0) -> bool:
 def moments_geometric(kmax: int, mm: MultiplierMoments, p: float = 0.0) -> list[float]:
     """E[X^k] for k = 1..kmax of the geometrically stopped sum (p = 0 gives
     the infinite sum).  Raises naming the first k whose moment diverges."""
-    if kmax < 1:
-        raise ParameterError(f"kmax must be >= 1, got {kmax}")
+    kmax = require_count("kmax", kmax)
     for k in range(1, kmax + 1):
         if not moment_exists(k, mm, p):
             raise ParameterError(
@@ -71,8 +72,7 @@ def moments_infinite_product_form(kmax: int, mm: MultiplierMoments) -> list[floa
     """E[X_inf^k] as the explicit sum over increasing index chains
     0 = i_0 < i_1 < ... < i_m = k of prod_j C(i_j, i_{j-1}) q(i_j),
     q(i) = E[A^i] / (1 - E[A^i]).  Identical to the p = 0 recursion."""
-    if kmax < 1:
-        raise ParameterError(f"kmax must be >= 1, got {kmax}")
+    kmax = require_count("kmax", kmax)
     for k in range(1, kmax + 1):
         if not moment_exists(k, mm, 0.0):
             raise ParameterError(f"moment of order {k} does not exist")
@@ -97,16 +97,16 @@ def moments_infinite_product_form(kmax: int, mm: MultiplierMoments) -> list[floa
 
 def inverse_moment_bound(n: int, params) -> float:
     """Upper bound exp(beta n(n+1)/2 - n rho) on E[X_inf^(-n)]."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = require_count("n", n)
     rp = as_reduced(params)
     return math.exp(0.5 * rp.beta * n * (n + 1.0) - n * rp.rho)
 
 
 def mean_finite_sum(n: int, r: float, tau: float, s0: float) -> float:
     """Exact E[sum of n sampled GBM values] = s0 (e^{n r tau} - 1)/(1 - e^{-r tau})."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = require_count("n", n)
+    require_finite(r=r)
+    require_positive(tau=tau, s0=s0)
     if r == 0.0:
         return n * s0
     return s0 * math.expm1(n * r * tau) / (-math.expm1(-r * tau))

@@ -23,11 +23,27 @@ def require_finite(**values) -> None:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
-def require_count(name: str, value) -> int:
-    """value as an int, for a count of at least 1: an int or a numpy integer,
-    not a bool; ParameterError names any other value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+def require_positive(**values) -> None:
+    """The values pass require_finite and are > 0; ParameterError names the first that is not."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value <= 0.0:
+            raise ParameterError(f"{name} must be positive, got {value}")
+
+
+def require_nonnegative(**values) -> None:
+    """The values pass require_finite and are >= 0; ParameterError names the first that is not."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value < 0.0:
+            raise ParameterError(f"{name} must be non-negative, got {value}")
+
+
+def require_count(name: str, value, least: int = 1) -> int:
+    """value as an int, for a count of at least `least`: an int or a numpy
+    integer, not a bool; ParameterError names any other value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -47,13 +63,9 @@ class ModelParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        require_finite(sigma=self.sigma, m=self.m, tau=self.tau, lam=self.lam)
-        if not (self.sigma > 0.0):
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if not (self.tau > 0.0):
-            raise ParameterError(f"tau must be positive, got {self.tau}")
-        if self.lam < 0.0:
-            raise ParameterError(f"lam must be non-negative, got {self.lam}")
+        require_finite(m=self.m)
+        require_positive(sigma=self.sigma, tau=self.tau)
+        require_nonnegative(lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -69,9 +81,8 @@ class ReducedParams:
     p: float = 0.0
 
     def __post_init__(self):
-        require_finite(beta=self.beta, rho=self.rho)
-        if not (self.beta > 0.0):
-            raise ParameterError(f"beta must be positive, got {self.beta}")
+        require_positive(beta=self.beta)
+        require_finite(rho=self.rho)
         if not (0.0 <= self.p <= 1.0):
             raise ParameterError(f"p must lie in [0, 1], got {self.p}")
 
@@ -134,11 +145,7 @@ class TailAsymptote:
     constant: float
 
     def __post_init__(self):
-        require_finite(exponent=self.exponent, constant=self.constant)
-        if not (self.exponent > 0.0):
-            raise ParameterError(f"tail exponent must be positive, got {self.exponent}")
-        if not (self.constant > 0.0):
-            raise ParameterError(f"tail constant must be positive, got {self.constant}")
+        require_positive(exponent=self.exponent, constant=self.constant)
 
     def survival(self, x: float) -> float:
         return self.constant * x ** (-self.exponent)

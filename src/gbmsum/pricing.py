@@ -27,7 +27,8 @@ from .errors import (
 )
 from .mc import GeneralHorizon
 from .moments import mean_finite_sum
-from .params import ReducedParams, as_reduced, require_count, require_finite, tail_exponent
+from .params import (ReducedParams, as_reduced, require_count, require_finite,
+                     require_nonnegative, require_positive, tail_exponent)
 from .solver import GaussianStepOperator, Grid, GridDensity
 
 # Finite-sum powers zero their values below this.  A product of a larger value
@@ -57,16 +58,9 @@ class AsianSpec:
     n_fixings: int
 
     def __post_init__(self):
-        require_finite(s0=self.s0, strike=self.strike, rate=self.rate,
-                       dividend=self.dividend, sigma=self.sigma, maturity=self.maturity)
-        if self.s0 <= 0.0:
-            raise ParameterError(f"spot must be positive, got {self.s0}")
-        if self.strike < 0.0:
-            raise ParameterError(f"strike must be non-negative, got {self.strike}")
-        if self.sigma <= 0.0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if self.maturity <= 0.0:
-            raise ParameterError(f"maturity must be positive, got {self.maturity}")
+        require_positive(s0=self.s0, sigma=self.sigma, maturity=self.maturity)
+        require_nonnegative(strike=self.strike)
+        require_finite(rate=self.rate, dividend=self.dividend)
         object.__setattr__(self, "n_fixings", require_count("n_fixings", self.n_fixings))
 
     @property
@@ -293,8 +287,7 @@ def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
     rp = solver._law(F, "geometric_maturity_option", fixed_point=True).params
     if not (0.0 < rp.p < 1.0):
         raise ParameterError(f"needs 0 < p < 1, got p = {rp.p}")
-    if not (kappa >= 0.0):
-        raise ParameterError(f"kappa must be non-negative, got {kappa}")
+    require_nonnegative(kappa=kappa)
     mu = tail_exponent(rp)
     if mu <= 1.0:
         raise DivergentExpectationError(
@@ -333,8 +326,8 @@ def makeham_match_p(a0: float, method: str = "life_expectancy",
     """
     if not (0.0 <= a0 <= 120.0):
         raise ParameterError(f"age must lie in [0, 120], got {a0}")
-    if a < 0.0 or b < 0.0:
-        raise ParameterError("Makeham parameters must be non-negative")
+    require_nonnegative(a=a, b=b)
+    require_finite(beta=beta)
     if method == "life_expectancy":
         if a == 0.0 and b == 0.0:
             raise NoRootError("zero hazard: conditional life expectancy diverges")

@@ -28,9 +28,13 @@ from .errors import (
     ParameterError,
 )
 from .moments import gbm_multiplier_moments, moment_exists, moments_geometric
-from .params import ReducedParams, TailAsymptote, as_reduced, require_finite, tail_exponent
+from .params import (ReducedParams, TailAsymptote, as_reduced, require_finite,
+                     require_positive, tail_exponent)
 
 TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
+# the solves' default fixed-point tolerance and apply budget, the CLI's too
+_SOLVE_TOL = 1e-8
+_SOLVE_MAX_ITER = 500
 _BAND_SIGMAS = 8.0
 _NEG_CLIP = -1e-14
 _U_MAX_CAP = 60.0
@@ -56,9 +60,7 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        require_finite(h=self.h)
-        if not (self.h > 0.0):
-            raise ParameterError(f"grid step must be positive, got {self.h}")
+        require_positive(h=self.h)
         if self.n_points < 16:
             raise ParameterError(f"grid needs at least 16 points, got {self.n_points}")
 
@@ -879,7 +881,8 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
         mean_rel_err=_mean_rel_err(density, exact_mean))
 
 
-def solve_infinite(params, tol: float = 1e-8, max_iter: int = 500, h: float | None = None,
+def solve_infinite(params, tol: float = _SOLVE_TOL, max_iter: int = _SOLVE_MAX_ITER,
+                   h: float | None = None,
                    u_max: float | None = None) -> tuple[GridDensity, SolveReport]:
     """Stationary density of the infinite sum; requires p = 0 and rho < beta/2.
 
@@ -895,7 +898,8 @@ def solve_infinite(params, tol: float = 1e-8, max_iter: int = 500, h: float | No
     return _solve(rp, tol, max_iter, h, u_max)
 
 
-def solve_geometric(params, tol: float = 1e-8, max_iter: int = 500, h: float | None = None,
+def solve_geometric(params, tol: float = _SOLVE_TOL, max_iter: int = _SOLVE_MAX_ITER,
+                    h: float | None = None,
                     u_max: float | None = None) -> tuple[GridDensity, SolveReport]:
     """Stationary density of the geometrically stopped sum.
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import solver
 from .distributions import yor_survival
 from .errors import ParameterError, RegimeWarning
-from .params import TailAsymptote, as_reduced, front_speed, require_finite, tail_exponent
+from .params import (TailAsymptote, as_reduced, front_speed, require_count,
+                     require_nonnegative, require_positive, tail_exponent)
 
 
 def _stable_power_gap(x: np.ndarray, mu: float) -> np.ndarray:
@@ -51,19 +52,14 @@ def left_tail_coefficient(params) -> float:
 
 def finite_sum_right_tail_coefficient(params, n: int) -> float:
     """Limit of log P(X_n >= x) / (log x)^2 = -1/(2 beta n) for finite sums."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    rp = as_reduced(params)
-    return -1.0 / (2.0 * rp.beta * n)
+    n = require_count("n", n)
+    return -1.0 / (2.0 * as_reduced(params).beta * n)
 
 
 def _threshold(K: float, q: float) -> float:
     """The shortfall level (1+q) K, for finite K > 0 and q >= 0."""
-    require_finite(K=K, q=q)
-    if K <= 0.0:
-        raise ParameterError(f"capital K must be positive, got {K}")
-    if q < 0.0:
-        raise ParameterError(f"buffer q must be non-negative, got {q}")
+    require_positive(K=K)
+    require_nonnegative(q=q)
     return (1.0 + q) * K
 
 

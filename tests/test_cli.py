@@ -415,6 +415,9 @@ class TestMalformedInput:
         pytest.param(["calibrate", "--age", "110", "--method", "life-expectancy"], {},
                      "leaves no p in (0, 1)", id="calibrate-no-root"),
         pytest.param(MC_OVERFLOW, {}, "statistic column 0 is not finite", id="mc-infinite"),
+        pytest.param(["mc", "--paths", "2000", "--seed", "-1", "--horizon", "fixed:5",
+                      "--beta", "0.1", "--rho", "0"], {},
+                     "seed must be an integer >= 0, got -1", id="mc-negative-seed"),
         *ANNUITY_INPUTS,
     ])
     def test_exit_2_names_the_value(self, tmp_path, capsys, argv, files, message):

@@ -47,6 +47,24 @@ class TestReduce:
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             g.ModelParams(**{"sigma": 1.0, "m": 0.0, "tau": 1.0, field: value})
 
+    @pytest.mark.parametrize("build, kwargs, message", [
+        pytest.param(g.ModelParams, dict(sigma=0.0, m=0.0, tau=1.0),
+                     "sigma must be positive, got 0.0", id="sigma"),
+        pytest.param(g.ModelParams, dict(sigma=1.0, m=0.0, tau=-1.0),
+                     "tau must be positive, got -1.0", id="tau"),
+        pytest.param(g.ModelParams, dict(sigma=1.0, m=0.0, tau=1.0, lam=-0.1),
+                     "lam must be non-negative, got -0.1", id="lam"),
+        pytest.param(g.ReducedParams, dict(beta=-1.0, rho=0.0),
+                     "beta must be positive, got -1.0", id="beta"),
+        pytest.param(g.TailAsymptote, dict(exponent=0.0, constant=1.0),
+                     "exponent must be positive, got 0.0", id="exponent"),
+        pytest.param(g.TailAsymptote, dict(exponent=1.0, constant=-2.0),
+                     "constant must be positive, got -2.0", id="constant"),
+    ])
+    def test_params_refuse_a_bad_sign(self, build, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            build(**kwargs)
+
     def test_feasibility_flag(self):
         assert g.ReducedParams(beta=1.0, rho=-0.1).perpetuity_feasible
         assert not g.ReducedParams(beta=1.0, rho=0.6).perpetuity_feasible
@@ -126,6 +144,46 @@ class TestYorParams:
     def test_degenerate_requires_drift_condition(self):
         with pytest.raises(ParameterError):
             g.yor_params(1.0, 0.7, 0.0)
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: g.inv_gamma_pdf(1.0, -1.0, -0.1),
+                     "sigma must be positive, got -1.0", id="inv-gamma-sigma"),
+        pytest.param(lambda: g.YorParams(alpha=-0.5, beta_g=1.0),
+                     "alpha must be non-negative, got -0.5", id="alpha"),
+        pytest.param(lambda: g.YorParams(alpha=0.5, beta_g=0.0),
+                     "beta_g must be positive, got 0.0", id="beta_g"),
+        pytest.param(lambda: g.yor_params(0.0, 0.0, 0.1),
+                     "sigma must be positive, got 0.0", id="yor-sigma"),
+        pytest.param(lambda: g.yor_params(1.0, 0.0, -0.1),
+                     "lam must be non-negative, got -0.1", id="yor-lam"),
+    ])
+    def test_refuses_a_bad_sign(self, call, message):
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: g.inv_gamma_pdf(1.0, math.nan, 0.0),
+                     "sigma must be finite, got nan", id="pdf-nan-sigma"),
+        pytest.param(lambda: g.inv_gamma_pdf(1.0, math.inf, 0.0),
+                     "sigma must be finite, got inf", id="pdf-inf-sigma"),
+        pytest.param(lambda: g.inv_gamma_pdf(1.0, 1.0, math.nan),
+                     "m must be finite, got nan", id="pdf-nan-m"),
+        pytest.param(lambda: g.inv_gamma_cdf(1.0, 1.0, math.nan),
+                     "m must be finite, got nan", id="cdf-nan-m"),
+        pytest.param(lambda: g.yor_pdf(1.0, 1.0, 0.0, math.inf),
+                     "lam must be finite, got inf", id="yor-inf-lam"),
+        pytest.param(lambda: g.yor_survival(math.nan, 1.0, 0.0, 0.1),
+                     "yor_survival needs a level z, got NaN", id="yor-nan-level"),
+    ])
+    def test_refuses_a_non_finite_value(self, call, message):
+        # each of these gave NaN, a raw ValueError or a ConvergenceError
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+    def test_survival_at_infinity_is_zero(self):
+        assert g.yor_survival(math.inf, 1.0, 0.0, 0.1) == 0.0
 
 
 class TestYorPdf:

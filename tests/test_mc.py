@@ -23,6 +23,28 @@ class TestConfig:
         with pytest.raises(ParameterError):
             g.McConfig(n_paths=1001, seed=1, antithetic=True)
 
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: g.FixedHorizon(2.5), "n must be an integer >= 1, got 2.5",
+                     id="fractional-horizon"),
+        pytest.param(lambda: g.McConfig(n_paths=2000.0, seed=1),
+                     "n_paths must be an integer >= 1000, got 2000.0", id="float-paths"),
+        pytest.param(lambda: g.McConfig(n_paths=2000, seed=1.5),
+                     "seed must be an integer >= 0, got 1.5", id="fractional-seed"),
+        pytest.param(lambda: g.McConfig(n_paths=2000, seed=-1),
+                     "seed must be an integer >= 0, got -1", id="negative-seed"),
+        pytest.param(lambda: g.simulate_time_integral(1.0, 0.0, 100.5,
+                                                      g.McConfig(n_paths=1000, seed=1), T=1.0),
+                     "substeps must be an integer >= 100, got 100.5", id="fractional-substeps"),
+    ])
+    def test_refuses_a_count_that_is_no_integer(self, build, message):
+        with pytest.raises(ParameterError, match=message):
+            build()
+
+    def test_counts_are_stored_as_int(self):
+        cfg = g.McConfig(n_paths=np.int64(2000), seed=np.int32(0),
+                         horizon=g.FixedHorizon(np.int64(5)))
+        assert (type(cfg.n_paths), type(cfg.seed), type(cfg.horizon.n)) == (int, int, int)
+
     def test_horizon_validation(self):
         with pytest.raises(ParameterError):
             g.FixedHorizon(0)

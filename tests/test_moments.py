@@ -140,6 +140,15 @@ class TestMeanFiniteSum:
 
 
 class TestLevyHook:
+    @pytest.mark.parametrize("m, tau, message", [
+        (math.nan, 1.0, "m must be finite, got nan"),
+        (0.0, math.inf, "tau must be finite, got inf"),
+        (0.0, 0.0, "tau must be positive, got 0.0"),
+    ], ids=["nan-m", "inf-tau", "zero-tau"])
+    def test_refuses_bad_arguments(self, m, tau, message):
+        with pytest.raises(ParameterError, match=message):
+            g.levy_multiplier_moments(lambda k: 0.5 * k * (k - 1.0), m, tau)
+
     def test_gaussian_cumulant_reproduces_gbm(self):
         sigma, m, tau = 0.4, -0.2, 0.5
         mm_levy = g.levy_multiplier_moments(
@@ -155,3 +164,40 @@ class TestLevyHook:
     def test_cumulant_must_vanish_at_zero(self):
         with pytest.raises(ParameterError):
             g.levy_multiplier_moments(lambda t: t + 1.0, 0.0, 1.0)
+
+
+class TestBoundaryChecks:
+    RP = g.ReducedParams(beta=1.0, rho=-0.1)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda rp: g.moments_geometric(0, g.gbm_multiplier_moments(rp)),
+                     r"kmax must be (an integer )?>= 1, got 0", id="geometric-kmax"),
+        pytest.param(lambda rp: g.moments_infinite_product_form(0, g.gbm_multiplier_moments(rp)),
+                     r"kmax must be (an integer )?>= 1, got 0", id="product-kmax"),
+        pytest.param(lambda rp: g.mean_finite_sum(0, 0.1, 1.0, 1.0),
+                     r"n must be (an integer )?>= 1, got 0", id="mean-n"),
+    ])
+    def test_refuses_a_count_below_one(self, call, message):
+        with pytest.raises(ParameterError, match=message):
+            call(self.RP)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda rp: g.moments_geometric(2.5, g.gbm_multiplier_moments(rp)),
+                     "kmax must be an integer >= 1, got 2.5", id="geometric-fractional-kmax"),
+        pytest.param(lambda rp: g.inverse_moment_bound(1.5, rp),
+                     "n must be an integer >= 1, got 1.5", id="bound-fractional-n"),
+        pytest.param(lambda rp: g.mean_finite_sum(2.5, 0.1, 1.0, 1.0),
+                     "n must be an integer >= 1, got 2.5", id="mean-fractional-n"),
+        pytest.param(lambda rp: g.mean_finite_sum(True, 0.1, 1.0, 1.0),
+                     "n must be an integer >= 1, got True", id="mean-bool-n"),
+        pytest.param(lambda rp: g.mean_finite_sum(3, math.nan, 1.0, 1.0),
+                     "r must be finite, got nan", id="mean-nan-rate"),
+        pytest.param(lambda rp: g.mean_finite_sum(3, 0.1, 0.0, 1.0),
+                     "tau must be positive, got 0.0", id="mean-zero-step"),
+        pytest.param(lambda rp: g.mean_finite_sum(3, 0.1, 1.0, -1.0),
+                     "s0 must be positive, got -1.0", id="mean-negative-spot"),
+    ])
+    def test_refuses_what_used_to_return_a_number(self, call, message):
+        with pytest.raises(ParameterError, match=message):
+            call(self.RP)
+

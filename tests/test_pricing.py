@@ -61,6 +61,17 @@ class TestAsianSpec:
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             g.AsianSpec(**{**fields, field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("strike", -1.0, "strike must be non-negative, got -1.0"),
+        ("sigma", 0.0, "sigma must be positive, got 0.0"),
+        ("maturity", -1.0, "maturity must be positive, got -1.0"),
+    ])
+    def test_refuses_a_bad_sign(self, field, value, message):
+        fields = dict(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.4,
+                      maturity=1.0, n_fixings=10)
+        with pytest.raises(ParameterError, match=message):
+            g.AsianSpec(**{**fields, field: value})
+
 
 class TestFiniteSumDensity:
     @pytest.mark.parametrize("build", [g.finite_sum_density, g.finite_sum_density_derivative_form])
@@ -486,11 +497,18 @@ class TestGeometricMaturityOption:
                 assert g.geometric_maturity_option(F, kappa) == pytest.approx(
                     c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-12)
 
-    @pytest.mark.parametrize("kappa", [-1.0, math.nan])
-    def test_bad_strike_rejected(self, solved, kappa):
+    @pytest.mark.parametrize("kappa, message", [(-1.0, "kappa must be non-negative"),
+                                                (math.nan, "kappa must be finite")],
+                             ids=["-1.0", "nan"])
+    def test_bad_strike_rejected(self, solved, kappa, message):
         F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
-        with pytest.raises(ParameterError, match="kappa must be non-negative"):
+        with pytest.raises(ParameterError, match=message):
             g.geometric_maturity_option(F, kappa)
+
+    def test_infinite_strike_rejected(self, solved):
+        F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
+        with pytest.raises(ParameterError, match="kappa must be finite, got inf"):
+            g.geometric_maturity_option(F, math.inf)
 
     def test_mean_infinite_tail_rejected(self, solved):
         F, _ = solved(1.0, 0.1, 0.05, u_max=10.0)  # mu = 0.91
@@ -614,3 +632,14 @@ class TestMakehamCalibration:
             g.makeham_match_p(150.0, "hazard_rate")
         with pytest.raises(ParameterError):
             g.makeham_match_p(65.0, "nearest_neighbor")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param(dict(a=-1e-4), "must be non-negative", id="a-negative"),
+        pytest.param(dict(b=-1e-5), "must be non-negative", id="b-negative"),
+        pytest.param(dict(a=math.nan), "a must be finite, got nan", id="a-nan"),
+        pytest.param(dict(beta=math.nan), "beta must be finite, got nan", id="beta-nan"),
+    ])
+    def test_makeham_parameters_refused(self, kwargs, message):
+        for method in ("life_expectancy", "hazard_rate"):
+            with pytest.raises(ParameterError, match=message):
+                g.makeham_match_p(65.0, method, **kwargs)

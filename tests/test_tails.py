@@ -49,6 +49,15 @@ class TestExponents:
         with pytest.raises(ParameterError):
             g.tail_exponent(g.ReducedParams(beta=1.0, rho=0.0, p=1.0))
 
+    @pytest.mark.parametrize("n, message", [
+        (0, r"n must be (an integer )?>= 1, got 0"),
+        (2.5, "n must be an integer >= 1, got 2.5"),
+        (True, "n must be an integer >= 1, got True"),
+    ], ids=["zero", "fractional", "bool"])
+    def test_finite_sum_term_count_refused(self, n, message):
+        with pytest.raises(ParameterError, match=message):
+            g.finite_sum_right_tail_coefficient(g.ReducedParams(beta=1.0, rho=0.0), n)
+
     def test_matches_exponential_time_shape_as_step_vanishes(self):
         sigma, m, lam = 1.0, -0.3, 0.5
         beta_g = g.yor_params(sigma, m, lam).beta_g
