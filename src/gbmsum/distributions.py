@@ -10,8 +10,9 @@ the library neither sums on a grid nor has in closed form: tanh-sinh nodes on
 a finite interval, exp-sinh nodes on a half line (Takahasi and Mori, Publ.
 RIMS 9, 1974).  `_ndtr`, the standard normal cdf in numpy alone, serves the
 Asian prices' Black-Scholes rows and the left-tail probabilities.
-Only the continuous-time laws (inv_gamma_cdf, yor_pdf, yor_survival) load
-scipy.special, when they are called.
+`yor_survival` is one expectation over the law's Gamma factor by that rule;
+only inv_gamma_cdf (its incomplete gamma) and yor_pdf (its Kummer function)
+load scipy.special, when they are called.  A density or cdf refuses a NaN point.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .errors import AccuracyWarning, ConvergenceError, ParameterError
 from .params import as_reduced, require_finite, require_nonnegative, require_positive
 
-_Y_TAIL_SWITCH = 10.0
 # The small-y series is asymptotic: within 3e-16 below this y, but off by up
 # to 1.4e-10 at y = 0.0199.  The Kummer form is within 6e-14 above it and
 # turns into 0 * inf below y ~ 0.0014, where 1/y passes 709.
@@ -154,19 +154,25 @@ def _ndtr(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
+def _on_positive(x, caller: str, name: str, f) -> np.ndarray | float:
+    """f at the points of x above 0, and 0 at the others, shaped as x (a float
+    for a scalar); ParameterError names the point `name` if any is NaN."""
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise ParameterError(f"{caller} needs a point {name}, got NaN")
+    out = np.zeros_like(arr)
+    pos = arr > 0.0
+    out[pos] = f(arr[pos])
+    return out if out.ndim else float(out)
+
+
 def multiplier_pdf(x, params) -> np.ndarray | float:
     """Density of the one-period multiplier: log-normal with log-mean
     rho - beta/2 and log-variance beta.  Zero for x <= 0."""
     rp = as_reduced(params)
-    x_arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(x_arr)
-    pos = x_arr > 0.0
-    xp = x_arr[pos]
     mu = rp.rho - 0.5 * rp.beta
-    out[pos] = np.exp(-((np.log(xp) - mu) ** 2) / (2.0 * rp.beta)) / (
-        np.sqrt(2.0 * math.pi * rp.beta) * xp
-    )
-    return out if out.ndim else float(out)
+    return _on_positive(x, "multiplier_pdf", "x", lambda xp: np.exp(
+        -((np.log(xp) - mu) ** 2) / (2.0 * rp.beta)) / (np.sqrt(2.0 * math.pi * rp.beta) * xp))
 
 
 def _inv_gamma_shape_scale(sigma: float, m: float) -> tuple[float, float]:
@@ -183,27 +189,17 @@ def _inv_gamma_shape_scale(sigma: float, m: float) -> tuple[float, float]:
 def inv_gamma_pdf(z, sigma: float, m: float) -> np.ndarray | float:
     """Density of the infinite-horizon GBM time integral (inverse Gamma)."""
     a, s = _inv_gamma_shape_scale(sigma, m)
-    z_arr = np.asarray(z, dtype=float)
-    out = np.zeros_like(z_arr)
-    pos = z_arr > 0.0
-    zp = z_arr[pos]
-    out[pos] = np.exp(
-        a * math.log(s) - (a + 1.0) * np.log(zp) - s / zp - math.lgamma(a)
-    )
-    return out if out.ndim else float(out)
+    return _on_positive(z, "inv_gamma_pdf", "z", lambda zp: np.exp(
+        a * math.log(s) - (a + 1.0) * np.log(zp) - s / zp - math.lgamma(a)))
 
 
 def inv_gamma_cdf(x, sigma: float, m: float) -> np.ndarray | float:
     """P(Y_inf < x) = Q(1 - 2m/sigma^2, 2/(sigma^2 x))."""
-    from scipy import special  # loaded on first use: no other law needs scipy
+    from scipy import special  # loaded on first use, as in _ratio_pdf
 
     a, s = _inv_gamma_shape_scale(sigma, m)
-    x_arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(x_arr)
-    pos = x_arr > 0.0
     # P(Y < x) = P(Gamma(a) > s/x): regularized upper gamma of the reciprocal
-    out[pos] = special.gammaincc(a, s / x_arr[pos])
-    return out if out.ndim else float(out)
+    return _on_positive(x, "inv_gamma_cdf", "x", lambda xp: special.gammaincc(a, s / xp))
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,7 @@ def _ratio_pdf_small_y(yv: float, a: float, b: float) -> float:
 
 def _ratio_pdf(y, yp: YorParams) -> np.ndarray | float:
     """Density of Beta(1, alpha)/Gamma(beta_g) at y > 0."""
-    from scipy import special  # loaded on first use: no other law needs scipy
+    from scipy import special  # loaded on first use, as in inv_gamma_cdf
 
     a, b = yp.alpha, yp.beta_g
     log_pref = math.log(a) + math.log(b) + math.lgamma(a) - math.lgamma(a + b + 1.0)
@@ -282,36 +278,17 @@ def yor_pdf(z, sigma: float, m: float, lam: float) -> np.ndarray | float:
         raise ParameterError("yor_pdf requires lam > 0; use inv_gamma_pdf for lam = 0")
     yp = yor_params(sigma, m, lam)
     half_s2 = 0.5 * sigma**2
-    return half_s2 * _ratio_pdf(np.asarray(z, dtype=float) * half_s2, yp)
-
-
-def _ratio_survival_tail(y0: float, yp: YorParams) -> float:
-    # Exact term-by-term integral of the ratio density beyond y0 >= ~10:
-    # the 1F1 Taylor series in -1/y integrates to sum_k c_k (-1)^k y0^(-b-k)/(b+k).
-    a, b = yp.alpha, yp.beta_g
-    pref = math.exp(math.log(a) + math.log(b) + math.lgamma(a) - math.lgamma(a + b + 1.0))
-    ck = 1.0  # (b+1)_k / ((a+b+1)_k k!)
-    total = 0.0
-    powy = y0 ** (-b)
-    for k in range(0, 200):
-        term = ck * powy / (b + k)
-        if k % 2 == 1:
-            term = -term
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-        ck *= (b + 1.0 + k) / ((a + b + 1.0 + k) * (k + 1.0))
-        powy /= y0
-    return pref * total
+    return _on_positive(z, "yor_pdf", "z", lambda zp: half_s2 * _ratio_pdf(zp * half_s2, yp))
 
 
 def yor_survival(z: float, sigma: float, m: float, lam: float) -> float:
-    """P(Y_{T_lam} > z): the ratio density integrated by the
-    double-exponential rule from y = sigma^2 z / 2 to 10, plus the
-    term-by-term tail sum beyond y = 10.  A sum outside [0, 1] by more than
-    _SURVIVAL_SLACK raises ConvergenceError (the rule stopped short, as a
-    ratio density too steep for its last step makes it); one within it is
-    rounding and is clipped."""
+    """P(Y_{T_lam} > z).  In ratio units y = sigma^2 z / 2 the law is B/G, B ~
+    Beta(1, alpha), G ~ Gamma(beta_g), so P(Y > z) = E[(1 - y G)_+^alpha].  In
+    v = log(G/beta_g) G has density C w(v), w = e^(beta_g (v - expm1 v)); the value
+    is the integral of w times the payoff over that of w, each split at its mode,
+    with the head below v0 (w = e^(beta_g (v + 1)), payoff 1) in closed form.  A
+    value outside [0, 1] by more than _SURVIVAL_SLACK raises ConvergenceError (the
+    rule stopped short); one within it is rounding and is clipped."""
     if math.isnan(z):
         raise ParameterError("yor_survival needs a level z, got NaN")
     if z <= 0.0:
@@ -319,12 +296,33 @@ def yor_survival(z: float, sigma: float, m: float, lam: float) -> float:
     if lam <= 0.0:
         raise ParameterError("yor_survival requires lam > 0")
     yp = yor_params(sigma, m, lam)
-    y0 = 0.5 * sigma**2 * z
-    if y0 >= _Y_TAIL_SWITCH:
-        value = _ratio_survival_tail(y0, yp)
-    else:
-        value = (_de_integrate(lambda y: _ratio_pdf(y, yp), y0, _Y_TAIL_SWITCH)
-                 + _ratio_survival_tail(_Y_TAIL_SWITCH, yp))
+    if z == math.inf:
+        return 0.0
+    a, b = yp.alpha, yp.beta_g
+    # the payoff's root, where y G = 1, from the product y beta_g (which keeps it
+    # to rounding near the mode) unless that overflows or underflows
+    sb = 0.5 * sigma**2 * b
+    v_top = -math.log(sb * z) if 0.0 < sb * z < math.inf else -math.log(sb) - math.log(z)
+    # mode of w times the payoff: smaller root of a quadratic in e^v (e^(v - v_top) if v_top < 0)
+    e, k = math.exp(-abs(v_top)), a / b * math.exp(-max(v_top, 0.0))
+    v_mode = min(v_top, 0.0) - math.log(
+        0.5 * (1.0 + e + k + math.sqrt((1.0 - e) ** 2 + k * (2.0 * (1.0 + e) + k))))
+    v0 = min(math.log(1e-17 / (1.0 + b)), v_top - 40.0 - math.log1p(a))
+    v_hi = math.log1p((750.0 + math.sqrt(1500.0 * b)) / b) + 1.0  # w < e^-750 beyond
+    v_end = min(v_top, v_hi)
+
+    def w(v):
+        return np.exp(b * (v - np.expm1(v)))
+
+    def w_payoff(v, below_top):  # below_top = v_top - v, passed apart near the root
+        return w(v) * (-np.expm1(-below_top)) ** a
+
+    head = math.exp(b * (v0 + 1.0)) / b
+    total = head + _de_integrate(w, v0, 0.0) + _de_integrate(w, 0.0, v_hi)
+    # above the mode in d = v_end - v, whose nodes keep their gap to the root
+    value = (head + _de_integrate(lambda v: w_payoff(v, v_top - v), v0, v_mode)
+             + _de_integrate(lambda d: w_payoff(v_end - d, d + (v_top - v_end)),
+                             0.0, v_end - v_mode)) / total
     if not -_SURVIVAL_SLACK <= value <= 1.0 + _SURVIVAL_SLACK:
         raise ConvergenceError(f"P(Y > {z:.6g}) evaluated to {value!r}, outside [0, 1]: the "
                                f"quadrature of the exponential-time law did not converge "

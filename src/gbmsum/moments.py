@@ -34,7 +34,7 @@ def levy_multiplier_moments(cumulant: Callable[[float], float], m: float,
     multiplier with user-supplied cumulant function kappa."""
     require_finite(m=m)
     require_positive(tau=tau)
-    if abs(cumulant(0.0)) > 1e-12:
+    if not abs(cumulant(0.0)) <= 1e-12:  # a NaN fails too
         raise ParameterError(f"cumulant must satisfy kappa(0) = 0, got {cumulant(0.0)}")
 
     def mm(k: float) -> float:

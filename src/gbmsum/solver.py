@@ -28,8 +28,8 @@ from .errors import (
     ParameterError,
 )
 from .moments import gbm_multiplier_moments, moment_exists, moments_geometric
-from .params import (ReducedParams, TailAsymptote, as_reduced, require_finite,
-                     require_positive, tail_exponent)
+from .params import (ReducedParams, TailAsymptote, as_reduced, require_count,
+                     require_finite, require_positive, tail_exponent)
 
 TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
 # the solves' default fixed-point tolerance and apply budget, the CLI's too
@@ -61,6 +61,7 @@ class Grid:
 
     def __post_init__(self):
         require_positive(h=self.h)
+        object.__setattr__(self, "n_points", require_count("n_points", self.n_points))
         if self.n_points < 16:
             raise ParameterError(f"grid needs at least 16 points, got {self.n_points}")
 

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from gbmsum import ParameterError, pricing, solver, tails
+from gbmsum import ConvergenceError, ParameterError, pricing, solver, tails
 from gbmsum.cli import _Outputs, main
 
 
@@ -169,13 +169,17 @@ class TestAnnuityCommand:
         assert record["var_threshold"] > 0.0
         assert record["method_flags"]["var"] in ("tail_inversion", "grid_inversion")
 
-    def test_unconverged_continuous_shortfall_exit_3(self, tmp_path, capsys):
-        # the double-exponential rule stops 5% apart on the ratio density and its
-        # sum, 1.0146, is no probability: no row is written
+    def test_unconverged_continuous_shortfall_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a continuous shortfall whose quadrature did not converge stops the run:
+        # no row is written
+        def unconverged(z, *args):
+            raise ConvergenceError(f"P(Y > {z:.6g}) did not converge")
+
+        monkeypatch.setattr(tails, "yor_survival", unconverged)
         assert main(["annuity", "--beta", "0.001", "--rho", "-0.1", "--p", "0.5",
                      "--q-list", "0", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("error: P(Y > 1.65243) evaluated to 1.01458")
+        assert err[-1] == "error: P(Y > 1.65243) did not converge"
         assert not (tmp_path / "annuity.csv").exists()
 
     def test_certain_stopping_has_no_power_tail_exit_2(self, tmp_path):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,9 +177,17 @@ class TestBoundaryChecks:
                      "lam must be finite, got inf", id="yor-inf-lam"),
         pytest.param(lambda: g.yor_survival(math.nan, 1.0, 0.0, 0.1),
                      "yor_survival needs a level z, got NaN", id="yor-nan-level"),
+        pytest.param(lambda: g.multiplier_pdf(math.nan, g.ReducedParams(beta=1.0, rho=0.0)),
+                     "multiplier_pdf needs a point x, got NaN", id="multiplier-nan-point"),
+        pytest.param(lambda: g.inv_gamma_pdf(np.array([1.0, math.nan]), 1.0, 0.0),
+                     "inv_gamma_pdf needs a point z, got NaN", id="inv-gamma-pdf-nan-point"),
+        pytest.param(lambda: g.inv_gamma_cdf(math.nan, 1.0, 0.0),
+                     "inv_gamma_cdf needs a point x, got NaN", id="inv-gamma-cdf-nan-point"),
+        pytest.param(lambda: g.yor_pdf(np.array([[0.5], [math.nan]]), 1.0, 0.0, 0.1),
+                     "yor_pdf needs a point z, got NaN", id="yor-pdf-nan-point"),
     ])
     def test_refuses_a_non_finite_value(self, call, message):
-        # each of these gave NaN, a raw ValueError or a ConvergenceError
+        # each of these gave NaN, 0.0, a raw ValueError or a ConvergenceError
         with pytest.raises(ParameterError, match=message):
             call()
 
@@ -310,23 +319,33 @@ class TestYorSurvival:
             assert sv == pytest.approx(ref, abs=2e-6)
 
 
-    def test_sum_outside_unit_interval_raises(self):
-        # at (beta, rho, p) = (0.001, -0.1, 0.5) and K = E[X_N] the rule stops with
-        # its last two sums 5% apart, and the survival it gives, 1.0146, is no
-        # probability
+    @pytest.mark.parametrize("q, expected", [(0.0, 0.405063025911295),
+                                             (0.5, 0.240396439260249)])
+    def test_small_sigma_shortfall(self, q, expected):
+        # (beta, rho, p) = (0.001, -0.1, 0.5) at K = E[X_N]: beta_g = 1000.5, where
+        # the integral of the ratio density stopped 5% short and raised
         rho, p = -0.1, 0.5
         mean = math.exp(rho) / (1.0 - (1.0 - p) * math.exp(rho))
-        with pytest.warns(AccuracyWarning, match="stopped at step"):
-            with pytest.raises(ConvergenceError, match=r"evaluated to 1\.01458.*outside \[0, 1\]"):
-                g.shortfall_continuous(math.sqrt(0.001), rho, p, mean)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = g.shortfall_continuous(math.sqrt(0.001), rho, p, mean, q)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def _inject(monkeypatch, value):
+        # the first two integrals make up the total mass of G, the last two the
+        # mass above the level: the survival evaluates to `value` (to 1e-20, the
+        # closed-form head both share)
+        sums = iter([0.5, 0.5, 0.5 * value, 0.5 * value])
+        monkeypatch.setattr(g.distributions, "_de_integrate", lambda *a, **k: next(sums))
 
     @pytest.mark.parametrize("tail, expected", [(1.0 + 1e-13, 1.0), (-1e-13, 0.0)])
     def test_rounding_outside_unit_interval_is_clipped(self, monkeypatch, tail, expected):
-        monkeypatch.setattr(g.distributions, "_ratio_survival_tail", lambda y0, yp: tail)
+        self._inject(monkeypatch, tail)
         assert g.yor_survival(100.0, 1.0, 0.0, 0.1) == expected
 
     def test_beyond_rounding_raises(self, monkeypatch):
-        monkeypatch.setattr(g.distributions, "_ratio_survival_tail", lambda y0, yp: 1.0 + 1e-9)
+        self._inject(monkeypatch, 1.0 + 1e-9)
         with pytest.raises(ConvergenceError, match="outside"):
             g.yor_survival(100.0, 1.0, 0.0, 0.1)
 
@@ -336,13 +355,48 @@ class TestYorSurvival:
         (math.sqrt(2.0), 0.0, 1e-8, 2.0), (1.0, -0.5, 0.5, 19.9),
     ])
     def test_body_matches_quad(self, sigma, m, lam, z):
-        # the same tail sum beyond y = 10; quad takes the body
+        # mpmath's quadrature of the Kummer-form ratio density from y to inf, at 30 digits
+        mp = pytest.importorskip("mpmath")
         yp = g.yor_params(sigma, m, lam)
-        switch = g.distributions._Y_TAIL_SWITCH
-        body, _ = quad(lambda y: g.distributions._ratio_pdf(y, yp), 0.5 * sigma**2 * z, switch,
-                       epsabs=0.0, epsrel=1e-13, limit=400)
-        ref = body + g.distributions._ratio_survival_tail(switch, yp)
-        assert g.yor_survival(z, sigma, m, lam) == pytest.approx(ref, rel=1e-13)
+        with mp.workdps(30):
+            a, b = mp.mpf(yp.alpha), mp.mpf(yp.beta_g)
+            pref = a * b * mp.gamma(a) / mp.gamma(a + b + 1)
+            y = mp.mpf(0.5 * sigma**2 * z)
+            ref = mp.quad(lambda t: pref * t ** (-b - 1) * mp.exp(-1 / t)
+                          * mp.hyp1f1(a, a + b + 1, 1 / t), [y, 2 * y, 10 * y, mp.inf])
+        assert g.yor_survival(z, sigma, m, lam) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("sigma, m, lam, z", [
+        # small sigma: beta_g = 1000.5, 2001.1 and 10002, where the integral of the
+        # ratio density stopped short
+        (math.sqrt(0.001), -0.1, 0.5, 1.5 * math.exp(-0.1) / (1.0 - 0.5 * math.exp(-0.1))),
+        (0.01, -0.1, 0.01, 9.086), (0.01, -0.5, 0.5, 1.0),
+        # (alpha, beta_g) = (59, 206), (3e-4, 1e4), (0.7, 1e5), (59, 1e5), (3e-4, 0.0034),
+        # (59, 0.02), (20, 1e4), (3e-4, 1) and (5, 1e4), where m = (alpha - beta_g + 1)/2
+        # and lam = alpha beta_g/2; the last three need the payoff's own mode, its
+        # root taken from the gap to it and y beta_g formed as one product
+        (1.0, -73.0, 6077.0, 1.62e-4), (1.0, -73.0, 6077.0, 4.85e-3),
+        (1.0, -4999.49985, 1.5, 2.01e-4), (1.0, -49999.15, 35000.0, 1.9e-5),
+        (1.0, -49970.0, 2.95e6, 3.33e-13), (1.0, 0.49845, 5.1e-7, 5.88e-10),
+        (1.0, 0.49845, 5.1e-7, 5.88e10), (1.0, 29.99, 0.59, 1.67e6),
+        (1.0, -4989.5, 1e5, 2.02e-4), (1.0, 1.5e-4, 1.5e-4, 386.0),
+        (1.0, -4997.0, 25000.0, 1.998e-4),
+    ])
+    def test_matches_closed_form(self, sigma, m, lam, z):
+        # P(B/G > y) = Gamma(alpha+1)/Gamma(alpha+beta_g+1) y^-beta_g 1F1(beta_g;
+        # alpha+beta_g+1; -1/y), taken by Kummer's transformation as
+        # e^(-1/y) 1F1(alpha+1; alpha+beta_g+1; 1/y) with the digits e^(-1/y) cancels
+        mp = pytest.importorskip("mpmath")
+        yp = g.yor_params(sigma, m, lam)
+        y = 0.5 * sigma**2 * z
+        with mp.workdps(35 + int(math.log10(1.0 + 1.0 / y))):
+            a, b, x = mp.mpf(yp.alpha), mp.mpf(yp.beta_g), 1 / mp.mpf(y)
+            ref = (mp.exp(mp.loggamma(a + 1) - mp.loggamma(a + b + 1) + b * mp.log(x) - x)
+                   * mp.hyp1f1(a + 1, a + b + 1, x, maxterms=10**6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = g.yor_survival(z, sigma, m, lam)
+        assert value == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
 class TestDoubleExponentialRule:
@@ -370,7 +424,7 @@ class TestDoubleExponentialRule:
 
 class TestImport:
     def test_no_scipy_after_import_solve_price_and_mc(self):
-        # only the continuous-time laws load scipy.special, when they are called
+        # only inv_gamma_cdf and yor_pdf load scipy.special, when they are called
         code = ("import sys, gbmsum as g\n"
                 "g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1))\n"
                 "g.solve_geometric(g.ReducedParams(beta=0.1, rho=0.0, p=0.01))\n"
@@ -379,12 +433,12 @@ class TestImport:
                 "               g.McConfig(n_paths=2000, seed=1), lambda x: x)\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
                 "g.yor_survival(1.0, 1.0, 0.0, 0.1)\n"
-                "print('scipy.special' in sys.modules)\n")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         src = str(Path(g.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["[]", "True"]
+        assert out.stdout.split() == ["[]", "[]"]
 
 
 class TestYorMomentIdentity:

@@ -165,6 +165,11 @@ class TestLevyHook:
         with pytest.raises(ParameterError):
             g.levy_multiplier_moments(lambda t: t + 1.0, 0.0, 1.0)
 
+    def test_cumulant_nan_at_zero_refused(self):
+        # a NaN kappa(0) passed and surfaced later as a moment "= nan >= 1"
+        with pytest.raises(ParameterError, match=r"kappa\(0\) = 0, got nan"):
+            g.levy_multiplier_moments(lambda t: math.nan, 0.0, 1.0)
+
 
 class TestBoundaryChecks:
     RP = g.ReducedParams(beta=1.0, rho=-0.1)

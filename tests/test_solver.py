@@ -46,6 +46,16 @@ class TestGridTypes:
         with pytest.raises(ParameterError, match="h must be finite, got inf"):
             Grid(math.inf, 100)
 
+    @pytest.mark.parametrize("n", [20.5, 30.0, math.inf, math.nan, True])
+    def test_grid_count_is_an_integer(self, n):
+        # 20.5 gave a grid whose u_max was not (n - 1) h; inf and nan failed in u()
+        with pytest.raises(ParameterError, match="n_points must be an integer >= 1"):
+            Grid(0.01, n)
+
+    def test_grid_stores_an_int_count(self):
+        grid = Grid(0.01, np.int64(30))
+        assert type(grid.n_points) is int and grid.u_max == 29 * 0.01
+
     @pytest.mark.parametrize("bad", [math.nan, -5.0, 0.0, math.inf])
     def test_solvers_reject_bad_span(self, bad):
         # a given u_max is finite and positive; nothing widens or clamps it

@@ -1,9 +1,9 @@
 """The special functions the library evaluates, against identities and an
 arbitrary-precision oracle.
 
-From scipy.special, which only the continuous-time laws load: gammaincc
-backs `inv_gamma_cdf` and hyp1f1 backs `yor_pdf` and `yor_survival` (through
-Kummer's transformation, checked here on both sides); beta and zeta are the
+From scipy.special, which only inv_gamma_cdf and yor_pdf load: gammaincc
+backs `inv_gamma_cdf` and hyp1f1 backs `yor_pdf` (through Kummer's
+transformation, checked here on both sides); beta and zeta are the
 closed forms of the tests' own oracles.  The library's own: the normal cdf
 `distributions._ndtr` (Cephes' rational approximations in numpy) backs the
 Black-Scholes rows of the Asian prices, and zeta(3) is a constant of
