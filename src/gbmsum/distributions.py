@@ -8,11 +8,12 @@ and moment identity).  All densities accept scalars or numpy arrays.
 `_de_integrate`, a double-exponential rule in numpy alone, takes every integral
 the library neither sums on a grid nor has in closed form: tanh-sinh nodes on
 a finite interval, exp-sinh nodes on a half line (Takahasi and Mori, Publ.
-RIMS 9, 1974).  `_ndtr`, the standard normal cdf in numpy alone, serves the
-Asian prices' Black-Scholes rows and the left-tail probabilities.
-`yor_survival` is one expectation over the law's Gamma factor by that rule;
-only inv_gamma_cdf (its incomplete gamma) and yor_pdf (its Kummer function)
-load scipy.special, when they are called.  A density or cdf refuses a NaN point.
+RIMS 9, 1974), for one interval or a stack.  `_ndtr`, the standard normal cdf
+in numpy alone, serves the Asian prices' Black-Scholes rows and the left-tail
+probabilities.  `inv_gamma_cdf` (an incomplete gamma), `yor_survival` and
+`yor_pdf` are integrals over their law's Gamma factor by that rule, through
+one helper, `_gamma_factor`, in numpy alone too.  A density or cdf refuses a
+NaN point.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ import numpy as np
 from .errors import AccuracyWarning, ConvergenceError, ParameterError
 from .params import as_reduced, require_finite, require_nonnegative, require_positive
 
-# The small-y series is asymptotic: within 3e-16 below this y, but off by up
-# to 1.4e-10 at y = 0.0199.  The Kummer form is within 6e-14 above it and
-# turns into 0 * inf below y ~ 0.0014, where 1/y passes 709.
-_Y_SERIES_SWITCH = 0.002
 # how far outside [0, 1] a survival probability may round: 10 times the
 # double-exponential rule's target _DE_RTOL
 _SURVIVAL_SLACK = 1e-12
@@ -42,13 +39,13 @@ _DE_T_FINITE = (-4.0, 4.0)  # tanh-sinh: the end nodes lie within e^-85 (b - a) 
 _DE_T_HALF_LINE = (-4.0, 2.0)  # exp-sinh: x - a runs from 2.3e-19 to 299
 
 
-def _de_nodes(t: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _de_nodes(t: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x(t) and weights dx/dt of the rule on [a, b]: tanh-sinh for
     finite b, exp-sinh x = a + exp(pi/2 sinh t) for b = inf.  Tanh-sinh
     nodes are placed from the nearer end, so they keep their distance to it."""
     s = 0.5 * math.pi * np.sinh(t)
     ds = 0.5 * math.pi * np.cosh(t)
-    if math.isinf(b):
+    if np.isinf(b).all():
         e = np.exp(s)
         return a + e, ds * e
     e = np.exp(-2.0 * np.abs(s))
@@ -56,7 +53,7 @@ def _de_nodes(t: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     return np.where(t < 0.0, a + gap, b - gap), 2.0 * (b - a) * ds * e / (1.0 + e) ** 2
 
 
-def _de_integrate(f, a: float, b: float, scale: float = 0.0) -> float:
+def _de_integrate(f, a, b, scale: float = 0.0, args=()):
     """Integral of the vectorized f over [a, b] (b may be inf) by the
     double-exponential rule.
 
@@ -67,29 +64,50 @@ def _de_integrate(f, a: float, b: float, scale: float = 0.0) -> float:
     first, as a kink or jump in f makes it do.  On a half line the nodes end
     at x - a = 299, so f must decay there; an f that does not leaves its
     last node's term in every sum at that sum's step, and the sums disagree.
+
+    Arrays a and b (broadcast together; b all finite or all inf) are a stack
+    of intervals, and the result has their shape.  f then takes nodes of
+    shape (intervals, nodes) and, after them, each array in `args` at those
+    intervals as a column.  Each interval stops on its own test, and f sees
+    only the intervals still open.
     """
-    t_lo, t_hi = _DE_T_HALF_LINE if math.isinf(b) else _DE_T_FINITE
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape, rows = lo.shape, np.arange(lo.size)
+    lo, hi = lo.reshape(-1, 1), hi.reshape(-1, 1)
+    cols = [np.broadcast_to(np.asarray(c, dtype=float), shape).reshape(-1, 1) for c in args]
+    t_lo, t_hi = _DE_T_HALF_LINE if np.isinf(hi).all() else _DE_T_FINITE
+
+    def sums(t):  # the sum of the terms and of their sizes, for each open interval
+        x, dx = _de_nodes(t, lo, hi)
+        terms = np.asarray(f(x, *cols) if shape else f(x[0], *(c[0] for c in cols)),
+                           dtype=float) * dx
+        return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
     h = 0.5
-    t = np.arange(t_lo, t_hi + 0.5 * h, h)
-    x, dx = _de_nodes(t, a, b)
-    terms = np.asarray(f(x), dtype=float) * dx
-    total, norm = h * terms.sum(), h * np.abs(terms).sum()
+    level_total, level_norm = sums(np.arange(t_lo, t_hi + 0.5 * h, h))
+    total, norm = np.full(rows.size, h * level_total), np.full(rows.size, h * level_norm)
     for _ in range(_DE_LEVELS - 1):
         h *= 0.5
-        x, dx = _de_nodes(np.arange(t_lo + h, t_hi, 2.0 * h), a, b)
-        terms = np.asarray(f(x), dtype=float) * dx
-        prev = total
-        total = 0.5 * total + h * terms.sum()
-        norm = 0.5 * norm + h * np.abs(terms).sum()
+        level_total, level_norm = sums(np.arange(t_lo + h, t_hi, 2.0 * h))
+        prev = total[rows]
+        total[rows] = 0.5 * prev + h * level_total
+        norm[rows] = 0.5 * norm[rows] + h * level_norm
         # an integrand 0 at every node has norm 0 and agrees
-        limit = max(norm, scale, np.finfo(float).tiny)
-        if abs(total - prev) <= _DE_RTOL * limit:
+        limit = np.maximum(np.maximum(norm[rows], scale), np.finfo(float).tiny)
+        going = ~(np.abs(total[rows] - prev) <= _DE_RTOL * limit)
+        if not going.any():
             break
+        if not going.all():
+            rows, lo, hi, prev, limit = rows[going], lo[going], hi[going], prev[going], limit[going]
+            cols = [c[going] for c in cols]
     else:
-        warnings.warn(f"double-exponential rule on [{a:.6g}, {b:.6g}] stopped at step {h}: "
-                      f"its last two sums differ by {abs(total - prev) / limit:.3g} "
+        gaps = np.abs(total[rows] - prev) / limit
+        k = np.argmax(gaps)
+        stack = f" ({rows.size} of {total.size} intervals)" if shape else ""
+        warnings.warn(f"double-exponential rule on [{lo[k, 0]:.6g}, {hi[k, 0]:.6g}]{stack} "
+                      f"stopped at step {h}: its last two sums differ by {gaps[k]:.3g} "
                       f"relative, above {_DE_RTOL}", AccuracyWarning, stacklevel=2)
-    return float(total)
+    return total.reshape(shape) if shape else float(total[0])
 
 
 # The Cephes rational approximations of erf on |x| <= 1 and of
@@ -166,6 +184,82 @@ def _on_positive(x, caller: str, name: str, f) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+# the Taylor coefficients of (expm1(x) - x) / x^2, highest first; x^17/17! < 1e-20 at |x| = 1/2
+_EXPM1MX_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(16, 1, -1))
+
+
+def _expm1mx(x) -> np.ndarray:
+    """expm1(x) - x, by its Taylor series where the two cancel (|x| < 1/2)."""
+    x = np.asarray(x, dtype=float)
+    out, near = np.expm1(x) - x, np.abs(x) < 0.5
+    xn = x[near]
+    series = np.full_like(xn, _EXPM1MX_TAYLOR[0])
+    for c in _EXPM1MX_TAYLOR[1:]:
+        series *= xn
+        series += c
+    out[near] = series * xn * xn
+    return out
+
+
+def _gamma_factor(b: float, level, payoff=None, power: float = 0.0, root=None, excess=None):
+    """The reference laws' integrals over their Gamma factor G ~ Gamma(b).
+
+    In v = log(G / b), G has density w(v) / total, w(v) = e^(-b (expm1 v - v)).
+    Returns the total and, for each level L of the stack `level`, the integral
+    of w(v) payoff(v, L - v) over v < L, or without a payoff that of w over
+    v > L, for L >= 0 from the excess e^L - 1 of the caller's own ratio.  Below
+    L it is split at the mode of w (1 - e^(v - L))^power: under it the rule runs
+    in v, down to v0, below which a head in closed form takes w = e^(b (v + 1))
+    and the payoff at its limit; above it, in the distance to L, so the nodes
+    keep their gap to the root.  A payoff whose mass crowds the root closer
+    than the nodes reach gives root(L, D), its integral over that side of width
+    D: the rule then takes (w(v) - w(L)) payoff there.  The rule skips where w
+    is below e^-750 of its peak, so a narrow peak (b large) spans a few steps."""
+    def w(v):
+        return np.exp(-b * _expm1mx(v))
+
+    v0 = math.log(1e-17 / (1.0 + b))
+    # below cut and above hi, w < e^-750: expm1(-s) + s >= s^2 / (2 + s)
+    cut = -(750.0 + math.sqrt(750.0 * (750.0 + 8.0 * b))) / (2.0 * b)
+    hi = math.log1p((750.0 + math.sqrt(1500.0 * b)) / b) + 1.0
+    head, upper = math.exp(b * (v0 + 1.0)) / b, _de_integrate(w, 0.0, hi)
+    total = head + _de_integrate(w, max(v0, cut), 0.0) + upper
+    level = np.asarray(level, dtype=float)
+    if payoff is None:
+        out = np.zeros_like(level)
+        down, up = level < 0.0, (level >= 0.0) & (level < hi)
+        out[down] = (head * -np.expm1(-b * np.maximum(v0 - level[down], 0.0)) + upper
+                     + _de_integrate(w, np.maximum(level[down], max(v0, cut)), 0.0))
+        # with u = e^L - 1, w(L) = e^(-b (u - L)), w(L + d) = w(L) e^(-b e^L (expm1 d - d) - b u d)
+        lu, u = level[up], np.asarray(excess, dtype=float)[up]
+        out[up] = np.exp(-b * np.where(u > 0.5, u - lu, _expm1mx(lu))) * _de_integrate(
+            lambda d, bu: np.exp(-(b + bu) * _expm1mx(d) - bu * d), 0.0, hi - lu, args=(b * u,))
+        return total, out
+    # the mode: the smaller root of a quadratic in e^v (in e^(v - L) if L < 0)
+    e, k = np.exp(-np.abs(level)), power / b * np.exp(-np.maximum(level, 0.0))
+    mode = np.minimum(level, 0.0) - np.log(
+        0.5 * (1.0 + e + k + np.sqrt((1.0 - e) ** 2 + k * (2.0 * (1.0 + e) + k))))
+    v0_at = np.minimum(v0, level - 40.0 - math.log1p(power))  # (1 - e^(v - L))^power is 1 there
+    end = np.minimum(level, hi)
+
+    def near(d, end, gap):
+        v, d = end - d, d + gap
+        if root is None:
+            return w(v) * payoff(v, d)
+        above = b * (np.exp(v) * np.expm1(np.minimum(d, 700.0)) - d)  # log w(v) - log w(L)
+        return w(v) * payoff(v, d) * -np.expm1(-above)
+
+    out = (np.exp(b * (v0_at + 1.0)) / b * payoff(np.array(-math.inf), np.array(math.inf))
+           + _de_integrate(lambda v, top: w(v) * payoff(v, top - v),
+                           np.minimum(np.maximum(v0_at, cut), mode), mode, args=(level,))
+           + _de_integrate(near, 0.0, end - mode, args=(end, level - end)))
+    if root is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # w(L) is 0 where expm1 L overflows
+            w_top = np.exp(-b * _expm1mx(level))
+            out = out + np.where(w_top > 0.0, w_top * root(level, level - mode), 0.0)
+    return total, out
+
+
 def multiplier_pdf(x, params) -> np.ndarray | float:
     """Density of the one-period multiplier: log-normal with log-mean
     rho - beta/2 and log-variance beta.  Zero for x <= 0."""
@@ -194,12 +288,20 @@ def inv_gamma_pdf(z, sigma: float, m: float) -> np.ndarray | float:
 
 
 def inv_gamma_cdf(x, sigma: float, m: float) -> np.ndarray | float:
-    """P(Y_inf < x) = Q(1 - 2m/sigma^2, 2/(sigma^2 x))."""
-    from scipy import special  # loaded on first use, as in _ratio_pdf
-
+    """P(Y_inf < x) = Q(a, t): the upper tail of G ~ Gamma(a) at t = s/x, with
+    a = 1 - 2m/sigma^2 and s = 2/sigma^2.  The level log(t/a) is taken from the
+    excess (t - a)/a, exact near the mode, except far below it."""
     a, s = _inv_gamma_shape_scale(sigma, m)
-    # P(Y < x) = P(Gamma(a) > s/x): regularized upper gamma of the reciprocal
-    return _on_positive(x, "inv_gamma_cdf", "x", lambda xp: special.gammaincc(a, s / xp))
+
+    def upper_tail(xp):
+        with np.errstate(over="ignore", divide="ignore"):  # t = inf or 0 at the ends
+            t = s / xp
+            excess = (t - a) / a
+            total, above = _gamma_factor(
+                a, np.where(t < 0.5 * a, np.log(t / a), np.log1p(excess)), excess=excess)
+        return above / total
+
+    return _on_positive(x, "inv_gamma_cdf", "x", upper_tail)
 
 
 @dataclass(frozen=True)
@@ -235,60 +337,51 @@ def yor_params(sigma: float, m: float, lam: float) -> YorParams:
     return YorParams(alpha=alpha, beta_g=beta_g)
 
 
-def _ratio_pdf_small_y(yv: float, a: float, b: float) -> float:
-    # near the origin the density approaches a*b; the power prefactor and the
-    # confluent function cancel analytically, leaving the asymptotic series
-    # a*b * sum_k (b+1)_k (1-a)_k y^k / k! (truncated at its smallest term)
-    total = 1.0
-    term = 1.0
-    prev = 1.0
-    for k in range(1, 60):
-        term *= (b + k) * (k - a) * yv / k
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return a * b * total
-
-
-def _ratio_pdf(y, yp: YorParams) -> np.ndarray | float:
-    """Density of Beta(1, alpha)/Gamma(beta_g) at y > 0."""
-    from scipy import special  # loaded on first use, as in inv_gamma_cdf
-
-    a, b = yp.alpha, yp.beta_g
-    log_pref = math.log(a) + math.log(b) + math.lgamma(a) - math.lgamma(a + b + 1.0)
-    y_arr = np.asarray(y, dtype=float)
-    out = np.zeros_like(y_arr)
-    small = (y_arr > 0.0) & (y_arr < _Y_SERIES_SWITCH)
-    out[small] = [_ratio_pdf_small_y(yv, a, b) for yv in y_arr[small]]
-    body = y_arr >= _Y_SERIES_SWITCH
-    yb = y_arr[body]
-    # Kummer form of 1F1(b+1, a+b+1, -1/y): a series of positive terms
-    out[body] = np.exp(log_pref - (b + 1.0) * np.log(yb) - 1.0 / yb) * special.hyp1f1(
-        a, a + b + 1.0, 1.0 / yb
-    )
-    return out if out.ndim else float(out)
+def _root_level(z, sb) -> np.ndarray:
+    """-log(y beta_g) at each z, where y G = 1, from the one product y beta_g = sb z
+    (which keeps the level to rounding near the mode) unless that under- or overflows."""
+    with np.errstate(over="ignore", under="ignore"):
+        p = sb * np.asarray(z, dtype=float)
+    return np.where((p > 0.0) & (p < math.inf), -np.log(np.where(p > 0.0, p, 1.0)),
+                    -math.log(sb) - np.log(z))
 
 
 def yor_pdf(z, sigma: float, m: float, lam: float) -> np.ndarray | float:
-    """Density of the GBM time integral up to an Exp(lam) time."""
+    """Density of the GBM time integral up to an Exp(lam) time.
+
+    In ratio units y = sigma^2 z / 2 it is f(y) = alpha E[G (1 - y G)_+^(alpha - 1)]:
+    over its Gamma factor (_gamma_factor), the integral below L = -log(y beta_g)
+    of w times alpha beta_g e^v (1 - e^(v - L))^(alpha - 1), which tends to
+    alpha beta_g as y -> 0.  For alpha < 1/2 a share e^(-85 alpha) of that
+    payoff's mass lies closer to the root than the rule's nearest node, so w(L)
+    times its integral near the root, (1 - e^-D)^alpha / y, is taken in closed
+    form, from a split where w is within e^(1/2) of w(L)."""
     if lam <= 0.0:
         raise ParameterError("yor_pdf requires lam > 0; use inv_gamma_pdf for lam = 0")
     yp = yor_params(sigma, m, lam)
+    a, b = yp.alpha, yp.beta_g
     half_s2 = 0.5 * sigma**2
-    return _on_positive(z, "yor_pdf", "z", lambda zp: half_s2 * _ratio_pdf(zp * half_s2, yp))
+
+    def density(zp):
+        out = np.zeros_like(zp)
+        finite = zp < math.inf
+        total, below = _gamma_factor(
+            b, _root_level(zp[finite], half_s2 * b),
+            lambda v, d: a * b * np.exp(v) * (-np.expm1(-d)) ** (a - 1.0), max(a, 0.5),
+            (lambda level, gap: b * np.exp(level) * (-np.expm1(-gap)) ** a) if a < 0.5 else None)
+        out[finite] = half_s2 * below / total
+        return out
+
+    return _on_positive(z, "yor_pdf", "z", density)
 
 
 def yor_survival(z: float, sigma: float, m: float, lam: float) -> float:
     """P(Y_{T_lam} > z).  In ratio units y = sigma^2 z / 2 the law is B/G, B ~
-    Beta(1, alpha), G ~ Gamma(beta_g), so P(Y > z) = E[(1 - y G)_+^alpha].  In
-    v = log(G/beta_g) G has density C w(v), w = e^(beta_g (v - expm1 v)); the value
-    is the integral of w times the payoff over that of w, each split at its mode,
-    with the head below v0 (w = e^(beta_g (v + 1)), payoff 1) in closed form.  A
-    value outside [0, 1] by more than _SURVIVAL_SLACK raises ConvergenceError (the
-    rule stopped short); one within it is rounding and is clipped."""
+    Beta(1, alpha), G ~ Gamma(beta_g), so P(Y > z) = E[(1 - y G)_+^alpha]: the
+    integral of w times the payoff below L = -log(y beta_g) over the total
+    (_gamma_factor).  A value outside [0, 1] by more than _SURVIVAL_SLACK raises
+    ConvergenceError (the rule stopped short); one within it is rounding and is
+    clipped."""
     if math.isnan(z):
         raise ParameterError("yor_survival needs a level z, got NaN")
     if z <= 0.0:
@@ -299,30 +392,9 @@ def yor_survival(z: float, sigma: float, m: float, lam: float) -> float:
     if z == math.inf:
         return 0.0
     a, b = yp.alpha, yp.beta_g
-    # the payoff's root, where y G = 1, from the product y beta_g (which keeps it
-    # to rounding near the mode) unless that overflows or underflows
-    sb = 0.5 * sigma**2 * b
-    v_top = -math.log(sb * z) if 0.0 < sb * z < math.inf else -math.log(sb) - math.log(z)
-    # mode of w times the payoff: smaller root of a quadratic in e^v (e^(v - v_top) if v_top < 0)
-    e, k = math.exp(-abs(v_top)), a / b * math.exp(-max(v_top, 0.0))
-    v_mode = min(v_top, 0.0) - math.log(
-        0.5 * (1.0 + e + k + math.sqrt((1.0 - e) ** 2 + k * (2.0 * (1.0 + e) + k))))
-    v0 = min(math.log(1e-17 / (1.0 + b)), v_top - 40.0 - math.log1p(a))
-    v_hi = math.log1p((750.0 + math.sqrt(1500.0 * b)) / b) + 1.0  # w < e^-750 beyond
-    v_end = min(v_top, v_hi)
-
-    def w(v):
-        return np.exp(b * (v - np.expm1(v)))
-
-    def w_payoff(v, below_top):  # below_top = v_top - v, passed apart near the root
-        return w(v) * (-np.expm1(-below_top)) ** a
-
-    head = math.exp(b * (v0 + 1.0)) / b
-    total = head + _de_integrate(w, v0, 0.0) + _de_integrate(w, 0.0, v_hi)
-    # above the mode in d = v_end - v, whose nodes keep their gap to the root
-    value = (head + _de_integrate(lambda v: w_payoff(v, v_top - v), v0, v_mode)
-             + _de_integrate(lambda d: w_payoff(v_end - d, d + (v_top - v_end)),
-                             0.0, v_end - v_mode)) / total
+    level = _root_level(z, 0.5 * sigma**2 * b)
+    total, below = _gamma_factor(b, level, lambda v, d: (-np.expm1(-d)) ** a, a)
+    value = float(below) / total
     if not -_SURVIVAL_SLACK <= value <= 1.0 + _SURVIVAL_SLACK:
         raise ConvergenceError(f"P(Y > {z:.6g}) evaluated to {value!r}, outside [0, 1]: the "
                                f"quadrature of the exponential-time law did not converge "

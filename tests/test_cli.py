@@ -45,7 +45,7 @@ class TestDensityCommand:
         rows = read_csv(str(tmp_path / "density.csv"))
         assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
         report = json.load(open(tmp_path / "density_report.json"))
-        assert report["tail"]["exponent"] == pytest.approx(207.675, rel=1e-4)
+        assert report["tail"]["exponent"] == pytest.approx(207.675, rel=1e-4, abs=0.0)
 
     def test_small_tail_exponent_caps_the_span(self, tmp_path):
         # mu = 0.028: the span the law would need, 719, overflowed a float on its
@@ -62,7 +62,7 @@ class TestDensityCommand:
                      "--umax", "14", "--out", out])
         assert code == 0
         report = json.load(open(os.path.join(out, "density_report.json")))
-        assert report["tail"]["exponent"] == pytest.approx(1.17876434, rel=1e-6)
+        assert report["tail"]["exponent"] == pytest.approx(1.17876434, rel=1e-6, abs=0.0)
 
     def test_certain_stopping_gives_one_period_law(self, tmp_path):
         out = str(tmp_path)
@@ -204,7 +204,7 @@ class TestMomentsCommand:
         assert main(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "2",
                      "--out", out]) == 0
         rows = read_csv(os.path.join(out, "moments.csv"))
-        assert float(rows[1][2]) == pytest.approx(9.508331945, rel=1e-8)
+        assert float(rows[1][2]) == pytest.approx(9.508331945, rel=1e-8, abs=0.0)
         assert rows[2][1] == "False"
 
 
@@ -268,8 +268,8 @@ class TestBatchCommand:
         assert float(annuity[1][6]) == pytest.approx(0.26821, abs=2e-3)
         assert float(annuity[2][6]) == pytest.approx(0.15846, abs=2e-3)
         first, second = json.load(open(os.path.join(out, "batch_report.json")))["scenarios"]
-        assert first["shortfall"] == pytest.approx(float(annuity[1][6]), rel=1e-9)
-        assert second["shortfall"] == pytest.approx(float(annuity[2][6]), rel=1e-9)
+        assert first["shortfall"] == pytest.approx(float(annuity[1][6]), rel=1e-9, abs=0.0)
+        assert second["shortfall"] == pytest.approx(float(annuity[2][6]), rel=1e-9, abs=0.0)
         assert first["var_threshold"] > second["var_threshold"]
 
     def test_manifest_records_warnings(self, tmp_path):

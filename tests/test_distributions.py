@@ -77,17 +77,17 @@ class TestMultiplierPdf:
         mode = math.exp(rp.rho - 1.5 * rp.beta)
         xs = np.linspace(0.2 * mode, 3.0 * mode, 4001)
         vals = np.asarray(g.multiplier_pdf(xs, rp))
-        assert xs[int(np.argmax(vals))] == pytest.approx(mode, rel=2e-3)
+        assert xs[int(np.argmax(vals))] == pytest.approx(mode, rel=2e-3, abs=0.0)
 
     def test_mean_is_exp_rho(self):
         rp = g.ReducedParams(beta=0.3, rho=-0.2)
         mean, _ = quad(lambda x: x * g.multiplier_pdf(x, rp), 0, np.inf, limit=200)
-        assert mean == pytest.approx(math.exp(rp.rho), rel=1e-9)
+        assert mean == pytest.approx(math.exp(rp.rho), rel=1e-9, abs=0.0)
 
     def test_frozen_point_value(self):
         # direct formula: exp(-1/8)/sqrt(2 pi)
         val = g.multiplier_pdf(1.0, g.ReducedParams(beta=1.0, rho=0.0))
-        assert val == pytest.approx(0.35206532676429948, rel=1e-12)
+        assert val == pytest.approx(0.35206532676429948, rel=1e-12, abs=0.0)
 
     def test_zero_below_support(self):
         rp = g.ReducedParams(beta=1.0, rho=0.0)
@@ -108,11 +108,12 @@ class TestInverseGamma:
         # sigma^2 = 2, m = 0: pdf(z) = z^-2 exp(-1/z)
         for z in (0.2, 1.0, 3.0):
             ref = z**-2 * math.exp(-1.0 / z)
-            assert g.inv_gamma_pdf(z, math.sqrt(2.0), 0.0) == pytest.approx(ref, rel=1e-12)
+            assert g.inv_gamma_pdf(z, math.sqrt(2.0), 0.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_cdf_frozen_value(self):
         # regularized upper gamma Q(1.2, 2); oracle mpmath.gammainc
-        assert g.inv_gamma_cdf(1.0, 1.0, -0.1) == pytest.approx(0.18230123290896622, rel=1e-11)
+        assert g.inv_gamma_cdf(1.0, 1.0, -0.1) == pytest.approx(0.18230123290896622, rel=1e-11,
+                                                                abs=0.0)
 
     def test_pdf_normalization(self):
         total, _ = quad(lambda z: g.inv_gamma_pdf(z, 1.0, -0.1), 0, np.inf, limit=300)
@@ -129,18 +130,18 @@ class TestYorParams:
     def test_symmetric_case(self):
         # 2m = sigma^2 makes both shapes sqrt(2 lam)/sigma
         yp = g.yor_params(1.0, 0.5, 2.0)
-        assert yp.alpha == pytest.approx(math.sqrt(2.0 * 2.0) / 1.0, rel=1e-12)
-        assert yp.alpha == pytest.approx(yp.beta_g, rel=1e-12)
+        assert yp.alpha == pytest.approx(math.sqrt(2.0 * 2.0) / 1.0, rel=1e-12, abs=0.0)
+        assert yp.alpha == pytest.approx(yp.beta_g, rel=1e-12, abs=0.0)
 
     def test_degenerate_limit(self):
         yp = g.yor_params(1.0, -0.3, 0.0)
         assert yp.alpha == 0.0
-        assert yp.beta_g == pytest.approx(1.0 + 0.6, rel=1e-12)
+        assert yp.beta_g == pytest.approx(1.0 + 0.6, rel=1e-12, abs=0.0)
 
     def test_frozen_values(self):
         yp = g.yor_params(1.0, 0.0, 0.1)
-        assert yp.alpha == pytest.approx(0.17082039324993691, rel=1e-12)
-        assert yp.beta_g == pytest.approx(1.1708203932499369, rel=1e-12)
+        assert yp.alpha == pytest.approx(0.17082039324993691, rel=1e-12, abs=0.0)
+        assert yp.beta_g == pytest.approx(1.1708203932499369, rel=1e-12, abs=0.0)
 
     def test_degenerate_requires_drift_condition(self):
         with pytest.raises(ParameterError):
@@ -204,7 +205,7 @@ class TestYorPdf:
         yp = g.yor_params(1.0, 0.0, 0.1)
         # phi(y) -> alpha * beta as y -> 0; undo the sigma^2/2 = 1/2 scaling
         val = g.yor_pdf(2e-6, 1.0, 0.0, 0.1) * 2.0
-        assert val == pytest.approx(yp.alpha * yp.beta_g, rel=1e-3)
+        assert val == pytest.approx(yp.alpha * yp.beta_g, rel=1e-3, abs=0.0)
 
     def test_normalization(self):
         total, _ = quad(lambda z: g.yor_pdf(z, 1.0, 0.0, 0.1), 0, np.inf, limit=300)
@@ -224,15 +225,17 @@ class TestYorPdf:
         assert sup[2] < 1e-5
 
 
+@pytest.mark.filterwarnings("error::gbmsum.AccuracyWarning")
 class TestOracle:
     """Pointwise agreement with mpmath at 40 digits, at the floats the
-    library evaluates (its shape parameters and reduced arguments)."""
+    library evaluates (its shape parameters and reduced arguments), with no
+    AccuracyWarning."""
 
     @pytest.fixture
     def mp(self):
         return pytest.importorskip("mpmath")
 
-    @pytest.mark.parametrize("shape", [0.05, 0.1, 0.3, 0.7, 1.0, 2.5, 6.0, 12.0, 20.0])
+    @pytest.mark.parametrize("shape", [0.05, 0.1, 0.3, 0.7, 1.0, 2.5, 6.0, 12.0, 20.0, 1e7])
     def test_inv_gamma_cdf(self, mp, shape):
         # sigma = 1: P(Y < x) = Q(1 - 2m, 2/x)
         m = (1.0 - shape) / 2.0
@@ -257,12 +260,49 @@ class TestOracle:
         (1.0, -0.1, 1e-8), (2.0, -0.3, 1e-8), (0.3, 0.2, 1e-8), (1.0, 0.4, 1.0),
     ])
     def test_yor_pdf_small_y(self, mp, sigma, m, lam):
-        # either side of the switch to the small-y series, down to where the
-        # Kummer form would overflow
+        # small ratio levels y, down to 1e-4 where the root sits 9 to 21 above w's
+        # mode: the payoff's factor (1 - e^(v - L))^(alpha - 1) tends to 1 and the
+        # density to alpha beta_g; at alpha < 1/2 (the 1e-8 laws) w(L) is taken out
+        # near the root, and at (0.3, 0.2, 1e-8) w is flat out to v = 16.6
         ys = np.array([0.0199, 0.01, 0.005, 0.0021, 0.002, 0.0019, 0.001, 1e-4])
         zs = ys / (0.5 * sigma**2)
         got = g.yor_pdf(zs, sigma, m, lam)
         np.testing.assert_allclose(got, yor_pdf_mp(mp, zs, sigma, m, lam), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [1e-8, 1e-4, 0.05, 1.0, 30.0, 1e3, 1e5])
+    def test_gamma_factor_sweep(self, mp, shape):
+        # the three laws over their Gamma factor's shape: the incomplete gamma from
+        # far below the mean to far above it (t from 1e-30 a to 600), and the survival
+        # and the density at alpha = 1e-3 (yor_pdf takes w(L) out near the root) and 3,
+        # about the bulk; within 1e-13 wherever the value is at least 1e-30, with no
+        # warning
+        m = (1.0 - shape) / 2.0
+        ts = np.concatenate([shape * np.geomspace(1e-30, 0.1, 4),
+                             shape + math.sqrt(shape) * np.array([-6.0, -2.0, 0.0, 2.0, 6.0, 12.0]),
+                             30.0 + shape * np.array([1.5, 10.0]), [100.0, 427.0, 600.0]])
+        xs = 2.0 / ts[ts > 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = list(g.inv_gamma_cdf(xs, 1.0, m))
+        ref = [float(gamma_q_mp(mp, 1.0 - 2.0 * m, 2.0 / x)) for x in xs]
+        for alpha in (1e-3, 3.0):
+            m, lam = (alpha - shape + 1.0) / 2.0, alpha * shape / 2.0
+            yp = g.yor_params(1.0, m, lam)
+            levels = np.exp(np.array([-3.0, 0.0, 2.0, 6.0]) / math.sqrt(max(yp.beta_g, 1.0)))
+            zs = 2.0 * np.append(levels, 1e-3) / yp.beta_g
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got += [g.yor_survival(z, 1.0, m, lam) for z in zs]
+                got += list(g.yor_pdf(zs, 1.0, m, lam))
+            survival, density = zip(*(yor_mp(mp, yp, z) for z in zs))
+            ref += survival + density
+        got, ref = np.array(got), np.array(ref)
+        keep, far = ref >= 1e-30, (ref >= 1e-300) & (ref < 1e-30)
+        assert keep.sum() >= 20
+        np.testing.assert_allclose(got[keep], ref[keep], rtol=1e-13, atol=0.0)
+        # the incomplete gamma's far tail (t up to 600), where e^v taken from a rounded
+        # log(t/a) instead of the excess (t - a)/a was up to 5.6e-13 off
+        np.testing.assert_allclose(got[far], ref[far], rtol=2e-13, atol=0.0)
 
     @pytest.mark.parametrize("sigma,m,lam", [
         (1.0, -0.1, 1e-8), (2.0, -0.3, 1e-8), (2.0, -0.3, 1e-9), (0.3, 0.2, 1e-8),
@@ -292,6 +332,56 @@ def yor_pdf_mp(mp, zs, sigma, m, lam):
             y = mp.mpf(z * half_s2)
             ref.append(float(half_s2 * pref * y ** (-b - 1) * mp.hyp1f1(b + 1, a + b + 1, -1 / y)))
     return ref
+
+
+def yor_mp(mp, yp, z):
+    """P(Y > z) and the density of Y at z for sigma = 1 (y = z / 2), at the
+    library's shape parameters and its own product y beta_g, in mpmath: the
+    closed forms Gamma(a+1)/Gamma(a+b+1) x^b e^-x 1F1(a+1; a+b+1; x) and a b
+    Gamma(a)/Gamma(a+b+1) x^(b+1) e^-x 1F1(a; a+b+1; x) / 2, x = 1/y, with 40
+    digits past those e^-x cancels and those the shape's size costs."""
+    a, b = yp.alpha, yp.beta_g
+    y_b = 0.5 * b * z
+    with mp.workdps(40 + int(math.log10(1.0 + b / y_b)) + int(2.0 * math.log10(1.0 + b))):
+        a, b = mp.mpf(a), mp.mpf(b)
+        x = b / mp.mpf(y_b)
+        log_pref = b * mp.log(x) - x - mp.loggamma(a + b + 1)
+        survival = mp.exp(mp.loggamma(a + 1) + log_pref) * mp.hyp1f1(a + 1, a + b + 1, x,
+                                                                      maxterms=10**6)
+        density = a * b * mp.exp(mp.loggamma(a) + log_pref) * x * mp.hyp1f1(a, a + b + 1, x,
+                                                                           maxterms=10**6) / 2
+        return float(survival), float(density)
+
+
+def gamma_q_mp(mp, a, t):
+    """Q(a, t) in mpmath at 60 digits: 1 - P from P's series below t = a + 1,
+    Legendre's continued fraction (modified Lentz) above; mpmath's own
+    gammainc stops converging near the mean at shapes of 1e5 and more."""
+    with mp.workdps(60):
+        a, t = mp.mpf(a), mp.mpf(t)
+        scale = mp.exp(a * mp.log(t) - t - mp.loggamma(a))
+        if t < a + 1:
+            term = total = 1 / a
+            k = 0
+            while term > total * mp.eps:
+                k += 1
+                term *= t / (a + k)
+                total += term
+            return 1 - scale * total
+        tiny = mp.mpf(10) ** -120
+        b = t + 1 - a
+        c, d = 1 / tiny, 1 / b
+        h, i = d, 0
+        while True:
+            i += 1
+            an, b = -i * (i - a), b + 2
+            d = an * d + b
+            d = 1 / (d if d != 0 else tiny)
+            c = b + an / c
+            c = c if c != 0 else tiny
+            h *= d * c
+            if abs(d * c - 1) < mp.eps:
+                return scale * h
 
 
 class TestYorSurvival:
@@ -381,18 +471,30 @@ class TestYorSurvival:
         (1.0, 0.49845, 5.1e-7, 5.88e10), (1.0, 29.99, 0.59, 1.67e6),
         (1.0, -4989.5, 1e5, 2.02e-4), (1.0, 1.5e-4, 1.5e-4, 386.0),
         (1.0, -4997.0, 25000.0, 1.998e-4),
+        # (1, 1e7) and (1, 1e8), whose w peak is about 3e-4 and 1e-4 wide, at y beta_g =
+        # 0.9 and at the root one standard deviation of G above its mean
+        (1.0, -4999999.0, 5e6, 1.8e-7), (1.0, -4999999.0, 5e6, 2.0 * (1.0 - 10**-3.5) / 1e7),
+        (1.0, -49999999.0, 5e7, 1.8e-8), (1.0, -49999999.0, 5e7, 2.0 * (1.0 - 1e-4) / 1e8),
     ])
     def test_matches_closed_form(self, sigma, m, lam, z):
         # P(B/G > y) = Gamma(alpha+1)/Gamma(alpha+beta_g+1) y^-beta_g 1F1(beta_g;
         # alpha+beta_g+1; -1/y), taken by Kummer's transformation as
-        # e^(-1/y) 1F1(alpha+1; alpha+beta_g+1; 1/y) with the digits e^(-1/y) cancels
+        # e^(-1/y) 1F1(alpha+1; alpha+beta_g+1; 1/y) with the digits e^(-1/y) cancels;
+        # at alpha = 1 (the beta_g >= 1e7 laws, where mpmath's 1F1 does not converge)
+        # it is P(beta_g, 1/y) - y beta_g P(beta_g + 1, 1/y) in regularized lower
+        # gammas, at the library's own product y beta_g (the value at the root one
+        # standard deviation above G's mean is 7800 times as sensitive to it at 1e8)
         mp = pytest.importorskip("mpmath")
         yp = g.yor_params(sigma, m, lam)
         y = 0.5 * sigma**2 * z
         with mp.workdps(35 + int(math.log10(1.0 + 1.0 / y))):
             a, b, x = mp.mpf(yp.alpha), mp.mpf(yp.beta_g), 1 / mp.mpf(y)
-            ref = (mp.exp(mp.loggamma(a + 1) - mp.loggamma(a + b + 1) + b * mp.log(x) - x)
-                   * mp.hyp1f1(a + 1, a + b + 1, x, maxterms=10**6))
+            if yp.alpha == 1.0 and yp.beta_g >= 1e7:
+                x = b / mp.mpf(0.5 * sigma**2 * yp.beta_g * z)
+                ref = 1 - gamma_q_mp(mp, b, x) - b / x * (1 - gamma_q_mp(mp, b + 1, x))
+            else:
+                ref = (mp.exp(mp.loggamma(a + 1) - mp.loggamma(a + b + 1) + b * mp.log(x) - x)
+                       * mp.hyp1f1(a + 1, a + b + 1, x, maxterms=10**6))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = g.yor_survival(z, sigma, m, lam)
@@ -409,7 +511,21 @@ class TestDoubleExponentialRule:
         (lambda x: x * np.exp(3.0 - x), 3.0, math.inf, 4.0),
     ])
     def test_known_integrals(self, f, a, b, exact):
-        assert _de_integrate(f, a, b) == pytest.approx(exact, rel=1e-14)
+        assert _de_integrate(f, a, b) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_stacked_intervals_match_one_at_a_time(self):
+        # each interval stops on its own test, at its own level, with its own sum
+        a = np.array([[0.0, 0.5], [-1.0, 2.0]])
+        b = np.array([1.0, 3.0])
+
+        def f(x, k):
+            return np.exp(-k * x * x)
+
+        k = np.array([[0.5, 40.0], [3.0, 1e3]])
+        stacked = _de_integrate(f, a, b, args=(k,))
+        assert stacked.shape == (2, 2)
+        for i in np.ndindex(2, 2):
+            assert stacked[i] == _de_integrate(lambda x: f(x, k[i]), a[i], b[i[1]])
 
     def test_jump_runs_out_of_levels(self):
         with pytest.warns(AccuracyWarning, match="stopped at step"):
@@ -423,22 +539,37 @@ class TestDoubleExponentialRule:
 
 
 class TestImport:
+    @staticmethod
+    def _scipy_after(code):
+        """What a fresh interpreter prints after each step of code, with gbmsum from
+        the tree under test: the scipy modules loaded by then."""
+        src = str(Path(g.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        return out.stdout.split()
+
+    SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
     def test_no_scipy_after_import_solve_price_and_mc(self):
-        # only inv_gamma_cdf and yor_pdf load scipy.special, when they are called
+        # the reference laws are integrals over their Gamma factor, so none loads scipy
         code = ("import sys, gbmsum as g\n"
                 "g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1))\n"
                 "g.solve_geometric(g.ReducedParams(beta=0.1, rho=0.0, p=0.01))\n"
                 "g.asian_prices(g.AsianSpec(100.0, 100.0, 0.1, 0.0, 0.2, 1.0, 10))\n"
                 "g.simulate_sum(g.ReducedParams(beta=0.1, rho=0.0),\n"
                 "               g.McConfig(n_paths=2000, seed=1), lambda x: x)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-                "g.yor_survival(1.0, 1.0, 0.0, 0.1)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        src = str(Path(g.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["[]", "[]"]
+                + self.SCIPY + "g.yor_survival(1.0, 1.0, 0.0, 0.1)\n"
+                + self.SCIPY + "g.yor_pdf([0.5, 2.0], 1.0, 0.0, 0.1)\n"
+                + self.SCIPY + "g.inv_gamma_cdf([0.5, 2.0], 1.0, -0.1)\n" + self.SCIPY)
+        assert self._scipy_after(code) == ["[]"] * 4
+
+    def test_density_command_loads_no_scipy(self, tmp_path):
+        # its f_continuous_limit column calls yor_pdf at each of 1829 grid nodes
+        code = ("import sys\nfrom gbmsum.cli import main\n"
+                "print(main(['density', '--beta', '0.1', '--rho', '0', '--p', '0.01',\n"
+                f"            '--out', {str(tmp_path)!r}]))\n" + self.SCIPY)
+        assert self._scipy_after(code) == ["0", "[]"]
 
 
 class TestYorMomentIdentity:

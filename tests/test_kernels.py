@@ -103,9 +103,9 @@ class TestDrawLayout:
         for got, ref in zip(seen, expected):
             assert max_rel(got, ref) <= 1e-12
         samples = np.concatenate(seen)
-        assert est.value == pytest.approx(samples.mean(), rel=1e-14)
+        assert est.value == pytest.approx(samples.mean(), rel=1e-14, abs=0.0)
         assert est.std_error == pytest.approx(
-            np.std(samples, ddof=1) / math.sqrt(samples.size), rel=1e-10)
+            np.std(samples, ddof=1) / math.sqrt(samples.size), rel=1e-10, abs=0.0)
 
     def test_time_integral_matches_serial_recomputation(self, monkeypatch):
         # maturities first, then count * (substeps - 1) normals, chunk after chunk;
@@ -135,4 +135,4 @@ class TestDrawLayout:
         for got, ref in zip(seen, expected):
             assert max_rel(got, ref) <= 1e-12
         pairs = 0.5 * (np.concatenate(expected[0::2]) + np.concatenate(expected[1::2]))
-        assert est.value == pytest.approx(pairs.mean(), rel=1e-14)
+        assert est.value == pytest.approx(pairs.mean(), rel=1e-14, abs=0.0)

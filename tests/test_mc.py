@@ -230,8 +230,8 @@ class TestStandardError:
         pairs = 0.5 * (np.concatenate(seen[0::2]) + np.concatenate(seen[1::2]))
         two_pass = np.std(pairs, ddof=1) / math.sqrt(pairs.size)
         assert two_pass > 0.0
-        assert est.std_error == pytest.approx(two_pass, rel=1e-4)
-        assert est.value == pytest.approx(pairs.mean(), rel=1e-15)
+        assert est.std_error == pytest.approx(two_pass, rel=1e-4, abs=0.0)
+        assert est.value == pytest.approx(pairs.mean(), rel=1e-15, abs=0.0)
 
 
 class TestTimeIntegral:
@@ -381,4 +381,4 @@ class TestChunkMemory:
                                                      np.zeros(count), antithetic=True)
         assert np.array_equal(out[:40], np.full(40, math.exp(20.0)))
         assert np.array_equal(anti[:40], np.full(40, math.exp(-20.0)))
-        assert out[40] == pytest.approx(sum(math.exp(-k) for k in range(1, 41)), rel=1e-14)
+        assert out[40] == pytest.approx(sum(math.exp(-k) for k in range(1, 41)), rel=1e-14, abs=0.0)

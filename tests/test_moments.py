@@ -34,11 +34,11 @@ class TestMomentsGeometric:
     def test_perpetuity_mean(self):
         mm = mm_for(1.0, -0.1)
         exact = math.exp(-0.1) / (1.0 - math.exp(-0.1))
-        assert g.moments_geometric(1, mm, 0.0)[0] == pytest.approx(exact, rel=1e-14)
+        assert g.moments_geometric(1, mm, 0.0)[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_stopped_mean_is_ten(self):
         mm = mm_for(1.0, 0.0)
-        assert g.moments_geometric(1, mm, 0.1)[0] == pytest.approx(10.0, rel=1e-14)
+        assert g.moments_geometric(1, mm, 0.1)[0] == pytest.approx(10.0, rel=1e-14, abs=0.0)
 
     def test_second_moment_hand_recursion(self):
         # oracle: the recursion unrolled by hand for k = 2 at (0.1, -0.1)
@@ -49,9 +49,9 @@ class TestMomentsGeometric:
         mu1 = a1 / (1.0 - a1)
         mu2 = a2 / (1.0 - a2) * (1.0 + 2.0 * mu1)
         got = g.moments_geometric(2, mm, 0.0)
-        assert got[0] == pytest.approx(mu1, rel=1e-14)
-        assert got[1] == pytest.approx(mu2, rel=1e-14)
-        assert got[1] == pytest.approx(190.3255, rel=1e-4)
+        assert got[0] == pytest.approx(mu1, rel=1e-14, abs=0.0)
+        assert got[1] == pytest.approx(mu2, rel=1e-14, abs=0.0)
+        assert got[1] == pytest.approx(190.3255, rel=1e-4, abs=0.0)
 
     def test_error_names_failing_order(self):
         mm = mm_for(1.0, -0.1)
@@ -64,14 +64,15 @@ class TestProductForm:
         mm = mm_for(0.05, -0.2)
         a1 = mm(1)
         assert g.moments_infinite_product_form(1, mm)[0] == pytest.approx(
-            a1 / (1.0 - a1), rel=1e-14
+            a1 / (1.0 - a1), rel=1e-14, abs=0.0
         )
 
     def test_two_chain_expansion(self):
         mm = mm_for(0.05, -0.2)
         q1, q2 = (mm(k) / (1.0 - mm(k)) for k in (1, 2))
         expected = q2 + 2.0 * q2 * q1
-        assert g.moments_infinite_product_form(2, mm)[1] == pytest.approx(expected, rel=1e-14)
+        assert g.moments_infinite_product_form(2, mm)[1] == pytest.approx(expected, rel=1e-14,
+                                                                          abs=0.0)
 
     @pytest.mark.parametrize("beta,rho", [(0.05, -0.2), (0.02, -0.3), (0.1, -0.5)])
     def test_matches_recursion_exactly(self, beta, rho):
@@ -79,7 +80,7 @@ class TestProductForm:
         rec = g.moments_geometric(4, mm, 0.0)
         prod = g.moments_infinite_product_form(4, mm)
         for a, b in zip(rec, prod):
-            assert a == pytest.approx(b, rel=1e-12)
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
 class TestJensenAndConsistency:
@@ -96,19 +97,19 @@ class TestJensenAndConsistency:
         closed = g.moments_geometric(3, mm, 0.0)
         for k, ref in enumerate(closed, start=1):
             got = g.expectation(F, lambda x, k=k: x**k)
-            assert got == pytest.approx(ref, rel=1e-4)
+            assert got == pytest.approx(ref, rel=1e-4, abs=0.0)
 
     def test_density_matches_mean_heavy_tail(self, solved):
         F, _ = solved(1.0, -0.1, tol=1e-10, max_iter=800, u_max=36.0)
         mm = mm_for(1.0, -0.1)
         ref = g.moments_geometric(1, mm, 0.0)[0]
-        assert g.expectation(F, lambda x: x) == pytest.approx(ref, rel=1e-4)
+        assert g.expectation(F, lambda x: x) == pytest.approx(ref, rel=1e-4, abs=0.0)
 
 
 class TestInverseMomentBound:
     def test_substitution(self):
         assert g.inverse_moment_bound(1, g.ReducedParams(beta=1.0, rho=0.0)) == pytest.approx(
-            math.e, rel=1e-14
+            math.e, rel=1e-14, abs=0.0
         )
 
     def test_log_quadratic_growth(self):
@@ -127,11 +128,11 @@ class TestInverseMomentBound:
 class TestMeanFiniteSum:
     def test_zero_rate_limit(self):
         assert g.mean_finite_sum(7, 0.0, 0.5, 3.0) == 21.0
-        assert g.mean_finite_sum(7, 1e-13, 0.5, 3.0) == pytest.approx(21.0, rel=1e-9)
+        assert g.mean_finite_sum(7, 1e-13, 0.5, 3.0) == pytest.approx(21.0, rel=1e-9, abs=0.0)
 
     def test_single_term(self):
         assert g.mean_finite_sum(1, 0.07, 0.25, 2.0) == pytest.approx(
-            2.0 * math.exp(0.07 * 0.25), rel=1e-14
+            2.0 * math.exp(0.07 * 0.25), rel=1e-14, abs=0.0
         )
 
     def test_frozen_value(self):
@@ -156,10 +157,10 @@ class TestLevyHook:
         )
         mm_gbm = g.gbm_multiplier_moments(g.ModelParams(sigma=sigma, m=m, tau=tau))
         for k in (1, 2, 3):
-            assert mm_levy(k) == pytest.approx(mm_gbm(k), rel=1e-14)
+            assert mm_levy(k) == pytest.approx(mm_gbm(k), rel=1e-14, abs=0.0)
         rec_levy = g.moments_geometric(2, mm_levy, 0.1)
         rec_gbm = g.moments_geometric(2, mm_gbm, 0.1)
-        assert rec_levy == pytest.approx(rec_gbm, rel=1e-14)
+        assert rec_levy == pytest.approx(rec_gbm, rel=1e-14, abs=0.0)
 
     def test_cumulant_must_vanish_at_zero(self):
         with pytest.raises(ParameterError):

@@ -97,7 +97,7 @@ class TestFiniteSumDensity:
         F = g.finite_sum_density(10, spec.reduced())
         mean = g.expectation(F, lambda x: x)
         exact = g.mean_finite_sum(10, spec.drift, spec.tau, 1.0)
-        assert mean == pytest.approx(exact, rel=1e-6)
+        assert mean == pytest.approx(exact, rel=1e-6, abs=0.0)
 
     def test_normalization_drift_bounded(self):
         rp = g.ReducedParams(beta=0.016, rho=0.01)
@@ -200,8 +200,8 @@ class TestCoarsePowers:
         monkeypatch.setattr(pricing, "_finite_sum_laws", lambda *args: ref_law)
         ref = g.asian_prices(spec)
         assert prices["grid"]["h"] == 2.0 * ref["grid"]["h"]
-        assert prices["call"] == pytest.approx(ref["call"], rel=1e-12)
-        assert prices["put"] == pytest.approx(ref["put"], rel=1e-12)
+        assert prices["call"] == pytest.approx(ref["call"], rel=1e-12, abs=0.0)
+        assert prices["put"] == pytest.approx(ref["put"], rel=1e-12, abs=0.0)
         assert abs(prices["mean_rel_err"]) <= 1e-12
 
     @pytest.mark.parametrize("n", [17, 50, 1000])
@@ -248,8 +248,8 @@ class TestLastStep:
                            maturity=1.0, n_fixings=1)
         prices = g.asian_prices(spec)
         call, put = black_scholes(s0, 100.0, 0.1, sigma, 1.0)
-        assert prices["call"] == pytest.approx(call, rel=1e-13)
-        assert prices["put"] == pytest.approx(put, rel=1e-13)
+        assert prices["call"] == pytest.approx(call, rel=1e-13, abs=0.0)
+        assert prices["put"] == pytest.approx(put, rel=1e-13, abs=0.0)
 
     def test_single_fixing_far_strike_is_silent(self):
         # the call of ~4.8e-47 reads no law, so no grid check applies to it
@@ -259,7 +259,7 @@ class TestLastStep:
             warnings.simplefilter("error")
             prices = g.asian_prices(spec)
         call, _ = black_scholes(100.0, 2000.0, 0.1, 0.2, 1.0)
-        assert prices["call"] == pytest.approx(call, rel=1e-9)
+        assert prices["call"] == pytest.approx(call, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("sigma, n", [(0.2, 10), (0.4, 50), (0.6, 125)])
     def test_matches_finer_step(self, sigma, n, monkeypatch):
@@ -276,8 +276,8 @@ class TestLastStep:
         pricing._finite_sum_laws.cache_clear()
         for price, ref in zip(prices, refs):
             assert ref["grid"]["h"] <= price["grid"]["h"] / 4.0
-            assert price["call"] == pytest.approx(ref["call"], rel=1e-9)
-            assert price["put"] == pytest.approx(ref["put"], rel=1e-9)
+            assert price["call"] == pytest.approx(ref["call"], rel=1e-9, abs=0.0)
+            assert price["put"] == pytest.approx(ref["put"], rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("sigma, n", [(0.4, 10), (0.2, 250), (0.6, 2), (0.4, 1)])
     def test_put_is_the_integral_of_the_cdf(self, sigma, n):
@@ -289,7 +289,7 @@ class TestLastStep:
         put = g.asian_prices(spec)["put"] / (math.exp(-spec.rate * spec.maturity) * spec.s0 / n)
         law = g.finite_sum_density(n, spec.reduced())
         integral = _de_integrate(lambda y: solver.left_tail_cdf(law, y), 0.0, kappa)
-        assert put == pytest.approx(integral, rel=1e-12)
+        assert put == pytest.approx(integral, rel=1e-12, abs=0.0)
 
     def test_one_power_pass_per_law(self, monkeypatch):
         spec = table2_spec(50, 100.0)
@@ -348,7 +348,7 @@ class TestAsianPricing:
         prices = g.asian_prices(spec)
         disc_mean = math.exp(-0.1) * 100.0 * g.mean_finite_sum(10, 0.1, 0.1, 1.0) / 10.0
         assert prices["put"] == 0.0
-        assert prices["call"] == pytest.approx(disc_mean, rel=1e-6)
+        assert prices["call"] == pytest.approx(disc_mean, rel=1e-6, abs=0.0)
         assert g.put_call_parity_gap(spec) == pytest.approx(0.0, abs=1e-6)
 
     def test_parity(self):
@@ -477,7 +477,7 @@ class TestGeometricMaturityOption:
         F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
         val = g.geometric_maturity_option(F, 0.0)
         exact = math.exp(-0.5) / (1.0 - 0.8 * math.exp(-0.5))
-        assert val == pytest.approx(exact, rel=1e-4)
+        assert val == pytest.approx(exact, rel=1e-4, abs=0.0)
 
     def test_vanishes_for_large_threshold(self, solved):
         F, _ = solved(0.5, -0.5, 0.2, tol=1e-9)
@@ -495,7 +495,7 @@ class TestGeometricMaturityOption:
             for level in (1.0, 1.01, 2.0, 4.0, 4.1, 236.0):
                 kappa = level * x_max
                 assert g.geometric_maturity_option(F, kappa) == pytest.approx(
-                    c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-12)
+                    c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kappa, message", [(-1.0, "kappa must be non-negative"),
                                                 (math.nan, "kappa must be finite")],
@@ -556,7 +556,7 @@ class TestMixture:
         exact = 0.3 * g.mean_finite_sum(1, 0.01, 1.0, 1.0) + 0.7 * g.mean_finite_sum(
             3, 0.01, 1.0, 1.0
         )
-        assert mean == pytest.approx(exact, rel=1e-6)
+        assert mean == pytest.approx(exact, rel=1e-6, abs=0.0)
 
     def test_truncated_geometric_matches_stopped_solve(self, solved):
         p = 0.1
@@ -581,7 +581,7 @@ class TestMixture:
         with warnings.catch_warnings():
             warnings.simplefilter("error", AccuracyWarning)
             mix = g.mixture_density(horizon, rp, u_max=16.0)
-        assert g.expectation(mix, lambda x: x) == pytest.approx(10.0, rel=1e-5)
+        assert g.expectation(mix, lambda x: x) == pytest.approx(10.0, rel=1e-5, abs=0.0)
 
     def test_requires_general_model(self):
         with pytest.raises(ParameterError):
@@ -617,7 +617,7 @@ class TestMakehamCalibration:
 
         expect, _ = quad(death_age_density, age, 130.0, epsabs=0.0, epsrel=1e-13, limit=400)
         assert g.makeham_match_p(age, "life_expectancy") == pytest.approx(
-            1.0 / (expect - age), rel=1e-11)
+            1.0 / (expect - age), rel=1e-11, abs=0.0)
 
     def test_hazard_rate_value(self):
         # one-year death probability at 65: p = 0.0213157277

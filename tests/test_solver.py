@@ -697,7 +697,8 @@ class TestPolish:
                                                         1000)
         assert converged and applies == count[0] > 3 * 6  # more than three cycles of 5 + 1
         assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
-        assert estimate == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-12)
+        assert estimate == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-12,
+                                         abs=0.0)
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 5, 6, 7, 13])
@@ -811,9 +812,13 @@ class TestMeanOracle:
         assert report.mean_rel_err <= 1e-5
 
     def test_matches_closed_form_mean(self, solved):
+        # the mean behind the report's |E[X] - 10| / 10 against E[X] through
+        # expectation, compared as means: the two sums round apart by about 2e-15 of
+        # 10, which the subtraction of 10 would magnify 1e7 times in the error figure
         F, report = solved(1.0, 0.0, 0.1, tol=1e-9)
         mean = g.expectation(F, lambda x: x)
-        assert report.mean_rel_err == pytest.approx(abs(mean - 10.0) / 10.0, rel=1e-12)
+        reported = 10.0 * (1.0 + math.copysign(report.mean_rel_err, mean - 10.0))
+        assert reported == pytest.approx(mean, rel=1e-14, abs=0.0)
 
     def test_p_one_law_has_oracle(self):
         _, report = g.solve_geometric(g.ReducedParams(beta=0.5, rho=0.1, p=1.0))
@@ -867,22 +872,23 @@ class TestIntegrals:
         # these quantiles invert it, as survival reads it there
         F, _ = solved(1.0, -0.1, tol=1e-9)
         x_max = float(np.expm1(F.grid.u_max))
-        assert g.survival(F, x_max) == pytest.approx(1.04e-8, rel=0.01)
+        assert g.survival(F, x_max) == pytest.approx(1.04e-8, rel=0.01, abs=0.0)
         q = 1.0 - level
         x = g.quantile(F, q)
         assert x > x_max
-        assert g.survival(F, x) == pytest.approx(1.0 - q, rel=1e-14)
+        assert g.survival(F, x) == pytest.approx(1.0 - q, rel=1e-14, abs=0.0)
 
     def test_quantile_inside_the_grid(self, solved):
         F, _ = solved(1.0, -0.1, tol=1e-9)
-        assert g.quantile(F, 0.99) == pytest.approx(84.2542446, rel=1e-9)
+        assert g.quantile(F, 0.99) == pytest.approx(84.2542446, rel=1e-9, abs=0.0)
 
     def test_singular_payoffs_at_the_origin(self):
         # the node x = 0 carries no mass, so no payoff is read there: at p = 1 the
         # law is the multiplier's, E[log X] = rho - beta/2 and E[1/X] = e^(beta - rho)
         F, _ = g.solve_geometric(g.ReducedParams(beta=0.1, rho=0.0, p=1.0))
         assert g.expectation(F, np.log) == pytest.approx(-0.05, abs=1e-14)
-        assert g.expectation(F, lambda x: 1.0 / x) == pytest.approx(math.exp(0.1), rel=1e-14)
+        assert g.expectation(F, lambda x: 1.0 / x) == pytest.approx(math.exp(0.1), rel=1e-14,
+                                                                    abs=0.0)
 
     def test_log_moment_of_the_fixed_point(self, solved):
         # X = M (1 + X') in law: E[log X] = rho - beta/2 + E[log(1 + X)], which the
@@ -945,7 +951,7 @@ class TestTailClosure:
             payoffs.append((lambda x: x, 1.0))
         for payoff, growth in payoffs:
             assert g.expectation(F, payoff) == pytest.approx(
-                _quad_expectation(F, payoff, growth), rel=1e-12)
+                _quad_expectation(F, payoff, growth), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, 0.3, 0.0), (1.0, 0.3, 0.01)])
     def test_heavy_tail_matches_quad(self, solved, beta, rho, p):
@@ -960,7 +966,7 @@ class TestTailClosure:
             warnings.simplefilter("error")
             for payoff, growth in payoffs:
                 assert g.expectation(F, payoff) == pytest.approx(
-                    _quad_expectation(F, payoff, growth), rel=1e-12)
+                    _quad_expectation(F, payoff, growth), rel=1e-12, abs=0.0)
             assert math.isfinite(tails.tail_constant(F))
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (0.1, 0.0, 0.01)])
@@ -972,7 +978,7 @@ class TestTailClosure:
         call = g.expectation(F, lambda x: np.maximum(x - kappa, 0.0))
         body = g.expectation(GridDensity(F.grid, F.values), lambda x: np.maximum(x - kappa, 0.0))
         tail = c * x_max ** (1.0 - mu) * mu / (mu - 1.0) - kappa * c * x_max ** (-mu)
-        assert call == pytest.approx(body + tail, rel=1e-12)
+        assert call == pytest.approx(body + tail, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (0.1, -0.1, 0.0),
                                               (0.1, 0.0, 0.01)])
@@ -988,7 +994,7 @@ class TestTailClosure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = g.expectation(F, payoff)
-        assert value == pytest.approx(_quad_expectation(F, payoff, 0.0), rel=1e-12)
+        assert value == pytest.approx(_quad_expectation(F, payoff, 0.0), rel=1e-12, abs=0.0)
         assert value > 0.0
 
     @pytest.mark.parametrize("level", [2.0, 4.1])
@@ -998,7 +1004,7 @@ class TestTailClosure:
         kappa = level * x_max
         with pytest.warns(AccuracyWarning, match="double-exponential rule"):
             call = g.expectation(F, lambda x: np.maximum(x - kappa, 0.0))
-        assert call == pytest.approx(c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-3)
+        assert call == pytest.approx(c * kappa ** (1.0 - mu) / (mu - 1.0), rel=1e-3, abs=0.0)
 
     def test_payoff_overflowing_far_out_is_divergent(self, solved):
         F, _, _, _ = _tail_solved(solved, 1.0, -0.1, 0.0)
@@ -1014,7 +1020,7 @@ class TestTailClosure:
         with pytest.raises(ParameterError, match="payoff is not finite beyond x = ") as err:
             g.expectation(F, lambda x: x**20)
         named = float(re.search(r"beyond x = (\S+),", str(err.value)).group(1))
-        assert named == pytest.approx(np.finfo(float).max ** (1.0 / 20.0), rel=1e-5)
+        assert named == pytest.approx(np.finfo(float).max ** (1.0 / 20.0), rel=1e-5, abs=0.0)
         # a finite far probe growing past the exponent is still divergent
         with pytest.raises(DivergentExpectationError, match="x\\^22 >= tail exponent 21"):
             g.expectation(F, lambda x: x**22)
@@ -1183,7 +1189,7 @@ class TestRefinementUsesSolveScales:
         # the one function still taking params, rejects any others
         F, _ = solved(1.0, -0.1, tol=1e-9)
         x = F.grid.x()[100]
-        assert g.density_at(F, x) == pytest.approx(F.values[100], rel=1e-10)
+        assert g.density_at(F, x) == pytest.approx(F.values[100], rel=1e-10, abs=0.0)
         with pytest.raises(ParameterError, match="solved at"):
             g.fit_left_tail_coefficient(F, g.ReducedParams(beta=0.5, rho=-0.1))
 
@@ -1228,7 +1234,7 @@ class TestQuadratureBound:
         Fb, _ = solved(1.0, -0.1, tol=1e-9, h=0.005)
         ra = g.quadrature_error_bound(Fa)
         rb = g.quadrature_error_bound(Fb)
-        assert ra / rb == pytest.approx(8.0, rel=0.25)
+        assert ra / rb == pytest.approx(8.0, rel=0.25, abs=0.0)
 
 
 class TestContinuousLimit:

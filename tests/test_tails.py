@@ -24,7 +24,7 @@ class TestExponents:
 
     def test_geometric_frozen(self):
         mu = g.tail_exponent(g.ReducedParams(beta=1.0, rho=0.0, p=0.1))
-        assert mu == pytest.approx(1.1787643415174758, rel=1e-12)
+        assert mu == pytest.approx(1.1787643415174758, rel=1e-12, abs=0.0)
 
     def test_geometric_reduces_to_infinite(self):
         rp0 = g.ReducedParams(beta=1.0, rho=-0.1)
@@ -43,7 +43,7 @@ class TestExponents:
     def test_p_zero_is_infinite_sum_formula(self):
         for beta, rho in ((1.0, -0.1), (0.5, -0.1), (0.1, -0.1), (0.3, 0.1)):
             mu = g.tail_exponent(g.ReducedParams(beta=beta, rho=rho))
-            assert mu == pytest.approx(1.0 - 2.0 * rho / beta, rel=1e-14)
+            assert mu == pytest.approx(1.0 - 2.0 * rho / beta, rel=1e-14, abs=0.0)
 
     def test_p_one_has_no_power_tail(self):
         with pytest.raises(ParameterError):
@@ -72,7 +72,7 @@ class TestTailConstants:
     def test_zero_drift_closed_form(self, solved):
         F, _ = solved(1.0, 0.0, tol=1e-9)
         # numerator expectation is the total mass, so c = 2/beta exactly
-        assert g.tail_constant(F) == pytest.approx(2.0, rel=1e-9)
+        assert g.tail_constant(F) == pytest.approx(2.0, rel=1e-9, abs=0.0)
 
     def test_zero_drift_density_tail(self, solved):
         # x-space density tail ~ c / x^2 with c = 2/beta
@@ -81,20 +81,20 @@ class TestTailConstants:
         x = F.grid.x()
         sel = x > 0.1 * x[-1]
         implied = F.values[sel] * x[sel] ** 2
-        assert np.median(implied) == pytest.approx(2.0, rel=0.01)
+        assert np.median(implied) == pytest.approx(2.0, rel=0.01, abs=0.0)
 
     def test_plateau_matches_renewal_formula(self, solved):
         F, _ = solved(1.0, -0.1, tol=1e-9)
         c = g.tail_constant(F)
         fitted_exp, plateau_c, variation = g.fit_survival_powerlaw(F)
-        assert plateau_c == pytest.approx(c, rel=0.05)
+        assert plateau_c == pytest.approx(c, rel=0.05, abs=0.0)
         assert variation < 0.05
 
     def test_geometric_plateau(self, solved):
         F, _ = solved(1.0, 0.0, 0.1, tol=1e-9)
         c = g.tail_constant(F)
         _, plateau_c, variation = g.fit_survival_powerlaw(F)
-        assert plateau_c == pytest.approx(c, rel=0.05)
+        assert plateau_c == pytest.approx(c, rel=0.05, abs=0.0)
         assert variation < 0.05
 
     def test_short_grid_fits_its_last_20_points(self):
@@ -106,7 +106,7 @@ class TestTailConstants:
         window = solver._tail_window(F.grid)
         assert F.grid.n_points == 51
         assert window.sum() == 20 and window[-20:].all()
-        assert fitted == pytest.approx(1.2, rel=1e-3)
+        assert fitted == pytest.approx(1.2, rel=1e-3, abs=0.0)
 
     def test_geometric_rejects_p_one(self, solved):
         F, _ = solved(0.5, 0.1, 1.0)
@@ -140,7 +140,7 @@ class TestTailConstants:
         rp = g.ReducedParams(beta=1.0, rho=-0.1, p=1e-4)
         Fg, _ = g.solve_geometric(rp, tol=1e-9, u_max=16.0)
         cg = g.tail_constant(Fg)
-        assert cg == pytest.approx(ci, rel=0.02)
+        assert cg == pytest.approx(ci, rel=0.02, abs=0.0)
 
     @pytest.mark.parametrize("mu", [0.05, 0.3, 1.2, 2.035, 3.0, 10.0])
     def test_power_gap_against_mpmath(self, mu):
@@ -165,7 +165,7 @@ class TestLeftTailCoefficients:
         rp = g.ReducedParams(beta=1.0, rho=-0.1)
         F, _ = solved(1.0, -0.1, tol=1e-9)
         coef = g.fit_left_tail_coefficient(F, rp)
-        assert coef == pytest.approx(-0.5, rel=0.15)
+        assert coef == pytest.approx(-0.5, rel=0.15, abs=0.0)
 
     def test_underflowing_level_is_named(self, solved):
         # at beta = 0.02, P(X <= eps) underflows to 0 at the 10 levels up to 4.3e-3
@@ -211,7 +211,7 @@ class TestValueAtRisk:
         ta = g.TailAsymptote(exponent=1.3, constant=2.0)
         k1 = g.value_at_risk(ta, 0.01).threshold
         k2 = g.value_at_risk(ta, 0.005).threshold
-        assert k2 / k1 == pytest.approx(2.0 ** (1.0 / 1.3), rel=1e-12)
+        assert k2 / k1 == pytest.approx(2.0 ** (1.0 / 1.3), rel=1e-12, abs=0.0)
 
     def test_roundtrip_on_density(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
@@ -219,7 +219,7 @@ class TestValueAtRisk:
         ta = g.TailAsymptote(g.tail_exponent(rp), g.tail_constant(F))
         var = g.value_at_risk(ta, 0.01, density=F)
         assert var.method == "tail_inversion"
-        assert g.survival(F, var.threshold) == pytest.approx(0.01, rel=0.1)
+        assert g.survival(F, var.threshold) == pytest.approx(0.01, rel=0.1, abs=0.0)
 
     def test_grid_inversion_inside_body(self, solved):
         rp = g.ReducedParams(beta=1.0, rho=0.0, p=0.1)
