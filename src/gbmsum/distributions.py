@@ -18,6 +18,7 @@ NaN point.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -201,6 +202,22 @@ def _expm1mx(x) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _gamma_mass(b: float) -> tuple[float, float, float, float, float, float]:
+    """What _gamma_factor reads of its Gamma factor at shape b alone, once per
+    shape: the head's top v0, the cut and hi beyond which w < e^-750, the
+    head's mass, the mass of w above 0 and the total."""
+    def w(v):
+        return np.exp(-b * _expm1mx(v))
+
+    v0 = math.log(1e-17 / (1.0 + b))
+    # below cut and above hi, w < e^-750: expm1(-s) + s >= s^2 / (2 + s)
+    cut = -(750.0 + math.sqrt(750.0 * (750.0 + 8.0 * b))) / (2.0 * b)
+    hi = math.log1p((750.0 + math.sqrt(1500.0 * b)) / b) + 1.0
+    head, upper = math.exp(b * (v0 + 1.0)) / b, _de_integrate(w, 0.0, hi)
+    return v0, cut, hi, head, upper, head + _de_integrate(w, max(v0, cut), 0.0) + upper
+
+
 def _gamma_factor(b: float, level, payoff=None, power: float = 0.0, root=None, excess=None):
     """The reference laws' integrals over their Gamma factor G ~ Gamma(b).
 
@@ -218,12 +235,7 @@ def _gamma_factor(b: float, level, payoff=None, power: float = 0.0, root=None, e
     def w(v):
         return np.exp(-b * _expm1mx(v))
 
-    v0 = math.log(1e-17 / (1.0 + b))
-    # below cut and above hi, w < e^-750: expm1(-s) + s >= s^2 / (2 + s)
-    cut = -(750.0 + math.sqrt(750.0 * (750.0 + 8.0 * b))) / (2.0 * b)
-    hi = math.log1p((750.0 + math.sqrt(1500.0 * b)) / b) + 1.0
-    head, upper = math.exp(b * (v0 + 1.0)) / b, _de_integrate(w, 0.0, hi)
-    total = head + _de_integrate(w, max(v0, cut), 0.0) + upper
+    v0, cut, hi, head, upper, total = _gamma_mass(b)
     level = np.asarray(level, dtype=float)
     if payoff is None:
         out = np.zeros_like(level)

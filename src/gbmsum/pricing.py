@@ -31,11 +31,6 @@ from .params import (ReducedParams, as_reduced, require_count, require_finite,
                      require_nonnegative, require_positive, tail_exponent)
 from .solver import GaussianStepOperator, Grid, GridDensity
 
-# Finite-sum powers zero their values below this.  A product of a larger value
-# with the smallest kernel entry, about pref h e^-32 (pref 2h e^-32 on the coarse
-# grid), stays above 2.2e-308, so no apply meets subnormal arithmetic, which
-# takes a slow hardware path.
-_POWER_FLOOR = 1e-290
 # Finite-sum powers past this many terms take their steps on every other node.
 # An apply resolves the product of its input with the kernel (width sqrt(beta)
 # in u); f1 is about sqrt(beta)/2 wide in u and needs the step sqrt(beta)/3,
@@ -90,16 +85,6 @@ def _finite_sum_grid(n: int, rp: ReducedParams) -> Grid:
                          math.log1p(max(mean, 1.0) * math.exp(margin)))
 
 
-def _powers(vals: np.ndarray, op: GaussianStepOperator, count: int):
-    """vals, T vals, ..., T^count vals, from one running pass of the step
-    operator op; each value after vals is zeroed below _POWER_FLOOR."""
-    yield vals
-    for _ in range(count):
-        vals = op.apply(vals)
-        vals[vals < _POWER_FLOOR] = 0.0
-        yield vals
-
-
 @functools.lru_cache(maxsize=8)
 def _finite_sum_laws(n: int, rp: ReducedParams) -> solver._Law:
     """The n-term law at rp = ReducedParams(beta, rho), from one power pass,
@@ -114,7 +99,7 @@ def _finite_sum_laws(n: int, rp: ReducedParams) -> solver._Law:
     grid = _finite_sum_grid(n, rp)
     op = GaussianStepOperator(grid, rp)
     prev = last = None
-    for vals in _powers(multiplier_pdf(grid.x(), rp), op, min(n, _FINE_POWERS) - 1):
+    for vals in op.powers(multiplier_pdf(grid.x(), rp), min(n, _FINE_POWERS) - 1):
         prev, last = last, vals
         vals.setflags(write=False)
     if n > _FINE_POWERS:
@@ -122,7 +107,7 @@ def _finite_sum_laws(n: int, rp: ReducedParams) -> solver._Law:
         m = (grid.n_points - 1) // 2 + 1
         grid = Grid(2.0 * grid.h, m)
         op = GaussianStepOperator._for_wide_inputs(grid, rp)
-        for vals in _powers(last[: 2 * m - 1 : 2].copy(), op, n - _FINE_POWERS):
+        for vals in op.powers(last[: 2 * m - 1 : 2].copy(), n - _FINE_POWERS):
             prev, last = last, vals
             vals.setflags(write=False)
     return solver._Law(grid, last, params=rp, col_scale=op._col_scale, prev=prev)
@@ -206,7 +191,7 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
     if u_max is None:
         u_max = math.log1p(1000.0 * max(exact_mean, 1.0))
     grid = Grid.spanning(solver._default_step(rp.beta), u_max)
-    powers = _powers(multiplier_pdf(grid.x(), rp), GaussianStepOperator(grid, rp), cap - 1)
+    powers = GaussianStepOperator(grid, rp).powers(multiplier_pdf(grid.x(), rp), cap - 1)
     F = GridDensity(grid, sum(w * vals for w, vals in zip(weights, powers)))
     rel_err = solver._mean_rel_err(F, exact_mean)
     if rel_err > _MIXTURE_MEAN_RTOL:

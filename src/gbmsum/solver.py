@@ -48,6 +48,14 @@ _POLISH_NEG_TOL = 1e-10
 _PICARD_SWITCH = 1e-4  # sup-norm delta at which Picard hands over to GMRES
 _BLOCK_ROWS = 16  # rows per dense operator block
 _BUILD_CHUNK_BYTES = 1 << 20  # bytes of bands, or of blocks, one pass of a build works on
+# blocks of at least this many bytes get a mapping of their own (_block_zeros): the
+# size from which numpy itself advises huge pages
+_MAPPED_BYTES = 4 << 20
+# Operator powers zero their values below this.  A product of a larger value with
+# the smallest kernel entry, about pref h e^-32 (pref 2h e^-32 on a finite sum's
+# coarse grid), stays above 2.2e-308, so no apply meets subnormal arithmetic,
+# which takes a slow hardware path.
+_POWER_FLOOR = 1e-290
 
 _log = logging.getLogger(__name__)
 
@@ -161,7 +169,10 @@ class GaussianStepOperator:
     with k0 nondecreasing; block b holds its rows over the W columns from
     cols[b] on, exact zeros beside each band (see _kernel_rows).  An apply
     computes only the blocks whose window meets the input's nonzero span;
-    every other row is exactly 0.
+    every other row is exactly 0.  The build stores, for every column, the
+    first block whose window reaches it and the end of the blocks that
+    start at or before it, so an apply looks its blocks up.  powers carries
+    each power's span to the next apply, which then skips its scan.
     """
 
     def __init__(self, grid: Grid, params):
@@ -221,26 +232,70 @@ class GaussianStepOperator:
         self._col_scale = col_scale
         self._mass_w = mass_w  # trapezoid mass weights: mass_w @ apply(v) == mass_w @ v
         self._blocks, self._cols = blocks, cols
+        # the blocks a nonzero span [first, last] meets are _first_block[first] up to
+        # _end_block[last]: the window of block b covers cols[b] .. cols[b] + W - 1
+        col = np.arange(grid.n_points)
+        self._first_block = np.searchsorted(cols, col - blocks.shape[2] + 1)
+        self._end_block = np.searchsorted(cols, col, side="right")
         _log.debug("step operator built: n = %d, blocks %d x %d x %d (%.2f MiB), %.4f s",
                    grid.n_points, *blocks.shape, blocks.nbytes / 2**20,
                    time.perf_counter() - start)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
+    def apply(self, values: np.ndarray, *, span: tuple[int, int] | None = None) -> np.ndarray:
         """T values, the block product with col_scale * values over the blocks
         whose window meets the first or last nonzero of col_scale * values or
-        lies between them; the other rows are 0."""
+        lies between them; the other rows are 0.  A caller that knows the
+        first and last nonzero of values gives them as span, and the apply
+        does not scan for them: the column scales are positive, so a block
+        beyond the nonzeros of col_scale * values computes exact zeros."""
         if np.shape(values) != self._col_scale.shape:  # would broadcast against the scales
             raise ParameterError(f"apply needs {self._col_scale.size} values, got shape "
                                  f"{np.shape(values)}")
         y = self._col_scale * values
-        nonzero = y != 0.0
-        first = int(nonzero.argmax())  # argmax finds the first True without a full index
-        b0 = b1 = 0
-        if nonzero[first]:
-            last = y.size - 1 - int(nonzero[::-1].argmax())
-            b0 = int(np.searchsorted(self._cols, first - self._blocks.shape[2] + 1))
-            b1 = int(np.searchsorted(self._cols, last, side="right"))
+        if span is None:
+            span = _true_span(y != 0.0)
+        b0, b1 = self._block_range(span)
         return _block_product(self._blocks, self._cols, y, b0, b1)[: y.size]
+
+    def _block_range(self, span: tuple[int, int] | None) -> tuple[int, int]:
+        """The blocks b0 .. b1-1 whose window meets the columns span[0] ..
+        span[1], or none for no span."""
+        if span is None:
+            return 0, 0
+        return self._first_block[span[0]], self._end_block[span[1]]
+
+    def powers(self, values: np.ndarray, count: int):
+        """values, T values, ..., T^count values, from one running pass; each
+        after values is zeroed below _POWER_FLOOR.  Every power goes through
+        apply.  An apply computes only the rows of the blocks its input's
+        span meets, so only those rows are floored, and their first and last
+        nonzero are the span the next apply is given.  values itself is not
+        floored, so the first apply scans it and its result is floored whole."""
+        yield values
+        span, lo, hi = None, 0, values.size
+        for _ in range(count):
+            values = self.apply(values, span=span)
+            seg = values[lo:hi]
+            keep = seg >= _POWER_FLOOR
+            np.multiply(seg, keep, out=seg)  # non-negative and finite: seg[~keep] = 0, bit for bit
+            span = _true_span(keep)
+            if span is None:  # no nonzero left: the next apply scans, and gives 0
+                lo, hi = 0, values.size
+            else:
+                span = lo + span[0], lo + span[1]
+                b0, b1 = self._block_range(span)
+                lo, hi = b0 * _BLOCK_ROWS, b1 * _BLOCK_ROWS
+            yield values
+
+
+def _true_span(mask: np.ndarray) -> tuple[int, int] | None:
+    """The first and last index where the boolean vector mask is True, or
+    None where it is nowhere: the first and last byte 1 of its bytes, which
+    bytes.find and rfind read in C without a full index (argmax over a
+    reversed view copies it first)."""
+    found = mask.tobytes()
+    first = found.find(1)
+    return None if first < 0 else (first, found.rfind(1))
 
 
 def _block_product(blocks: np.ndarray, cols: np.ndarray, y: np.ndarray, b0: int,
@@ -271,15 +326,16 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndar
     Block b holds rows b*_BLOCK_ROWS onwards over columns cols[b] ..
     cols[b] + W - 1, each band at its own offset with exact zeros beside it;
     W is the widest span of any block's bands, and rows past len(w0) are 0.
-    The blocks live in an anonymous mapping of their own (see
-    _mapped_zeros), so the OS takes their pages back when the last array
-    over them goes.  Only the bands are computed, about _BUILD_CHUNK_BYTES
-    of them at a time, and written into the mapping, whose zeros are the
-    gaps: no other allocation grows with the blocks but a few arrays of one
-    value per row.  Every column carries the full weight h, with no
-    trapezoid half weights at the grid's ends: in an operator the column
-    scales would divide them back out, as every row holding column n-1 is
-    clipped alike, and column 0 meets only values[0] = 0.
+    Blocks of _MAPPED_BYTES or more live in an anonymous mapping of their
+    own (see _block_zeros), so the OS takes their pages back when the last
+    array over them goes.  Only the bands are computed, about
+    _BUILD_CHUNK_BYTES of them at a time, and written into the zeroed
+    blocks, whose zeros are the gaps: no other allocation grows with the
+    blocks but a few arrays of one value per row.  Every column carries the
+    full weight h, with no trapezoid half weights at the grid's ends: in an
+    operator the column scales would divide them back out, as every row
+    holding column n-1 is clipped alike, and column 0 meets only
+    values[0] = 0.
     """
     n, h, m = grid.n_points, grid.h, w0.size
     bw = min(n, 2 * int(math.ceil(_BAND_SIGMAS * math.sqrt(rp.beta) / h)) + 1)
@@ -293,7 +349,7 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndar
     cols = np.minimum(k0[:, 0], n - width)
     start = (cols[:, None] * h - centre).ravel()[:m]  # w_k - w0 at each row's window start
     lo = (k0 - cols[:, None]).ravel()[:m]  # each row's band start in its window
-    blocks = _mapped_zeros((nb, _BLOCK_ROWS, width))
+    blocks = _block_zeros((nb, _BLOCK_ROWS, width))
     bands = _windows(blocks.reshape(-1), bw)
     first = np.arange(m) * width + lo  # row j's band is bands[first[j]]
     steps = _windows(np.arange(width) * h, bw)
@@ -312,12 +368,18 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndar
     return blocks, cols
 
 
-def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """A float array of zeros in a private anonymous mapping of its own,
-    which the array keeps alive: dropping the array unmaps it, and its
-    pages go back to the OS whatever malloc's mmap threshold is by then.
-    Like numpy's own large arrays, it is advised to use huge pages."""
-    mapping = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
+def _block_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A float array of zeros.  From _MAPPED_BYTES on it lies in a private
+    anonymous mapping of its own, which the array keeps alive: dropping the
+    array unmaps it, and its pages go back to the OS whatever malloc's mmap
+    threshold is by then.  Like numpy's own large arrays, it is advised to
+    use huge pages.  Below that size np.zeros gives it, on pages the process
+    already holds where malloc has them, where a mapping of its own would
+    fault in fresh ones."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes < _MAPPED_BYTES:
+        return np.zeros(shape)
+    mapping = mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         with contextlib.suppress(OSError):  # a kernel without transparent huge pages
             mapping.madvise(mmap.MADV_HUGEPAGE)

@@ -2,8 +2,10 @@
 
 Tier-1 runs this module against src.  CI also runs it outside the checkout,
 against `pip install .` in an environment with numpy alone, so it imports
-neither scipy nor mpmath."""
+neither scipy nor mpmath.  Each check runs `gbmsum.cli.main` in a subprocess."""
 
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +32,42 @@ def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[0, 0, 0]"
+
+
+def run_cli(argv, out):
+    """out, after gbmsum.cli.main(argv + ['--out', out]) exits 0 in a fresh interpreter."""
+    code = "import sys\nfrom gbmsum.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = str(Path(gbmsum.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return out
+
+
+ASIAN = ["asian", "--s0", "100", "--rate", "0.1", "--sigma", "0.2", "--maturity", "1"]
+
+
+def test_long_asian_lists_no_warning(tmp_path):
+    # a narrow-band Asian power in its two stages: 15 steps at bw = 49 on 4686 points,
+    # then 984 at bw = 25 on every other node (2343 points), whose operator has a
+    # resolution bound of its own, which 2h meets
+    out = run_cli(ASIAN + ["--strike", "100", "--fixings", "1000"], tmp_path)
+    assert json.loads((out / "asian.manifest.json").read_text())["warnings"] == []
+
+
+def test_one_fixing_asian_is_black_scholes(tmp_path):
+    # the closed-form Black-Scholes call and put, in the report and in the csv's price
+    # and put_price columns, which hold 17 digits
+    out = run_cli(ASIAN + ["--strike", "100", "--fixings", "1", "--strict"], tmp_path)
+    report = json.loads((out / "asian_report.json").read_text())
+    row = list(csv.reader((out / "asian.csv").open()))[1]
+    call, put = 13.269676584660893, 3.753418388256833
+    for value, bs in [(report["call"], call), (float(row[2]), call),
+                      (report["put"], put), (float(row[3]), put)]:
+        assert abs(value / bs - 1.0) <= 1e-12
+
+
+def test_far_one_fixing_call_passes_strict(tmp_path):
+    # a call of ~4.8e-47 reads no grid, so no grid check escalates under --strict
+    run_cli(ASIAN + ["--strike", "2000", "--fixings", "1", "--strict"], tmp_path)

@@ -17,7 +17,7 @@ from gbmsum import (
     solver,
 )
 from gbmsum.distributions import _de_integrate
-from gbmsum.solver import GaussianStepOperator
+from gbmsum.solver import GaussianStepOperator, Grid, GridDensity
 
 
 def table2_spec(n, s0):
@@ -127,7 +127,7 @@ class TestFiniteSumDensity:
 
 
 class TestPowerFloor:
-    """Finite-sum powers are zeroed below pricing._POWER_FLOOR, which keeps
+    """Finite-sum powers are zeroed below solver._POWER_FLOOR, which keeps
     subnormal products out of the applies and moves no price."""
 
     @pytest.mark.parametrize("sigma, n", [(0.4, 250), (0.2, 1000)])
@@ -147,9 +147,9 @@ class TestPowerFloor:
         prev, vals = None, vals[: 2 * F.grid.n_points - 1 : 2]
         for _ in range(n - pricing._FINE_POWERS):
             prev, vals = vals, op.apply(vals)
-        assert np.all((F.values == 0.0) | (F.values >= pricing._POWER_FLOOR))
+        assert np.all((F.values == 0.0) | (F.values >= solver._POWER_FLOOR))
         for law in (prev, vals):
-            assert np.any((law > 0.0) & (law < pricing._POWER_FLOOR))
+            assert np.any((law > 0.0) & (law < solver._POWER_FLOOR))
         assert np.max(np.abs(F.values - vals)) <= 1e-288
         floored = g.asian_prices(spec)
         read = []
@@ -173,8 +173,57 @@ def fine_only_law(n, rp):
     prev, vals = None, g.multiplier_pdf(grid.x(), rp)
     for _ in range(n - 1):
         prev, vals = vals, op.apply(vals)
-        vals[vals < pricing._POWER_FLOOR] = 0.0
+        vals[vals < solver._POWER_FLOOR] = 0.0
     return solver._Law(grid, vals, params=rp, col_scale=op._col_scale, prev=prev)
+
+
+def plain_powers(op, vals, count):
+    """vals and its first count powers by the plain loop: apply, then zero
+    every value below the floor."""
+    powers = [vals]
+    for _ in range(count):
+        vals = op.apply(vals)
+        vals[vals < solver._POWER_FLOOR] = 0.0
+        powers.append(vals)
+    return powers
+
+
+class TestPowerPass:
+    """GaussianStepOperator.powers floors only the rows each apply computed
+    and hands their nonzero span to the next apply: every power is the plain
+    loop's bit for bit."""
+
+    def test_two_stage_law(self):
+        n = 40
+        rp = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=0.2,
+                         maturity=1.0, n_fixings=n).reduced()
+        fine = pricing._finite_sum_grid(n, rp)
+        op = GaussianStepOperator(fine, rp)
+        f1 = g.multiplier_pdf(fine.x(), rp)
+        ref = plain_powers(op, f1, pricing._FINE_POWERS - 1)
+        got = list(op.powers(f1, pricing._FINE_POWERS - 1))
+        # the floor acts: an unfloored apply gives values below it
+        tiny = op.apply(ref[1])
+        assert np.any((tiny > 0.0) & (tiny < solver._POWER_FLOOR))
+        m = (fine.n_points - 1) // 2 + 1
+        op = GaussianStepOperator._for_wide_inputs(Grid(2.0 * fine.h, m), rp)
+        ref += plain_powers(op, ref[-1][: 2 * m - 1 : 2].copy(), n - pricing._FINE_POWERS)[1:]
+        got += list(op.powers(got[-1][: 2 * m - 1 : 2].copy(), n - pricing._FINE_POWERS))[1:]
+        assert len(got) == len(ref) == n
+        for k, (a, b) in enumerate(zip(got, ref)):
+            np.testing.assert_array_equal(a, b, err_msg=f"power {k}")
+        F = g.finite_sum_density(n, rp)
+        assert np.array_equal(F.values, got[-1]) and np.array_equal(F.prev, got[-2])
+
+    def test_mixture_law(self):
+        rp = g.ReducedParams(beta=0.1, rho=0.0)
+        weights = 0.1 * 0.9 ** np.arange(60)
+        horizon = g.GeneralHorizon(weights / weights.sum())
+        F = g.mixture_density(horizon, rp, u_max=16.0)
+        op = GaussianStepOperator(F.grid, rp)
+        powers = plain_powers(op, g.multiplier_pdf(F.grid.x(), rp), weights.size - 1)
+        ref = GridDensity(F.grid, sum(w * vals for w, vals in zip(horizon.weights, powers)))
+        np.testing.assert_array_equal(F.values, ref.values)
 
 
 class TestCoarsePowers:
@@ -292,16 +341,23 @@ class TestLastStep:
         assert put == pytest.approx(integral, rel=1e-12, abs=0.0)
 
     def test_one_power_pass_per_law(self, monkeypatch):
+        # n - 1 applies, counted as perfbench's tracer counts them: it wraps the class
+        # attribute and reads a call's size from the positional arguments alone, so a
+        # power pass hands its span to apply by keyword
         spec = table2_spec(50, 100.0)
-        applies = []
+        sizes = []
         apply = GaussianStepOperator.apply
-        monkeypatch.setattr(GaussianStepOperator, "apply",
-                            lambda op, values: applies.append(1) or apply(op, values))
+
+        def traced(*args, **kwargs):
+            sizes.append((lambda op, values: values.size)(*args))
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(GaussianStepOperator, "apply", traced)
         pricing._finite_sum_laws.cache_clear()
         g.asian_prices(spec)
-        assert len(applies) == 49
+        assert len(sizes) == 49
         g.put_call_parity_gap(spec)
-        assert len(applies) == 49
+        assert len(sizes) == 49
 
 
 class TestDerivativeForm:

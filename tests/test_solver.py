@@ -143,6 +143,9 @@ class TestOperator:
         full = solver._block_product(op._blocks, op._cols, op._col_scale * values, 0,
                                      op._cols.size)[:4686]
         np.testing.assert_array_equal(op.apply(values), full)
+        # the span a power pass hands on: the first and last nonzero, or none at all
+        hint = (span[0], span[1] - 1) if span[1] > span[0] else None
+        np.testing.assert_array_equal(op.apply(values, span=hint), full)
 
     def test_coarse_grid_warning(self):
         rp = g.ReducedParams(beta=0.0004, rho=0.0)  # sqrt(beta) = 0.02 < 3h
