@@ -905,8 +905,8 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
            u_max: float | None) -> tuple[GridDensity, SolveReport]:
     """Fixed point of F = p f1 + (1-p) T F for 0 <= p <= 1, where f1 is the
     one-period multiplier density (no source term at p = 0, F = f1 at p = 1)."""
-    if not (tol > 0.0 and max_iter >= 1):
-        raise ParameterError(f"need tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
+    require_positive(tol=tol)
+    max_iter = require_count("max_iter", max_iter)
     mm = gbm_multiplier_moments(rp)
     exact_mean = moments_geometric(1, mm, rp.p)[0] if moment_exists(1, mm, rp.p) else None
     if rp.p == 1.0:

@@ -1,6 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gbmsum
 from gbmsum import ReducedParams, solve_geometric, solve_infinite
+
+
+def fresh_python(code, *args, **env):
+    """stdout of `python -c code *args` in a fresh interpreter that imports gbmsum from
+    the tree under test, with `env` added to its environment; fails on a non-zero exit."""
+    src = str(Path(gbmsum.__file__).parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 @pytest.fixture(scope="session")

@@ -71,6 +71,14 @@ class TestDensityCommand:
         report = json.load(open(os.path.join(out, "density_report.json")))
         assert report["report"]["iterations"] == 0
 
+    def test_overflowing_polish_norm_lists_only_accuracy_warnings(self, tmp_path):
+        # at (4.9e-5, -0.01, 0.9) the polish's residual norm overflows and the tail
+        # exponent is 573: numpy's overflow RuntimeWarnings are handled, not passed on
+        assert main(["density", "--beta", "4.9e-5", "--rho", "-0.01", "--p", "0.9",
+                     "--max-iter", "2000", "--out", str(tmp_path)]) == 0
+        warned = json.load(open(tmp_path / "density.manifest.json"))["warnings"]
+        assert [w for w in warned if w["category"] != "AccuracyWarning"] == []
+
     def test_infeasible_parameters_exit_2(self, tmp_path):
         assert main(["density", "--beta", "1", "--rho", "0.9",
                      "--out", str(tmp_path)]) == 2
@@ -201,11 +209,11 @@ class TestCalibrateCommand:
 class TestMomentsCommand:
     def test_values_and_existence(self, tmp_path):
         out = str(tmp_path)
-        assert main(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "2",
+        assert main(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "3",
                      "--out", out]) == 0
         rows = read_csv(os.path.join(out, "moments.csv"))
         assert float(rows[1][2]) == pytest.approx(9.508331945, rel=1e-8, abs=0.0)
-        assert rows[2][1] == "False"
+        assert rows[2][1] == rows[3][1] == "False"
 
 
 class TestMcCommand:
@@ -395,9 +403,13 @@ class TestMalformedInput:
         pytest.param(MC + ["--horizon", "fixed:5", "--statistic", "survival:nan"], {},
                      "survival level X must be finite, got 'nan'", id="survival-nan-level"),
         pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--max-iter", "0"], {},
-                     "need tol > 0 and max_iter >= 1, got 1e-08 and 0", id="density-max-iter-0"),
+                     "max_iter must be an integer >= 1, got 0", id="density-max-iter-0"),
         pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--tol", "0"], {},
-                     "need tol > 0 and max_iter >= 1, got 0.0 and 500", id="density-tol-0"),
+                     "tol must be positive, got 0.0", id="density-tol-0"),
+        pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--tol", "inf"], {},
+                     "tol must be finite, got inf", id="density-tol-inf"),
+        pytest.param(["annuity", "--beta", "1", "--rho", "0", "--p", "0.1", "--tol", "inf"], {},
+                     "tol must be finite, got inf", id="annuity-tol-inf"),
         pytest.param(["annuity", "--beta", "1", "--rho", "0", "--p", "0"], {},
                      "the capital K = E[X] is infinite", id="annuity-infinite-mean-p0"),
         pytest.param(["annuity", "--beta", "1", "--rho", "0.2", "--p", "0.1"], {},
@@ -430,6 +442,7 @@ class TestMalformedInput:
         argv = [a.format(dir=tmp_path) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("argv,files,message", ANNUITY_INPUTS)
     def test_annuity_input_fails_before_the_solve(self, tmp_path, capsys, monkeypatch,

@@ -1,14 +1,11 @@
 """Closed-form law tests: multiplier, inverse-Gamma limit, exponential-time law."""
 
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fresh_python
 from scipy.integrate import quad
 
 import gbmsum as g
@@ -541,21 +538,12 @@ class TestDoubleExponentialRule:
 
 
 class TestImport:
-    @staticmethod
-    def _scipy_after(code):
-        """What a fresh interpreter prints after each step of code, with gbmsum from
-        the tree under test: the scipy modules loaded by then."""
-        src = str(Path(g.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        return out.stdout.split()
-
+    # the scipy modules loaded by then, printed after each step
     SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
 
     def test_no_scipy_after_import_solve_price_and_mc(self):
         # the reference laws are integrals over their Gamma factor, so none loads scipy
-        code = ("import sys, gbmsum as g\n"
+        code = ("import math, sys, gbmsum as g\n"
                 "g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1))\n"
                 "g.solve_geometric(g.ReducedParams(beta=0.1, rho=0.0, p=0.01))\n"
                 "g.asian_prices(g.AsianSpec(100.0, 100.0, 0.1, 0.0, 0.2, 1.0, 10))\n"
@@ -563,15 +551,18 @@ class TestImport:
                 "               g.McConfig(n_paths=2000, seed=1), lambda x: x)\n"
                 + self.SCIPY + "g.yor_survival(1.0, 1.0, 0.0, 0.1)\n"
                 + self.SCIPY + "g.yor_pdf([0.5, 2.0], 1.0, 0.0, 0.1)\n"
-                + self.SCIPY + "g.inv_gamma_cdf([0.5, 2.0], 1.0, -0.1)\n" + self.SCIPY)
-        assert self._scipy_after(code) == ["[]"] * 4
+                + self.SCIPY + "g.inv_gamma_cdf([0.5, 2.0], 1.0, -0.1)\n"
+                + self.SCIPY + "g.shortfall_continuous(0.001 ** 0.5, -0.1, 0.5,\n"
+                "                       math.exp(-0.1) / (1.0 - 0.5 * math.exp(-0.1)))\n"
+                + self.SCIPY)
+        assert fresh_python(code).split() == ["[]"] * 5
 
     def test_density_command_loads_no_scipy(self, tmp_path):
         # its f_continuous_limit column calls yor_pdf at each of 1829 grid nodes
         code = ("import sys\nfrom gbmsum.cli import main\n"
                 "print(main(['density', '--beta', '0.1', '--rho', '0', '--p', '0.01',\n"
                 f"            '--out', {str(tmp_path)!r}]))\n" + self.SCIPY)
-        assert self._scipy_after(code) == ["0", "[]"]
+        assert fresh_python(code).split() == ["0", "[]"]
 
 
 class TestYorMomentIdentity:

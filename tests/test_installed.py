@@ -6,6 +6,7 @@ neither scipy nor mpmath.  Each check runs `gbmsum.cli.main` in a subprocess."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,34 +15,40 @@ from pathlib import Path
 import gbmsum
 
 
+def fresh_python(code, *args):
+    """stdout of `python -c code *args` in a fresh interpreter that imports gbmsum from
+    where this one does; fails on a non-zero exit."""
+    src = str(Path(gbmsum.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
     # the continuous-time laws (density at p > 0 writes yor_pdf beside the discrete
-    # law, annuity the continuous shortfall) and an Asian price, with every import
-    # of scipy made to fail, as where numpy alone is installed
+    # law, annuity the continuous shortfall), an Asian price and an antithetic Monte
+    # Carlo run through the path-sum kernel, with every import of scipy made to fail,
+    # as where numpy alone is installed
     code = ("import sys\n"
             "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
             "from gbmsum.cli import main\n"
             "runs = [['density', '--beta', '0.1', '--rho', '0', '--p', '0.01'],\n"
             "        ['annuity', '--beta', '1', '--rho', '0', '--p', '0.1'],\n"
             "        ['asian', '--s0', '100', '--strike', '100', '--rate', '0.1',\n"
-            "         '--sigma', '0.2', '--maturity', '1', '--fixings', '10']]\n"
+            "         '--sigma', '0.2', '--maturity', '1', '--fixings', '10'],\n"
+            "        ['mc', '--paths', '20000', '--seed', '1', '--horizon', 'geometric:0.1',\n"
+            "         '--beta', '1', '--rho', '0', '--antithetic']]\n"
             "print([main(argv + ['--out', sys.argv[1] + '/' + argv[0]]) for argv in runs])\n")
-    src = str(Path(gbmsum.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0]"
+    assert fresh_python(code, str(tmp_path)).splitlines()[-1] == "[0, 0, 0, 0]"
+    assert math.isfinite(json.loads((tmp_path / "mc" / "mc_report.json").read_text())["value"])
 
 
 def run_cli(argv, out):
     """out, after gbmsum.cli.main(argv + ['--out', out]) exits 0 in a fresh interpreter."""
-    code = "import sys\nfrom gbmsum.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    src = str(Path(gbmsum.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
+    fresh_python("import sys\nfrom gbmsum.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+                 *argv, "--out", str(out))
     return out
 
 

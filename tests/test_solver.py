@@ -3,17 +3,14 @@
 import inspect
 import logging
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SHORTFALL_TABLE
+from conftest import SHORTFALL_TABLE, fresh_python
 from scipy import special
 from scipy.integrate import quad
 
@@ -242,11 +239,7 @@ class TestOperatorBuild:
                   "del F\n"
                   "gc.collect()\n"
                   "print(rss() - base)\n")
-        src = str(Path(g.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert float(run.stdout) <= 12.0  # MiB
+        assert float(fresh_python(script)) <= 12.0  # MiB
 
     def test_build_logs_at_debug_only(self, caplog):
         grid = Grid(0.01, 200)
@@ -404,14 +397,8 @@ class TestOperatorReference:
                   "law = g.inv_gamma_pdf(grid.x(), 1.0, 0.5 * (1.0 - g.tail_exponent(rp)))\n"
                   "for v in (law, np.linspace(0.0, 1.0, grid.n_points)):\n"
                   "    print(hashlib.sha256(op.apply(v).tobytes()).hexdigest())\n")
-        src = str(Path(g.__file__).parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                 text=True, timeout=120, check=True)
-            digests.append(run.stdout.split())
+        digests = [fresh_python(script, OPENBLAS_NUM_THREADS=threads,
+                                OMP_NUM_THREADS=threads).split() for threads in ("1", "2")]
         assert len(digests[0]) == 2 and digests[0] == digests[1]
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1),
@@ -491,7 +478,8 @@ class TestSolveInfinite:
 
     @pytest.mark.parametrize("solve,p", [(g.solve_infinite, 0.0), (g.solve_geometric, 0.1),
                                          (g.solve_geometric, 1.0)])
-    @pytest.mark.parametrize("tol,max_iter", [(1e-8, 0), (0.0, 3), (math.nan, 3)])
+    @pytest.mark.parametrize("tol,max_iter", [(1e-8, 0), (0.0, 3), (math.nan, 3),
+                                              (math.inf, 3), (1e-8, 2.5), (1e-8, True)])
     def test_rejects_bad_iteration_settings(self, solve, p, tol, max_iter):
         with pytest.raises(ParameterError):
             solve(g.ReducedParams(beta=1.0, rho=-0.1, p=p), tol=tol, max_iter=max_iter)
@@ -1263,13 +1251,16 @@ class TestMedian:
 
     def test_tail_fits_import_no_masked_arrays(self):
         # the first np.median of a process imports numpy.ma (15-19 ms); the solve's
-        # tail constant and the power-law fit take their medians without it
-        script = ("import sys, gbmsum as g\n"
-                  "F, _ = g.solve_infinite(g.ReducedParams(beta=1.0, rho=-0.1))\n"
+        # tail constant and the power-law fit take their medians without it, and the
+        # left-tail fit, whose probabilities are a closed form, within 15% of
+        # -1/(2 beta), with every warning an error
+        script = ("import sys, warnings, gbmsum as g\n"
+                  "warnings.simplefilter('error')\n"
+                  "rp = g.ReducedParams(beta=1.0, rho=-0.1)\n"
+                  "F, _ = g.solve_infinite(rp, tol=1e-9)\n"
+                  "print(g.fit_left_tail_coefficient(F, rp))\n"
                   "g.fit_survival_powerlaw(F)\n"
                   "print('numpy.ma' in sys.modules)\n")
-        src = str(Path(g.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert run.stdout.strip() == "False"
+        coef, masked = fresh_python(script).split()
+        assert abs(float(coef) / -0.5 - 1.0) <= 0.15
+        assert masked == "False"
