@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+# the largest x whose e^x is a finite float: math.exp overflows past it
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def require_finite(**values) -> None:
@@ -37,6 +41,12 @@ def require_nonnegative(**values) -> None:
     for name, value in values.items():
         if value < 0.0:
             raise ParameterError(f"{name} must be non-negative, got {value}")
+
+
+def _require_finite_exp(what: str, x: float) -> None:
+    """Raise ParameterError naming `what`, the quantity e^x, where e^x overflows a float."""
+    if x > _LOG_FLOAT_MAX:
+        raise ParameterError(f"{what} = e^{x:.6g} overflows a float")
 
 
 def require_count(name: str, value, least: int = 1) -> int:

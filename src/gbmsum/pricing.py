@@ -27,8 +27,8 @@ from .errors import (
 )
 from .mc import GeneralHorizon
 from .moments import mean_finite_sum
-from .params import (ReducedParams, as_reduced, require_count, require_finite,
-                     require_nonnegative, require_positive, tail_exponent)
+from .params import (ReducedParams, _require_finite_exp, as_reduced, require_count,
+                     require_finite, require_nonnegative, require_positive, tail_exponent)
 from .solver import GaussianStepOperator, Grid, GridDensity
 
 # Finite-sum powers past this many terms take their steps on every other node.
@@ -89,7 +89,7 @@ def _finite_sum_grid(n: int, rp: ReducedParams) -> Grid:
 def _finite_sum_laws(n: int, rp: ReducedParams) -> solver._Law:
     """The n-term law at rp = ReducedParams(beta, rho), from one power pass,
     cached read-only; its law one step back is the (n-1)-term values, or at
-    n = 1 the point mass at 0, given as None.
+    n = 1 the point mass at 0, given as None, where no operator is built.
 
     The first _FINE_POWERS powers run on _finite_sum_grid; past them the
     _FINE_POWERS-term values, restricted to the even nodes (exact there),
@@ -97,6 +97,8 @@ def _finite_sum_laws(n: int, rp: ReducedParams) -> solver._Law:
     operator is built once the fine one is dropped.  The law lives on the
     grid its last step was taken on."""
     grid = _finite_sum_grid(n, rp)
+    if n == 1:
+        return solver._Law(grid, multiplier_pdf(grid.x(), rp), params=rp)
     op = GaussianStepOperator(grid, rp)
     prev = last = None
     for vals in op.powers(multiplier_pdf(grid.x(), rp), min(n, _FINE_POWERS) - 1):
@@ -224,7 +226,9 @@ def asian_prices(spec: AsianSpec) -> dict:
     rp = spec.reduced()
     n = spec.n_fixings
     kappa = n * spec.strike / spec.s0
-    disc = math.exp(-spec.rate * spec.maturity)
+    rt = spec.rate * spec.maturity
+    _require_finite_exp("the discount factor e^(-rT)", -rt)
+    disc = math.exp(-rt)
     law = _finite_sum_laws(n, rp)
     grid = law.grid
     x_max = math.expm1(grid.u_max)
@@ -235,7 +239,7 @@ def asian_prices(spec: AsianSpec) -> dict:
     call, put = map(float, disc * spec.s0 / n * solver._last_step(
         law, "asian_prices", lambda u: solver._lognormal_option_rows(u, kappa, rp)))
     mean = mean_finite_sum(n, spec.drift, spec.tau, 1.0)
-    rt = spec.rate * spec.maturity
+    _require_finite_exp("the continuous-average growth e^(rT)", rt)
     continuous_mean = spec.s0 if rt == 0.0 else spec.s0 / rt * math.expm1(rt)
     return {
         "call": call,
@@ -273,7 +277,7 @@ def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
     if not (0.0 < rp.p < 1.0):
         raise ParameterError(f"needs 0 < p < 1, got p = {rp.p}")
     require_nonnegative(kappa=kappa)
-    mu = tail_exponent(rp)
+    mu = tail_exponent(rp)  # the exponent of F's tail closure, which the solve sets from it
     if mu <= 1.0:
         raise DivergentExpectationError(
             f"tail exponent mu = {mu:.4g} <= 1: E[(X_N - kappa)+] is infinite"
@@ -281,7 +285,6 @@ def geometric_maturity_option(F: GridDensity, kappa: float) -> float:
     call = solver.expectation(GridDensity(F.grid, F.values), lambda x: np.maximum(x - kappa, 0.0))
     if F.tail is None:
         return call
-    mu = F.tail.exponent
     k = max(kappa, float(F.grid.x()[-1]))
     return call + F.tail.survival(k) * (mu * k / (mu - 1.0) - kappa)
 

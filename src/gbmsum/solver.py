@@ -28,8 +28,8 @@ from .errors import (
     ParameterError,
 )
 from .moments import gbm_multiplier_moments, moment_exists, moments_geometric
-from .params import (ReducedParams, TailAsymptote, as_reduced, require_count,
-                     require_finite, require_positive, tail_exponent)
+from .params import (ReducedParams, TailAsymptote, _require_finite_exp, as_reduced,
+                     require_count, require_positive, tail_exponent)
 
 TRUNCATION_TOL = 1e-7  # default analytic tail mass allowed beyond the grid
 # the solves' default fixed-point tolerance and apply budget, the CLI's too
@@ -76,10 +76,7 @@ class Grid:
     @classmethod
     def spanning(cls, h: float, u_max: float) -> Grid:
         """The step-h grid whose top is the grid point nearest u_max."""
-        require_finite(h=h, u_max=u_max)
-        if not (h > 0.0 and u_max > 0.0):
-            raise ParameterError(f"grid step and span must be positive, got h = {h}, "
-                                 f"u_max = {u_max}")
+        require_positive(h=h, u_max=u_max)
         return cls(h, int(round(u_max / h)) + 1)
 
     @property
@@ -176,12 +173,7 @@ class GaussianStepOperator:
     """
 
     def __init__(self, grid: Grid, params):
-        rp = as_reduced(params)
-        if math.sqrt(rp.beta) < 3.0 * grid.h:
-            warnings.warn(f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is "
-                          f"below 3h = {3.0 * grid.h:.4g}; refine the grid step",
-                          CoarseGridWarning, stacklevel=2)
-        self._build(grid, rp)
+        self._build(grid, as_reduced(params), 3.0)
 
     @classmethod
     def _for_wide_inputs(cls, grid: Grid, rp: ReducedParams) -> GaussianStepOperator:
@@ -191,15 +183,17 @@ class GaussianStepOperator:
         sum at step h errs by about e^(-2 pi^2 beta / h^2), 5e-20 at its bound
         h = 2 sqrt(beta)/3.  A CoarseGridWarning names a step beyond that
         bound, sqrt(beta) < 1.5 h; twice a step __init__ takes never is."""
-        if math.sqrt(rp.beta) < 1.5 * grid.h:
-            warnings.warn(f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is "
-                          f"below 1.5h = {1.5 * grid.h:.4g}, even for inputs wider than "
-                          f"the kernel; refine the grid step", CoarseGridWarning, stacklevel=2)
         op = cls.__new__(cls)
-        op._build(grid, rp)
+        op._build(grid, rp, 1.5)
         return op
 
-    def _build(self, grid: Grid, rp: ReducedParams) -> None:
+    def _build(self, grid: Grid, rp: ReducedParams, steps: float) -> None:
+        """A constructor's build; a CoarseGridWarning names its caller if sqrt(beta) < steps h."""
+        _require_kernel_prefactor(rp)
+        if math.sqrt(rp.beta) < steps * grid.h:
+            warnings.warn(f"Gaussian kernel width sqrt(beta) = {math.sqrt(rp.beta):.4g} is "
+                          f"below {steps:g}h = {steps * grid.h:.4g}; refine the grid step",
+                          CoarseGridWarning, stacklevel=3)
         start = time.perf_counter()
         u = grid.u()
         w0 = np.empty(grid.n_points)
@@ -316,6 +310,12 @@ def _windows(a: np.ndarray, width: int) -> np.ndarray:
     the rows of one view of it.  The ndarray constructor takes about 1 us
     where sliding_window_view takes 17 us, on each of thousands of applies."""
     return np.ndarray((a.size - width + 1, width), a.dtype, a, 0, (a.itemsize, a.itemsize))
+
+
+def _require_kernel_prefactor(rp: ReducedParams) -> None:
+    """Refuse a law whose kernel prefactor e^(beta - rho) (_kernel_rows)
+    overflows a float, before any grid work: at beta - rho past about 709.8."""
+    _require_finite_exp("the kernel prefactor e^(beta - rho)", rp.beta - rp.rho)
 
 
 def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,23 +471,23 @@ def survival(F: GridDensity, x: float) -> float:
     """P(X > x) by grid integration with analytic tail closure, clipped to [0, 1]."""
     if math.isnan(x):
         raise ParameterError("survival needs a level x, got NaN")
-    return min(max(_survival(F, x), 0.0), 1.0)
+    value = (float(_mass_weights(F.grid) @ F.values + _tail_mass(F)) if x <= 0.0
+             else _survival_in_cell(F, survival_on_grid(F), x))
+    return min(max(value, 0.0), 1.0)
 
 
-def _survival(F: GridDensity, x: float) -> float:
-    if x <= 0.0:
-        return float(_mass_weights(F.grid) @ F.values + _tail_mass(F))
+def _survival_in_cell(F: GridDensity, surv: np.ndarray, x: float) -> float:
+    """P(X > x) at x > 0: surv = survival_on_grid(F) at the top of x's cell plus the
+    trapezoid over the cell above x; past the grid top, the tail closure alone."""
     u_x = math.log1p(x)
     if u_x >= F.grid.u_max:
         return F.tail.survival(x) if F.tail is not None else 0.0
-    g = _mass_integrand(F.grid, F.values)
     h = F.grid.h
     j = min(int(u_x / h), F.grid.n_points - 2)
     frac = u_x / h - j
-    g_x = g[j] * (1.0 - frac) + g[j + 1] * frac
-    partial = 0.5 * (g_x + g[j + 1]) * (1.0 - frac) * h
-    cells = 0.5 * (g[j + 2 :] + g[j + 1 : -1]) * h
-    return float(partial + cells.sum() + _tail_mass(F))
+    g_j, g_top = F.values[j : j + 2] * np.exp(np.arange(j, j + 2) * h)
+    g_x = g_j * (1.0 - frac) + g_top * frac
+    return float(0.5 * (g_x + g_top) * (1.0 - frac) * h + surv[j + 1])
 
 
 def cdf(F: GridDensity, x: float) -> float:
@@ -516,7 +516,7 @@ def quantile(F: GridDensity, q: float) -> float:
     lo, hi = float(x[j - 1]), float(x[j])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if survival(F, mid) > target:
+        if _survival_in_cell(F, surv, mid) > target:
             lo = mid
         else:
             hi = mid
@@ -670,6 +670,7 @@ def density_at(F: GridDensity, x_points) -> np.ndarray:
     rp = _law(F, "off-grid refinement").params
     if F.prev is None or x.size == 0:  # the law is f1 itself, or no point to refine
         return distributions.multiplier_pdf(x, rp).reshape(x_points.shape)
+    _require_kernel_prefactor(rp)
     order = np.argsort(x)
     blocks, cols = _kernel_rows(F.grid, rp, np.log(x[order]) + 1.5 * rp.beta - rp.rho)
     vals = np.empty(x.size)
@@ -911,7 +912,8 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     exact_mean = moments_geometric(1, mm, rp.p)[0] if moment_exists(1, mm, rp.p) else None
     if rp.p == 1.0:
         # N = 1 almost surely: the law is exactly the multiplier law
-        grid_ret, _ = _grid_pair(rp, 2.0, h, u_max if u_max is not None else 6.0)
+        grid_ret = Grid.spanning(h if h is not None else _default_step(rp.beta),
+                                 u_max if u_max is not None else 6.0)
         vals = distributions.multiplier_pdf(grid_ret.x(), rp)
         total = float(_mass_weights(grid_ret) @ vals)
         density = _Law(grid_ret, vals / total, params=rp)

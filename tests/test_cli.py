@@ -216,6 +216,28 @@ class TestMomentsCommand:
         assert rows[2][1] == rows[3][1] == "False"
 
 
+class TestExtremeLaws:
+    """Valid laws at the edge of the float range exit 0, with no warning."""
+
+    def test_moment_past_the_largest_float_does_not_exist(self, tmp_path, capsys):
+        # E[A^39] = e^737.1 overflowed math.exp, and the command exited 1
+        assert main(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "39",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / "moments.csv")
+        assert [row[1] for row in rows[1:]] == ["True"] + ["False"] * 38
+
+    def test_one_fixing_at_extreme_volatility(self, tmp_path, capsys):
+        # beta = 1600: the one-term law builds no operator, whose prefactor would overflow
+        assert main(["asian", "--s0", "100", "--strike", "100", "--rate", "0.1", "--sigma", "40",
+                     "--maturity", "1", "--fixings", "1", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.load(open(tmp_path / "asian_report.json"))
+        # Black-Scholes: the call is the spot to 17 digits, the put K e^-rT - S0 + C
+        assert report["call"] == pytest.approx(100.0, rel=1e-13, abs=0.0)
+        assert report["put"] == pytest.approx(100.0 * math.exp(-0.1), rel=1e-13, abs=0.0)
+
+
 class TestMcCommand:
     def test_reproducible_across_runs(self, tmp_path):
         args = ["mc", "--paths", "50000", "--seed", "42", "--horizon",
@@ -421,11 +443,24 @@ class TestMalformedInput:
         pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--umax", "nan"], {},
                      "u_max must be finite, got nan", id="density-nan-umax"),
         pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--umax", "-5"], {},
-                     "u_max = -5.0", id="density-negative-umax"),
+                     "u_max must be positive, got -5.0", id="density-negative-umax"),
         pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--h", "inf"], {},
                      "h must be finite, got inf", id="density-inf-h"),
         pytest.param(["density", "--beta", "1", "--rho", "-0.1", "--h", "0"], {},
-                     "h = 0.0", id="density-zero-h"),
+                     "h must be positive, got 0.0", id="density-zero-h"),
+        pytest.param(["density", "--beta", "1", "--rho", "-800"], {},
+                     "the kernel prefactor e^(beta - rho) = e^801 overflows a float",
+                     id="density-overflowing-prefactor"),
+        pytest.param(["annuity", "--beta", "720", "--rho", "0", "--p", "0.5"], {},
+                     "the kernel prefactor e^(beta - rho) = e^720 overflows a float",
+                     id="annuity-overflowing-prefactor"),
+        pytest.param(["asian", "--s0", "100", "--strike", "100", "--rate", "800", "--sigma", "0.4",
+                      "--maturity", "1", "--fixings", "10"], {},
+                     "the mean of the 10-term sum", id="asian-overflowing-mean"),
+        pytest.param(["asian", "--s0", "100", "--strike", "100", "--rate", "-800", "--sigma",
+                      "0.4", "--maturity", "1", "--fixings", "10"], {},
+                     "the discount factor e^(-rT) = e^800 overflows a float",
+                     id="asian-overflowing-discount"),
         pytest.param(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "0"], {},
                      "kmax must be >= 1, got 0", id="moments-kmax-0"),
         pytest.param(["calibrate", "--age", "110", "--method", "life-expectancy"], {},

@@ -12,16 +12,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gbmsum
+
+# what the gbmsum command runs
+ENTRY_POINT = "import sys\nfrom gbmsum.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def python_run(code, *args):
+    """The finished `python -c code *args`, run in a fresh interpreter that imports
+    gbmsum from where this one does."""
+    src = str(Path(gbmsum.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 def fresh_python(code, *args):
-    """stdout of `python -c code *args` in a fresh interpreter that imports gbmsum from
-    where this one does; fails on a non-zero exit."""
-    src = str(Path(gbmsum.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                         text=True, timeout=300)
+    """stdout of python_run(code, *args); fails on a non-zero exit."""
+    run = python_run(code, *args)
     assert run.returncode == 0, run.stderr
     return run.stdout
 
@@ -47,8 +57,7 @@ def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
 
 def run_cli(argv, out):
     """out, after gbmsum.cli.main(argv + ['--out', out]) exits 0 in a fresh interpreter."""
-    fresh_python("import sys\nfrom gbmsum.cli import main\nsys.exit(main(sys.argv[1:]))\n",
-                 *argv, "--out", str(out))
+    fresh_python(ENTRY_POINT, *argv, "--out", str(out))
     return out
 
 
@@ -78,3 +87,19 @@ def test_one_fixing_asian_is_black_scholes(tmp_path):
 def test_far_one_fixing_call_passes_strict(tmp_path):
     # a call of ~4.8e-47 reads no grid, so no grid check escalates under --strict
     run_cli(ASIAN + ["--strike", "2000", "--fixings", "1", "--strict"], tmp_path)
+
+
+@pytest.mark.parametrize("argv, status, error", [
+    pytest.param(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "39"], 0, None,
+                 id="moment-past-the-largest-float"),
+    pytest.param(["asian", "--s0", "100", "--strike", "100", "--rate", "800", "--sigma", "0.4",
+                  "--maturity", "1", "--fixings", "10"], 2, "error: the mean of the 10-term sum",
+                 id="asian-overflowing-mean"),
+])
+def test_extreme_law_exit_status(tmp_path, argv, status, error):
+    # a law at the edge of the float range exits 0 or 2 with a named error, never 1
+    # with a traceback
+    run = python_run(ENTRY_POINT, *argv, "--out", str(tmp_path))
+    assert run.returncode == status, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr == "" if error is None else run.stderr.startswith(error)

@@ -29,6 +29,34 @@ class TestMomentExists:
         with pytest.raises(ParameterError):
             g.moment_exists(0, mm_for(1.0, 0.0))
 
+    def test_moment_past_the_largest_float_reads_infinite(self):
+        # E[A^39] = e^737.1 at (1, -0.1): math.exp overflowed inside moment_exists
+        mm = mm_for(1.0, -0.1)
+        assert mm(39) == math.inf
+        assert not g.moment_exists(39, mm, 0.0)
+        assert g.moment_exists(39, mm, 1.0)
+        levy = g.levy_multiplier_moments(lambda t: 0.5 * (t * t - t), -0.1, 1.0)
+        assert levy(39) == math.inf
+        assert not g.moment_exists(39, levy, 0.5)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda mm: g.moments_geometric(2, mm, p=2.0),
+                     r"p must lie in \[0, 1\], got 2.0", id="geometric-p-2"),
+        pytest.param(lambda mm: g.moments_geometric(2, mm, p=math.nan),
+                     r"p must lie in \[0, 1\], got nan", id="geometric-nan-p"),
+        pytest.param(lambda mm: g.moment_exists(1, mm, 2.0),
+                     r"p must lie in \[0, 1\], got 2.0", id="exists-p-2"),
+        pytest.param(lambda mm: g.moment_exists(1, mm, -0.1),
+                     r"p must lie in \[0, 1\], got -0.1", id="exists-negative-p"),
+        pytest.param(lambda mm: g.moment_exists(1, mm, math.nan),
+                     r"p must lie in \[0, 1\], got nan", id="exists-nan-p"),
+        pytest.param(lambda mm: g.moment_exists(math.nan, mm),
+                     "moment order must be >= 1, got nan", id="exists-nan-order"),
+    ])
+    def test_refuses_a_bad_stopping_probability_or_order(self, call, message):
+        with pytest.raises(ParameterError, match=message):
+            call(mm_for(0.1, -0.1))
+
 
 class TestMomentsGeometric:
     def test_perpetuity_mean(self):
@@ -82,6 +110,12 @@ class TestProductForm:
         for a, b in zip(rec, prod):
             assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
+    def test_error_names_failing_order_and_value(self):
+        # the same message as the recursion's: E[A^2] = e^0.8 at (1, -0.1)
+        with pytest.raises(ParameterError,
+                           match=r"order 2 does not exist: \(1-p\) E\[A\^2\] = 2.22554 >= 1"):
+            g.moments_infinite_product_form(2, mm_for(1.0, -0.1))
+
 
 class TestJensenAndConsistency:
     def test_jensen_ordering(self):
@@ -124,6 +158,9 @@ class TestInverseMomentBound:
         with pytest.raises(ParameterError):
             g.inverse_moment_bound(0, g.ReducedParams(beta=1.0, rho=0.0))
 
+    def test_bound_past_the_largest_float_is_infinite(self):
+        assert g.inverse_moment_bound(40, g.ReducedParams(beta=1.0, rho=0.0)) == math.inf
+
 
 class TestMeanFiniteSum:
     def test_zero_rate_limit(self):
@@ -134,6 +171,12 @@ class TestMeanFiniteSum:
         assert g.mean_finite_sum(1, 0.07, 0.25, 2.0) == pytest.approx(
             2.0 * math.exp(0.07 * 0.25), rel=1e-14, abs=0.0
         )
+
+    @pytest.mark.parametrize("n, r", [(10, 80.0), (1, -800.0)])
+    def test_overflow_is_refused(self, n, r):
+        # e^(n r tau), or e^(-r tau) in the denominator, is past the largest float
+        with pytest.raises(ParameterError, match=f"mean of the {n}-term sum"):
+            g.mean_finite_sum(n, r, 1.0, 1.0)
 
     def test_frozen_value(self):
         # direct evaluation: 100 (e^0.1 - 1)/(1 - e^-0.01) = 1056.976491

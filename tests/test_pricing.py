@@ -237,7 +237,8 @@ class TestCoarsePowers:
         F, ref = g.finite_sum_density(n, rp), fine_only_law(n, rp)
         assert F.grid == ref.grid
         assert np.array_equal(F.values, ref.values)
-        assert np.array_equal(F.col_scale, ref.col_scale)
+        # the one-term law is f1 itself: no operator, so no column scales
+        assert (F.col_scale is None) if n == 1 else np.array_equal(F.col_scale, ref.col_scale)
         assert (F.prev is None) if n == 1 else np.array_equal(F.prev, ref.prev)
 
     @pytest.mark.parametrize("sigma, n", [(0.2, 1000), (0.4, 1000), (0.6, 1000), (0.4, 250)])
@@ -299,6 +300,33 @@ class TestLastStep:
         call, put = black_scholes(s0, 100.0, 0.1, sigma, 1.0)
         assert prices["call"] == pytest.approx(call, rel=1e-13, abs=0.0)
         assert prices["put"] == pytest.approx(put, rel=1e-13, abs=0.0)
+
+    def test_single_fixing_builds_no_operator(self, monkeypatch):
+        # the one-term law is f1 itself; the prices are Black-Scholes's even where a
+        # kernel prefactor e^(beta - rho) = e^1600 would overflow
+        monkeypatch.setattr(GaussianStepOperator, "_build",
+                            lambda *args: pytest.fail("an operator was built"))
+        pricing._finite_sum_laws.cache_clear()
+        for sigma in (0.4, 40.0):
+            spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=sigma,
+                               maturity=1.0, n_fixings=1)
+            F = g.finite_sum_density(1, spec.reduced())
+            assert F.col_scale is None and F.prev is None
+            prices = g.asian_prices(spec)
+            call, put = black_scholes(100.0, 100.0, 0.1, sigma, 1.0)
+            assert prices["call"] == pytest.approx(call, rel=1e-13, abs=0.0)
+            assert prices["put"] == pytest.approx(put, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("rate, dividend, message", [
+        (800.0, 0.0, r"mean of the 10-term sum, .* at r tau = 80, overflows a float"),
+        (-800.0, 0.0, r"discount factor e\^\(-rT\) = e\^800 overflows a float"),
+        (800.0, 800.0, r"continuous-average growth e\^\(rT\) = e\^800 overflows a float"),
+    ], ids=["mean", "discount", "continuous-mean"])
+    def test_overflowing_rate_is_named(self, rate, dividend, message):
+        spec = g.AsianSpec(s0=100.0, strike=100.0, rate=rate, dividend=dividend, sigma=0.4,
+                           maturity=1.0, n_fixings=10)
+        with pytest.raises(ParameterError, match=message):
+            g.asian_prices(spec)
 
     def test_single_fixing_far_strike_is_silent(self):
         # the call of ~4.8e-47 reads no law, so no grid check applies to it

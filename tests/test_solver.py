@@ -164,6 +164,41 @@ class TestOperator:
         values = np.exp(-0.5 * (np.arange(300) - 150.0) ** 2 / 400.0)
         np.testing.assert_array_equal(op.apply(values), ref.apply(values))
 
+    def test_coarse_grid_warning_names_the_constructors_caller(self):
+        # both constructors warn from one check, at the line that called the constructor
+        rp = g.ReducedParams(beta=0.0004, rho=0.0)  # sqrt(beta) = 0.02
+        with pytest.warns(CoarseGridWarning, match="below 3h") as public:
+            g.GaussianStepOperator(Grid(0.01, 200), rp)
+        with pytest.warns(CoarseGridWarning, match="below 1.5h") as wide:
+            g.GaussianStepOperator._for_wide_inputs(Grid(0.02, 200), rp)
+        assert [public[0].filename, wide[0].filename] == [__file__, __file__]
+
+
+class TestKernelPrefactor:
+    """A law whose kernel prefactor e^(beta - rho) overflows a float is
+    refused by name before any grid work; just below the bound it builds."""
+
+    @pytest.mark.parametrize("beta, rho, p, power", [(1.0, -800.0, 0.0, "801"),
+                                                     (720.0, 0.0, 0.5, "720")])
+    def test_solve_refuses(self, beta, rho, p, power):
+        with pytest.raises(ParameterError,
+                           match=rf"kernel prefactor e\^\(beta - rho\) = e\^{power} overflows"):
+            solver._solve(g.ReducedParams(beta=beta, rho=rho, p=p), 1e-8, 500, None, None)
+
+    def test_density_at_refuses(self):
+        rp = g.ReducedParams(beta=1.0, rho=-800.0)
+        grid = Grid(0.1, 100)
+        values = np.exp(-grid.u()) * grid.u()
+        F = solver._Law(grid, values, params=rp, col_scale=np.ones(100), prev=values)
+        with pytest.raises(ParameterError, match=r"e\^\(beta - rho\) = e\^801"):
+            g.density_at(F, [1.0])
+
+    def test_bound_is_the_largest_float(self):
+        grid = Grid(0.1, 100)
+        g.GaussianStepOperator(grid, g.ReducedParams(beta=1.0, rho=-708.7))
+        with pytest.raises(ParameterError, match="overflows a float"):
+            g.GaussianStepOperator(grid, g.ReducedParams(beta=1.0, rho=-708.8))
+
 
 class TestDefaultStep:
     """Every law's default step is solver._default_step(beta), the widest
@@ -827,7 +862,7 @@ class TestIntegrals:
     def test_survival_and_cdf_stay_in_the_unit_interval(self, solved):
         # the grid integral of survival reads 1.0000000000000002 at x = 0.5 here
         F, _ = solved(0.0061, -0.534301)
-        assert solver._survival(F, 0.5) > 1.0
+        assert solver._survival_in_cell(F, solver.survival_on_grid(F), 0.5) > 1.0
         assert g.survival(F, 0.5) == 1.0
         for x in (0.0, 0.5, 1.0, 1e3):
             assert 0.0 <= g.survival(F, x) <= 1.0
