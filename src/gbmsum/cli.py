@@ -249,6 +249,8 @@ def cmd_moments(args, out: _Outputs):
     for k in range(1, args.kmax + 1):
         if moments.moment_exists(k, mm, rp.p):
             value = moments.moments_geometric(k, mm, rp.p)[-1]
+            if not math.isfinite(value):  # at p = 1 a moment exists whatever its size
+                raise ParameterError(f"the moment of order {k}, E[X^{k}], overflows a float")
             rows.append([k, True, value])
         else:
             rows.append([k, False, ""])

@@ -75,8 +75,11 @@ def _require_moments(kmax: int, mm: MultiplierMoments, p: float) -> int:
 
 def moments_geometric(kmax: int, mm: MultiplierMoments, p: float = 0.0) -> list[float]:
     """E[X^k] for k = 1..kmax of the geometrically stopped sum (p = 0 gives
-    the infinite sum).  Raises naming the first k whose moment diverges."""
+    the infinite sum).  Raises naming the first k whose moment diverges.  At
+    p = 1, X is A itself and E[X^k] = E[A^k], inf past the largest float."""
     kmax = _require_moments(kmax, mm, p)
+    if p == 1.0:  # (1 - p) E[A^k] would read 0 inf = NaN
+        return [mm(k) for k in range(1, kmax + 1)]
     out = [1.0]  # E[X^0]
     for k in range(1, kmax + 1):
         ak = mm(k)

@@ -209,9 +209,10 @@ def mixture_density(horizon: GeneralHorizon, params, u_max: float | None = None)
 def asian_prices(spec: AsianSpec) -> dict:
     """The Asian record: discounted call and put, their put-call parity gaps
     under both conventions (put_call_parity_gap), the relative error of the
-    law's grid mean and, under "grid", the h, u_max and n_points of the grid
-    the law was priced on: past 16 fixings, twice the step of its first
-    powers (finite_sum_density).
+    law's grid mean (None at n = 1, where no price reads the grid) and,
+    under "grid", the h, u_max and n_points of the grid the law was priced
+    on: past 16 fixings, twice the step of its first powers
+    (finite_sum_density).
 
     The prices take the last step in closed form: X_n = M (1 + X_{n-1}) with
     M log-normal, so each is one Black-Scholes row in a = 1 + X_{n-1}
@@ -246,7 +247,7 @@ def asian_prices(spec: AsianSpec) -> dict:
         "put": put,
         "parity_gap_discrete": (call - put) - disc * (spec.s0 * mean / n - spec.strike),
         "parity_gap_continuous_average": (call - put) - disc * (continuous_mean - spec.strike),
-        "mean_rel_err": solver._mean_rel_err(law, mean),
+        "mean_rel_err": solver._mean_rel_err(law, mean) if n > 1 else None,
         "grid": {"h": grid.h, "u_max": grid.u_max, "n_points": grid.n_points},
     }
 

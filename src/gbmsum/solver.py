@@ -9,10 +9,14 @@ stationary densities; repeated application gives finite-sum densities.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
+import contextvars
 import logging
 import math
 import mmap
+import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -51,6 +55,11 @@ _BUILD_CHUNK_BYTES = 1 << 20  # bytes of bands, or of blocks, one pass of a buil
 # blocks of at least this many bytes get a mapping of their own (_block_zeros): the
 # size from which numpy itself advises huge pages
 _MAPPED_BYTES = 4 << 20
+# a block product over, or a build of bands of, at least two of these many bytes
+# is cut into contiguous parts of at least this size, one per CPU (_cuts).  On a
+# 2-core Xeon two halves of a 4.7 MiB apply took 0.276 ms against 0.280 ms serial,
+# of 9.8 MiB 0.422 against 0.555 ms, and of 30.4 MiB 0.96 against 1.92 ms
+_PART_BYTES = 4 << 20
 # Operator powers zero their values below this.  A product of a larger value with
 # the smallest kernel entry, about pref h e^-32 (pref 2h e^-32 on a finite sum's
 # coarse grid), stays above 2.2e-308, so no apply meets subnormal arithmetic,
@@ -297,12 +306,81 @@ def _block_product(blocks: np.ndarray, cols: np.ndarray, y: np.ndarray, b0: int,
     """The rows of blocks b0 .. b1-1 times y, the other rows 0, for blocks
     of shape (nb, R, W) over the columns cols[b] .. cols[b] + W - 1 of a
     contiguous float vector y: one matmul of the blocks with the gathered
-    windows of y, which a sliding view of y without a copy indexes."""
+    windows of y, which a sliding view of y without a copy indexes.  From
+    2 _PART_BYTES of blocks on, b0 .. b1-1 is cut into contiguous ranges
+    (_cuts) that each run the same matmul into their own rows, bit for bit."""
+    nbytes = (b1 - b0) * blocks.strides[0]  # the blocks are C-contiguous
     nb, rows, width = blocks.shape
     out = np.zeros(nb * rows)
-    np.matmul(blocks[b0:b1], _windows(y, width)[cols[b0:b1], :, None],
-              out=out[b0 * rows : b1 * rows].reshape(b1 - b0, rows, 1))
+    windows = _windows(y, width)
+    if nbytes < 2 * _PART_BYTES:
+        np.matmul(blocks[b0:b1], windows[cols[b0:b1], :, None],
+                  out=out[b0 * rows : b1 * rows].reshape(b1 - b0, rows, 1))
+        return out
+
+    def part(a: int, b: int) -> None:
+        np.matmul(blocks[a:b], windows[cols[a:b], :, None],
+                  out=out[a * rows : b * rows].reshape(b - a, rows, 1))
+
+    _run_parts(part, _cuts(b0, b1, nbytes))
     return out
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+_pool: concurrent.futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool has no threads here, and its
+    lock may have been held when the parent forked."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cuts(start: int, stop: int, nbytes: int) -> list[int]:
+    """start, stop and the points between that cut start .. stop-1, nbytes
+    of work, into k contiguous ranges of about equal length: k = min(CPUs,
+    nbytes // _PART_BYTES, stop - start), at least 1."""
+    k = max(1, min(_cpus(), nbytes // _PART_BYTES, stop - start))
+    return [start + (stop - start) * i // k for i in range(k + 1)]
+
+
+def _run_parts(work, cuts: list[int]) -> None:
+    """work(a, b) for each range a .. b-1 between consecutive cuts.  The
+    calling thread runs the first and a process-wide pool of CPUs - 1
+    threads, created on the first split, runs the others, each in a copy of
+    the caller's context, so that numpy's errstate holds there too.  The
+    caller waits for every range, even when its own raises, so no range runs
+    after the return; a range's exception reaches the caller."""
+    if len(cuts) == 2:
+        work(*cuts)
+        return
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(_cpus() - 1,
+                                                          thread_name_prefix="gbmsum")
+        pool = _pool
+    futures = [pool.submit(contextvars.copy_context().run, work, a, b)
+               for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        work(cuts[0], cuts[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _windows(a: np.ndarray, width: int) -> np.ndarray:
@@ -329,13 +407,13 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndar
     Blocks of _MAPPED_BYTES or more live in an anonymous mapping of their
     own (see _block_zeros), so the OS takes their pages back when the last
     array over them goes.  Only the bands are computed, about
-    _BUILD_CHUNK_BYTES of them at a time, and written into the zeroed
-    blocks, whose zeros are the gaps: no other allocation grows with the
-    blocks but a few arrays of one value per row.  Every column carries the
-    full weight h, with no trapezoid half weights at the grid's ends: in an
-    operator the column scales would divide them back out, as every row
-    holding column n-1 is clipped alike, and column 0 meets only
-    values[0] = 0.
+    _BUILD_CHUNK_BYTES of them at a time, shared among the row ranges of
+    _cuts, and written into the zeroed blocks, whose zeros are the gaps: no
+    other allocation grows with the blocks but a few arrays of one value
+    per row.  Every column carries the full weight h, with no trapezoid
+    half weights at the grid's ends: in an operator the column scales would
+    divide them back out, as every row holding column n-1 is clipped alike,
+    and column 0 meets only values[0] = 0.
     """
     n, h, m = grid.n_points, grid.h, w0.size
     bw = min(n, 2 * int(math.ceil(_BAND_SIGMAS * math.sqrt(rp.beta) / h)) + 1)
@@ -353,18 +431,25 @@ def _kernel_rows(grid: Grid, rp: ReducedParams, w0: np.ndarray) -> tuple[np.ndar
     bands = _windows(blocks.reshape(-1), bw)
     first = np.arange(m) * width + lo  # row j's band is bands[first[j]]
     steps = _windows(np.arange(width) * h, bw)
-    rows = min(m, max(1, _BUILD_CHUNK_BYTES // (8 * bw)))
-    chunk = np.empty((rows, bw))
-    for j in range(0, m, rows):
-        lo_j = lo[j : j + rows]
-        # every lo is in range; mode "raise" would gather into a buffer of its own
-        d = np.take(steps, lo_j, axis=0, out=chunk[: lo_j.size], mode="clip")
-        d += start[j : j + rows, None]  # w_k - w0 over each band
-        np.square(d, out=d)
-        d *= -0.5 / rp.beta
-        np.exp(d, out=d)
-        d *= pref * h
-        bands[first[j : j + rows]] = d
+    cuts = _cuts(0, m, 8 * m * bw)
+    # the parts' chunks share the bytes of one, so the build's other allocations
+    # do not grow with the CPUs; each row's band does not depend on its chunk
+    rows = max(1, _BUILD_CHUNK_BYTES // (8 * bw * (len(cuts) - 1)))
+
+    def fill(r0: int, r1: int) -> None:  # the bands of rows r0 .. r1-1
+        chunk = np.empty((min(rows, r1 - r0), bw))
+        for j in range(r0, r1, rows):
+            lo_j = lo[j : min(j + rows, r1)]
+            # every lo is in range; mode "raise" would gather into a buffer of its own
+            d = np.take(steps, lo_j, axis=0, out=chunk[: lo_j.size], mode="clip")
+            d += start[j : j + lo_j.size, None]  # w_k - w0 over each band
+            np.square(d, out=d)
+            d *= -0.5 / rp.beta
+            np.exp(d, out=d)
+            d *= pref * h
+            bands[first[j : j + lo_j.size]] = d
+
+    _run_parts(fill, cuts)
     return blocks, cols
 
 

@@ -236,6 +236,8 @@ class TestExtremeLaws:
         # Black-Scholes: the call is the spot to 17 digits, the put K e^-rT - S0 + C
         assert report["call"] == pytest.approx(100.0, rel=1e-13, abs=0.0)
         assert report["put"] == pytest.approx(100.0 * math.exp(-0.1), rel=1e-13, abs=0.0)
+        # no price reads the one-term law's grid, so its mean checks nothing
+        assert report["mean_rel_err"] is None
 
 
 class TestMcCommand:
@@ -463,6 +465,9 @@ class TestMalformedInput:
                      id="asian-overflowing-discount"),
         pytest.param(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "0"], {},
                      "kmax must be >= 1, got 0", id="moments-kmax-0"),
+        pytest.param(["moments", "--beta", "1", "--rho", "-0.1", "--p", "1", "--kmax", "39"], {},
+                     "the moment of order 39, E[X^39], overflows a float",
+                     id="moments-overflowing-p-1"),
         pytest.param(["calibrate", "--age", "110", "--method", "life-expectancy"], {},
                      "leaves no p in (0, 1)", id="calibrate-no-root"),
         pytest.param(MC_OVERFLOW, {}, "statistic column 0 is not finite", id="mc-infinite"),

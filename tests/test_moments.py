@@ -86,6 +86,13 @@ class TestMomentsGeometric:
         with pytest.raises(ParameterError, match="order 2"):
             g.moments_geometric(2, mm, 0.0)
 
+    def test_p_one_moments_are_the_multipliers(self):
+        # X = A at p = 1: E[A^39] = e^737.1 reads inf, where (1 - p) E[A^39] gave 0 inf = NaN
+        mm = mm_for(1.0, -0.1)
+        got = g.moments_geometric(39, mm, 1.0)
+        assert got == [mm(k) for k in range(1, 40)]
+        assert math.isfinite(got[-2]) and got[-1] == math.inf
+
 
 class TestProductForm:
     def test_single_chain(self):

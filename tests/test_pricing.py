@@ -301,6 +301,13 @@ class TestLastStep:
         assert prices["call"] == pytest.approx(call, rel=1e-13, abs=0.0)
         assert prices["put"] == pytest.approx(put, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("sigma", [0.2, 40.0])
+    def test_single_fixing_reports_no_mean_error(self, sigma):
+        # the prices read no grid at n = 1; at sigma = 40 the grid mean missed by 1.0
+        spec = g.AsianSpec(s0=100.0, strike=100.0, rate=0.1, dividend=0.0, sigma=sigma,
+                           maturity=1.0, n_fixings=1)
+        assert g.asian_prices(spec)["mean_rel_err"] is None
+
     def test_single_fixing_builds_no_operator(self, monkeypatch):
         # the one-term law is f1 itself; the prices are Black-Scholes's even where a
         # kernel prefactor e^(beta - rho) = e^1600 would overflow

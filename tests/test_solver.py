@@ -3,7 +3,11 @@
 import inspect
 import logging
 import math
+import multiprocessing
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -173,6 +177,146 @@ class TestOperator:
             g.GaussianStepOperator._for_wide_inputs(Grid(0.02, 200), rp)
         assert [public[0].filename, wide[0].filename] == [__file__, __file__]
 
+    @pytest.mark.parametrize("beta, rho", [(1.0, -0.1), (1.0, 0.0)])
+    def test_split_solve_is_bit_for_bit(self, split, beta, rho):
+        # every block row is the same matmul on the same data whether or not the
+        # range is cut: laws, column scales and counts alike, at 4 parts and at 1
+        rp = g.ReducedParams(beta=beta, rho=rho)
+        runs = []
+        for cpus, part_bytes in ((4, 1 << 16), (4, 1 << 62)):
+            split(cpus, part_bytes)
+            F, report = g.solve_infinite(rp)
+            runs.append((F.values.tobytes(), F.col_scale.tobytes(), report.iterations,
+                         report.polish_matvecs, report.delta_trace))
+        assert solver._pool is None  # the serial run, after the split one, had no pool
+        assert runs[0] == runs[1]
+
+    def test_split_apply_with_span_is_bit_for_bit(self, split):
+        grid, op = wide_operator(1.0, -0.1)
+        values = np.zeros(grid.n_points)
+        lo, hi = grid.n_points // 4, grid.n_points // 2
+        values[lo:hi] = np.linspace(1.0, 2.0, hi - lo)
+        split(1)
+        serial = op.apply(values, span=(lo, hi - 1))
+        for cpus in (2, 3):
+            split(cpus, 1 << 16)
+            assert op.apply(values, span=(lo, hi - 1)).tobytes() == serial.tobytes()
+            assert op.apply(values).tobytes() == serial.tobytes()
+
+    def test_concurrent_callers_get_the_serial_result(self, split):
+        # more callers than cores, switching often, race to make the one pool and
+        # share it: each gets the serial result every time
+        grid, op = wide_operator(1.0, -0.1)
+        inputs = [np.linspace(0.0, 1.0, grid.n_points) * (i + 1) for i in range(4)]
+        split(1)
+        serial = [op.apply(v).tobytes() for v in inputs]
+        split(3)
+        before = set(threading.enumerate())
+        start, results = threading.Barrier(4), [[] for _ in inputs]
+
+        def caller(i):
+            start.wait()
+            results[i].extend(op.apply(inputs[i]).tobytes() for _ in range(10))
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[v] * 10 for v in serial]
+        workers = [t for t in set(threading.enumerate()) - before if t.name.startswith("gbmsum")]
+        assert len(workers) <= 2  # one pool of 3 - 1 threads
+
+    def test_split_apply_raises_under_errstate(self, split):
+        # only rows of the second part overflow, so the pool's thread must see the
+        # caller's errstate, and its exception must reach the caller
+        grid, op = wide_operator(1.0, -0.1)
+        values = np.ones(grid.n_points)
+        values[-grid.n_points // 10 :] = 1e308  # finite under the top column scales, 1.15
+        with np.errstate(over="ignore"):
+            ref = solver._block_product(op._blocks, op._cols, op._col_scale * values, 0,
+                                        op._cols.size)
+        half = op._cols.size // 2 * solver._BLOCK_ROWS
+        assert np.all(np.isfinite(ref[:half])) and not np.all(np.isfinite(ref[half:]))
+        for cpus in (1, 2):
+            split(cpus)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                op.apply(values)
+            with np.errstate(over="ignore"):
+                assert op.apply(values).tobytes() == ref[: grid.n_points].tobytes()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_does_not_reuse_the_parents_pool(self, split):
+        # a forked child that submitted to its parent's pool would wait forever
+        # for threads the child does not have
+        grid, op = wide_operator(1.0, -0.1)
+        values = np.linspace(0.0, 1.0, grid.n_points)
+        split(2)
+        expected = op.apply(values)
+        assert solver._pool is not None
+
+        def child():
+            if op.apply(values).tobytes() != expected.tobytes():
+                raise SystemExit(3)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=60)
+        alive = process.is_alive()
+        if alive:
+            process.kill()
+            process.join()
+        assert not alive and process.exitcode == 0
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        # under a real one-CPU affinity the count is read, not patched
+        if solver._cpus() > 1:
+            monkeypatch.setattr(solver, "_cpus", lambda: 1)
+        monkeypatch.setattr(solver, "_pool", None)
+        before = threading.active_count()
+        grid, op = wide_operator(1.0, 0.0)
+        assert op._blocks.nbytes >= 8 * solver._PART_BYTES
+        op.apply(np.linspace(0.0, 1.0, grid.n_points))
+        assert solver._pool is None and threading.active_count() == before
+
+    def test_cpus_are_the_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert solver._cpus() == len(os.sched_getaffinity(0))
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """split(cpus, part_bytes) sets the CPU count and the part size the
+    block product and the build read, with a pool of the test's own that is
+    shut down after it."""
+
+    def set_split(cpus, part_bytes=solver._PART_BYTES):
+        if solver._pool is not None and solver._pool is not original:
+            solver._pool.shutdown()
+        monkeypatch.setattr(solver, "_cpus", lambda: cpus)
+        monkeypatch.setattr(solver, "_PART_BYTES", part_bytes)
+        monkeypatch.setattr(solver, "_pool", None)
+
+    original = solver._pool
+    yield set_split
+    if solver._pool is not None and solver._pool is not original:
+        solver._pool.shutdown()
+
+
+def wide_operator(beta, rho):
+    """The default internal grid of the law (beta, rho) and its operator."""
+    rp = g.ReducedParams(beta=beta, rho=rho)
+    grid = solver._grid_pair(rp, g.tail_exponent(rp), None, None)[1]
+    return grid, g.GaussianStepOperator(grid, rp)
+
 
 class TestKernelPrefactor:
     """A law whose kernel prefactor e^(beta - rho) overflows a float is
@@ -242,20 +386,26 @@ class TestDefaultSpan:
 
 
 class TestOperatorBuild:
-    def test_build_allocates_only_the_operator(self):
+    def test_build_allocates_only_the_operator(self, split):
         # tracemalloc sees numpy's allocations but not the blocks' own mapping: what
         # it sees of the build is its temporaries, which must stay a small fraction
-        # of the blocks (blocks numpy allocated would count whole)
+        # of the blocks (blocks numpy allocated would count whole), serial and in 8
+        # parts alike: a chunk of 1 MiB for each part took it to 13% at 4 parts
         rp = g.ReducedParams(beta=1.0, rho=0.0)
         grid = solver._grid_pair(rp, g.tail_exponent(rp), None, None)[1]
-        tracemalloc.start()
-        try:
-            op = g.GaussianStepOperator(grid, rp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert op._blocks.nbytes > 30e6
-        assert peak <= 0.1 * op._blocks.nbytes
+        blocks = []
+        for cpus in (1, 8):
+            split(cpus)
+            tracemalloc.start()
+            try:
+                op = g.GaussianStepOperator(grid, rp)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert op._blocks.nbytes > 30e6
+            assert peak <= 0.1 * op._blocks.nbytes
+            blocks.append(op._blocks.tobytes())
+        assert solver._pool is not None and blocks[0] == blocks[1]
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc")
     def test_dropped_laws_give_their_memory_back(self):
@@ -423,18 +573,26 @@ class TestOperatorReference:
 
     def test_apply_is_the_same_at_one_and_two_blas_threads(self):
         # np.matmul takes each block to BLAS, which may split a block's rows
-        # between threads; no row may depend on the thread count
-        script = ("import hashlib, numpy as np, gbmsum as g\n"
+        # between threads; no row may depend on the thread count, nor on the
+        # block ranges a wide build and apply are cut into
+        script = ("import hashlib, sys, numpy as np, gbmsum as g\n"
                   "from gbmsum import solver\n"
+                  "solver._cpus = lambda: int(sys.argv[1])\n"
+                  "solver._PART_BYTES = int(sys.argv[2])\n"
                   "rp = g.ReducedParams(beta=1.0, rho=-0.1)\n"
                   "grid = solver._grid_pair(rp, g.tail_exponent(rp), None, None)[1]\n"
                   "op = g.GaussianStepOperator(grid, rp)\n"
+                  "print(hashlib.sha256(op._blocks.tobytes()).hexdigest())\n"
                   "law = g.inv_gamma_pdf(grid.x(), 1.0, 0.5 * (1.0 - g.tail_exponent(rp)))\n"
                   "for v in (law, np.linspace(0.0, 1.0, grid.n_points)):\n"
-                  "    print(hashlib.sha256(op.apply(v).tobytes()).hexdigest())\n")
-        digests = [fresh_python(script, OPENBLAS_NUM_THREADS=threads,
-                                OMP_NUM_THREADS=threads).split() for threads in ("1", "2")]
-        assert len(digests[0]) == 2 and digests[0] == digests[1]
+                  "    print(hashlib.sha256(op.apply(v).tobytes()).hexdigest())\n"
+                  "print(solver._pool is not None)\n")
+        digests = [fresh_python(script, cpus, part_bytes, OPENBLAS_NUM_THREADS=threads,
+                                OMP_NUM_THREADS=threads).split()
+                   for threads in ("1", "2") for cpus, part_bytes in (("1", "4194304"),
+                                                                      ("3", "65536"))]
+        assert [d[-1] for d in digests] == ["False", "True"] * 2
+        assert len(digests[0]) == 4 and all(d[:3] == digests[0][:3] for d in digests)
 
     @pytest.mark.parametrize("beta, rho, p", [(1.0, -0.1, 0.0), (1.0, 0.0, 0.1),
                                               (0.1, 0.0, 0.01)])
