@@ -36,7 +36,7 @@ from .mc import (
     McConfig,
     simulate_sum,
 )
-from .params import ReducedParams
+from .params import ReducedParams, require_count
 
 _EXIT_OK = 0
 _EXIT_INFEASIBLE = 2
@@ -180,14 +180,6 @@ def cmd_asian(args, out: _Outputs) -> list[int]:
     return seeds
 
 
-def _annuity_mean(rp: ReducedParams) -> float:
-    """E[X], the shortfall capital K; infinite unless (1-p) e^rho < 1."""
-    ratio = (1.0 - rp.p) * math.exp(rp.rho)
-    if not ratio < 1.0:
-        raise ParameterError(f"the capital K = E[X] is infinite: (1 - p) e^rho = {ratio:.6g} >= 1")
-    return math.exp(rp.rho) / (1.0 - ratio)
-
-
 def _annuity_rows(mean: float, density: solver.GridDensity, report: solver.SolveReport,
                   q_list, var_level):
     rp = density.params
@@ -216,7 +208,11 @@ def _annuity_scenario(rp: ReducedParams, q_values, what: str, var_level: float, 
     if not (0.0 < var_level < 1.0):
         raise ParameterError(f"VaR level must be in (0, 1), got {var_level}")
     tails.tail_exponent(rp)  # raises at p = 1, whose log-normal law has no power tail
-    return _annuity_rows(_annuity_mean(rp), *solve(rp), q_list, var_level)
+    mean = solver._exact_mean(rp)
+    if mean is None:
+        raise ParameterError(f"the capital K = E[X] is infinite: (1 - p) e^rho = "
+                             f"{(1.0 - rp.p) * moments.gbm_multiplier_moments(rp)(1):.6g} >= 1")
+    return _annuity_rows(mean, *solve(rp), q_list, var_level)
 
 
 _ANNUITY_HEADER = ["beta", "rho", "p", "mean", "q", "threshold",
@@ -242,25 +238,21 @@ def cmd_calibrate(args, out: _Outputs):
 
 def cmd_moments(args, out: _Outputs):
     rp = ReducedParams(beta=args.beta, rho=args.rho, p=args.p)
-    if args.kmax < 1:
-        raise ParameterError(f"kmax must be >= 1, got {args.kmax}")
+    kmax = require_count("kmax", args.kmax)
     mm = moments.gbm_multiplier_moments(rp)
-    rows = []
-    for k in range(1, args.kmax + 1):
-        if moments.moment_exists(k, mm, rp.p):
-            value = moments.moments_geometric(k, mm, rp.p)[-1]
-            if not math.isfinite(value):  # at p = 1 a moment exists whatever its size
-                raise ParameterError(f"the moment of order {k}, E[X^{k}], overflows a float")
-            rows.append([k, True, value])
-        else:
-            rows.append([k, False, ""])
+    # the orders that exist are 1..top: log E[A^k] is convex in k and 0 at k = 0
+    top = next((k - 1 for k in range(1, kmax + 1) if not moments.moment_exists(k, mm, rp.p)),
+               kmax)
+    values = moments.moments_geometric(top, mm, rp.p) if top else []
+    for k, value in enumerate(values, 1):
+        if not math.isfinite(value):
+            raise ParameterError(f"the moment of order {k}, E[X^{k}], overflows a float")
+    rows = ([[k, True, value] for k, value in enumerate(values, 1)]
+            + [[k, False, ""] for k in range(top + 1, kmax + 1)])
     out.write_csv("moments.csv", ["k", "exists", "value"], rows)
-    out.write_json(
-        "moments_report.json",
-        {"beta": rp.beta, "rho": rp.rho, "p": rp.p,
-         "moments": [{"k": r[0], "exists": r[1], "value": r[2] if r[1] else None}
-                     for r in rows]},
-    )
+    out.write_json("moments_report.json", {
+        "beta": rp.beta, "rho": rp.rho, "p": rp.p,
+        "moments": [{"k": k, "exists": e, "value": v if e else None} for k, e, v in rows]})
 
 
 def _number(value, what: str, kind=float):

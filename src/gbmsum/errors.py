@@ -29,15 +29,15 @@ class NoRootError(GbmSumError, ValueError):
     """A calibration equation has no solution in the admissible range."""
 
 
-class CoarseGridWarning(UserWarning):
-    """Gaussian kernel width is under-resolved by the grid step."""
-
-
 class AccuracyWarning(UserWarning):
     """Result may be degraded (truncation-dominated integral, noisy derivative)."""
 
 
-class CancellationWarning(UserWarning):
+class CoarseGridWarning(AccuracyWarning):
+    """Gaussian kernel width is under-resolved by the grid step."""
+
+
+class CancellationWarning(AccuracyWarning):
     """Alternating-series evaluation lost significant digits."""
 
 

@@ -75,15 +75,16 @@ def _require_moments(kmax: int, mm: MultiplierMoments, p: float) -> int:
 
 def moments_geometric(kmax: int, mm: MultiplierMoments, p: float = 0.0) -> list[float]:
     """E[X^k] for k = 1..kmax of the geometrically stopped sum (p = 0 gives
-    the infinite sum).  Raises naming the first k whose moment diverges.  At
-    p = 1, X is A itself and E[X^k] = E[A^k], inf past the largest float."""
+    the infinite sum).  Raises naming the first k whose moment diverges; one
+    past the largest float reads inf.  At p = 1, X is A itself: E[A^k]."""
     kmax = _require_moments(kmax, mm, p)
     if p == 1.0:  # (1 - p) E[A^k] would read 0 inf = NaN
         return [mm(k) for k in range(1, kmax + 1)]
     out = [1.0]  # E[X^0]
     for k in range(1, kmax + 1):
         ak = mm(k)
-        inner = sum(math.comb(k, j) * out[j] for j in range(k))
+        # inf once an order is: C(k, j) inf raises past C(k, j) ~ 1e308, at k ~ 1030
+        inner = out[-1] if out[-1] == math.inf else sum(math.comb(k, j) * out[j] for j in range(k))
         out.append(ak / (1.0 - (1.0 - p) * ak) * ((1.0 - p) * inner + p))
     return out[1:]
 

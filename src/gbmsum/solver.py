@@ -481,9 +481,8 @@ def _default_u_max(rp: ReducedParams, exponent: float) -> float:
     u_tail = math.log(c_est / TRUNCATION_TOL) / exponent
     if u_tail <= _U_MAX_CAP:
         u_tail = math.log1p((c_est / TRUNCATION_TOL) ** (1.0 / exponent))
-    mean_mult = math.exp(rp.rho)
-    denom = 1.0 - (1.0 - rp.p) * mean_mult
-    body_x = 100.0 * max(mean_mult / denom, 1.0) if denom > 0.0 else 100.0
+    mean = _exact_mean(rp)
+    body_x = 100.0 * max(mean, 1.0) if mean is not None else 100.0
     u_max = max(u_tail, math.log1p(body_x), 6.0)
     if u_max > _U_MAX_CAP:
         warnings.warn(f"default grid span capped at u_max = {_U_MAX_CAP} (tail exponent "
@@ -538,10 +537,9 @@ def _mass_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def _tail_mass(F: GridDensity) -> float:
-    if F.tail is None:
-        return 0.0
-    return F.tail.survival(float(np.expm1(F.grid.u_max)))
+def _tail_mass(tail: TailAsymptote | None, grid: Grid) -> float:
+    """The closure's mass beyond the grid top, P(X > expm1(u_max)) by the tail."""
+    return 0.0 if tail is None else tail.survival(float(np.expm1(grid.u_max)))
 
 
 def survival_on_grid(F: GridDensity) -> np.ndarray:
@@ -549,14 +547,14 @@ def survival_on_grid(F: GridDensity) -> np.ndarray:
     g = _mass_integrand(F.grid, F.values)
     cells = 0.5 * (g[1:] + g[:-1]) * F.grid.h
     rev = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-    return rev + _tail_mass(F)
+    return rev + _tail_mass(F.tail, F.grid)
 
 
 def survival(F: GridDensity, x: float) -> float:
     """P(X > x) by grid integration with analytic tail closure, clipped to [0, 1]."""
     if math.isnan(x):
         raise ParameterError("survival needs a level x, got NaN")
-    value = (float(_mass_weights(F.grid) @ F.values + _tail_mass(F)) if x <= 0.0
+    value = (float(_mass_weights(F.grid) @ F.values + _tail_mass(F.tail, F.grid)) if x <= 0.0
              else _survival_in_cell(F, survival_on_grid(F), x))
     return min(max(value, 0.0), 1.0)
 
@@ -846,17 +844,22 @@ def _median(a: np.ndarray) -> float:
     return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
 
 
-def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> float | None:
-    """Median of f(x) x^(exponent+1) / exponent over the tail window."""
+def _window_power(grid: Grid, sel: np.ndarray, values: np.ndarray, k: float) -> np.ndarray:
+    """values * x^k at the positive values sel masks, in logs, where a direct
+    power overflows at large k; inf past the largest float."""
+    logx = np.log(np.expm1(grid.u()[sel]))
+    with np.errstate(over="ignore"):
+        return np.exp(np.log(values[sel]) + k * logx)
+
+
+def _fit_tail_constant(grid: Grid, values: np.ndarray, exponent: float) -> TailAsymptote | None:
+    """The tail c x^(-exponent), c the median of f(x) x^(exponent+1) / exponent
+    over the tail window; None where f is not positive there or c not finite."""
     sel = _tail_window(grid)
-    u = grid.u()
-    v = values[sel]
-    if np.any(v <= 0.0):
+    if np.any(values[sel] <= 0.0):
         return None
-    logx = np.log(np.expm1(u[sel]))
-    with np.errstate(over="ignore"):  # at a large exponent: an infinite median gives None
-        c = _median(np.exp(np.log(v) + (exponent + 1.0) * logx)) / exponent
-    return c if math.isfinite(c) and c > 0.0 else None
+    c = _median(_window_power(grid, sel, values, exponent + 1.0)) / exponent
+    return TailAsymptote(exponent, c) if math.isfinite(c) and c > 0.0 else None
 
 
 # -- fixed-point solvers ----------------------------------------------------------
@@ -981,6 +984,12 @@ def _polish(op: GaussianStepOperator, v: np.ndarray, source: np.ndarray | None,
     return v, applies
 
 
+def _exact_mean(rp: ReducedParams) -> float | None:
+    """E[X] by the moment recursion; None where it is infinite, (1-p) e^rho >= 1."""
+    mm = gbm_multiplier_moments(rp)
+    return moments_geometric(1, mm, rp.p)[0] if moment_exists(1, mm, rp.p) else None
+
+
 def _mean_rel_err(F: GridDensity, exact: float | None) -> float | None:
     """|E[X] - exact| / exact for F's mean E[X] and the law's exact mean;
     None where the exact mean is None, infinite."""
@@ -993,8 +1002,7 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     one-period multiplier density (no source term at p = 0, F = f1 at p = 1)."""
     require_positive(tol=tol)
     max_iter = require_count("max_iter", max_iter)
-    mm = gbm_multiplier_moments(rp)
-    exact_mean = moments_geometric(1, mm, rp.p)[0] if moment_exists(1, mm, rp.p) else None
+    exact_mean = _exact_mean(rp)
     if rp.p == 1.0:
         # N = 1 almost surely: the law is exactly the multiplier law
         grid_ret = Grid.spanning(h if h is not None else _default_step(rp.beta),
@@ -1017,11 +1025,10 @@ def _solve(rp: ReducedParams, tol: float, max_iter: int, h: float | None,
     # from the polished law the first Picard delta is the true fixed-point residual
     f, deltas = _iterate(op, f, source, damp, tol, max_iter - len(deltas) - matvecs, deltas)
     vals = np.array(f[: grid_ret.n_points])
-    c = _fit_tail_constant(grid_ret, vals, exponent)
-    tail_mass = 0.0 if c is None else c * float(np.expm1(grid_ret.u_max)) ** (-exponent)
-    total = float(_mass_weights(grid_ret) @ vals) + tail_mass
+    tail = _fit_tail_constant(grid_ret, vals, exponent)
+    total = float(_mass_weights(grid_ret) @ vals) + _tail_mass(tail, grid_ret)
     vals /= total
-    tail = None if c is None else TailAsymptote(exponent=exponent, constant=c / total)
+    tail = None if tail is None else TailAsymptote(exponent, tail.constant / total)
     density = _Law(grid_ret, vals, tail=tail, params=rp,
                    col_scale=op._col_scale[: grid_ret.n_points], prev=vals)
     return density, SolveReport(

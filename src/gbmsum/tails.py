@@ -116,20 +116,20 @@ def fit_survival_powerlaw(F: solver.GridDensity) -> tuple[float, float, float]:
     Returns (fitted_exponent, plateau_constant, plateau_variation): the
     log-log regression slope, the median of survival * x^fitted over the
     window, and the relative max-min spread of survival * x^exponent using
-    the density's own tail exponent (flatness diagnostic).
+    the density's own tail exponent (flatness diagnostic).  Both plateaus
+    are formed in logs; one past the largest float raises ParameterError.
     """
     if F.tail is None:
         raise ParameterError("density carries no tail asymptote to fit against")
-    x = F.grid.x()
     surv = solver.survival_on_grid(F)
     sel = solver._tail_window(F.grid) & (surv > 0.0)
-    lx = np.log(x[sel])
-    ls = np.log(surv[sel])
-    slope, intercept = np.polyfit(lx, ls, 1)
-    fitted_exponent = -float(slope)
-    plateau = surv[sel] * x[sel] ** F.tail.exponent
+    fitted_exponent = -float(np.polyfit(np.log(F.grid.x()[sel]), np.log(surv[sel]), 1)[0])
+    plateau = solver._window_power(F.grid, sel, surv, F.tail.exponent)
+    constant = solver._median(solver._window_power(F.grid, sel, surv, fitted_exponent))
+    if not np.isfinite(np.append(plateau, constant)).all():
+        raise ParameterError(f"the survival plateau S(x) x^mu at mu = {F.tail.exponent:.6g} "
+                             f"overflows a float")
     variation = float((plateau.max() - plateau.min()) / solver._median(plateau))
-    constant = solver._median(surv[sel] * x[sel] ** fitted_exponent)
     return fitted_exponent, constant, variation
 
 

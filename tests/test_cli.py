@@ -8,7 +8,8 @@ import os
 
 import pytest
 
-from gbmsum import ConvergenceError, ParameterError, pricing, solver, tails
+from gbmsum import (ConvergenceError, ParameterError, ReducedParams, moments, pricing, solver,
+                    tails)
 from gbmsum.cli import _Outputs, main
 
 
@@ -215,6 +216,49 @@ class TestMomentsCommand:
         assert float(rows[1][2]) == pytest.approx(9.508331945, rel=1e-8, abs=0.0)
         assert rows[2][1] == rows[3][1] == "False"
 
+    @staticmethod
+    def per_order_rows(rp, kmax):
+        # every order by a recursion of its own, as the command once wrote them
+        mm = moments.gbm_multiplier_moments(rp)
+        return [[k, True, moments.moments_geometric(k, mm, rp.p)[-1]]
+                if moments.moment_exists(k, mm, rp.p) else [k, False, ""]
+                for k in range(1, kmax + 1)]
+
+    @staticmethod
+    def written_rows(out):
+        return [[int(k), e == "True", float(v) if v else ""]
+                for k, e, v in read_csv(out / "moments.csv")[1:]]
+
+    def test_one_recursion_pass(self, tmp_path, monkeypatch):
+        # kmax 300 ran the recursion 300 times, from order 1 each time: 5.6 s
+        calls = []
+        recursion = moments.moments_geometric
+        monkeypatch.setattr(moments, "moments_geometric",
+                            lambda *a: calls.append(a[0]) or recursion(*a))
+        assert main(["moments", "--beta", "0.0001", "--rho", "-0.1", "--p", "0.5",
+                     "--kmax", "300", "--out", str(tmp_path)]) == 0
+        assert calls == [300]
+        rows = self.written_rows(tmp_path)
+        mm = moments.gbm_multiplier_moments(ReducedParams(beta=0.0001, rho=-0.1, p=0.5))
+        for k in (1, 2, 150, 299, 300):
+            assert rows[k - 1] == [k, True, recursion(k, mm, 0.5)[-1]]
+
+    @pytest.mark.parametrize("beta, rho, p", [(0.01, -0.1, 0.5), (0.01, -0.1, 0.0),
+                                              (1.0, -0.1, 1.0)])
+    def test_rows_match_a_recursion_per_order(self, tmp_path, beta, rho, p):
+        # orders 1..26 exist at (0.01, -0.1, 0.5), 1..20 at p = 0 and all at p = 1
+        assert main(["moments", "--beta", str(beta), "--rho", str(rho), "--p", str(p),
+                     "--kmax", "38", "--out", str(tmp_path)]) == 0
+        assert self.written_rows(tmp_path) == \
+            self.per_order_rows(ReducedParams(beta=beta, rho=rho, p=p), 38)
+
+    def test_overflow_names_the_order_at_any_p(self, tmp_path, capsys):
+        # order 306 overflows a float, long before the orders stop existing (about 2000)
+        assert main(["moments", "--beta", "0.0001", "--rho", "-0.1", "--p", "0.5",
+                     "--kmax", "2000", "--out", str(tmp_path)]) == 2
+        assert "the moment of order 306, E[X^306], overflows a float" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExtremeLaws:
     """Valid laws at the edge of the float range exit 0, with no warning."""
@@ -378,6 +422,10 @@ class TestMalformedInput:
         pytest.param(["batch", "--config", "{dir}/b.json"],
                      {"b.json": json.dumps([{**LAW, "p": 1.0}])},
                      "p = 1 has a log-normal law with no power tail", id="batch-p-1"),
+        # e^800 overflowed math.exp, and the command exited 1 with a traceback
+        pytest.param(["annuity", "--beta", "0.1", "--rho", "800", "--p", "0.5"], {},
+                     "the capital K = E[X] is infinite: (1 - p) e^rho = inf >= 1",
+                     id="annuity-overflowing-mean"),
     ]
 
     @pytest.mark.parametrize("argv,files,message", [
@@ -464,7 +512,7 @@ class TestMalformedInput:
                      "the discount factor e^(-rT) = e^800 overflows a float",
                      id="asian-overflowing-discount"),
         pytest.param(["moments", "--beta", "1", "--rho", "-0.1", "--kmax", "0"], {},
-                     "kmax must be >= 1, got 0", id="moments-kmax-0"),
+                     "kmax must be an integer >= 1, got 0", id="moments-kmax-0"),
         pytest.param(["moments", "--beta", "1", "--rho", "-0.1", "--p", "1", "--kmax", "39"], {},
                      "the moment of order 39, E[X^39], overflows a float",
                      id="moments-overflowing-p-1"),
@@ -548,6 +596,12 @@ class TestStrictMode:
         assert main(args + ["--out", str(tmp_path / "a"), "--strict"]) == 4
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         assert 0.0 <= float(read_csv(str(tmp_path / "b" / "asian.csv"))[1][2]) < 1e-50
+
+    def test_coarse_grid_escalates(self, tmp_path):
+        # 3h = 0.6 exceeds sqrt(beta) = 0.316: a CoarseGridWarning, an AccuracyWarning
+        args = ["density", "--beta", "0.1", "--rho", "-0.1", "--h", "0.2"]
+        assert main(args + ["--out", str(tmp_path / "a"), "--strict"]) == 4
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
 
 
 class TestAsianWarnings:

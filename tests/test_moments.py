@@ -93,6 +93,12 @@ class TestMomentsGeometric:
         assert got == [mm(k) for k in range(1, 40)]
         assert math.isfinite(got[-2]) and got[-1] == math.inf
 
+    def test_orders_past_an_overflow_read_inf(self):
+        # every order up to ~2000 exists at (1e-4, -0.1, 0.5), but 306 overflows; from
+        # order 1030 on, C(k, j) times that inf raised OverflowError converting C(k, j)
+        got = g.moments_geometric(1100, mm_for(1e-4, -0.1), 0.5)
+        assert all(map(math.isfinite, got[:305])) and got[305:] == [math.inf] * 795
+
 
 class TestProductForm:
     def test_single_chain(self):

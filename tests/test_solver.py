@@ -1004,6 +1004,21 @@ class TestMeanOracle:
         reported = 10.0 * (1.0 + math.copysign(report.mean_rel_err, mean - 10.0))
         assert reported == pytest.approx(mean, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("beta, rho, p", [getattr(law, "values", law) for law in MEAN_SWEEP]
+                             + _SMALL_BETA_LAWS)
+    def test_default_span_reads_the_closed_form_mean(self, beta, rho, p):
+        # the span once derived E[X] = e^rho / (1 - (1-p) e^rho) by hand, not from
+        # the moment recursion the report's oracle reads
+        rp = g.ReducedParams(beta=beta, rho=rho, p=p)
+        exponent = g.tail_exponent(rp)
+        c_est = 10.0 * max(2.0 / beta, 1.0)
+        u_tail = math.log(c_est / solver.TRUNCATION_TOL) / exponent
+        if u_tail <= solver._U_MAX_CAP:
+            u_tail = math.log1p((c_est / solver.TRUNCATION_TOL) ** (1.0 / exponent))
+        denom = 1.0 - (1.0 - p) * math.exp(rho)
+        body_x = 100.0 * max(math.exp(rho) / denom, 1.0) if denom > 0.0 else 100.0
+        assert solver._default_u_max(rp, exponent) == max(u_tail, math.log1p(body_x), 6.0)
+
     def test_p_one_law_has_oracle(self):
         _, report = g.solve_geometric(g.ReducedParams(beta=0.5, rho=0.1, p=1.0))
         assert report.mean_rel_err <= 1e-5

@@ -108,6 +108,24 @@ class TestTailConstants:
         assert window.sum() == 20 and window[-20:].all()
         assert fitted == pytest.approx(1.2, rel=1e-3, abs=0.0)
 
+    def test_plateau_at_a_large_exponent_is_finite(self, solved):
+        # mu = 207.7: S(x) x^mu as a direct power overflowed, and the plateau read
+        # inf and its variation NaN after numpy warnings; in logs both are finite
+        F, _ = solved(0.001, -0.1, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = g.fit_survival_powerlaw(F)
+        assert all(math.isfinite(v) and v > 0.0 for v in fit)
+
+    def test_plateau_past_the_largest_float_is_named(self, solved):
+        F, _ = solved(0.001, -0.1, 0.5)
+        steep = g.GridDensity(F.grid, F.values,
+                              tail=g.TailAsymptote(10.0 * F.tail.exponent, F.tail.constant))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="at mu = 2076.75 overflows a float$"):
+                g.fit_survival_powerlaw(steep)
+
     def test_geometric_rejects_p_one(self, solved):
         F, _ = solved(0.5, 0.1, 1.0)
         with pytest.raises(ParameterError):
@@ -251,8 +269,7 @@ class TestRiskRecord:
     def test_serializable_shape(self, solved):
         # the annuity command's risk record, built from one solved law
         F, report = solved(1.0, 0.0, 0.1, tol=1e-9)
-        mean = cli._annuity_mean(F.params)
-        _, rec = cli._annuity_rows(mean, F, report, [0.0], 0.01)
+        _, rec = cli._annuity_rows(solver._exact_mean(F.params), F, report, [0.0], 0.01)
         assert set(rec) == {"exponent", "constant", "shortfall", "var_threshold",
                             "method_flags", "report", "mean"}
         assert rec["method_flags"]["var"] == "tail_inversion"
